@@ -4,7 +4,9 @@
 //! forecast, streaming-push latency across lookback lengths (flat ⇒
 //! O(1) in window length), the runtime-dispatched GEMM microkernel vs its
 //! scalar twin on representative layer shapes, a per-layer breakdown
-//! (conv vs matmul vs pointwise), and stacked-batch throughput across
+//! (conv vs matmul vs pointwise), window-preparation latency across
+//! history lengths (flat ⇒ a forecast does not re-preprocess the
+//! entity's history), and stacked-batch throughput across
 //! batch-executor worker counts. Emits `BENCH_infer.json` for the CI
 //! smoke job; every timing loop also feeds an `obs` histogram, so the
 //! report carries full bucketed distributions alongside the exact sorted
@@ -20,8 +22,10 @@ use autograd::batch_exec::BatchExecutor;
 use autograd::conv1d_into;
 use autograd::infer::{relu_in_place, softmax_rows_in_place};
 use bench_harness::ExperimentArgs;
-use models::{Forecaster, RptcnForecaster, StreamingRptcn};
+use cloudtrace::{ContainerConfig, WorkloadClass};
+use models::{Forecaster, NaiveForecaster, RptcnForecaster, StreamingRptcn};
 use obs::{Histogram, Registry};
+use rptcn::{PipelineConfig, ResourcePredictor, Scenario};
 use tensor::gemm::{self, Tier};
 use tensor::{Rng, Tensor};
 
@@ -33,6 +37,9 @@ const LOOKBACKS: [usize; 3] = [32, 64, 128];
 const BATCH_ROWS: usize = 128;
 /// Worker counts swept by the executor-scaling section.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+/// History lengths for the window-preparation section: a monitoring
+/// stream an hour, ten hours and four days old at 10 s samples.
+const WINDOW_PREP_ROWS: [usize; 3] = [400, 4_000, 40_000];
 /// GEMM shapes representative of the paper-default forward pass:
 /// `(label, m, k, n)`.
 const GEMM_SHAPES: [(&str, usize, usize, usize); 4] = [
@@ -215,6 +222,47 @@ fn main() {
         },
     );
 
+    // Window preparation: turning an entity's raw history into the model
+    // input reads `window + copies - 1` clean rows, so its cost must not
+    // move as the stream grows from 400 rows to 40 000.
+    let bootstrap = cloudtrace::container::generate_container(
+        &ContainerConfig::new(WorkloadClass::OnlineService, WINDOW_PREP_ROWS[0], args.seed)
+            .with_diurnal_period(200),
+    );
+    let mut window_prep = Vec::new();
+    for scenario in [Scenario::Mul, Scenario::MulExp] {
+        let cfg = PipelineConfig {
+            window: WINDOW,
+            scenario,
+            ..Default::default()
+        };
+        let (mut predictor, _) =
+            ResourcePredictor::fit(Box::new(NaiveForecaster::new()), &bootstrap, cfg)
+                .expect("bootstrap trace fits");
+        let (_, _, features) = predictor.inference_window().expect("full window");
+        let mut rows = Vec::new();
+        for &history in &WINDOW_PREP_ROWS {
+            while predictor.history_len() < history {
+                let i = predictor.history_len() % bootstrap.len();
+                let sample: Vec<f32> = (0..bootstrap.num_columns())
+                    .map(|j| bootstrap.column_at(j)[i])
+                    .collect();
+                predictor.observe(&sample).expect("sample fits");
+            }
+            for _ in 0..warmup {
+                black_box(predictor.inference_window().expect("full window"));
+            }
+            let hist =
+                registry.latency_histogram(&format!("window_prep_ns.{scenario:?}.rows{history}"));
+            let (p50, p99) = time_loop(iters, &hist, || {
+                black_box(predictor.inference_window().expect("full window"));
+            });
+            rows.push((history, p50, p99));
+        }
+        let growth = rows[rows.len() - 1].1 as f64 / rows[0].1.max(1) as f64;
+        window_prep.push((scenario, features, rows, growth));
+    }
+
     // Stacked-batch throughput across explicit worker pools. Each pool is
     // built fresh so one process can sweep worker counts; `predict` itself
     // uses the identical code path through the process-global pool. On a
@@ -293,6 +341,21 @@ fn main() {
     writeln!(json, "    \"pointwise_p50\": {pointwise_p50},").unwrap();
     writeln!(json, "    \"pointwise_p99\": {pointwise_p99}").unwrap();
     writeln!(json, "  }},").unwrap();
+    writeln!(json, "  \"window_prep_ns\": [").unwrap();
+    for (i, (scenario, features, rows, growth)) in window_prep.iter().enumerate() {
+        let sep = if i + 1 == window_prep.len() { "" } else { "," };
+        let history: Vec<String> = rows
+            .iter()
+            .map(|(n, p50, p99)| format!("{{\"rows\": {n}, \"p50\": {p50}, \"p99\": {p99}}}"))
+            .collect();
+        writeln!(
+            json,
+            "    {{\"scenario\": \"{scenario:?}\", \"features\": {features}, \"history\": [{}], \"p50_growth\": {growth:.2}}}{sep}",
+            history.join(", ")
+        )
+        .unwrap();
+    }
+    writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"batch_executor\": {{").unwrap();
     writeln!(json, "    \"rows\": {BATCH_ROWS},").unwrap();
     writeln!(
@@ -345,6 +408,15 @@ fn main() {
         free_p50 as f64 / 1_000.0,
         taped_p50 as f64 / 1_000.0,
     );
+    for (scenario, _, rows, growth) in &window_prep {
+        eprintln!(
+            "window prep [{scenario:?}]: p50 {} ns at {} rows, {} ns at {} rows ({growth:.2}x)",
+            rows[0].1,
+            rows[0].0,
+            rows[rows.len() - 1].1,
+            rows[rows.len() - 1].0,
+        );
+    }
     eprintln!(
         "gemm [{}]: median {gemm_speedup_p50:.1}x over scalar; batch executor: {best_fps:.0} forecasts/sec aggregate ({available_parallelism} cores)",
         gemm_tier.name(),

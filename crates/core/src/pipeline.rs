@@ -105,14 +105,6 @@ pub struct FittedPreprocess {
     pub expanded_target: String,
 }
 
-impl FittedPreprocess {
-    /// De-normalise predictions back to raw utilisation units.
-    pub fn denormalize(&self, target_original: &str, values: &[f32]) -> Vec<f32> {
-        self.scaler
-            .inverse_transform_column(target_original, values)
-    }
-}
-
 /// Run Algorithm 1 steps 1–5 on a raw entity frame.
 pub fn prepare(frame: &TimeSeriesFrame, cfg: &PipelineConfig) -> Result<PreparedData, FrameError> {
     if !frame.names().iter().any(|n| n == &cfg.target) {

@@ -8,7 +8,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use models::checkpoint::{CheckpointError, ModelState};
 use models::Forecaster;
 use tensor::Tensor;
-use timeseries::{clean, Expansion, FrameError, MinMaxScaler, TimeSeriesFrame};
+use timeseries::{
+    clean, clean_tail, min_max_scale, min_max_unscale, FrameError, MinMaxScaler, TimeSeriesFrame,
+};
 
 use crate::pipeline::{prepare, run_model, FittedPreprocess, PipelineConfig, PipelineRun};
 use crate::scenario::Scenario;
@@ -30,6 +32,8 @@ pub struct ResourcePredictor {
     history: Vec<Vec<f32>>,
     /// Preprocessing state captured at the last (re)fit.
     preprocess: FittedPreprocess,
+    /// `preprocess` resolved against `names`; replaced together with it.
+    plan: WindowPlan,
     samples_since_fit: usize,
     /// Refit after this many new samples (0 disables periodic refits).
     /// Private: the predictor is the single owner of its refit cadence;
@@ -44,6 +48,55 @@ pub struct ResourcePredictor {
     /// diverged from the group. Deliberately not persisted in
     /// [`PredictorState`]: group ids are process-local.
     shared_group: Option<u64>,
+}
+
+/// A [`FittedPreprocess`] resolved once against a predictor's history
+/// layout, so a forecast does no name lookups: which history column feeds
+/// each selected indicator, its scaler slot, and where the target sits.
+/// Resolving is also the validation — a plan exists only for preprocessing
+/// state that window preparation and de-normalisation can index safely.
+struct WindowPlan {
+    /// History column of each selected indicator, in feature order.
+    sources: Vec<usize>,
+    /// `(min, range)` of each selected indicator's scaler slot.
+    scales: Vec<(f32, f32)>,
+    /// Position of the pipeline target within `scales`.
+    target: usize,
+}
+
+impl WindowPlan {
+    fn resolve(
+        names: &[String],
+        target: &str,
+        preprocess: &FittedPreprocess,
+    ) -> Result<WindowPlan, String> {
+        let selected = &preprocess.selected;
+        let fitted = || preprocess.scaler.iter();
+        if !fitted().map(|(name, ..)| name).eq(selected) {
+            return Err(format!(
+                "scaler was fitted on {:?}, not on the selected indicators {selected:?}",
+                fitted().map(|(name, ..)| name).collect::<Vec<_>>()
+            ));
+        }
+        let sources = selected
+            .iter()
+            .map(|sel| {
+                names
+                    .iter()
+                    .position(|name| name == sel)
+                    .ok_or_else(|| format!("unknown column '{sel}'"))
+            })
+            .collect::<Result<_, _>>()?;
+        let target = selected
+            .iter()
+            .position(|sel| sel == target)
+            .ok_or_else(|| format!("target '{target}' is not among the selected indicators"))?;
+        Ok(WindowPlan {
+            sources,
+            scales: fitted().map(|(_, min, max)| (min, max - min)).collect(),
+            target,
+        })
+    }
 }
 
 /// Complete portable snapshot of one live predictor: fitted model weights,
@@ -77,13 +130,16 @@ impl ResourcePredictor {
         let history = (0..bootstrap.num_columns())
             .map(|j| bootstrap.column_at(j).to_vec())
             .collect();
+        let preprocess = prepared.fitted();
+        let plan = WindowPlan::resolve(&names, &cfg.target, &preprocess).map_err(FrameError)?;
         Ok((
             ResourcePredictor {
                 model,
                 cfg,
                 names,
                 history,
-                preprocess: prepared.fitted(),
+                preprocess,
+                plan,
                 samples_since_fit: 0,
                 refit_every: 0,
                 shared_group: None,
@@ -148,8 +204,12 @@ impl ResourcePredictor {
     pub fn refit(&mut self) -> Result<PipelineRun, FrameError> {
         let frame = self.current_frame()?;
         let prepared = prepare(&frame, &self.cfg)?;
+        let preprocess = prepared.fitted();
+        let plan =
+            WindowPlan::resolve(&self.names, &self.cfg.target, &preprocess).map_err(FrameError)?;
         let run = run_model(self.model.as_mut(), &prepared);
-        self.preprocess = prepared.fitted();
+        self.preprocess = preprocess;
+        self.plan = plan;
         self.samples_since_fit = 0;
         self.shared_group = None;
         Ok(run)
@@ -157,21 +217,10 @@ impl ResourcePredictor {
 
     /// Swap in a model trained elsewhere (e.g. on a background refit pool
     /// from a [`ResourcePredictor::history_snapshot`]) together with the
-    /// preprocessing state it was fitted with. Resets the refit clock.
-    pub fn install_refit(
-        &mut self,
-        model: Box<dyn Forecaster + Send>,
-        preprocess: FittedPreprocess,
-    ) {
-        self.model = model;
-        self.preprocess = preprocess;
-        self.samples_since_fit = 0;
-        self.shared_group = None;
-    }
-
-    /// Guarded variant of [`ResourcePredictor::install_refit`]: the
-    /// replacement is installed only if it can produce a finite forecast on
-    /// the live history. On failure the previous model and preprocessing
+    /// preprocessing state it was fitted with, and reset the refit clock.
+    /// The replacement is installed only if its preprocessing state fits
+    /// this predictor's columns and it produces a finite forecast on the
+    /// live history. On failure the previous model and preprocessing
     /// state are restored untouched and the refit clock is left running —
     /// a diverged background refit can never poison a serving entity.
     pub fn try_install_refit(
@@ -179,8 +228,11 @@ impl ResourcePredictor {
         model: Box<dyn Forecaster + Send>,
         preprocess: FittedPreprocess,
     ) -> Result<(), FrameError> {
+        let plan =
+            WindowPlan::resolve(&self.names, &self.cfg.target, &preprocess).map_err(FrameError)?;
         let old_model = std::mem::replace(&mut self.model, model);
         let old_preprocess = std::mem::replace(&mut self.preprocess, preprocess);
+        let old_plan = std::mem::replace(&mut self.plan, plan);
         let old_clock = self.samples_since_fit;
         match self.forecast() {
             Ok(fc) if fc.iter().all(|v| v.is_finite()) => {
@@ -191,6 +243,7 @@ impl ResourcePredictor {
             outcome => {
                 self.model = old_model;
                 self.preprocess = old_preprocess;
+                self.plan = old_plan;
                 self.samples_since_fit = old_clock;
                 match outcome {
                     Ok(fc) => Err(FrameError(format!(
@@ -238,43 +291,87 @@ impl ResourcePredictor {
     /// stacks these across a weight-sharing group and answers them with a
     /// single batched [`ResourcePredictor::predict_batch`] call.
     pub fn inference_window(&self) -> Result<(Vec<f32>, usize, usize), FrameError> {
-        let frame = self.current_frame()?;
-        // Re-apply the fitted preprocessing to the tail of the stream,
-        // starting with the same cleaning step training uses: non-finite
-        // samples admitted into the history (a poisoned bootstrap, an
-        // unguarded `observe`) must never reach the scaler or the model.
-        let (frame, _) = clean(&frame, self.cfg.repair);
-        let selected: Vec<&str> = self
-            .preprocess
-            .selected
-            .iter()
-            .map(String::as_str)
-            .collect();
-        let screened = frame.select(&selected)?;
-        let normalized = self.preprocess.scaler.transform(&screened);
-        let expanded = match self.cfg.scenario {
-            Scenario::MulExp => Expansion::Horizontal {
-                copies: self.cfg.expansion_copies,
-            }
-            .apply(&normalized)?,
-            _ => normalized,
-        };
-        let w = self.cfg.window;
-        if expanded.len() < w {
-            return Err(FrameError(format!(
-                "need {w} preprocessed samples, have {}",
-                expanded.len()
-            )));
-        }
-        let tail = expanded.slice_rows(expanded.len() - w, expanded.len())?;
-        let f = tail.num_columns();
-        let mut x = vec![0.0f32; w * f];
-        for t in 0..w {
-            for j in 0..f {
-                x[t * f + j] = tail.column_at(j)[t];
-            }
-        }
+        let mut x = Vec::new();
+        let (w, f) = self.inference_window_into(&mut x)?;
         Ok((x, w, f))
+    }
+
+    /// Append the current inference window to `out` and return its
+    /// `(window, features)` shape; `out` is left as it was on error.
+    ///
+    /// Re-applies the fitted preprocessing — Algorithm 1 steps 1–5: clean,
+    /// screen, min-max scale, lag-expand — to the stream, bitwise-equal to
+    /// running it over the whole history and keeping the last `window`
+    /// rows, but reading only the `window + copies − 1` clean rows those
+    /// depend on, so the cost does not grow with the history. The cleaning
+    /// step is the one training uses: non-finite samples admitted into the
+    /// history (a poisoned bootstrap, an unguarded `observe`) never reach
+    /// the scaler or the model.
+    pub fn inference_window_into(&self, out: &mut Vec<f32>) -> Result<(usize, usize), FrameError> {
+        let w = self.cfg.window;
+        // Step 5 turns each indicator into `copies` lag columns and
+        // consumes `copies - 1` leading rows.
+        let expands = matches!(self.cfg.scenario, Scenario::MulExp);
+        let copies = if expands {
+            self.cfg.expansion_copies
+        } else {
+            1
+        };
+        if copies == 0 {
+            return Err(FrameError("horizontal expansion needs copies >= 1".into()));
+        }
+        let indicators = self.plan.sources.len();
+        let need = w.saturating_add(copies - 1);
+        // Sizes are trusted only once the history is known to hold `need`
+        // rows: `cfg` may come from a restored checkpoint.
+        if need <= self.history_len() {
+            out.reserve(indicators * (need + w * copies));
+        }
+
+        // Stage the cleaned raw tail (one indicator after another) behind
+        // whatever `out` already holds, build the window after it, then
+        // drop the stage.
+        let base = out.len();
+        let tail = clean_tail(
+            &self.history,
+            &self.plan.sources,
+            self.cfg.repair,
+            need,
+            out,
+        );
+        if tail.rows < need {
+            out.truncate(base);
+            // Short of `need` the tail is the whole cleaned series.
+            return Err(FrameError(if expands && tail.rows < copies {
+                format!(
+                    "frame of {} rows too short for {copies} lag copies",
+                    tail.rows
+                )
+            } else {
+                format!(
+                    "need {w} preprocessed samples, have {}",
+                    tail.rows + 1 - copies
+                )
+            }));
+        }
+        let f = indicators * copies;
+        let stage = indicators * need;
+        out.resize(base + stage + w * f, 0.0);
+        let (staged, window) = out[base..].split_at_mut(stage);
+        for (j, &(min, range)) in self.plan.scales.iter().enumerate() {
+            for v in &mut staged[j * need..(j + 1) * need] {
+                *v = min_max_scale(*v, min, range);
+            }
+        }
+        // Feature `j·copies + k` is indicator `j` at lag `copies − 1 − k`:
+        // window row `t` reads cleaned row `t + k`.
+        for (t, row) in window.chunks_exact_mut(f).enumerate() {
+            for (j, lags) in row.chunks_exact_mut(copies).enumerate() {
+                lags.copy_from_slice(&staged[j * need + t..][..copies]);
+            }
+        }
+        out.drain(base..base + stage);
+        Ok((w, f))
     }
 
     /// Run this predictor's model on a pre-stacked `[n, window, features]`
@@ -287,13 +384,17 @@ impl ResourcePredictor {
     /// De-normalise a model output with this predictor's fitted scaler —
     /// the per-entity half of a batched forecast.
     pub fn denormalize_forecast(&self, normalized: &[f32]) -> Vec<f32> {
-        self.preprocess.denormalize(&self.cfg.target, normalized)
+        let (min, range) = self.plan.scales[self.plan.target];
+        normalized
+            .iter()
+            .map(|&v| min_max_unscale(v, min, range))
+            .collect()
     }
 
     /// Forecast in raw (de-normalised) target units.
     pub fn forecast(&self) -> Result<Vec<f32>, FrameError> {
         let normalized = self.forecast_normalized()?;
-        Ok(self.preprocess.denormalize(&self.cfg.target, &normalized))
+        Ok(self.denormalize_forecast(&normalized))
     }
 
     /// Samples currently buffered.
@@ -362,17 +463,29 @@ impl ResourcePredictor {
                 state.history.len()
             )));
         }
+        let rows = state.history.first().map_or(0, Vec::len);
+        if let Some(j) = state.history.iter().position(|col| col.len() != rows) {
+            return Err(CheckpointError(format!(
+                "history column '{}' has {} rows, expected {rows}",
+                state.names[j],
+                state.history[j].len()
+            )));
+        }
+        let preprocess = FittedPreprocess {
+            scaler: MinMaxScaler::from_parts(state.scaler_columns.clone()),
+            selected: state.selected.clone(),
+            expanded_target: state.expanded_target.clone(),
+        };
+        let plan = WindowPlan::resolve(&state.names, &state.cfg.target, &preprocess)
+            .map_err(CheckpointError)?;
         let model = models::checkpoint::forecaster_from_state(&state.model)?;
         Ok(ResourcePredictor {
             model,
             cfg: state.cfg.clone(),
             names: state.names.clone(),
             history: state.history.clone(),
-            preprocess: FittedPreprocess {
-                scaler: MinMaxScaler::from_parts(state.scaler_columns.clone()),
-                selected: state.selected.clone(),
-                expanded_target: state.expanded_target.clone(),
-            },
+            preprocess,
+            plan,
             samples_since_fit: state.samples_since_fit,
             refit_every: state.refit_every,
             shared_group: None,
@@ -407,18 +520,23 @@ impl ResourcePredictor {
             .map(String::as_str)
             .collect();
         let screened = cleaned.select(&selected)?;
+        let names = bootstrap.names().to_vec();
+        let preprocess = FittedPreprocess {
+            scaler: MinMaxScaler::fit(&screened),
+            selected: self.preprocess.selected.clone(),
+            expanded_target: self.preprocess.expanded_target.clone(),
+        };
+        let plan =
+            WindowPlan::resolve(&names, &self.cfg.target, &preprocess).map_err(FrameError)?;
         Ok(ResourcePredictor {
             model,
             cfg: self.cfg.clone(),
-            names: bootstrap.names().to_vec(),
+            names,
             history: (0..bootstrap.num_columns())
                 .map(|j| bootstrap.column_at(j).to_vec())
                 .collect(),
-            preprocess: FittedPreprocess {
-                scaler: MinMaxScaler::fit(&screened),
-                selected: self.preprocess.selected.clone(),
-                expanded_target: self.preprocess.expanded_target.clone(),
-            },
+            preprocess,
+            plan,
             samples_since_fit: 0,
             refit_every: self.refit_every,
             shared_group: self.shared_group,
@@ -653,8 +771,58 @@ mod tests {
     fn restore_rejects_inconsistent_state() {
         let (predictor, _) =
             ResourcePredictor::fit(Box::new(NaiveForecaster::new()), &bootstrap(), cfg()).unwrap();
-        let mut state = predictor.snapshot().unwrap();
-        state.history.pop();
-        assert!(ResourcePredictor::from_state(&state).is_err());
+        let good = predictor.snapshot().unwrap();
+        assert!(ResourcePredictor::from_state(&good).is_ok());
+        let rejected = |mutate: &dyn Fn(&mut PredictorState), expect: &str| {
+            let mut state = good.clone();
+            mutate(&mut state);
+            match ResourcePredictor::from_state(&state) {
+                Ok(_) => panic!("accepted a state that should fail with '{expect}'"),
+                Err(e) => assert!(e.0.contains(expect), "{e:?} lacks '{expect}'"),
+            }
+        };
+        rejected(&|s| s.history.truncate(2), "history columns");
+        rejected(&|s| s.history[2].truncate(5), "rows, expected");
+        // Preprocessing state that window preparation or de-normalisation
+        // would index out of range — each used to restore fine and panic
+        // on the first forecast.
+        rejected(&|s| s.selected[1] = "no_such_indicator".into(), "scaler");
+        rejected(
+            &|s| {
+                s.selected[1] = "no_such_indicator".into();
+                s.scaler_columns[1].0 = "no_such_indicator".into();
+            },
+            "unknown column 'no_such_indicator'",
+        );
+        rejected(&|s| s.scaler_columns.truncate(1), "scaler");
+        rejected(&|s| s.scaler_columns.swap(0, 1), "scaler");
+        rejected(&|s| s.cfg.target = "mem_util_percent_x".into(), "target");
+        rejected(
+            &|s| {
+                // The target is a real column, but screening dropped it.
+                let pos = s.selected.iter().position(|n| n == &s.cfg.target).unwrap();
+                s.selected.remove(pos);
+                s.scaler_columns.remove(pos);
+            },
+            "target",
+        );
+    }
+
+    #[test]
+    fn try_install_refit_rejects_preprocessing_for_other_columns() {
+        let (mut predictor, _) =
+            ResourcePredictor::fit(Box::new(NaiveForecaster::new()), &bootstrap(), cfg()).unwrap();
+        let before = predictor.forecast().unwrap();
+        let mut columns = predictor.preprocess.scaler.columns();
+        columns[0].0 = "elsewhere".into();
+        let foreign = FittedPreprocess {
+            scaler: MinMaxScaler::from_parts(columns),
+            selected: predictor.preprocess.selected.clone(),
+            expanded_target: predictor.preprocess.expanded_target.clone(),
+        };
+        assert!(predictor
+            .try_install_refit(Box::new(NaiveForecaster::new()), foreign)
+            .is_err());
+        assert_eq!(predictor.forecast().unwrap(), before);
     }
 }

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use net::{FleetRouter, NodeConfig, NodeServer, NodeStatus, RouterConfig};
+use net::{FleetRouter, Message, NodeClient, NodeConfig, NodeServer, NodeStatus, RouterConfig};
 use obs::EventKind;
 use serve::{PredictionService, ServiceConfig};
 
@@ -136,5 +136,73 @@ fn join_rebalances_with_state() {
 
     let last = ingest_rounds(&mut router, &ids, 6..8);
     assert_forecasts_match(&mut router, &ids, &last);
+    router.shutdown_fleet();
+}
+
+/// A `Restore` frame is outside input: preprocessing state that does not
+/// fit the entity's own columns must come back as a typed per-entity
+/// error — not install and then take a shard down on its first forecast.
+#[test]
+fn restore_of_malformed_state_is_a_typed_error() {
+    let node = start_node();
+    let mut router = FleetRouter::new(router_config());
+    router
+        .add_node("n0", &node.addr().to_string())
+        .expect("node joins");
+    let ids: Vec<String> = (0..8).map(|i| format!("r-{i:02}")).collect();
+    assert_eq!(router.seed_entities(&ids).expect("seed"), 8);
+    let last = ingest_rounds(&mut router, &ids, 0..4);
+
+    let mut client =
+        NodeClient::connect(&node.addr().to_string(), Duration::from_secs(2)).expect("connects");
+    let reply = client
+        .request(&Message::Checkpoint {
+            ids: vec![ids[0].clone()],
+        })
+        .expect("checkpoint answers");
+    let Message::CheckpointOk { entities } = reply else {
+        panic!("unexpected reply {reply:?}");
+    };
+    let good = entities[0].1.clone();
+
+    let mut unknown_column = good.clone();
+    unknown_column.selected[0] = "no_such_indicator".into();
+    unknown_column.scaler_columns[0].0 = "no_such_indicator".into();
+    let mut scaler_mismatch = good.clone();
+    scaler_mismatch.scaler_columns[0].0 = "fitted_elsewhere".into();
+    let mut target_dropped = good.clone();
+    target_dropped.cfg.target = "never_selected".into();
+    let reply = client
+        .request(&Message::Restore {
+            entities: vec![
+                ("bad-column".into(), unknown_column),
+                ("bad-scaler".into(), scaler_mismatch),
+                ("bad-target".into(), target_dropped),
+                ("good-copy".into(), good),
+            ],
+        })
+        .expect("restore answers");
+    let Message::RestoreOk { installed, errors } = reply else {
+        panic!("unexpected reply {reply:?}");
+    };
+    assert_eq!(installed, 1, "only the intact state installs: {errors:?}");
+    let rejected: Vec<&str> = errors.iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(rejected, ["bad-column", "bad-scaler", "bad-target"]);
+    assert!(errors[0].1.contains("unknown column"), "{errors:?}");
+    assert!(errors[1].1.contains("scaler"), "{errors:?}");
+    assert!(errors[2].1.contains("target"), "{errors:?}");
+
+    // Every shard is still serving, the intact copy included.
+    assert_forecasts_match(&mut router, &ids, &last);
+    let reply = client
+        .request(&Message::Forecast {
+            ids: vec!["good-copy".into(), "bad-target".into()],
+        })
+        .expect("forecast answers");
+    let Message::ForecastOk { results } = reply else {
+        panic!("unexpected reply {reply:?}");
+    };
+    assert!(matches!(results[0].1, net::ForecastOutcome::Values(_)));
+    assert!(matches!(results[1].1, net::ForecastOutcome::Unknown));
     router.shutdown_fleet();
 }

@@ -25,7 +25,7 @@
 //! [`obs::Journal`] with shard and entity attribution.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -527,13 +527,44 @@ fn forecast_many(
     current: &mut Option<String>,
     ids: Vec<String>,
 ) -> ForecastReplies {
-    /// (shared group, window, features): entities whose keys match can be
-    /// stacked into one batch.
-    type GroupKey = (u64, usize, usize);
+    /// Members of one weight-sharing group: their reply indices in request
+    /// order and their windows stacked row after row, ready to be the
+    /// batched engine call's input.
+    #[derive(Default)]
+    struct Batch {
+        members: Vec<usize>,
+        stacked: Vec<f32>,
+        /// `(window, features)` of every stacked row.
+        shape: (usize, usize),
+    }
+    impl Batch {
+        /// Stack `predictor`'s window as the next row. `false`, with
+        /// nothing stacked, when window preparation fails or panics or the
+        /// row does not have the group's shape: the per-entity path then
+        /// re-runs it under its own guard and degrades.
+        fn push(&mut self, idx: usize, predictor: &ResourcePredictor) -> bool {
+            let mark = self.stacked.len();
+            let window = catch_unwind(AssertUnwindSafe(|| {
+                predictor.inference_window_into(&mut self.stacked)
+            }));
+            match window {
+                Ok(Ok(shape)) if self.members.is_empty() || shape == self.shape => {
+                    self.shape = shape;
+                    self.members.push(idx);
+                    true
+                }
+                _ => {
+                    self.stacked.truncate(mark);
+                    false
+                }
+            }
+        }
+    }
     let mut replies: Vec<Option<Result<Vec<f32>, ServeError>>> =
         (0..ids.len()).map(|_| None).collect();
-    // group key → [(reply index, normalized window)]
-    let mut groups: HashMap<GroupKey, Vec<(usize, Vec<f32>)>> = HashMap::new();
+    // Keyed by shared group id; ordered, so batch calls and their journal
+    // events come out in the same order on every run.
+    let mut groups: BTreeMap<u64, Batch> = BTreeMap::new();
 
     for (idx, id) in ids.iter().enumerate() {
         *current = Some(id.clone());
@@ -542,44 +573,40 @@ fn forecast_many(
                 FaultPlan::forecast_panic_now(id);
             }
         }
-        let batchable = slots.get(id).and_then(|slot| {
-            if slot.health != EntityHealth::Healthy {
-                return None;
-            }
-            let group = slot.predictor.shared_group()?;
-            match catch_unwind(AssertUnwindSafe(|| slot.predictor.inference_window())) {
-                Ok(Ok((x, w, f))) => Some(((group, w, f), x)),
-                // Window preparation failed or panicked: the per-entity
-                // path below re-runs it under its own guard and degrades.
-                _ => None,
-            }
-        });
-        match batchable {
-            Some((key, x)) => groups.entry(key).or_default().push((idx, x)),
-            None => replies[idx] = Some(forecast_one(ctx, slots, id)),
+        let batched = match slots.get(id) {
+            Some(slot) if slot.health == EntityHealth::Healthy => slot
+                .predictor
+                .shared_group()
+                .is_some_and(|group| groups.entry(group).or_default().push(idx, &slot.predictor)),
+            _ => false,
+        };
+        if !batched {
+            replies[idx] = Some(forecast_one(ctx, slots, id));
         }
         *current = None;
     }
 
-    for ((_, window, features), mut members) in groups {
+    for batch in groups.into_values() {
+        let Batch {
+            members,
+            stacked,
+            shape: (window, features),
+        } = batch;
         // A singleton gains nothing from stacking; keep it on the
         // per-entity path so its behaviour and latency accounting are
         // identical to an ungrouped entity.
-        if members.len() == 1 {
-            let idx = members[0].0;
-            let id = &ids[idx];
-            *current = Some(id.clone());
-            replies[idx] = Some(forecast_one(ctx, slots, id));
-            *current = None;
+        if members.len() <= 1 {
+            for idx in members {
+                let id = &ids[idx];
+                *current = Some(id.clone());
+                replies[idx] = Some(forecast_one(ctx, slots, id));
+                *current = None;
+            }
             continue;
         }
         let batch_started = ctx.clock.now_nanos();
         let rows = members.len();
-        let mut stacked = Vec::with_capacity(rows * window * features);
-        for (_, x) in &members {
-            stacked.extend_from_slice(x);
-        }
-        let leader = &ids[members[0].0];
+        let leader = &ids[members[0]];
         *current = Some(leader.clone());
         let x = Tensor::from_vec(stacked, &[rows, window, features]);
         // The leader was grouped from `slots` moments ago, so the lookup
@@ -595,7 +622,7 @@ fn forecast_many(
                 // The batched call panicked; retry each member alone so the
                 // per-entity guard pins down and degrades the culprit while
                 // its groupmates still get answers.
-                for (idx, _) in members {
+                for idx in members {
                     let id = &ids[idx];
                     *current = Some(id.clone());
                     replies[idx] = Some(forecast_one(ctx, slots, id));
@@ -616,8 +643,7 @@ fn forecast_many(
             format!("{rows} entities answered by one engine call ({workers}-worker pool)"),
         );
         let horizon = pred.shape()[1];
-        members.sort_by_key(|(idx, _)| *idx);
-        for (row, (idx, _)) in members.iter().enumerate() {
+        for (row, idx) in members.iter().enumerate() {
             let id = &ids[*idx];
             *current = Some(id.clone());
             let normalized = &pred.as_slice()[row * horizon..(row + 1) * horizon];

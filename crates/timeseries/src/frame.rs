@@ -99,6 +99,11 @@ impl TimeSeriesFrame {
         &self.columns[idx]
     }
 
+    /// Every column's data, in [`TimeSeriesFrame::names`] order.
+    pub(crate) fn columns(&self) -> &[Vec<f32>] {
+        &self.columns
+    }
+
     /// Mutable column data by name.
     pub fn column_mut(&mut self, name: &str) -> Option<&mut Vec<f32>> {
         let i = self.column_index(name)?;

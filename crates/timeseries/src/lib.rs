@@ -32,6 +32,9 @@ pub use decompose::{decompose_additive, estimate_period, Decomposition};
 pub use expand::Expansion;
 pub use frame::{FrameError, TimeSeriesFrame};
 pub use metrics::MetricReport;
-pub use preprocess::{clean, MinMaxScaler, RepairPolicy, StandardScaler};
+pub use preprocess::{
+    clean, clean_tail, min_max_scale, min_max_unscale, CleanTail, MinMaxScaler, RepairPolicy,
+    StandardScaler,
+};
 pub use split::{split_frame, split_windows, SplitRatios};
 pub use window::{make_windows, WindowedDataset};

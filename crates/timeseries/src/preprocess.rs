@@ -20,11 +20,11 @@ pub enum RepairPolicy {
 /// which [`TimeSeriesFrame::is_clean`] holds, plus how many samples were
 /// touched.
 pub fn clean(frame: &TimeSeriesFrame, policy: RepairPolicy) -> (TimeSeriesFrame, usize) {
-    match policy {
-        RepairPolicy::DropRows => {
+    match repair_for(policy) {
+        None => {
             let n = frame.len();
             let keep: Vec<usize> = (0..n)
-                .filter(|&i| (0..frame.num_columns()).all(|j| frame.column_at(j)[i].is_finite()))
+                .filter(|&i| row_complete(frame.columns(), i))
                 .collect();
             let dropped = n - keep.len();
             let cols = frame
@@ -38,7 +38,7 @@ pub fn clean(frame: &TimeSeriesFrame, policy: RepairPolicy) -> (TimeSeriesFrame,
                 .collect();
             (TimeSeriesFrame::new(cols).expect("clean frame"), dropped)
         }
-        RepairPolicy::Interpolate | RepairPolicy::ForwardFill => {
+        Some(repair) => {
             let mut repaired = 0usize;
             let cols = frame
                 .names()
@@ -46,16 +46,96 @@ pub fn clean(frame: &TimeSeriesFrame, policy: RepairPolicy) -> (TimeSeriesFrame,
                 .enumerate()
                 .map(|(j, name)| {
                     let mut col = frame.column_at(j).to_vec();
-                    repaired += match policy {
-                        RepairPolicy::Interpolate => interpolate_gaps(&mut col),
-                        _ => forward_fill(&mut col),
-                    };
+                    repaired += repair(&mut col);
                     (name.clone(), col)
                 })
                 .collect();
             (TimeSeriesFrame::new(cols).expect("clean frame"), repaired)
         }
     }
+}
+
+/// What [`clean_tail`] appended, and how far back into the raw series it
+/// had to read to get it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CleanTail {
+    /// First raw row read: cleaning `[start, n)` alone reproduces the tail
+    /// of cleaning the whole series.
+    pub start: usize,
+    /// Clean rows appended per emitted column: `need`, or every clean row
+    /// the series has when that is fewer.
+    pub rows: usize,
+}
+
+/// The last `need` rows of [`clean`] without cleaning the whole series:
+/// appends them to `out` for each raw column index in `emit`, one column
+/// after another, bitwise-equal to cleaning all of `columns` and slicing.
+///
+/// Only the rows the tail depends on are read. Under
+/// [`RepairPolicy::DropRows`] that is back to the `need`-th row from the
+/// end that is finite in *every* column; under the repairing policies a
+/// finite sample pins every repaired value after it, so each emitted
+/// column is read back to its nearest finite sample at or before row
+/// `n - need`. A finite tail therefore costs `need` rows however long the
+/// series has grown.
+pub fn clean_tail<C: AsRef<[f32]>>(
+    columns: &[C],
+    emit: &[usize],
+    policy: RepairPolicy,
+    need: usize,
+    out: &mut Vec<f32>,
+) -> CleanTail {
+    let n = columns.first().map_or(0, |c| c.as_ref().len());
+    let Some(repair) = repair_for(policy) else {
+        let mut keep: Vec<usize> = (0..n)
+            .rev()
+            .filter(|&i| row_complete(columns, i))
+            .take(need)
+            .collect();
+        keep.reverse();
+        for &j in emit {
+            let col = columns[j].as_ref();
+            out.extend(keep.iter().map(|&i| col[i]));
+        }
+        return CleanTail {
+            start: if keep.len() < need { 0 } else { keep[0] },
+            rows: keep.len(),
+        };
+    };
+    let from = n.saturating_sub(need);
+    let mut start = from;
+    for &j in emit {
+        let col = columns[j].as_ref();
+        let anchor = col[..n.min(from + 1)]
+            .iter()
+            .rposition(|v| v.is_finite())
+            .unwrap_or(0);
+        let base = out.len();
+        out.extend_from_slice(&col[anchor..]);
+        repair(&mut out[base..]);
+        out.drain(base..base + (from - anchor));
+        start = start.min(anchor);
+    }
+    CleanTail {
+        start,
+        rows: n - from,
+    }
+}
+
+/// The in-place column repair of a policy; `None` for
+/// [`RepairPolicy::DropRows`], which removes rows instead.
+fn repair_for(policy: RepairPolicy) -> Option<fn(&mut [f32]) -> usize> {
+    match policy {
+        RepairPolicy::DropRows => None,
+        RepairPolicy::Interpolate => Some(interpolate_gaps),
+        RepairPolicy::ForwardFill => Some(forward_fill),
+    }
+}
+
+/// Whether row `i` is finite in every column — a record
+/// [`RepairPolicy::DropRows`] keeps.
+fn row_complete<C: AsRef<[f32]>>(columns: &[C], i: usize) -> bool {
+    columns.iter().all(|c| c.as_ref()[i].is_finite())
 }
 
 fn interpolate_gaps(col: &mut [f32]) -> usize {
@@ -121,6 +201,24 @@ fn forward_fill(col: &mut [f32]) -> usize {
     repaired
 }
 
+/// Eq. (1) for one value of a column fitted to `[min, min + range]`;
+/// constant columns (`range` ≈ 0) map to 0. The one definition behind
+/// [`MinMaxScaler::transform`] and the serving path's per-value scaling.
+#[inline]
+pub fn min_max_scale(v: f32, min: f32, range: f32) -> f32 {
+    if range.abs() < 1e-12 {
+        0.0
+    } else {
+        (v - min) / range
+    }
+}
+
+/// Inverse of [`min_max_scale`]: back to the column's raw units.
+#[inline]
+pub fn min_max_unscale(v: f32, min: f32, range: f32) -> f32 {
+    v * range + min
+}
+
 /// Min-max normalisation to `[0, 1]` (paper eq. 1), fit per column.
 #[derive(Debug, Clone)]
 pub struct MinMaxScaler {
@@ -148,14 +246,7 @@ impl MinMaxScaler {
 
     /// Apply `(x - min) / (max - min)`. Constant columns map to 0.
     pub fn transform(&self, frame: &TimeSeriesFrame) -> TimeSeriesFrame {
-        self.apply(frame, |v, min, max| {
-            let range = max - min;
-            if range.abs() < 1e-12 {
-                0.0
-            } else {
-                (v - min) / range
-            }
-        })
+        self.apply(frame, |v, min, max| min_max_scale(v, min, max - min))
     }
 
     /// Undo the normalisation for the named column.
@@ -166,7 +257,10 @@ impl MinMaxScaler {
             .position(|n| n == name)
             .unwrap_or_else(|| panic!("scaler does not know column '{name}'"));
         let (min, max) = (self.mins[j], self.maxs[j]);
-        values.iter().map(|&v| v * (max - min) + min).collect()
+        values
+            .iter()
+            .map(|&v| min_max_unscale(v, min, max - min))
+            .collect()
     }
 
     /// `(min, max)` learned for the named column.
@@ -178,11 +272,17 @@ impl MinMaxScaler {
     /// The complete fitted parameters as `(name, min, max)` triples — the
     /// checkpointable state of the scaler.
     pub fn columns(&self) -> Vec<(String, f32, f32)> {
+        self.iter()
+            .map(|(name, min, max)| (name.to_string(), min, max))
+            .collect()
+    }
+
+    /// The fitted `(name, min, max)` of every column, in column order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, f32, f32)> + '_ {
         self.names
             .iter()
             .zip(self.mins.iter().zip(&self.maxs))
-            .map(|(n, (&min, &max))| (n.clone(), min, max))
-            .collect()
+            .map(|(name, (&min, &max))| (name.as_str(), min, max))
     }
 
     /// Rebuild a scaler from parameters captured by [`MinMaxScaler::columns`]
@@ -331,6 +431,96 @@ mod tests {
         let f = TimeSeriesFrame::from_columns(&[("x", vec![f32::NAN, f32::NAN])]).unwrap();
         let (c, _) = clean(&f, RepairPolicy::ForwardFill);
         assert_eq!(c.column("x").unwrap(), &[0.0, 0.0]);
+    }
+
+    const POLICIES: [RepairPolicy; 3] = [
+        RepairPolicy::DropRows,
+        RepairPolicy::Interpolate,
+        RepairPolicy::ForwardFill,
+    ];
+
+    /// `clean` on the whole series, then the last `need` rows of `emit`.
+    fn full_clean_tail(
+        cols: &[Vec<f32>],
+        emit: &[usize],
+        policy: RepairPolicy,
+        need: usize,
+    ) -> Vec<f32> {
+        let named = cols
+            .iter()
+            .enumerate()
+            .map(|(j, c)| (format!("c{j}"), c.clone()))
+            .collect();
+        let (cleaned, _) = clean(&TimeSeriesFrame::new(named).unwrap(), policy);
+        let from = cleaned.len().saturating_sub(need);
+        emit.iter()
+            .flat_map(|&j| cleaned.column_at(j)[from..].to_vec())
+            .collect()
+    }
+
+    fn ramp(n: usize, phase: f32) -> Vec<f32> {
+        (0..n).map(|i| (i as f32 * 0.37 + phase).sin()).collect()
+    }
+
+    #[test]
+    fn clean_tail_reads_need_rows_however_long_the_history() {
+        for n in [400, 40_000] {
+            let cols = vec![ramp(n, 0.0), ramp(n, 1.0), ramp(n, 2.0)];
+            for policy in POLICIES {
+                let mut out = Vec::new();
+                let tail = clean_tail(&cols, &[2, 0], policy, 32, &mut out);
+                assert_eq!(
+                    tail,
+                    CleanTail {
+                        start: n - 32,
+                        rows: 32
+                    },
+                    "{policy:?} at {n}"
+                );
+                assert_eq!(out, full_clean_tail(&cols, &[2, 0], policy, 32));
+            }
+        }
+    }
+
+    #[test]
+    fn clean_tail_matches_full_clean_across_gaps() {
+        let n = 60;
+        let mut cols = vec![ramp(n, 0.0), ramp(n, 1.0), ramp(n, 2.0)];
+        // Gaps inside the tail, straddling the `n - need` boundary, at the
+        // very end, and a long one reaching far behind the tail.
+        cols[0][57..].fill(f32::NAN);
+        cols[1][20..45].fill(f32::INFINITY);
+        cols[2][49] = f32::NEG_INFINITY;
+        cols[2][50] = f32::NAN;
+        for policy in POLICIES {
+            for need in [1, 10, 11, 25, 59, 60, 61, 200] {
+                let mut out = vec![7.0];
+                let tail = clean_tail(&cols, &[1, 2, 0], policy, need, &mut out);
+                let want = full_clean_tail(&cols, &[1, 2, 0], policy, need);
+                assert_eq!(out[0], 7.0, "clean_tail appends, never overwrites");
+                assert_eq!(
+                    out[1..].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{policy:?} need {need}"
+                );
+                assert_eq!(tail.rows * 3, want.len(), "{policy:?} need {need}");
+            }
+        }
+    }
+
+    #[test]
+    fn clean_tail_handles_degenerate_series() {
+        for policy in POLICIES {
+            // No rows at all, and a column with no finite sample anywhere.
+            let empty: Vec<Vec<f32>> = vec![Vec::new(), Vec::new()];
+            let mut out = Vec::new();
+            assert_eq!(clean_tail(&empty, &[0, 1], policy, 5, &mut out).rows, 0);
+            assert!(out.is_empty());
+            let cols = vec![vec![f32::NAN; 9], ramp(9, 0.0)];
+            let tail = clean_tail(&cols, &[0, 1], policy, 4, &mut out);
+            assert_eq!(out, full_clean_tail(&cols, &[0, 1], policy, 4));
+            assert_eq!(tail.start, 0, "an all-invalid column is read to the start");
+        }
     }
 
     #[test]
