@@ -327,6 +327,20 @@ fn tap_accumulate(
     }
 }
 
+/// `(no weight is exactly zero, every weight is finite)` — what decides
+/// whether a kernel may take a path that adds `w · 0.0` padding terms or
+/// must reproduce the reference's skips. One pass without early exit, so
+/// the scan vectorises: it runs per convolution call, and at batch 1 two
+/// short-circuiting scans cost half as much as the convolution itself.
+fn scan_weights(dw: &[f32]) -> (bool, bool) {
+    let (mut nonzero, mut finite) = (true, true);
+    for &w in dw {
+        nonzero &= w != 0.0;
+        finite &= w.is_finite();
+    }
+    (nonzero, finite)
+}
+
 /// `out = causal_conv1d(x, w)` over raw row-major slices — the
 /// allocation-free kernel the tape-free inference engine builds on.
 /// `conv1d_forward` routes through it too, so both paths produce
@@ -363,10 +377,13 @@ pub fn conv1d_into(
     // still land in (in-channel, tap) order as separate adds, so the
     // result is bitwise identical to `tap_accumulate`. Exact-zero weights
     // (whose terms the reference skips) route to the slow path.
-    let fused_ok = k == 3 && 2 * dilation < time && dw.iter().all(|&w| w != 0.0);
+    let (nonzero, finite) = scan_weights(dw);
+    let fused_ok = k == 3 && 2 * dilation < time && nonzero;
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = finite;
     #[cfg(target_arch = "x86_64")]
     let use_avx = fused_ok
-        && dw.iter().all(|&w| w.is_finite())
+        && finite
         && in_ch * (time + 2 * dilation) + 8 <= simd::PAD_CAP
         && time <= simd::MAX_TIME
         && avx_available();
@@ -524,41 +541,202 @@ pub fn conv1d_forward(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
     Tensor::from_vec(out, &[batch, out_ch, time])
 }
 
+/// Channel lanes of the gradient kernels. Both put channels on the vector
+/// axis — a row of `time` is 4 to 30 steps after the last-step cut, the
+/// channel count is a fixed 16 — and pad them up to a multiple of this, so
+/// the inner loops are full-width at any channel count. Eight `f32` lanes
+/// are two SSE or one AVX register.
+const LANES: usize = 8;
+
+/// Time steps [`input_chains`] advances together: independent accumulator
+/// chains that share every weight load and hide the add latency.
+const STEPS: usize = 4;
+
+fn pad_lanes(channels: usize) -> usize {
+    channels.div_ceil(LANES) * LANES
+}
+
+/// Shape check shared by the two gradient kernels: `grad_out` must be
+/// `[batch, out_ch, time]` for the input's `batch` and `time`. Returns
+/// `out_ch`.
+fn grad_out_channels(grad_out: &Tensor, batch: usize, time: usize) -> usize {
+    assert_eq!(
+        grad_out.rank(),
+        3,
+        "conv grad_out must be [batch, out_ch, time]"
+    );
+    let (b, t) = (grad_out.shape()[0], grad_out.shape()[2]);
+    assert_eq!(b, batch, "batch mismatch: input {batch}, grad_out {b}");
+    assert_eq!(t, time, "time mismatch: input {time}, grad_out {t}");
+    grad_out.shape()[1]
+}
+
+/// `[rows, cols]` row-major into `[cols, stride]`, `stride >= rows`; the
+/// lanes past `rows` keep whatever `dst` held (zeros at every call site).
+fn transpose_padded(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, stride: usize) {
+    for (r, row) in src.chunks_exact(cols).take(rows).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * stride + r] = v;
+        }
+    }
+}
+
+/// Input-gradient elements of `S` neighbouring steps (from `s0`) for the
+/// `LANES` input channels at `wt_lanes`: each `(in-channel, step)` element
+/// accumulates its `(out-channel, tap)`-ordered chain
+/// `acc += w · go[oc][s + shift]` over taps `kk_min..k`, multiply and add
+/// separate — the chain of the tap-wise reference. `go` holds `out_ch` rows
+/// of stride `row`. `SKIP_ZERO` reproduces the reference's skip of an
+/// exact-zero weight, whose term would turn a non-finite `go` into NaN.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn input_chains<const S: usize, const SKIP_ZERO: bool>(
+    wt_lanes: &[f32],
+    lane_stride: usize,
+    go: &[f32],
+    row: usize,
+    out_ch: usize,
+    k: usize,
+    dilation: usize,
+    s0: usize,
+    kk_min: usize,
+) -> [[f32; LANES]; S] {
+    let mut acc = [[0.0f32; LANES]; S];
+    for oc in 0..out_ch {
+        let go_row = &go[oc * row..(oc + 1) * row];
+        for kk in kk_min..k {
+            let w = &wt_lanes[(oc * k + kk) * lane_stride..][..LANES];
+            let go_steps = &go_row[s0 + (k - 1 - kk) * dilation..][..S];
+            for (a, &gv) in acc.iter_mut().zip(go_steps) {
+                for (slot, &wv) in a.iter_mut().zip(w) {
+                    if !SKIP_ZERO || wv != 0.0 {
+                        *slot += wv * gv;
+                    }
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// One batch item of [`conv1d_backward_input`]; `wt` is the weight
+/// transposed to `[out_ch, k, in_ch padded to LANES]`, `go_item` the item's
+/// `out_ch` rows of `grad_out` at stride `row`.
+///
+/// With `uniform` the rows carry zeros past their `time` steps (see the
+/// caller), so that every step sees every tap and `STEPS` of them advance
+/// together. Otherwise each step runs alone over exactly the taps the
+/// reference gives it, skipping exact-zero weights as the reference does.
+#[allow(clippy::too_many_arguments)]
+fn backward_input_item(
+    wt: &[f32],
+    go_item: &[f32],
+    row: usize,
+    gin_item: &mut [f32],
+    in_ch: usize,
+    out_ch: usize,
+    time: usize,
+    k: usize,
+    dilation: usize,
+    uniform: bool,
+) {
+    let icp = pad_lanes(in_ch);
+    for lane0 in (0..icp).step_by(LANES) {
+        let wt_lanes = &wt[lane0..];
+        let lanes = LANES.min(in_ch - lane0);
+        let mut store = |s: usize, acc: &[f32; LANES]| {
+            for (l, &v) in acc[..lanes].iter().enumerate() {
+                gin_item[(lane0 + l) * time + s] = v;
+            }
+        };
+        if uniform {
+            for s0 in (0..time).step_by(STEPS) {
+                let acc = input_chains::<STEPS, false>(
+                    wt_lanes, icp, go_item, row, out_ch, k, dilation, s0, 0,
+                );
+                for (j, a) in acc.iter().enumerate().take(time - s0) {
+                    store(s0 + j, a);
+                }
+            }
+        } else {
+            for s in 0..time {
+                // Taps with `shift <= time-1-s` exist: `kk >= k-1-(time-1-s)/d`.
+                let kk_min = (k - 1).saturating_sub((time - 1 - s) / dilation);
+                let acc = input_chains::<1, true>(
+                    wt_lanes, icp, go_item, row, out_ch, k, dilation, s, kk_min,
+                );
+                store(s, &acc[0]);
+            }
+        }
+    }
+}
+
 /// Gradient of the loss w.r.t. the convolution input.
+///
+/// Lane-parallel over input channels: the weight is transposed once to
+/// `[out_ch, k, in_ch]`, each `grad_out` element is broadcast, and every
+/// `(in-channel, step)` element keeps its own `(out-channel, tap)`-ordered
+/// accumulation chain in a register — the chain of the tap-wise reference
+/// (kept as the test oracle), so the result is bitwise equal to it while
+/// the loop vectorises with no reassociation.
 pub fn conv1d_backward_input(
     grad_out: &Tensor,
     w: &Tensor,
     input_shape: &[usize],
     dilation: usize,
 ) -> Tensor {
+    assert_eq!(
+        input_shape.len(),
+        3,
+        "conv input must be [batch, in_ch, time]"
+    );
+    assert_eq!(w.rank(), 3, "conv weight must be [out_ch, in_ch, k]");
+    assert!(dilation >= 1, "dilation must be >= 1");
     let (batch, in_ch, time) = (input_shape[0], input_shape[1], input_shape[2]);
-    let (out_ch, _, k) = (w.shape()[0], w.shape()[1], w.shape()[2]);
+    let (out_ch, in_ch_w, k) = (w.shape()[0], w.shape()[1], w.shape()[2]);
+    assert_eq!(
+        in_ch, in_ch_w,
+        "channel mismatch: input {in_ch}, weight {in_ch_w}"
+    );
+    let out_ch_g = grad_out_channels(grad_out, batch, time);
+    assert_eq!(
+        out_ch, out_ch_g,
+        "channel mismatch: weight {out_ch}, grad_out {out_ch_g}"
+    );
     let dgo = grad_out.as_slice();
     let dw = w.as_slice();
     let mut grad_in = vec![0.0f32; batch * in_ch * time];
+    if grad_in.is_empty() || dw.is_empty() {
+        return Tensor::from_vec(grad_in, &[batch, in_ch, time]);
+    }
+
+    let icp = pad_lanes(in_ch);
+    let mut wt = vec![0.0f32; out_ch * k * icp];
+    for (w_oc, wt_oc) in dw.chunks_exact(in_ch * k).zip(wt.chunks_exact_mut(k * icp)) {
+        transpose_padded(w_oc, wt_oc, in_ch, k, icp);
+    }
+    // With every weight finite and nonzero — the forward kernel's rule for
+    // its padded path — `grad_out` rows are copied out with zeros past
+    // their end: the terms this adds are `w · 0.0 = ±0.0`, and adding a
+    // signed zero never changes an accumulator that started at `+0.0`.
+    let uniform = scan_weights(dw) == (true, true);
+    let mut padded = Vec::new();
+    let (go, row) = if uniform {
+        let row = time.div_ceil(STEPS) * STEPS + (k - 1) * dilation;
+        padded.resize(batch * out_ch * row, 0.0f32);
+        for (dst, src) in padded.chunks_exact_mut(row).zip(dgo.chunks_exact(time)) {
+            dst[..time].copy_from_slice(src);
+        }
+        (padded.as_slice(), row)
+    } else {
+        (dgo, time)
+    };
 
     let item_kernel = |b: usize, gin_item: &mut [f32]| {
-        let go_item = &dgo[b * out_ch * time..(b + 1) * out_ch * time];
-        for oc in 0..out_ch {
-            let go_row = &go_item[oc * time..(oc + 1) * time];
-            for ic in 0..in_ch {
-                let gin_row = &mut gin_item[ic * time..(ic + 1) * time];
-                let w_row = &dw[(oc * in_ch + ic) * k..(oc * in_ch + ic + 1) * k];
-                for (kk, &wv) in w_row.iter().enumerate() {
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    let shift = (k - 1 - kk) * dilation;
-                    if shift >= time {
-                        continue;
-                    }
-                    // y[t] += w * x[t-shift]  =>  dx[s] += w * dy[s+shift]
-                    for t in shift..time {
-                        gin_row[t - shift] += wv * go_row[t];
-                    }
-                }
-            }
-        }
+        let go_item = &go[b * out_ch * row..(b + 1) * out_ch * row];
+        backward_input_item(
+            &wt, go_item, row, gin_item, in_ch, out_ch, time, k, dilation, uniform,
+        );
     };
 
     if batch * out_ch * in_ch * time * k >= PAR_THRESHOLD && batch > 1 {
@@ -574,64 +752,113 @@ pub fn conv1d_backward_input(
     Tensor::from_vec(grad_in, &[batch, in_ch, time])
 }
 
+/// Weight-gradient chains of `K` neighbouring taps (from `kk0`) of one
+/// input channel, for the `LANES` output channels at `got_lanes`: each
+/// `(out-channel, tap)` slot accumulates `acc += go[t] · x[t − shift]` over
+/// `t = shift..time` in ascending `t`, the chain of the tap-wise reference.
+/// The taps advance together so their chains overlap.
+#[inline(always)]
+fn weight_chains<const K: usize>(
+    got_lanes: &[f32],
+    lane_stride: usize,
+    x_row: &[f32],
+    shifts: [usize; K],
+) -> [[f32; LANES]; K] {
+    let time = x_row.len();
+    let mut acc = [[0.0f32; LANES]; K];
+    // `shifts` descend; below the largest only some taps have started.
+    let all = shifts[0].min(time);
+    for t in shifts[K - 1].min(time)..all {
+        let go = &got_lanes[t * lane_stride..][..LANES];
+        for (a, &shift) in acc.iter_mut().zip(&shifts) {
+            if t >= shift {
+                let xv = x_row[t - shift];
+                for (slot, &gv) in a.iter_mut().zip(go) {
+                    *slot += gv * xv;
+                }
+            }
+        }
+    }
+    for t in all..time {
+        let go = &got_lanes[t * lane_stride..][..LANES];
+        for (a, &shift) in acc.iter_mut().zip(&shifts) {
+            let xv = x_row[t - shift];
+            for (slot, &gv) in a.iter_mut().zip(go) {
+                *slot += gv * xv;
+            }
+        }
+    }
+    acc
+}
+
 /// Gradient of the loss w.r.t. the convolution weights.
+///
+/// Lane-parallel over output channels: `grad_out` is transposed once per
+/// item to `[time, out_ch]`, each input sample is broadcast, and every
+/// weight slot keeps its own `t`-ordered chain in a register — the chain
+/// of the tap-wise reference (kept as the test oracle), bitwise. Items are
+/// then summed in batch order, one fixed association at any batch size.
 pub fn conv1d_backward_weight(
     grad_out: &Tensor,
     x: &Tensor,
     kernel: usize,
     dilation: usize,
 ) -> Tensor {
+    assert_eq!(x.rank(), 3, "conv input must be [batch, in_ch, time]");
+    assert!(dilation >= 1, "dilation must be >= 1");
     let (batch, in_ch, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let out_ch = grad_out.shape()[1];
+    let out_ch = grad_out_channels(grad_out, batch, time);
     let dgo = grad_out.as_slice();
     let dx = x.as_slice();
+    let slots = out_ch * in_ch * kernel;
+    if slots == 0 || batch * time == 0 {
+        return Tensor::from_vec(vec![0.0f32; slots], &[out_ch, in_ch, kernel]);
+    }
 
-    // Map-reduce over the batch: each item produces its own dW, summed at the
-    // end. The per-item dW is small (out*in*k), so the reduce is cheap.
-    let per_item = |b: usize| -> Vec<f32> {
-        let mut gw = vec![0.0f32; out_ch * in_ch * kernel];
+    let ocp = pad_lanes(out_ch);
+    let shift_of = |kk: usize| (kernel - 1 - kk) * dilation;
+    // `[in_ch, kernel, ocp]`: a slot's lane neighbours are output channels.
+    let mut total_t = vec![0.0f32; in_ch * kernel * ocp];
+    let mut got = vec![0.0f32; time * ocp];
+    for b in 0..batch {
         let go_item = &dgo[b * out_ch * time..(b + 1) * out_ch * time];
-        let x_item = &dx[b * in_ch * time..(b + 1) * in_ch * time];
-        for oc in 0..out_ch {
-            let go_row = &go_item[oc * time..(oc + 1) * time];
-            for ic in 0..in_ch {
-                let x_row = &x_item[ic * time..(ic + 1) * time];
-                let gw_row = &mut gw[(oc * in_ch + ic) * kernel..(oc * in_ch + ic + 1) * kernel];
-                for (kk, gw_slot) in gw_row.iter_mut().enumerate() {
-                    let shift = (kernel - 1 - kk) * dilation;
-                    if shift >= time {
-                        continue;
+        transpose_padded(go_item, &mut got, out_ch, time, ocp);
+        for (ic, x_row) in dx[b * in_ch * time..(b + 1) * in_ch * time]
+            .chunks_exact(time)
+            .enumerate()
+        {
+            for lane0 in (0..ocp).step_by(LANES) {
+                let got_lanes = &got[lane0..];
+                let mut add = |kk: usize, acc: &[f32; LANES]| {
+                    let slot = &mut total_t[(ic * kernel + kk) * ocp + lane0..][..LANES];
+                    for (tot, &a) in slot.iter_mut().zip(acc) {
+                        *tot += a;
                     }
-                    let mut acc = 0.0f32;
-                    for t in shift..time {
-                        acc += go_row[t] * x_row[t - shift];
+                };
+                let mut kk = 0;
+                while kk + 3 <= kernel {
+                    let shifts = [shift_of(kk), shift_of(kk + 1), shift_of(kk + 2)];
+                    let acc = weight_chains::<3>(got_lanes, ocp, x_row, shifts);
+                    for (j, a) in acc.iter().enumerate() {
+                        add(kk + j, a);
                     }
-                    *gw_slot += acc;
+                    kk += 3;
+                }
+                while kk < kernel {
+                    let acc = weight_chains::<1>(got_lanes, ocp, x_row, [shift_of(kk)]);
+                    add(kk, &acc[0]);
+                    kk += 1;
                 }
             }
         }
-        gw
-    };
+    }
 
-    let total: Vec<f32> = if batch * out_ch * in_ch * time * kernel >= PAR_THRESHOLD && batch > 1 {
-        (0..batch).into_par_iter().map(per_item).reduce(
-            || vec![0.0f32; out_ch * in_ch * kernel],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        )
-    } else {
-        let mut acc = vec![0.0f32; out_ch * in_ch * kernel];
-        for b in 0..batch {
-            for (x, y) in acc.iter_mut().zip(&per_item(b)) {
-                *x += y;
-            }
+    let mut total = vec![0.0f32; slots];
+    for (oc, gw_oc) in total.chunks_exact_mut(in_ch * kernel).enumerate() {
+        for (slot, lanes) in gw_oc.iter_mut().zip(total_t.chunks_exact(ocp)) {
+            *slot = lanes[oc];
         }
-        acc
-    };
+    }
     Tensor::from_vec(total, &[out_ch, in_ch, kernel])
 }
 
@@ -790,6 +1017,290 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "d={d}: {a} vs {b}");
             }
         }
+    }
+
+    /// Tap-wise input gradient — the loop [`conv1d_backward_input`] ran
+    /// before it went lane-parallel, kept as its oracle: per `(oc, ic)`
+    /// one axpy per tap, skipping exact-zero weights.
+    fn backward_input_reference(
+        grad_out: &Tensor,
+        w: &Tensor,
+        input_shape: &[usize],
+        dilation: usize,
+    ) -> Vec<f32> {
+        let (batch, in_ch, time) = (input_shape[0], input_shape[1], input_shape[2]);
+        let (out_ch, k) = (w.shape()[0], w.shape()[2]);
+        let (dgo, dw) = (grad_out.as_slice(), w.as_slice());
+        let mut grad_in = vec![0.0f32; batch * in_ch * time];
+        for (b, gin_item) in grad_in.chunks_mut((in_ch * time).max(1)).enumerate() {
+            let go_item = &dgo[b * out_ch * time..(b + 1) * out_ch * time];
+            for oc in 0..out_ch {
+                let go_row = &go_item[oc * time..(oc + 1) * time];
+                for ic in 0..in_ch {
+                    let gin_row = &mut gin_item[ic * time..(ic + 1) * time];
+                    let w_row = &dw[(oc * in_ch + ic) * k..(oc * in_ch + ic + 1) * k];
+                    for (kk, &wv) in w_row.iter().enumerate() {
+                        if wv == 0.0 {
+                            continue;
+                        }
+                        let shift = (k - 1 - kk) * dilation;
+                        if shift >= time {
+                            continue;
+                        }
+                        // y[t] += w * x[t-shift]  =>  dx[s] += w * dy[s+shift]
+                        for t in shift..time {
+                            gin_row[t - shift] += wv * go_row[t];
+                        }
+                    }
+                }
+            }
+        }
+        grad_in
+    }
+
+    /// Tap-wise weight gradient — the oracle of [`conv1d_backward_weight`]:
+    /// one serial `acc += go[t]·x[t−shift]` per slot and item, items summed
+    /// in batch order.
+    fn backward_weight_reference(
+        grad_out: &Tensor,
+        x: &Tensor,
+        kernel: usize,
+        dilation: usize,
+    ) -> Vec<f32> {
+        let (batch, in_ch, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let out_ch = grad_out.shape()[1];
+        let (dgo, dx) = (grad_out.as_slice(), x.as_slice());
+        let mut total = vec![0.0f32; out_ch * in_ch * kernel];
+        for b in 0..batch {
+            let mut gw = vec![0.0f32; out_ch * in_ch * kernel];
+            let go_item = &dgo[b * out_ch * time..(b + 1) * out_ch * time];
+            let x_item = &dx[b * in_ch * time..(b + 1) * in_ch * time];
+            for oc in 0..out_ch {
+                let go_row = &go_item[oc * time..(oc + 1) * time];
+                for ic in 0..in_ch {
+                    let x_row = &x_item[ic * time..(ic + 1) * time];
+                    for kk in 0..kernel {
+                        let shift = (kernel - 1 - kk) * dilation;
+                        if shift >= time {
+                            continue;
+                        }
+                        let mut acc = 0.0f32;
+                        for t in shift..time {
+                            acc += go_row[t] * x_row[t - shift];
+                        }
+                        gw[(oc * in_ch + ic) * kernel + kk] += acc;
+                    }
+                }
+            }
+            for (t, g) in total.iter_mut().zip(&gw) {
+                *t += g;
+            }
+        }
+        total
+    }
+
+    /// Bitwise equality, any NaN matching any NaN (which payload survives
+    /// `NaN + NaN` is the instruction's operand order, not arithmetic).
+    fn assert_same_bits(fast: &[f32], reference: &[f32], what: &str) {
+        assert_eq!(fast.len(), reference.len(), "{what}: length");
+        for (i, (a, b)) in fast.iter().zip(reference).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{what} idx {i}: {a} ({:#x}) vs {b} ({:#x})",
+                a.to_bits(),
+                b.to_bits()
+            );
+        }
+    }
+
+    /// How a parity case seasons its tensors.
+    #[derive(Clone, Copy, Debug)]
+    enum Season {
+        Plain,
+        /// `±0.0` in the activations and `grad_out`, exact-zero weights.
+        Zeros,
+        /// A NaN and an infinity in `grad_out`; weights stay finite.
+        NonFiniteGrad,
+        /// Both of the above, plus an infinite weight.
+        Everything,
+    }
+
+    fn season(t: &mut Tensor, values: &[f32], rng: &mut Rng) {
+        if t.is_empty() {
+            return;
+        }
+        for &v in values {
+            let i = rng.below(t.len());
+            t.as_mut_slice()[i] = v;
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn check_gradient_parity(
+        batch: usize,
+        in_ch: usize,
+        out_ch: usize,
+        time: usize,
+        k: usize,
+        d: usize,
+        how: Season,
+        rng: &mut Rng,
+    ) {
+        let mut x = Tensor::rand_normal(&[batch, in_ch, time], 0.0, 1.0, rng);
+        let mut w = Tensor::rand_normal(&[out_ch, in_ch, k], 0.0, 0.5, rng);
+        let mut go = Tensor::rand_normal(&[batch, out_ch, time], 0.0, 1.0, rng);
+        if matches!(how, Season::Zeros | Season::Everything) {
+            season(&mut x, &[0.0, -0.0, 0.0], rng);
+            season(&mut go, &[0.0, -0.0], rng);
+            season(&mut w, &[0.0, -0.0], rng);
+        }
+        if matches!(how, Season::NonFiniteGrad | Season::Everything) {
+            season(&mut go, &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY], rng);
+        }
+        if matches!(how, Season::Everything) {
+            season(&mut w, &[f32::INFINITY], rng);
+        }
+        let what = format!("b{batch} ic{in_ch} oc{out_ch} t{time} k{k} d{d} {how:?}");
+        let shape = [batch, in_ch, time];
+        assert_same_bits(
+            conv1d_backward_input(&go, &w, &shape, d).as_slice(),
+            &backward_input_reference(&go, &w, &shape, d),
+            &format!("input grad, {what}"),
+        );
+        assert_same_bits(
+            conv1d_backward_weight(&go, &x, k, d).as_slice(),
+            &backward_weight_reference(&go, &x, k, d),
+            &format!("weight grad, {what}"),
+        );
+    }
+
+    /// The lane-parallel gradient kernels against the tap-wise loops they
+    /// replaced, bit for bit: every dilation and compacted row length the
+    /// backbone produces, channel counts on both sides of a lane block,
+    /// batches on both sides of `PAR_THRESHOLD`.
+    #[test]
+    fn gradient_kernels_match_tap_reference_parity() {
+        let mut rng = Rng::seed_from(31);
+        let hows = [
+            Season::Plain,
+            Season::Zeros,
+            Season::NonFiniteGrad,
+            Season::Everything,
+        ];
+        let mut case = 0;
+        for &d in &[1usize, 2, 4, 8] {
+            for &time in &[1usize, 2, 3, 4, 8, 15, 30, 61] {
+                for &in_ch in &[1usize, 6, 16, 18] {
+                    for &out_ch in &[1usize, 6, 16, 18] {
+                        case += 1;
+                        // Batch 64 (the parallel side at these shapes) on
+                        // one case in eight, batch 1 and 2 on the rest.
+                        let batch = match case % 8 {
+                            0 => 64,
+                            n if n % 2 == 1 => 1,
+                            _ => 2,
+                        };
+                        let k = [3, 2, 3, 1][case % 4];
+                        check_gradient_parity(
+                            batch,
+                            in_ch,
+                            out_ch,
+                            time,
+                            k,
+                            d,
+                            hows[(case / 3) % 4],
+                            &mut rng,
+                        );
+                    }
+                }
+            }
+        }
+        // The paper's training shape, every season, on the parallel side.
+        const { assert!(64 * 16 * 16 * 30 * 3 >= PAR_THRESHOLD) };
+        for how in hows {
+            check_gradient_parity(64, 16, 16, 30, 3, 1, how, &mut rng);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Arbitrary shapes, kernel widths and dilations (taps that fall
+            /// off a short row included), arbitrary seasoning.
+            #[test]
+            fn gradient_kernels_match_tap_reference_parity_on_arbitrary_shapes(
+                dims in (1usize..5, 1usize..20, 1usize..20, 1usize..40),
+                kernel in 1usize..6,
+                dilation in 1usize..10,
+                how in 0usize..4,
+                seed in 0u64..1_000_000,
+            ) {
+                let (batch, in_ch, out_ch, time) = dims;
+                let how = [
+                    Season::Plain,
+                    Season::Zeros,
+                    Season::NonFiniteGrad,
+                    Season::Everything,
+                ][how];
+                let mut rng = Rng::seed_from(seed);
+                check_gradient_parity(
+                    batch, in_ch, out_ch, time, kernel, dilation, how, &mut rng,
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv grad_out must be [batch, out_ch, time]")]
+    fn backward_input_rejects_a_flat_grad_out() {
+        let go = Tensor::zeros(&[2, 12]);
+        conv1d_backward_input(&go, &Tensor::zeros(&[3, 2, 3]), &[2, 2, 4], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "time mismatch: input 4, grad_out 5")]
+    fn backward_input_rejects_a_longer_grad_out() {
+        let go = Tensor::zeros(&[2, 3, 5]);
+        conv1d_backward_input(&go, &Tensor::zeros(&[3, 2, 3]), &[2, 2, 4], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel mismatch: weight 3, grad_out 4")]
+    fn backward_input_rejects_foreign_output_channels() {
+        let go = Tensor::zeros(&[2, 4, 4]);
+        conv1d_backward_input(&go, &Tensor::zeros(&[3, 2, 3]), &[2, 2, 4], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel mismatch: input 5, weight 2")]
+    fn backward_input_rejects_foreign_input_channels() {
+        let go = Tensor::zeros(&[2, 3, 4]);
+        conv1d_backward_input(&go, &Tensor::zeros(&[3, 2, 3]), &[2, 5, 4], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch mismatch: input 2, grad_out 3")]
+    fn backward_weight_rejects_a_foreign_batch() {
+        let go = Tensor::zeros(&[3, 3, 4]);
+        conv1d_backward_weight(&go, &Tensor::zeros(&[2, 2, 4]), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "time mismatch: input 4, grad_out 3")]
+    fn backward_weight_rejects_a_shorter_grad_out() {
+        let go = Tensor::zeros(&[2, 3, 3]);
+        conv1d_backward_weight(&go, &Tensor::zeros(&[2, 2, 4]), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv input must be [batch, in_ch, time]")]
+    fn backward_weight_rejects_a_flat_input() {
+        let go = Tensor::zeros(&[2, 3, 4]);
+        conv1d_backward_weight(&go, &Tensor::zeros(&[2, 8]), 3, 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use tensor::reduce;
 use tensor::{matmul, ops, Tensor};
 
 use crate::conv_kernels;
+use crate::infer;
 use crate::params::{Gradients, ParamId, ParamStore};
 
 /// Handle to a node on the tape.
@@ -45,6 +46,7 @@ enum Op {
     SliceCols(Var, usize, usize),
     ConcatCols(Vec<Var>),
     SelectTime(Var, usize),
+    SubsampleTime(Var, usize),
     SumAll(Var),
     MeanAll(Var),
     SumAxisKeepdim(Var, usize),
@@ -262,6 +264,23 @@ impl<'s> Graph<'s> {
             }
         }
         self.push(Tensor::from_vec(out, &[b, c]), Op::SelectTime(a, t))
+    }
+
+    /// Every `step`-th time step of a `[batch, channels, time]` node counted
+    /// back from the last one (see [`infer::subsample_time_into`]), yielding
+    /// `[batch, channels, ⌈time/step⌉]`. The dropped steps receive an exact
+    /// zero gradient.
+    pub fn subsample_time(&mut self, a: Var, step: usize) -> Var {
+        let src = self.value(a);
+        assert_eq!(src.rank(), 3, "subsample_time requires [batch, ch, time]");
+        let (b, c, time) = (src.shape()[0], src.shape()[1], src.shape()[2]);
+        let kept = infer::subsampled_len(time, step);
+        let mut out = vec![0.0f32; b * c * kept];
+        infer::subsample_time_into(src.as_slice(), &mut out, b * c, time, step);
+        self.push(
+            Tensor::from_vec(out, &[b, c, kept]),
+            Op::SubsampleTime(a, step),
+        )
     }
 
     // ---- reductions --------------------------------------------------------
@@ -495,6 +514,22 @@ impl<'s> Graph<'s> {
                     }
                     accumulate(&mut grads, *a, ga);
                 }
+                Op::SubsampleTime(a, step) => {
+                    let pshape = self.shape_of(*a);
+                    let (time, kept) = (pshape[2], node.value.shape()[2]);
+                    let first = (time - 1) % step;
+                    let mut ga = Tensor::zeros(pshape);
+                    for (row, grow) in ga
+                        .as_mut_slice()
+                        .chunks_mut(time)
+                        .zip(g.as_slice().chunks(kept))
+                    {
+                        for (slot, &gv) in row[first..].iter_mut().step_by(*step).zip(grow) {
+                            *slot = gv;
+                        }
+                    }
+                    accumulate(&mut grads, *a, ga);
+                }
                 Op::SumAll(a) => {
                     let ga = Tensor::full(self.shape_of(*a), g.item());
                     accumulate(&mut grads, *a, ga);
@@ -512,12 +547,17 @@ impl<'s> Graph<'s> {
                     accumulate(&mut grads, *a, ops::mul(&g, mask));
                 }
                 Op::Conv1d { x, w, dilation } => {
-                    let gx = conv_kernels::conv1d_backward_input(
-                        &g,
-                        &self.nodes[w.0].value,
-                        self.shape_of(*x),
-                        *dilation,
-                    );
+                    // A data leaf takes no gradient (the first block's
+                    // convolutions read the window itself).
+                    if !matches!(self.nodes[x.0].op, Op::Input) {
+                        let gx = conv_kernels::conv1d_backward_input(
+                            &g,
+                            &self.nodes[w.0].value,
+                            self.shape_of(*x),
+                            *dilation,
+                        );
+                        accumulate(&mut grads, *x, gx);
+                    }
                     let kernel = self.shape_of(*w)[2];
                     let gw = conv_kernels::conv1d_backward_weight(
                         &g,
@@ -525,7 +565,6 @@ impl<'s> Graph<'s> {
                         kernel,
                         *dilation,
                     );
-                    accumulate(&mut grads, *x, gx);
                     accumulate(&mut grads, *w, gw);
                 }
                 Op::HuberOnDiff(a, delta) => {
@@ -740,6 +779,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn subsample_time_keeps_the_last_steps_residue_class() {
+        // time 7, step 3: steps 0, 3, 6 — counted back from the last one.
+        let data: Vec<f32> = (0..14).map(|i| i as f32).collect();
+        let (store, ids) = store_with(&[("w", Tensor::from_vec(data, &[1, 2, 7]))]);
+        let mut g = Graph::new(&store);
+        let w = g.param(ids[0]);
+        let sub = g.subsample_time(w, 3);
+        assert_eq!(g.value(sub).shape(), &[1, 2, 3]);
+        assert_eq!(g.value(sub).as_slice(), &[0.0, 3.0, 6.0, 7.0, 10.0, 13.0]);
+        // time 8, step 3: steps 1, 4, 7 — the class of the last step, not of 0.
+        let even = g.input(Tensor::arange(8).into_reshape(&[1, 1, 8]).unwrap());
+        let sub_even = g.subsample_time(even, 3);
+        assert_eq!(g.value(sub_even).as_slice(), &[1.0, 4.0, 7.0]);
+
+        // Gradient: kept steps receive theirs, dropped steps an exact zero.
+        let weights = g.input(Tensor::from_vec(
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            &[1, 2, 3],
+        ));
+        let weighted = g.mul(sub, weights);
+        let loss = g.sum_all(weighted);
+        let grads = g.backward(loss);
+        assert_eq!(
+            grads.get(ids[0]).unwrap().as_slice(),
+            &[1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 4.0, 0.0, 0.0, 5.0, 0.0, 0.0, 6.0]
+        );
+    }
+
+    #[test]
+    fn subsample_time_by_one_is_the_identity() {
+        let (store, ids) =
+            store_with(&[("w", Tensor::arange(6).into_reshape(&[1, 2, 3]).unwrap())]);
+        let mut g = Graph::new(&store);
+        let w = g.param(ids[0]);
+        let sub = g.subsample_time(w, 1);
+        assert_eq!(g.value(sub), store.value(ids[0]));
     }
 
     #[test]

@@ -208,6 +208,32 @@ pub fn select_time_into(
     }
 }
 
+/// Steps [`subsample_time_into`] keeps of a `time`-step row: `⌈time/step⌉`.
+pub fn subsampled_len(time: usize, step: usize) -> usize {
+    assert!(step >= 1, "subsample step must be >= 1");
+    time.div_ceil(step)
+}
+
+// hot-path: per-push inference kernel, must stay allocation-free
+/// Keep every `step`-th step of each `[time]` row counted back from the
+/// last: `out[r][j] = src[r][time − 1 − (n − 1 − j)·step]` with
+/// `n = ⌈time/step⌉` — the residue class of `time − 1` modulo `step`, on
+/// which a dilation-`step` causal convolution is a dilation-1 convolution
+/// (`j − 1` is `t − step`; `j < 0` is the same implicit zero padding).
+/// Replicates `Graph::subsample_time`.
+pub fn subsample_time_into(src: &[f32], out: &mut [f32], rows: usize, time: usize, step: usize) {
+    assert!(time >= 1, "subsample_time_into needs at least one step");
+    let kept = subsampled_len(time, step);
+    assert_eq!(src.len(), rows * time, "subsample_time_into src shape");
+    assert_eq!(out.len(), rows * kept, "subsample_time_into out shape");
+    let first = (time - 1) % step;
+    for (orow, srow) in out.chunks_mut(kept).zip(src.chunks(time)) {
+        for (o, &v) in orow.iter_mut().zip(srow[first..].iter().step_by(step)) {
+            *o = v;
+        }
+    }
+}
+
 /// Tape-free batched inference over `x: [n, time, features]`, chunked like
 /// `train::predict` and routed through [`SequenceModel::infer`].
 ///

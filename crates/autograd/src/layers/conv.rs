@@ -71,6 +71,13 @@ impl CausalConv1d {
 
     /// `[batch, in_ch, T] -> [batch, out_ch, T]`.
     pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
+        self.forward_dilated(g, x, self.dilation)
+    }
+
+    /// [`forward`](Self::forward) at `dilation` instead of the layer's own —
+    /// for a caller that has subsampled the time axis, so that adjacent
+    /// columns of `x` are already `self.dilation() / dilation` steps apart.
+    pub fn forward_dilated(&self, g: &mut Graph, x: Var, dilation: usize) -> Var {
         debug_assert_eq!(
             g.value(x).shape()[1],
             self.in_ch,
@@ -91,7 +98,7 @@ impl CausalConv1d {
             }
             None => v,
         };
-        let y = g.conv1d(x, w, self.dilation);
+        let y = g.conv1d(x, w, dilation);
         let b = g.param(self.bias);
         g.add(y, b)
     }
@@ -135,6 +142,19 @@ impl CausalConv1d {
         batch: usize,
         time: usize,
     ) -> Vec<f32> {
+        self.infer_dilated(store, ctx, x, batch, time, self.dilation)
+    }
+
+    /// Tape-free [`forward_dilated`](Self::forward_dilated).
+    pub fn infer_dilated(
+        &self,
+        store: &ParamStore,
+        ctx: &mut crate::infer::InferenceContext,
+        x: &[f32],
+        batch: usize,
+        time: usize,
+        dilation: usize,
+    ) -> Vec<f32> {
         let mut w = ctx.take(self.out_ch * self.in_ch * self.kernel);
         self.materialize_weight(store, &mut w);
         let mut out = ctx.take(batch * self.out_ch * time);
@@ -147,7 +167,7 @@ impl CausalConv1d {
             self.out_ch,
             time,
             self.kernel,
-            self.dilation,
+            dilation,
         );
         ctx.give(w);
         crate::infer::add_channel_bias(

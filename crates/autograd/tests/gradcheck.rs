@@ -161,6 +161,25 @@ proptest! {
     }
 
     #[test]
+    fn grad_subsample_time(seed in 0u64..10_000) {
+        // Five steps at stride 2 keep 0, 2, 4: check_op's first probe is a
+        // kept step. Four steps keep 1, 3: the same probe is a dropped one,
+        // whose gradient must be zero.
+        let w = weight(seed, &[2, 3, 5]);
+        check_op(&w, &|g, w| {
+            let sub = g.subsample_time(w, 2);
+            let sq = g.square(sub);
+            g.mean_all(sq)
+        })?;
+        let w = weight(seed, &[2, 3, 4]);
+        check_op(&w, &|g, w| {
+            let sub = g.subsample_time(w, 2);
+            let sq = g.square(sub);
+            g.mean_all(sq)
+        })?;
+    }
+
+    #[test]
     fn grad_huber(seed in 0u64..10_000) {
         let w = weight(seed, &[5]);
         check_op(&w, &|g, w| {

@@ -13,7 +13,7 @@
 use autograd::conv1d_forward;
 use autograd::infer::{
     add_channel_bias, add_row_bias, relu_in_place, sigmoid_in_place, softmax_rows_in_place,
-    tanh_in_place,
+    subsample_time_into, subsampled_len, tanh_in_place,
 };
 use tensor::{Rng, Tensor};
 
@@ -86,6 +86,67 @@ fn zero_weights_route_to_the_reference_path_and_agree() {
     let reference = conv_reference(&x, &w, 2);
     for (a, b) in out.as_slice().iter().zip(&reference) {
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+/// Every `step`-th step counted back from the last, through the arena
+/// kernel the tape-free backbone uses.
+fn subsample(x: &Tensor, step: usize) -> Tensor {
+    let (b, c, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let kept = subsampled_len(time, step);
+    let mut out = vec![0.0f32; b * c * kept];
+    subsample_time_into(x.as_slice(), &mut out, b * c, time, step);
+    Tensor::from_vec(out, &[b, c, kept])
+}
+
+#[test]
+fn subsample_op_matches_between_tape_and_arena_bitwise() {
+    let mut rng = Rng::seed_from(37);
+    let store = autograd::ParamStore::new();
+    for (time, step) in [(1usize, 2usize), (2, 2), (7, 2), (8, 2), (9, 4), (5, 8)] {
+        let x = Tensor::rand_normal(&[2, 3, time], 0.0, 1.0, &mut rng);
+        let mut g = autograd::Graph::new(&store);
+        let xi = g.input(x.clone());
+        let taped = g.subsample_time(xi, step);
+        let arena = subsample(&x, step);
+        assert_eq!(g.value(taped).shape(), arena.shape(), "t={time} s={step}");
+        assert_eq!(g.value(taped).as_slice(), arena.as_slice());
+        // The last step is always kept, and last.
+        assert_eq!(
+            arena.as_slice()[arena.shape()[2] - 1].to_bits(),
+            x.as_slice()[time - 1].to_bits()
+        );
+    }
+}
+
+/// The identity the last-step backbone rests on: on the residue class of
+/// the final step, a dilation-`d` causal convolution is the dilation-1
+/// convolution of the subsampled row — whichever kernel path either side
+/// takes (fused/AVX needs `2·dilation < time`, an exact zero falls back).
+#[test]
+fn dilated_conv_on_the_last_steps_residue_class_is_a_dilation_1_conv_bitwise() {
+    let mut rng = Rng::seed_from(38);
+    let (ic, oc) = (4, 6);
+    for &d in &[2usize, 4, 8] {
+        for &time in &[1usize, 3, 8, 13, 19] {
+            for zero_weight in [false, true] {
+                let x = Tensor::rand_normal(&[2, ic, time], 0.0, 1.0, &mut rng);
+                let mut w = nonzero_weights(&[oc, ic, 3], &mut rng);
+                if zero_weight {
+                    w.as_mut_slice()[7] = 0.0;
+                }
+                let full = subsample(&conv1d_forward(&x, &w, d), d);
+                let compact = conv1d_forward(&subsample(&x, d), &w, 1);
+                assert_eq!(full.shape(), compact.shape());
+                for (i, (a, b)) in full.as_slice().iter().zip(compact.as_slice()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "d={d} t={time} zero={zero_weight} idx={i}: {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -4,10 +4,12 @@
 //! forecast, streaming-push latency across lookback lengths (flat ⇒
 //! O(1) in window length), the runtime-dispatched GEMM microkernel vs its
 //! scalar twin on representative layer shapes, a per-layer breakdown
-//! (conv vs matmul vs pointwise), window-preparation latency across
-//! history lengths (flat ⇒ a forecast does not re-preprocess the
-//! entity's history), and stacked-batch throughput across
-//! batch-executor worker counts. Emits `BENCH_infer.json` for the CI
+//! (every kernel of one real forward pass, at the shapes the last-step
+//! backbone runs them), one training step in the last-step form against
+//! the full sequence followed by `select_time`, window-preparation
+//! latency across history lengths (flat ⇒ a forecast does not
+//! re-preprocess the entity's history), and stacked-batch throughput
+//! across batch-executor worker counts. Emits `BENCH_infer.json` for the CI
 //! smoke job; every timing loop also feeds an `obs` histogram, so the
 //! report carries full bucketed distributions alongside the exact sorted
 //! quantiles.
@@ -20,10 +22,18 @@ use std::time::Instant;
 
 use autograd::batch_exec::BatchExecutor;
 use autograd::conv1d_into;
-use autograd::infer::{relu_in_place, softmax_rows_in_place};
+use autograd::infer::{
+    add_channel_bias, add_row_bias, relu_in_place, select_time_into, softmax_rows_in_place,
+    subsample_time_into, subsampled_len,
+};
+use autograd::layers::{CausalConv1d, Dropout, FeatureAttention, Linear};
+use autograd::optim::{Adam, Optimizer};
+use autograd::{Graph, LossKind, ParamStore};
 use bench_harness::ExperimentArgs;
 use cloudtrace::{ContainerConfig, WorkloadClass};
-use models::{Forecaster, NaiveForecaster, RptcnForecaster, StreamingRptcn};
+use models::{
+    Forecaster, NaiveForecaster, RptcnConfig, RptcnForecaster, StreamingRptcn, TcnBackbone,
+};
 use obs::{Histogram, Registry};
 use rptcn::{PipelineConfig, ResourcePredictor, Scenario};
 use tensor::gemm::{self, Tier};
@@ -40,6 +50,8 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// History lengths for the window-preparation section: a monitoring
 /// stream an hour, ten hours and four days old at 10 s samples.
 const WINDOW_PREP_ROWS: [usize; 3] = [400, 4_000, 40_000];
+/// Rows of one training batch (the paper's batch size).
+const TRAIN_BATCH: usize = 64;
 /// GEMM shapes representative of the paper-default forward pass:
 /// `(label, m, k, n)`.
 const GEMM_SHAPES: [(&str, usize, usize, usize); 4] = [
@@ -69,6 +81,281 @@ fn time_loop(iters: usize, hist: &Histogram, mut f: impl FnMut()) -> (u64, u64) 
         samples.push(ns);
     }
     quantiles(samples)
+}
+
+/// One kernel of the forward pass in the per-layer breakdown.
+struct KernelRow {
+    name: String,
+    class: &'static str,
+    shape: String,
+    p50: u64,
+    p99: u64,
+}
+
+/// Every kernel of one tape-free paper-default forecast, timed on its own
+/// at the shape the last-step backbone runs it: per level the time-axis
+/// subsample, the two weight-norm folds, conv 1, conv 2 and (level 0) the
+/// 1×1 projection at `⌈WINDOW/2^l⌉` columns, their bias adds and ReLUs;
+/// then the FC, attention and head products, one `fc_dim`-wide softmax.
+/// The rows should add up towards `single_entity_forecast_ns`; what they
+/// leave is arena traffic, the input transpose's caller and dispatch.
+fn forward_pass_kernels(iters: usize, registry: &Registry, rng: &mut Rng) -> Vec<KernelRow> {
+    let cfg = RptcnConfig::default();
+    let (ch, k, fc_dim) = (cfg.channels, cfg.kernel, cfg.fc_dim);
+    let mut rows = Vec::new();
+    let mut time = |name: String, class: &'static str, shape: String, f: &mut dyn FnMut()| {
+        let hist = registry.latency_histogram(&format!("layer.{name}_ns"));
+        for _ in 0..iters / 10 + 1 {
+            f();
+        }
+        let (p50, p99) = time_loop(iters, &hist, f);
+        rows.push(KernelRow {
+            name,
+            class,
+            shape,
+            p50,
+            p99,
+        });
+    };
+
+    let window = Tensor::rand_normal(&[1, WINDOW, FEATURES], 0.5, 0.2, rng);
+    let mut ct = vec![0.0f32; FEATURES * WINDOW];
+    time(
+        "input_transpose".into(),
+        "pointwise",
+        format!("{WINDOW}x{FEATURES}"),
+        &mut || {
+            for (t, row) in window.as_slice().chunks(FEATURES).enumerate() {
+                for (f, &v) in row.iter().enumerate() {
+                    ct[f * WINDOW + t] = v;
+                }
+            }
+            black_box(&ct);
+        },
+    );
+
+    let mut store = ParamStore::new();
+    let mut len = WINDOW;
+    for level in 0..cfg.levels {
+        let in_ch = if level == 0 { FEATURES } else { ch };
+        if level > 0 {
+            let src = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
+            let kept = subsampled_len(len, 2);
+            let mut dst = vec![0.0f32; ch * kept];
+            time(
+                format!("level{level}.subsample"),
+                "pointwise",
+                format!("{ch}x{len}->{kept}"),
+                &mut || {
+                    subsample_time_into(src.as_slice(), &mut dst, ch, len, 2);
+                    black_box(&dst);
+                },
+            );
+            len = kept;
+        }
+        let mut convs = vec![("conv1", in_ch, k), ("conv2", ch, k)];
+        if in_ch != ch {
+            convs.push(("proj1x1", in_ch, 1));
+        }
+        for (which, conv_in, conv_k) in convs {
+            let layer = CausalConv1d::new(
+                &mut store,
+                &format!("l{level}.{which}"),
+                conv_in,
+                ch,
+                conv_k,
+                1,
+                cfg.weight_norm && conv_k > 1,
+                rng,
+            );
+            let mut w = vec![0.0f32; ch * conv_in * conv_k];
+            if conv_k > 1 {
+                time(
+                    format!("level{level}.{which}.weight_fold"),
+                    "weight_fold",
+                    format!("{ch}x{conv_in}x{conv_k}"),
+                    &mut || {
+                        layer.materialize_weight(&store, &mut w);
+                        black_box(&w);
+                    },
+                );
+            } else {
+                layer.materialize_weight(&store, &mut w);
+            }
+            let x = Tensor::rand_normal(&[conv_in, len], 0.0, 1.0, rng);
+            let bias = vec![0.01f32; ch];
+            let mut out = vec![0.0f32; ch * len];
+            time(
+                format!("level{level}.{which}"),
+                "conv",
+                format!("{conv_in}->{ch} k{conv_k} t{len}"),
+                &mut || {
+                    conv1d_into(x.as_slice(), &w, &mut out, 1, conv_in, ch, len, conv_k, 1);
+                    add_channel_bias(&mut out, &bias, 1, ch, len);
+                    black_box(&out);
+                },
+            );
+        }
+        let act = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
+        let mut buf = vec![0.0f32; ch * len];
+        time(
+            format!("level{level}.relus"),
+            "pointwise",
+            format!("3x{ch}x{len}"),
+            &mut || {
+                // conv 1's and conv 2's ReLU, then the fused residual
+                // `(res + h).max(0)`.
+                for _ in 0..2 {
+                    buf.copy_from_slice(act.as_slice());
+                    relu_in_place(&mut buf);
+                }
+                for (o, &r) in buf.iter_mut().zip(act.as_slice()) {
+                    *o = (r + *o).max(0.0);
+                }
+                black_box(&buf);
+            },
+        );
+    }
+
+    let seq = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
+    let mut last = vec![0.0f32; ch];
+    time(
+        "select_last".into(),
+        "pointwise",
+        format!("{ch}x{len}"),
+        &mut || {
+            select_time_into(seq.as_slice(), &mut last, 1, ch, len, len - 1);
+            black_box(&last);
+        },
+    );
+    for (name, m_in, m_out) in [
+        ("fc", ch, fc_dim),
+        ("attention_proj", fc_dim, fc_dim),
+        ("head", fc_dim, 1),
+    ] {
+        let a = Tensor::rand_normal(&[1, m_in], 0.0, 1.0, rng);
+        let b = Tensor::rand_normal(&[m_in, m_out], 0.0, 1.0, rng);
+        let bias = vec![0.01f32; m_out];
+        let mut out = vec![0.0f32; m_out];
+        time(
+            name.into(),
+            "matmul",
+            format!("1x{m_in}x{m_out}"),
+            &mut || {
+                gemm::gemm_into(a.as_slice(), b.as_slice(), &mut out, 1, m_in, m_out, false);
+                add_row_bias(&mut out, &bias, 1, m_out);
+                black_box(&out);
+            },
+        );
+    }
+    let fc_out = Tensor::rand_normal(&[fc_dim], 0.0, 1.0, rng);
+    let logits = Tensor::rand_normal(&[fc_dim], 0.0, 1.0, rng);
+    let mut gated = vec![0.0f32; fc_dim];
+    let mut scores = vec![0.0f32; fc_dim];
+    time(
+        "fc_relu_softmax_gate".into(),
+        "pointwise",
+        format!("1x{fc_dim}"),
+        &mut || {
+            gated.copy_from_slice(fc_out.as_slice());
+            relu_in_place(&mut gated);
+            scores.copy_from_slice(logits.as_slice());
+            softmax_rows_in_place(&mut scores, 1, fc_dim);
+            for (h, &s) in gated.iter_mut().zip(&scores) {
+                *h *= s * fc_dim as f32;
+            }
+            black_box(&gated);
+        },
+    );
+    rows
+}
+
+/// Paper-default RPTCN rebuilt from the public layers, so that one training
+/// step can be timed with the backbone in either form: the shipped
+/// last-step one, or the full sequence followed by `select_time` it
+/// replaced (bitwise the same step, `models/tests/last_step_parity.rs`).
+struct TrainStepNet {
+    store: ParamStore,
+    backbone: TcnBackbone,
+    fc: Linear,
+    attention: FeatureAttention,
+    head: Linear,
+    dropout: Dropout,
+    full_sequence: bool,
+}
+
+impl TrainStepNet {
+    fn new(full_sequence: bool, seed: u64) -> Self {
+        let cfg = RptcnConfig::default();
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from(seed);
+        let backbone = TcnBackbone::new(
+            &mut store,
+            "rptcn",
+            FEATURES,
+            cfg.channels,
+            cfg.levels,
+            cfg.kernel,
+            cfg.dropout,
+            cfg.weight_norm,
+            &mut rng,
+        );
+        let fc = Linear::new(&mut store, "fc", cfg.channels, cfg.fc_dim, &mut rng);
+        let attention = FeatureAttention::new(&mut store, "attn", cfg.fc_dim, &mut rng);
+        let head = Linear::new(&mut store, "head", cfg.fc_dim, 1, &mut rng);
+        Self {
+            store,
+            backbone,
+            fc,
+            attention,
+            head,
+            dropout: Dropout::new(cfg.dropout),
+            full_sequence,
+        }
+    }
+
+    /// Forward, loss, backward, clip, Adam — what `autograd::fit` does per
+    /// batch. `x` is already channel-major, `[batch, features, time]`.
+    fn step(&mut self, opt: &mut Adam, x: &Tensor, y: &Tensor, rng: &mut Rng) {
+        let time = x.shape()[2];
+        let mut g = Graph::new(&self.store);
+        let ct = g.input(x.clone());
+        let last = if self.full_sequence {
+            let seq = self.backbone.forward(&mut g, ct, true, rng);
+            g.select_time(seq, time - 1)
+        } else {
+            self.backbone.forward_last(&mut g, ct, true, rng)
+        };
+        let h = self.fc.forward(&mut g, last);
+        let h = g.relu(h);
+        let h = self.dropout.apply(&mut g, h, true, rng);
+        let h = self.attention.forward(&mut g, h, h);
+        let pred = self.head.forward(&mut g, h);
+        let loss = LossKind::Mse.build(&mut g, pred, y);
+        let mut grads = g.backward(loss);
+        grads.clip_global_norm(RptcnConfig::default().spec.clip_norm);
+        opt.step(&mut self.store, &grads);
+    }
+}
+
+/// Median milliseconds of one batch-`TRAIN_BATCH` training step.
+fn train_step_ms(full_sequence: bool, steps: usize, seed: u64, registry: &Registry) -> f64 {
+    let mut net = TrainStepNet::new(full_sequence, seed);
+    let mut rng = Rng::seed_from(seed ^ 0x57E9);
+    let x = Tensor::rand_normal(&[TRAIN_BATCH, FEATURES, WINDOW], 0.5, 0.2, &mut rng);
+    let y = Tensor::rand_normal(&[TRAIN_BATCH, 1], 0.5, 0.2, &mut rng);
+    let mut opt = Adam::new(RptcnConfig::default().spec.learning_rate);
+    for _ in 0..steps / 10 + 1 {
+        net.step(&mut opt, &x, &y, &mut rng);
+    }
+    let form = if full_sequence {
+        "full_sequence"
+    } else {
+        "last_step"
+    };
+    let hist = registry.latency_histogram(&format!("train_step_ns.{form}"));
+    let (p50, _) = time_loop(steps, &hist, || net.step(&mut opt, &x, &y, &mut rng));
+    p50 as f64 / 1e6
 }
 
 fn main() {
@@ -166,61 +453,42 @@ fn main() {
         s[s.len() / 2]
     };
 
-    // Per-layer breakdown: one representative kernel invocation per layer
-    // family at the paper-default shapes, each feeding its own obs
-    // histogram. Shows where a forecast's nanoseconds actually go.
-    let conv_x = Tensor::rand_normal(&[1, FEATURES, WINDOW], 0.0, 1.0, &mut rng);
-    let conv_w = Tensor::rand_normal(&[16, FEATURES, 3], 0.0, 0.3, &mut rng);
-    let mut conv_out = vec![0.0f32; 16 * WINDOW];
-    let (conv_p50, conv_p99) =
-        time_loop(iters, &registry.latency_histogram("layer.conv_ns"), || {
-            conv1d_into(
-                conv_x.as_slice(),
-                conv_w.as_slice(),
-                &mut conv_out,
-                1,
-                FEATURES,
-                16,
-                WINDOW,
-                3,
-                1,
-            );
-            black_box(&conv_out);
-        });
-    let fc_a = Tensor::rand_normal(&[WINDOW, 16], 0.0, 1.0, &mut rng);
-    let fc_b = Tensor::rand_normal(&[16, 32], 0.0, 1.0, &mut rng);
-    let mut fc_out = vec![0.0f32; WINDOW * 32];
-    let (matmul_p50, matmul_p99) = time_loop(
-        iters,
-        &registry.latency_histogram("layer.matmul_ns"),
-        || {
-            gemm::gemm_into(
-                fc_a.as_slice(),
-                fc_b.as_slice(),
-                &mut fc_out,
-                WINDOW,
-                16,
-                32,
-                false,
-            );
-            black_box(&fc_out);
-        },
-    );
-    let mut act = vec![0.0f32; WINDOW * 32];
-    let mut scores = vec![0.0f32; WINDOW * WINDOW];
-    let (pointwise_p50, pointwise_p99) = time_loop(
-        iters,
-        &registry.latency_histogram("layer.pointwise_ns"),
-        || {
-            act.copy_from_slice(fc_out.as_slice());
-            relu_in_place(&mut act);
-            for (i, s) in scores.iter_mut().enumerate() {
-                *s = (i % 17) as f32 * 0.1;
-            }
-            softmax_rows_in_place(&mut scores, WINDOW, WINDOW);
-            black_box((&act, &scores));
-        },
-    );
+    // Per-layer breakdown: the kernels of one real forward pass.
+    let layer_rows = forward_pass_kernels(iters, &registry, &mut rng);
+    let class_p50 = |class: &str| -> u64 {
+        layer_rows
+            .iter()
+            .filter(|r| r.class == class)
+            .map(|r| r.p50)
+            .sum()
+    };
+    let layers_sum: u64 = layer_rows.iter().map(|r| r.p50).sum();
+
+    // One training step, paper-default RPTCN at batch 64: the last-step
+    // backbone against the full sequence followed by `select_time`. The
+    // forms alternate so that a slow stretch of the host hits both.
+    let train_steps = if args.quick { 12 } else { 60 };
+    let mut last_ms = Vec::new();
+    let mut full_ms = Vec::new();
+    for round in 0..3 {
+        last_ms.push(train_step_ms(
+            false,
+            train_steps,
+            args.seed + round,
+            &registry,
+        ));
+        full_ms.push(train_step_ms(
+            true,
+            train_steps,
+            args.seed + round,
+            &registry,
+        ));
+    }
+    let median3 = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.total_cmp(b));
+        v[1]
+    };
+    let (train_last_ms, train_full_ms) = (median3(&mut last_ms), median3(&mut full_ms));
 
     // Window preparation: turning an entity's raw history into the model
     // input reads `window + copies - 1` clean rows, so its cost must not
@@ -334,12 +602,52 @@ fn main() {
     writeln!(json, "    \"speedup_p50\": {gemm_speedup_p50:.2}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"per_layer_breakdown_ns\": {{").unwrap();
-    writeln!(json, "    \"conv_p50\": {conv_p50},").unwrap();
-    writeln!(json, "    \"conv_p99\": {conv_p99},").unwrap();
-    writeln!(json, "    \"matmul_p50\": {matmul_p50},").unwrap();
-    writeln!(json, "    \"matmul_p99\": {matmul_p99},").unwrap();
-    writeln!(json, "    \"pointwise_p50\": {pointwise_p50},").unwrap();
-    writeln!(json, "    \"pointwise_p99\": {pointwise_p99}").unwrap();
+    for class in ["conv", "matmul", "pointwise", "weight_fold"] {
+        writeln!(json, "    \"{class}_p50\": {},", class_p50(class)).unwrap();
+    }
+    writeln!(json, "    \"sum_p50\": {layers_sum},").unwrap();
+    writeln!(json, "    \"tape_free_forecast_p50\": {free_p50},").unwrap();
+    writeln!(
+        json,
+        "    \"share_of_forecast\": {:.2},",
+        layers_sum as f64 / free_p50.max(1) as f64
+    )
+    .unwrap();
+    writeln!(json, "    \"kernels\": [").unwrap();
+    for (i, r) in layer_rows.iter().enumerate() {
+        let sep = if i + 1 == layer_rows.len() { "" } else { "," };
+        writeln!(
+            json,
+            "      {{\"name\": \"{}\", \"class\": \"{}\", \"shape\": \"{}\", \"p50\": {}, \"p99\": {}}}{sep}",
+            r.name, r.class, r.shape, r.p50, r.p99
+        )
+        .unwrap();
+    }
+    writeln!(json, "    ]").unwrap();
+    writeln!(json, "  }},").unwrap();
+    writeln!(json, "  \"train_step\": {{").unwrap();
+    writeln!(json, "    \"batch\": {TRAIN_BATCH},").unwrap();
+    writeln!(json, "    \"steps_per_form\": {},", 3 * train_steps).unwrap();
+    writeln!(json, "    \"last_step_ms\": {train_last_ms:.3},").unwrap();
+    writeln!(
+        json,
+        "    \"last_step_windows_per_s\": {:.0},",
+        TRAIN_BATCH as f64 * 1e3 / train_last_ms
+    )
+    .unwrap();
+    writeln!(json, "    \"full_sequence_ms\": {train_full_ms:.3},").unwrap();
+    writeln!(
+        json,
+        "    \"full_sequence_windows_per_s\": {:.0},",
+        TRAIN_BATCH as f64 * 1e3 / train_full_ms
+    )
+    .unwrap();
+    writeln!(
+        json,
+        "    \"last_step_over_full_sequence\": {:.2}",
+        train_last_ms / train_full_ms
+    )
+    .unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"window_prep_ns\": [").unwrap();
     for (i, (scenario, features, rows, growth)) in window_prep.iter().enumerate() {
@@ -407,6 +715,11 @@ fn main() {
         "tape-free forecast: p50 {:.1}us vs taped {:.1}us ({speedup:.1}x), {allocs_per_forecast:.2} allocs/forecast",
         free_p50 as f64 / 1_000.0,
         taped_p50 as f64 / 1_000.0,
+    );
+    eprintln!(
+        "forward-pass kernels: {:.1}us of the {:.1}us forecast; train step (batch {TRAIN_BATCH}): last-step {train_last_ms:.2}ms vs full-sequence {train_full_ms:.2}ms",
+        layers_sum as f64 / 1_000.0,
+        free_p50 as f64 / 1_000.0,
     );
     for (scenario, _, rows, growth) in &window_prep {
         eprintln!(

@@ -87,15 +87,17 @@ pub(crate) struct RptcnNetwork {
 
 impl SequenceModel for RptcnNetwork {
     fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
-        let time = x.shape()[1];
         let ct = g.input(neural::to_channels_time(x));
-        let seq = self.backbone.forward(g, ct, training, rng);
 
-        // Collapse the time axis: temporal attention when configured,
-        // otherwise the causally complete final step.
+        // Collapse the time axis: temporal attention reads every step of
+        // the backbone; otherwise only the causally complete final step is
+        // read, and only what it depends on is computed.
         let mut h = match &self.temporal_attention {
-            Some(attn) => attn.forward(g, seq),
-            None => g.select_time(seq, time - 1),
+            Some(attn) => {
+                let seq = self.backbone.forward(g, ct, training, rng);
+                attn.forward(g, seq)
+            }
+            None => self.backbone.forward_last(g, ct, training, rng),
         };
 
         if let Some(fc) = &self.fc {
@@ -120,19 +122,16 @@ impl SequenceModel for RptcnNetwork {
         let (batch, time, features) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let mut ct = ctx.take(batch * features * time);
         neural::to_channels_time_into(x, &mut ct);
-        let seq = self.backbone.infer(&self.store, ctx, &ct, batch, time);
-        ctx.give(ct);
-        let ch = self.backbone.out_channels();
-
         let mut h = match &self.temporal_attention {
-            Some(attn) => attn.infer(&self.store, ctx, &seq, batch, time),
-            None => {
-                let mut last = ctx.take(batch * ch);
-                autograd::infer::select_time_into(&seq, &mut last, batch, ch, time, time - 1);
-                last
+            Some(attn) => {
+                let seq = self.backbone.infer(&self.store, ctx, &ct, batch, time);
+                let pooled = attn.infer(&self.store, ctx, &seq, batch, time);
+                ctx.give(seq);
+                pooled
             }
+            None => self.backbone.infer_last(&self.store, ctx, &ct, batch, time),
         };
-        ctx.give(seq);
+        ctx.give(ct);
 
         // Dropout is a no-op at inference, so the FC branch is just
         // linear → relu, matching the taped graph with `training=false`.

@@ -90,12 +90,32 @@ impl Ring {
     }
 }
 
+/// Output-channel lanes of [`StreamWeights::Lanes`]; channels are padded up
+/// to a multiple of it.
+const LANES: usize = 8;
+
+/// Widest kernel [`StreamWeights::Lanes`] handles (its taps are resolved
+/// once per step into a fixed array); wider ones run channel by channel.
+const MAX_TAPS: usize = 8;
+
+/// Folded (weight-norm applied) weights of a [`StreamConv`], laid out for
+/// the form its `step` takes.
+#[derive(Debug)]
+enum StreamWeights {
+    /// `[out_ch, in_ch, k]`: one output channel at a time, skipping
+    /// exact-zero weights as the batch kernel's reference path does.
+    Rows(Vec<f32>),
+    /// `[in_ch, k, out_ch padded to LANES]`: output channels on the vector
+    /// lanes. Only without an exact-zero weight (nothing to skip) and with
+    /// `k <= MAX_TAPS`.
+    Lanes(Vec<f32>),
+}
+
 /// A causal convolution with weight normalisation folded into a dense
 /// weight tensor, evaluated one output column at a time against a [`Ring`].
 #[derive(Debug)]
 struct StreamConv {
-    /// `[out_ch, in_ch, k]` row-major, weight-norm already applied.
-    w: Vec<f32>,
+    w: StreamWeights,
     b: Vec<f32>,
     in_ch: usize,
     out_ch: usize,
@@ -107,8 +127,20 @@ impl StreamConv {
     fn from_layer(store: &ParamStore, conv: &CausalConv1d) -> Self {
         let (in_ch, out_ch) = (conv.in_channels(), conv.out_channels());
         let (k, dilation) = (conv.kernel_size(), conv.dilation());
-        let mut w = vec![0.0; out_ch * in_ch * k];
-        conv.materialize_weight(store, &mut w);
+        let mut rows = vec![0.0; out_ch * in_ch * k];
+        conv.materialize_weight(store, &mut rows);
+        let w = if k <= MAX_TAPS && rows.iter().all(|&wv| wv != 0.0) {
+            let ocp = out_ch.div_ceil(LANES) * LANES;
+            let mut lanes = vec![0.0; in_ch * k * ocp];
+            for (oc, w_oc) in rows.chunks_exact(in_ch * k).enumerate() {
+                for (slot, &wv) in w_oc.iter().enumerate() {
+                    lanes[slot * ocp + oc] = wv;
+                }
+            }
+            StreamWeights::Lanes(lanes)
+        } else {
+            StreamWeights::Rows(rows)
+        };
         Self {
             w,
             b: conv.bias_values(store).to_vec(),
@@ -125,24 +157,60 @@ impl StreamConv {
     }
 
     // hot-path: runs once per streamed sample, must stay allocation-free
-    /// One output column. Mirrors the batch kernel exactly: accumulate in
-    /// `oc → ic → kk` order with the same sparse-weight skip, bias last.
+    /// One output column. Mirrors the batch kernel exactly: every output
+    /// channel accumulates in `ic → kk` order with the same sparse-weight
+    /// skip, bias last.
+    ///
+    /// Channel by channel that is `out_ch` dependent chains of `in_ch·k`
+    /// adds, bound by add latency, not by the window. With no exact-zero
+    /// weight to skip, the channels go on the vector lanes instead — input
+    /// sample broadcast, weights transposed once at construction — and
+    /// each lane keeps the same chain.
     fn step(&self, ring: &Ring, out_row: &mut [f32]) {
         debug_assert_eq!(out_row.len(), self.out_ch);
         debug_assert_eq!(ring.width, self.in_ch);
-        for (oc, out) in out_row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for ic in 0..self.in_ch {
-                let wrow = &self.w[(oc * self.in_ch + ic) * self.k..][..self.k];
-                for (kk, &wv) in wrow.iter().enumerate() {
-                    if wv == 0.0 {
-                        continue;
+        let shift = |kk: usize| (self.k - 1 - kk) * self.dilation;
+        match &self.w {
+            StreamWeights::Rows(w) => {
+                for (oc, out) in out_row.iter_mut().enumerate() {
+                    let mut acc = 0.0f32;
+                    for ic in 0..self.in_ch {
+                        let wrow = &w[(oc * self.in_ch + ic) * self.k..][..self.k];
+                        for (kk, &wv) in wrow.iter().enumerate() {
+                            if wv == 0.0 {
+                                continue;
+                            }
+                            acc += wv * ring.tap(shift(kk))[ic];
+                        }
                     }
-                    let shift = (self.k - 1 - kk) * self.dilation;
-                    acc += wv * ring.tap(shift)[ic];
+                    *out = acc + self.b[oc];
                 }
             }
-            *out = acc + self.b[oc];
+            StreamWeights::Lanes(wt) => {
+                let ocp = wt.len() / (self.in_ch * self.k);
+                let mut taps: [&[f32]; MAX_TAPS] = [&[]; MAX_TAPS];
+                for (kk, tap) in taps.iter_mut().enumerate().take(self.k) {
+                    *tap = ring.tap(shift(kk));
+                }
+                for (lane0, (out, b)) in (0..ocp)
+                    .step_by(LANES)
+                    .zip(out_row.chunks_mut(LANES).zip(self.b.chunks(LANES)))
+                {
+                    let mut acc = [0.0f32; LANES];
+                    for ic in 0..self.in_ch {
+                        for (kk, tap) in taps.iter().enumerate().take(self.k) {
+                            let xv = tap[ic];
+                            let w = &wt[(ic * self.k + kk) * ocp + lane0..][..LANES];
+                            for (a, &wv) in acc.iter_mut().zip(w) {
+                                *a += wv * xv;
+                            }
+                        }
+                    }
+                    for ((o, &a), &bv) in out.iter_mut().zip(&acc).zip(b) {
+                        *o = a + bv;
+                    }
+                }
+            }
         }
     }
 }

@@ -76,12 +76,21 @@ impl TemporalBlock {
         }
     }
 
-    /// `[batch, in_ch, T] -> [batch, out_ch, T]`.
-    pub fn forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng) -> Var {
-        let h = self.conv1.forward(g, x);
+    /// `[batch, in_ch, T] -> [batch, out_ch, T]` with both convolutions run
+    /// at `dilation`: the block's own for a full-length sequence, the
+    /// quotient left after the caller subsampled the time axis.
+    pub fn forward(
+        &self,
+        g: &mut Graph,
+        x: Var,
+        dilation: usize,
+        training: bool,
+        rng: &mut Rng,
+    ) -> Var {
+        let h = self.conv1.forward_dilated(g, x, dilation);
         let h = g.relu(h);
         let h = self.dropout.apply_spatial(g, h, training, rng);
-        let h = self.conv2.forward(g, h);
+        let h = self.conv2.forward_dilated(g, h, dilation);
         let h = g.relu(h);
         let h = self.dropout.apply_spatial(g, h, training, rng);
         let res = match &self.downsample {
@@ -103,10 +112,15 @@ impl TemporalBlock {
         x: &[f32],
         batch: usize,
         time: usize,
+        dilation: usize,
     ) -> Vec<f32> {
-        let mut h1 = self.conv1.infer(store, ctx, x, batch, time);
+        let mut h1 = self
+            .conv1
+            .infer_dilated(store, ctx, x, batch, time, dilation);
         autograd::infer::relu_in_place(&mut h1);
-        let mut out = self.conv2.infer(store, ctx, &h1, batch, time);
+        let mut out = self
+            .conv2
+            .infer_dilated(store, ctx, &h1, batch, time, dilation);
         autograd::infer::relu_in_place(&mut out);
         ctx.give(h1);
         match &self.downsample {
@@ -124,6 +138,11 @@ impl TemporalBlock {
             }
         }
         out
+    }
+
+    /// Dilation of the block's two convolutions.
+    pub fn dilation(&self) -> usize {
+        self.conv1.dilation()
     }
 
     /// Receptive-field contribution of this block: `2·(k−1)·d`.
@@ -187,17 +206,44 @@ impl TcnBackbone {
         }
     }
 
-    /// `[batch, features, T] -> [batch, channels, T]`.
+    /// `[batch, features, T] -> [batch, channels, T]`: every step, for a
+    /// head that reads them all (temporal attention).
     pub fn forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng) -> Var {
+        self.run(g, x, training, rng, false)
+    }
+
+    /// `[batch, features, T] -> [batch, channels]`: step `T − 1` of
+    /// [`forward`](Self::forward), bitwise, for a head that reads nothing
+    /// else. A block of dilation `d` whose output is read only at
+    /// `t ≡ T − 1 (mod d)` reads its input only on that residue class, where
+    /// its convolutions are dilation-1 convolutions over the subsampled row;
+    /// so each block runs on `⌈T/d⌉` columns instead of `T`.
+    pub fn forward_last(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng) -> Var {
+        let seq = self.run(g, x, training, rng, true);
+        let kept = g.value(seq).shape()[2];
+        g.select_time(seq, kept - 1)
+    }
+
+    /// The block loop. With `last_only`, the time axis is subsampled down
+    /// to the residue class of the last step before each block whose
+    /// dilation grows, and the block runs at the remaining quotient.
+    fn run(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng, last_only: bool) -> Var {
         let mut h = x;
+        let mut stride = 1; // original steps between adjacent columns of `h`
         for block in &self.blocks {
-            h = block.forward(g, h, training, rng);
+            let d = block.dilation();
+            if last_only && d > stride {
+                h = g.subsample_time(h, d / stride);
+                stride = d;
+            }
+            h = block.forward(g, h, d / stride, training, rng);
         }
         h
     }
 
-    /// Tape-free forward: `x` is `[batch, features, time]` row-major,
-    /// returns `[batch, channels, time]` in a buffer from `ctx`.
+    /// Tape-free [`forward`](Self::forward): `x` is `[batch, features,
+    /// time]` row-major, returns `[batch, channels, time]` in a buffer from
+    /// `ctx`.
     pub fn infer(
         &self,
         store: &ParamStore,
@@ -206,15 +252,67 @@ impl TcnBackbone {
         batch: usize,
         time: usize,
     ) -> Vec<f32> {
+        self.run_infer(store, ctx, x, batch, time, false).0
+    }
+
+    /// Tape-free [`forward_last`](Self::forward_last): returns `[batch,
+    /// channels]` in a buffer from `ctx`.
+    pub fn infer_last(
+        &self,
+        store: &ParamStore,
+        ctx: &mut autograd::InferenceContext,
+        x: &[f32],
+        batch: usize,
+        time: usize,
+    ) -> Vec<f32> {
+        let (seq, kept) = self.run_infer(store, ctx, x, batch, time, true);
+        let mut last = ctx.take(batch * self.out_channels);
+        autograd::infer::select_time_into(
+            &seq,
+            &mut last,
+            batch,
+            self.out_channels,
+            kept,
+            kept - 1,
+        );
+        ctx.give(seq);
+        last
+    }
+
+    /// Tape-free twin of [`run`](Self::run); also returns the length of the
+    /// time axis it ends with.
+    fn run_infer(
+        &self,
+        store: &ParamStore,
+        ctx: &mut autograd::InferenceContext,
+        x: &[f32],
+        batch: usize,
+        time: usize,
+        last_only: bool,
+    ) -> (Vec<f32>, usize) {
         let mut owned: Option<Vec<f32>> = None;
+        let (mut stride, mut len) = (1, time);
         for block in &self.blocks {
+            let d = block.dilation();
+            if last_only && d > stride {
+                let cur: &[f32] = owned.as_deref().unwrap_or(x);
+                let rows = cur.len() / len;
+                let kept = autograd::infer::subsampled_len(len, d / stride);
+                let mut sub = ctx.take(rows * kept);
+                autograd::infer::subsample_time_into(cur, &mut sub, rows, len, d / stride);
+                if let Some(prev) = owned.replace(sub) {
+                    ctx.give(prev);
+                }
+                (stride, len) = (d, kept);
+            }
             let cur: &[f32] = owned.as_deref().unwrap_or(x);
-            let next = block.infer(store, ctx, cur, batch, time);
+            let next = block.infer(store, ctx, cur, batch, len, d / stride);
             if let Some(prev) = owned.replace(next) {
                 ctx.give(prev);
             }
         }
-        owned.expect("backbone has at least one block") // lint: allow(r2) — spec guarantees ≥1 block
+        let seq = owned.expect("backbone has at least one block"); // lint: allow(r2) — spec guarantees ≥1 block
+        (seq, len)
     }
 
     pub fn out_channels(&self) -> usize {
@@ -271,10 +369,8 @@ struct TcnNetwork {
 
 impl SequenceModel for TcnNetwork {
     fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
-        let time = x.shape()[1];
         let ct = g.input(neural::to_channels_time(x));
-        let seq = self.backbone.forward(g, ct, training, rng);
-        let last = g.select_time(seq, time - 1);
+        let last = self.backbone.forward_last(g, ct, training, rng);
         self.head.forward(g, last)
     }
 
@@ -282,12 +378,8 @@ impl SequenceModel for TcnNetwork {
         let (batch, time, features) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let mut ct = ctx.take(batch * features * time);
         neural::to_channels_time_into(x, &mut ct);
-        let seq = self.backbone.infer(&self.store, ctx, &ct, batch, time);
+        let last = self.backbone.infer_last(&self.store, ctx, &ct, batch, time);
         ctx.give(ct);
-        let ch = self.backbone.out_channels();
-        let mut last = ctx.take(batch * ch);
-        autograd::infer::select_time_into(&seq, &mut last, batch, ch, time, time - 1);
-        ctx.give(seq);
         let out = self.head.infer(&self.store, ctx, &last, batch);
         ctx.give(last);
         let result = Tensor::from_vec(out[..batch * self.horizon].to_vec(), &[batch, self.horizon]);
