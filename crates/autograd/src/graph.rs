@@ -216,10 +216,7 @@ impl<'s> Graph<'s> {
         );
         let width = to - from;
         let mut out = vec![0.0f32; m * width];
-        for i in 0..m {
-            out[i * width..(i + 1) * width]
-                .copy_from_slice(&src.as_slice()[i * n + from..i * n + to]);
-        }
+        infer::take_cols(src.as_slice(), n, from, to, &mut out);
         self.push(
             Tensor::from_vec(out, &[m, width]),
             Op::SliceCols(a, from, to),
@@ -238,10 +235,7 @@ impl<'s> Graph<'s> {
             assert_eq!(t.rank(), 2, "concat_cols requires rank-2 parts");
             assert_eq!(t.shape()[0], m, "concat_cols row mismatch");
             let w = t.shape()[1];
-            for i in 0..m {
-                out[i * total + offset..i * total + offset + w]
-                    .copy_from_slice(&t.as_slice()[i * w..(i + 1) * w]);
-            }
+            infer::put_cols(t.as_slice(), w, &mut out, total, offset);
             offset += w;
         }
         self.push(
@@ -258,11 +252,7 @@ impl<'s> Graph<'s> {
         let (b, c, time) = (src.shape()[0], src.shape()[1], src.shape()[2]);
         assert!(t < time, "select_time {t} out of {time}");
         let mut out = vec![0.0f32; b * c];
-        for bi in 0..b {
-            for ci in 0..c {
-                out[bi * c + ci] = src.as_slice()[(bi * c + ci) * time + t];
-            }
-        }
+        infer::select_time_into(src.as_slice(), &mut out, b, c, time, t);
         self.push(Tensor::from_vec(out, &[b, c]), Op::SelectTime(a, t))
     }
 

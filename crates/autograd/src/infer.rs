@@ -1,38 +1,40 @@
-//! Tape-free inference: a scratch-arena forward pass for serving.
+//! Tape-free inference: the arena backend of [`Exec`] and its drivers.
 //!
 //! Training needs the tape — every op records a node and allocates a fresh
 //! `Tensor` so `Graph::backward` can replay the chain rule. Serving needs
 //! neither: a forecast is a single forward evaluation, so the per-op
-//! bookkeeping and allocations are pure overhead. This module provides the
-//! serving alternative:
+//! bookkeeping and allocations are pure overhead. This module is the
+//! serving side of the one forward definition in `layers` and `models`:
 //!
 //! * [`InferenceContext`] — a pool of reusable `Vec<f32>` scratch buffers.
-//!   Layers `take` a buffer, compute into it and `give` it back; after a
-//!   warm-up pass the pool serves every request and the steady-state path
-//!   performs **zero heap allocations** ([`InferenceContext::fresh_allocs`]
-//!   counts the misses so benchmarks can prove it).
-//! * In-place activation / bias / softmax helpers that replicate the exact
-//!   arithmetic of the corresponding `tensor` kernels (same accumulation
-//!   widths, same evaluation order), so a tape-free forward pass matches the
-//!   taped one bit-for-bit wherever the layers share the underlying matmul
-//!   and conv kernels.
+//!   After a warm-up pass the pool serves every request and the
+//!   steady-state path performs **zero heap allocations**
+//!   ([`InferenceContext::fresh_allocs`] counts the misses so benchmarks
+//!   can prove it).
+//! * [`Arena`] — the [`Exec`] backend over a context and a `ParamStore`:
+//!   a value is a pooled buffer with an inline shape ([`Buf`]), ops that
+//!   can run in place do, and [`Exec::release`] hands the buffer back.
+//! * The in-place kernels behind it, each replicating the exact arithmetic
+//!   of the corresponding `tensor` op (same accumulation widths, same
+//!   evaluation order) and sharing the matmul and conv kernels with the
+//!   tape, so every primitive matches its taped twin bit for bit
+//!   (`tests/exec_parity.rs`).
 //! * [`predict`] — the batched driver mirroring `train::predict`, routed
 //!   through [`SequenceModel::infer`](crate::SequenceModel::infer).
-//!
-//! Layers expose their tape-free forward as `infer` methods (see
-//! `layers::linear`, `layers::conv`, `layers::attention`, `layers::lstm`,
-//! `layers::gru`); models compose those into full-network `infer`
-//! implementations.
 
 use std::cell::RefCell;
 
 use tensor::Tensor;
 
+use crate::conv_kernels::conv1d_into;
+use crate::exec::Exec;
+use crate::params::{ParamId, ParamStore};
 use crate::train::{take_rows, SequenceModel};
 
-/// Buffers kept in the pool; beyond this the extras are dropped. A full
-/// RPTCN forward pass holds well under this many buffers at once.
-const MAX_POOLED: usize = 64;
+/// Buffers kept in the pool; beyond this the extras are dropped. An RPTCN
+/// forward pass holds under ten at once; a recurrent or temporal-attention
+/// model holds one per window step and layer.
+const MAX_POOLED: usize = 256;
 
 /// A scratch arena for tape-free forward passes.
 ///
@@ -122,7 +124,7 @@ pub fn tanh_in_place(buf: &mut [f32]) {
 // hot-path: per-push inference kernel, must stay allocation-free
 /// Numerically-stable logistic sigmoid, identical to the `tensor` kernel.
 #[inline]
-pub fn stable_sigmoid(x: f32) -> f32 {
+fn stable_sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         let z = (-x).exp();
         1.0 / (1.0 + z)
@@ -208,6 +210,29 @@ pub fn select_time_into(
     }
 }
 
+// hot-path: per-push inference kernel, must stay allocation-free
+/// Copy the `[rows, width]` block `src` into columns `offset..offset + width`
+/// of the `[rows, total]` matrix `out` — one part of a `concat_cols`.
+pub fn put_cols(src: &[f32], width: usize, out: &mut [f32], total: usize, offset: usize) {
+    assert!(offset + width <= total, "put_cols range out of {total}");
+    for (orow, srow) in out.chunks_mut(total).zip(src.chunks(width)) {
+        orow[offset..offset + width].copy_from_slice(srow);
+    }
+}
+
+// hot-path: per-push inference kernel, must stay allocation-free
+/// Copy columns `from..to` of the `[rows, cols]` matrix `src` into the
+/// `[rows, to − from]` matrix `out` — `slice_cols`.
+pub fn take_cols(src: &[f32], cols: usize, from: usize, to: usize, out: &mut [f32]) {
+    assert!(
+        from < to && to <= cols,
+        "slice_cols range {from}..{to} out of {cols}"
+    );
+    for (orow, srow) in out.chunks_mut(to - from).zip(src.chunks(cols)) {
+        orow.copy_from_slice(&srow[from..to]);
+    }
+}
+
 /// Steps [`subsample_time_into`] keeps of a `time`-step row: `⌈time/step⌉`.
 pub fn subsampled_len(time: usize, step: usize) -> usize {
     assert!(step >= 1, "subsample step must be >= 1");
@@ -231,6 +256,276 @@ pub fn subsample_time_into(src: &[f32], out: &mut [f32], rows: usize, time: usiz
         for (o, &v) in orow.iter_mut().zip(srow[first..].iter().step_by(step)) {
             *o = v;
         }
+    }
+}
+
+// hot-path: per-push inference kernel, must stay allocation-free
+/// Fold the weight-norm reparameterisation `gain · v / ‖v‖` of a
+/// `[out_ch, per]` weight into `out`, replicating the tape's op sequence
+/// exactly (f32 squares accumulated in f64, sqrt, `+ 1e-6`, divide, then
+/// gain) so the folded weight is bit-identical to the one the taped conv
+/// primitive convolves with. Without a gain it is a copy.
+pub fn fold_weight_norm(v: &[f32], gain: Option<&[f32]>, out_ch: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), v.len(), "fold_weight_norm buffer size");
+    let Some(gain) = gain else {
+        out.copy_from_slice(v);
+        return;
+    };
+    assert_eq!(gain.len(), out_ch, "fold_weight_norm gain length");
+    let per = v.len() / out_ch.max(1);
+    for ((row, orow), &gn) in v.chunks(per).zip(out.chunks_mut(per)).zip(gain) {
+        let mut ss = 0.0f64;
+        for &x in row {
+            ss += (x * x) as f64;
+        }
+        let norm = (ss as f32).sqrt() + 1e-6;
+        for (o, &x) in orow.iter_mut().zip(row) {
+            *o = (x / norm) * gn;
+        }
+    }
+}
+
+/// A value of an [`Arena`] pass: a pooled buffer and its shape (rank ≤ 3).
+#[derive(Debug)]
+pub struct Buf {
+    data: Vec<f32>,
+    dims: [usize; 3],
+    rank: usize,
+}
+
+impl Buf {
+    pub fn shape(&self) -> &[usize] {
+        &self.dims[..self.rank]
+    }
+
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Unused trailing dims are 1, so the arrays compare whole.
+    fn same_shape(&self, other: &Buf) -> bool {
+        self.rank == other.rank && self.dims == other.dims
+    }
+
+    /// `a ∘ b` in place in `self`: equal shapes, or `b: [rows, 1]` against
+    /// every column of `self: [rows, cols]` — the two broadcasts the tape's
+    /// binary ops are used with.
+    fn combine(mut self, b: &Buf, f: impl Fn(f32, f32) -> f32) -> Buf {
+        if self.same_shape(b) {
+            for (x, &y) in self.data.iter_mut().zip(&b.data) {
+                *x = f(*x, y);
+            }
+        } else {
+            let (rows, cols) = (self.dims[0], self.dims[1]);
+            assert!(
+                self.rank == 2 && b.rank == 2 && b.dims == [rows, 1, 1],
+                "arena binary op: {:?} with {:?}",
+                self.shape(),
+                b.shape()
+            );
+            for (row, &y) in self.data.chunks_mut(cols).zip(&b.data) {
+                for x in row {
+                    *x = f(*x, y);
+                }
+            }
+        }
+        self
+    }
+}
+
+/// The evaluating backend of [`Exec`]: the in-place kernels above over a
+/// scratch pool, parameters read straight from the store. Dropout is the
+/// identity — an arena pass is never a training pass.
+pub struct Arena<'a> {
+    ctx: &'a mut InferenceContext,
+    store: &'a ParamStore,
+}
+
+impl<'a> Arena<'a> {
+    pub fn new(ctx: &'a mut InferenceContext, store: &'a ParamStore) -> Self {
+        Self { ctx, store }
+    }
+
+    fn take(&mut self, shape: &[usize]) -> Buf {
+        assert!(shape.len() <= 3, "arena values have rank <= 3");
+        let mut dims = [1usize; 3];
+        for (d, &s) in dims.iter_mut().zip(shape) {
+            *d = s;
+        }
+        Buf {
+            data: self.ctx.take(dims[0] * dims[1] * dims[2]),
+            dims,
+            rank: shape.len(),
+        }
+    }
+
+    /// Copy a finished value out as a tensor and release its buffer.
+    pub fn into_tensor(&mut self, v: Buf) -> Tensor {
+        let t = Tensor::from_vec(v.data.clone(), v.shape());
+        self.release(v);
+        t
+    }
+}
+
+impl Exec for Arena<'_> {
+    type V = Buf;
+
+    fn shape<'v>(&'v self, v: &'v Buf) -> &'v [usize] {
+        v.shape()
+    }
+
+    fn input(&mut self, shape: &[usize], fill: impl FnOnce(&mut [f32])) -> Buf {
+        let mut out = self.take(shape);
+        fill(&mut out.data);
+        out
+    }
+
+    fn matmul(&mut self, x: &Buf, w: ParamId) -> Buf {
+        let w = self.store.value(w);
+        let (rows, k, n) = (x.dims[0], w.shape()[0], w.shape()[1]);
+        assert!(x.rank == 2 && x.dims[1] == k, "arena matmul input shape");
+        let mut out = self.take(&[rows, n]);
+        tensor::matmul::matmul_into(&x.data, w.as_slice(), &mut out.data, rows, k, n);
+        out
+    }
+
+    fn add_bias(&mut self, mut x: Buf, b: ParamId) -> Buf {
+        let (rows, cols) = (x.dims[0], x.dims[1]);
+        add_row_bias(&mut x.data, self.store.value(b).as_slice(), rows, cols);
+        x
+    }
+
+    fn conv(
+        &mut self,
+        x: &Buf,
+        v: ParamId,
+        gain: Option<ParamId>,
+        bias: ParamId,
+        dilation: usize,
+    ) -> Buf {
+        let v = self.store.value(v);
+        let (out_ch, in_ch, kernel) = (v.shape()[0], v.shape()[1], v.shape()[2]);
+        let (batch, time) = (x.dims[0], x.dims[2]);
+        assert!(x.rank == 3 && x.dims[1] == in_ch, "arena conv input shape");
+        let mut w = self.ctx.take(v.len());
+        let gain = gain.map(|g| self.store.value(g).as_slice());
+        fold_weight_norm(v.as_slice(), gain, out_ch, &mut w);
+        let mut out = self.take(&[batch, out_ch, time]);
+        conv1d_into(
+            &x.data,
+            &w,
+            &mut out.data,
+            batch,
+            in_ch,
+            out_ch,
+            time,
+            kernel,
+            dilation,
+        );
+        self.ctx.give(w);
+        let bias = self.store.value(bias).as_slice();
+        add_channel_bias(&mut out.data, bias, batch, out_ch, time);
+        out
+    }
+
+    fn relu(&mut self, mut x: Buf) -> Buf {
+        relu_in_place(&mut x.data);
+        x
+    }
+
+    fn tanh(&mut self, mut x: Buf) -> Buf {
+        tanh_in_place(&mut x.data);
+        x
+    }
+
+    fn sigmoid(&mut self, mut x: Buf) -> Buf {
+        sigmoid_in_place(&mut x.data);
+        x
+    }
+
+    fn softmax_rows(&mut self, mut x: Buf) -> Buf {
+        assert_eq!(x.rank, 2, "softmax_rows requires rank-2");
+        softmax_rows_in_place(&mut x.data, x.dims[0], x.dims[1]);
+        x
+    }
+
+    fn scale(&mut self, mut x: Buf, c: f32) -> Buf {
+        for v in &mut x.data {
+            *v *= c;
+        }
+        x
+    }
+
+    fn add(&mut self, a: Buf, b: &Buf) -> Buf {
+        a.combine(b, |x, y| x + y)
+    }
+
+    fn sub(&mut self, a: Buf, b: &Buf) -> Buf {
+        a.combine(b, |x, y| x - y)
+    }
+
+    fn mul(&mut self, a: Buf, b: &Buf) -> Buf {
+        a.combine(b, |x, y| x * y)
+    }
+
+    fn add_relu(&mut self, res: &Buf, h: Buf) -> Buf {
+        assert!(res.same_shape(&h), "add_relu shapes");
+        h.combine(res, |hv, r| (r + hv).max(0.0))
+    }
+
+    fn select_time(&mut self, x: &Buf, t: usize) -> Buf {
+        assert_eq!(x.rank, 3, "select_time requires [batch, ch, time]");
+        let [batch, ch, time] = x.dims;
+        let mut out = self.take(&[batch, ch]);
+        select_time_into(&x.data, &mut out.data, batch, ch, time, t);
+        out
+    }
+
+    fn subsample_time(&mut self, x: &Buf, step: usize) -> Buf {
+        assert_eq!(x.rank, 3, "subsample_time requires [batch, ch, time]");
+        let [batch, ch, time] = x.dims;
+        let mut out = self.take(&[batch, ch, subsampled_len(time, step)]);
+        subsample_time_into(&x.data, &mut out.data, batch * ch, time, step);
+        out
+    }
+
+    fn slice_cols(&mut self, x: &Buf, from: usize, to: usize) -> Buf {
+        assert_eq!(x.rank, 2, "slice_cols requires rank-2");
+        let mut out = self.take(&[x.dims[0], to.saturating_sub(from)]);
+        take_cols(&x.data, x.dims[1], from, to, &mut out.data);
+        out
+    }
+
+    fn concat_cols(&mut self, parts: &[Buf]) -> Buf {
+        assert!(!parts.is_empty(), "concat_cols of nothing");
+        let rows = parts[0].dims[0];
+        let total: usize = parts.iter().map(|p| p.dims[1]).sum();
+        let mut out = self.take(&[rows, total]);
+        let mut offset = 0;
+        for p in parts {
+            assert!(p.rank == 2 && p.dims[0] == rows, "concat_cols row mismatch");
+            put_cols(&p.data, p.dims[1], &mut out.data, total, offset);
+            offset += p.dims[1];
+        }
+        out
+    }
+
+    fn dropout(&mut self, x: Buf, _p: f32) -> Buf {
+        x
+    }
+
+    fn dropout_spatial(&mut self, x: Buf, _p: f32) -> Buf {
+        x
+    }
+
+    fn dup(&mut self, x: &Buf) -> Buf {
+        let mut out = self.take(x.shape());
+        out.data.copy_from_slice(&x.data);
+        out
+    }
+
+    fn release(&mut self, v: Buf) {
+        self.ctx.give(v.data);
     }
 }
 

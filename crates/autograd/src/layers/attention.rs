@@ -2,7 +2,7 @@
 
 use tensor::Rng;
 
-use crate::graph::{Graph, Var};
+use crate::exec::Exec;
 use crate::init::Init;
 use crate::layers::linear::Linear;
 use crate::params::{ParamId, ParamStore};
@@ -41,32 +41,12 @@ impl FeatureAttention {
 
     /// Compute the attention vector from `query` and gate `values` with it.
     /// Both are `[batch, dim]`; so is the result.
-    pub fn forward(&self, g: &mut Graph, query: Var, values: Var) -> Var {
-        debug_assert_eq!(g.value(query).shape()[1], self.dim);
-        let scores = self.proj.forward(g, query);
-        let attn = g.softmax_rows(scores);
-        let attn = g.scale(attn, self.dim as f32);
-        g.mul(attn, values)
-    }
-
-    /// Tape-free forward with `query == values`: gates `h` (`[rows, dim]`)
-    /// in place, replicating the taped score → softmax → rescale → multiply
-    /// chain exactly.
-    pub fn infer_in_place(
-        &self,
-        store: &ParamStore,
-        ctx: &mut crate::infer::InferenceContext,
-        h: &mut [f32],
-        rows: usize,
-    ) {
-        debug_assert_eq!(h.len(), rows * self.dim, "FeatureAttention input shape");
-        let mut scores = self.proj.infer(store, ctx, h, rows);
-        crate::infer::softmax_rows_in_place(&mut scores, rows, self.dim);
-        let dim = self.dim as f32;
-        for (hv, &s) in h.iter_mut().zip(scores.iter()) {
-            *hv *= s * dim;
-        }
-        ctx.give(scores);
+    pub fn forward<E: Exec>(&self, ex: &mut E, query: &E::V, values: &E::V) -> E::V {
+        debug_assert_eq!(ex.shape(query)[1], self.dim);
+        let scores = self.proj.forward(ex, query);
+        let attn = ex.softmax_rows(scores);
+        let attn = ex.scale(attn, self.dim as f32);
+        ex.mul(attn, values)
     }
 
     /// The score projection (for streaming inference).
@@ -109,8 +89,8 @@ impl TemporalAttention {
     }
 
     /// `[batch, channels, time] -> [batch, channels]` context vector.
-    pub fn forward(&self, g: &mut Graph, seq: Var) -> Var {
-        let shape = g.value(seq).shape().to_vec();
+    pub fn forward<E: Exec>(&self, ex: &mut E, seq: &E::V) -> E::V {
+        let shape = ex.shape(seq);
         assert_eq!(
             shape.len(),
             3,
@@ -122,70 +102,33 @@ impl TemporalAttention {
         let mut scores = Vec::with_capacity(time);
         let mut steps = Vec::with_capacity(time);
         for t in 0..time {
-            let h_t = g.select_time(seq, t);
+            let h_t = ex.select_time(seq, t);
+            let a = ex.dup(&h_t);
+            let a = ex.tanh(a);
+            scores.push(self.score.forward(ex, &a));
+            ex.release(a);
             steps.push(h_t);
-            let a = g.tanh(h_t);
-            scores.push(self.score.forward(g, a));
         }
-        let logits = g.concat_cols(&scores); // [batch, time]
-        let weights = g.softmax_rows(logits);
-        // context = sum_t w_t * h_t
-        let mut context: Option<Var> = None;
-        for (t, &h_t) in steps.iter().enumerate() {
-            let w_t = g.slice_cols(weights, t, t + 1); // [batch, 1]
-            let contrib = g.mul(h_t, w_t); // broadcast over channels
+        let logits = ex.concat_cols(&scores); // [batch, time]
+        scores.into_iter().for_each(|s| ex.release(s));
+        let weights = ex.softmax_rows(logits);
+        // context = sum_t w_t * h_t; the first product starts the sum.
+        let mut context: Option<E::V> = None;
+        for (t, h_t) in steps.into_iter().enumerate() {
+            let w_t = ex.slice_cols(&weights, t, t + 1); // [batch, 1]
+            let contrib = ex.mul(h_t, &w_t); // broadcast over channels
+            ex.release(w_t);
             context = Some(match context {
-                Some(c) => g.add(c, contrib),
+                Some(c) => {
+                    let sum = ex.add(c, &contrib);
+                    ex.release(contrib);
+                    sum
+                }
                 None => contrib,
             });
         }
+        ex.release(weights);
         context.expect("temporal attention over empty sequence")
-    }
-
-    /// Tape-free forward: `seq` is `[batch, channels, time]` row-major,
-    /// returns the `[batch, channels]` context in a buffer from `ctx`.
-    /// Mirrors the taped per-step score / softmax / weighted-sum order.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        ctx: &mut crate::infer::InferenceContext,
-        seq: &[f32],
-        batch: usize,
-        time: usize,
-    ) -> Vec<f32> {
-        let ch = self.channels;
-        debug_assert_eq!(seq.len(), batch * ch * time, "TemporalAttention shape");
-        let mut h_t = ctx.take(batch * ch);
-        let mut a = ctx.take(batch * ch);
-        let mut logits = ctx.take(batch * time);
-        for t in 0..time {
-            crate::infer::select_time_into(seq, &mut h_t, batch, ch, time, t);
-            a.copy_from_slice(&h_t);
-            crate::infer::tanh_in_place(&mut a);
-            let s = self.score.infer(store, ctx, &a, batch); // [batch, 1]
-            for (b, &sv) in s.iter().enumerate() {
-                logits[b * time + t] = sv;
-            }
-            ctx.give(s);
-        }
-        crate::infer::softmax_rows_in_place(&mut logits, batch, time);
-        // context = sum_t w_t * h_t, accumulated in ascending t like the tape.
-        let mut context = ctx.take(batch * ch);
-        for t in 0..time {
-            crate::infer::select_time_into(seq, &mut h_t, batch, ch, time, t);
-            for b in 0..batch {
-                let w = logits[b * time + t];
-                let row = &h_t[b * ch..(b + 1) * ch];
-                let out = &mut context[b * ch..(b + 1) * ch];
-                for (o, &hv) in out.iter_mut().zip(row) {
-                    *o += hv * w;
-                }
-            }
-        }
-        ctx.give(h_t);
-        ctx.give(a);
-        ctx.give(logits);
-        context
     }
 
     pub fn channels(&self) -> usize {
@@ -200,6 +143,8 @@ impl TemporalAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tape;
+    use crate::graph::Graph;
     use tensor::Tensor;
 
     #[test]
@@ -209,7 +154,7 @@ mod tests {
         let attn = FeatureAttention::new(&mut store, "attn", 4, &mut rng);
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng));
-        let y = attn.forward(&mut g, x, x);
+        let y = attn.forward(&mut Tape::eval(&mut g), &x, &x);
         assert_eq!(g.value(y).shape(), &[3, 4]);
         let sq = g.square(y);
         let loss = g.mean_all(sq);
@@ -232,7 +177,7 @@ mod tests {
         let mut g = Graph::new(&store);
         let data = Tensor::rand_normal(&[2, 5], 0.0, 1.0, &mut rng);
         let x = g.input(data.clone());
-        let y = attn.forward(&mut g, x, x);
+        let y = attn.forward(&mut Tape::eval(&mut g), &x, &x);
         assert!(g.value(y).allclose(&data, 1e-5));
     }
 
@@ -243,7 +188,7 @@ mod tests {
         let attn = TemporalAttention::new(&mut store, "tattn", 6, &mut rng);
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::rand_normal(&[4, 6, 9], 0.0, 1.0, &mut rng));
-        let ctx = attn.forward(&mut g, x);
+        let ctx = attn.forward(&mut Tape::eval(&mut g), &x);
         assert_eq!(g.value(ctx).shape(), &[4, 6]);
     }
 
@@ -263,51 +208,8 @@ mod tests {
         }
         let mut g = Graph::new(&store);
         let x = g.input(data);
-        let ctx = attn.forward(&mut g, x);
+        let ctx = attn.forward(&mut Tape::eval(&mut g), &x);
         assert!(g.value(ctx).allclose(&step.reshape(&[1, 3]).unwrap(), 1e-5));
-    }
-
-    #[test]
-    fn feature_attention_infer_matches_taped_forward() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from(7);
-        let attn = FeatureAttention::new(&mut store, "attn", 6, &mut rng);
-        // Give the projection non-trivial weights so the gate is not uniform.
-        for id in attn.param_ids() {
-            let t = Tensor::rand_normal(store.value(id).shape(), 0.0, 0.5, &mut rng);
-            *store.value_mut(id) = t;
-        }
-        let data = Tensor::rand_normal(&[4, 6], 0.0, 1.0, &mut rng);
-        let mut g = Graph::new(&store);
-        let x = g.input(data.clone());
-        let y = attn.forward(&mut g, x, x);
-        let taped = g.value(y).clone();
-
-        let mut ctx = crate::infer::InferenceContext::new();
-        let mut buf = data.as_slice().to_vec();
-        attn.infer_in_place(&store, &mut ctx, &mut buf, 4);
-        assert_eq!(buf.as_slice(), taped.as_slice());
-    }
-
-    #[test]
-    fn temporal_attention_infer_matches_taped_forward() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from(8);
-        let attn = TemporalAttention::new(&mut store, "tattn", 5, &mut rng);
-        let data = Tensor::rand_normal(&[3, 5, 7], 0.0, 1.0, &mut rng);
-        let mut g = Graph::new(&store);
-        let x = g.input(data.clone());
-        let y = attn.forward(&mut g, x);
-        let taped = g.value(y).clone();
-
-        let mut ctx = crate::infer::InferenceContext::new();
-        let out = attn.infer(&store, &mut ctx, data.as_slice(), 3, 7);
-        assert!(
-            out.iter()
-                .zip(taped.as_slice())
-                .all(|(a, b)| (a - b).abs() <= 1e-6),
-            "temporal attention diverged from tape"
-        );
     }
 
     #[test]
@@ -317,7 +219,7 @@ mod tests {
         let attn = TemporalAttention::new(&mut store, "tattn", 3, &mut rng);
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::rand_normal(&[2, 3, 4], 0.0, 1.0, &mut rng));
-        let ctx = attn.forward(&mut g, x);
+        let ctx = attn.forward(&mut Tape::eval(&mut g), &x);
         let sq = g.square(ctx);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);

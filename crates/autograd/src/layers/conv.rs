@@ -3,7 +3,8 @@
 
 use tensor::{Rng, Tensor};
 
-use crate::graph::{Graph, Var};
+use crate::exec::Exec;
+use crate::infer::fold_weight_norm;
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 
@@ -11,9 +12,8 @@ use crate::params::{ParamId, ParamStore};
 ///
 /// With `weight_norm` enabled the effective weight is reparameterised as
 /// `w = gain · v / ‖v‖` with the norm taken per output channel, exactly the
-/// Salimans & Kingma scheme TCNs use to stabilise training; the
-/// normalisation is expressed on the tape so gradients flow into both `v`
-/// and `gain`.
+/// Salimans & Kingma scheme TCNs use to stabilise training; on the tape the
+/// normalisation is recorded so gradients flow into both `v` and `gain`.
 #[derive(Debug, Clone)]
 pub struct CausalConv1d {
     v: ParamId,
@@ -70,114 +70,24 @@ impl CausalConv1d {
     }
 
     /// `[batch, in_ch, T] -> [batch, out_ch, T]`.
-    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        self.forward_dilated(g, x, self.dilation)
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: &E::V) -> E::V {
+        self.forward_dilated(ex, x, self.dilation)
     }
 
     /// [`forward`](Self::forward) at `dilation` instead of the layer's own —
     /// for a caller that has subsampled the time axis, so that adjacent
     /// columns of `x` are already `self.dilation() / dilation` steps apart.
-    pub fn forward_dilated(&self, g: &mut Graph, x: Var, dilation: usize) -> Var {
-        debug_assert_eq!(
-            g.value(x).shape()[1],
-            self.in_ch,
-            "conv input channels mismatch"
-        );
-        let v = g.param(self.v);
-        let w = match self.gain {
-            Some(gain_id) => {
-                let flat = g.reshape(v, &[self.out_ch, self.in_ch * self.kernel]);
-                let sq = g.square(flat);
-                let ssum = g.sum_axis_keepdim(sq, 1);
-                let norm_raw = g.sqrt(ssum);
-                let norm = g.add_scalar(norm_raw, 1e-6);
-                let dir = g.div(flat, norm);
-                let gain = g.param(gain_id);
-                let scaled = g.mul(dir, gain);
-                g.reshape(scaled, &[self.out_ch, self.in_ch, self.kernel])
-            }
-            None => v,
-        };
-        let y = g.conv1d(x, w, dilation);
-        let b = g.param(self.bias);
-        g.add(y, b)
+    pub fn forward_dilated<E: Exec>(&self, ex: &mut E, x: &E::V, dilation: usize) -> E::V {
+        debug_assert_eq!(ex.shape(x)[1], self.in_ch, "conv input channels mismatch");
+        ex.conv(x, self.v, self.gain, self.bias, dilation)
     }
 
-    /// Fold the weight-norm reparameterisation into a dense `[out, in, k]`
-    /// weight, replicating the tape's op sequence exactly (f32 squares
-    /// accumulated in f64, sqrt, `+ 1e-6`, divide, then gain) so the folded
-    /// weight is bit-identical to the one the taped forward convolves with.
+    /// The dense `[out, in, k]` weight the layer convolves with, weight
+    /// normalisation folded in (see [`fold_weight_norm`]) — what the
+    /// streaming engine snapshots.
     pub fn materialize_weight(&self, store: &ParamStore, out: &mut [f32]) {
-        let v = store.value(self.v).as_slice();
-        assert_eq!(out.len(), v.len(), "materialize_weight buffer size");
-        match self.gain {
-            Some(gain_id) => {
-                let gain = store.value(gain_id).as_slice();
-                let per = self.in_ch * self.kernel;
-                for oc in 0..self.out_ch {
-                    let row = &v[oc * per..(oc + 1) * per];
-                    let mut ss = 0.0f64;
-                    for &x in row {
-                        ss += (x * x) as f64;
-                    }
-                    let norm = (ss as f32).sqrt() + 1e-6;
-                    let gn = gain[oc];
-                    for (o, &x) in out[oc * per..(oc + 1) * per].iter_mut().zip(row) {
-                        *o = (x / norm) * gn;
-                    }
-                }
-            }
-            None => out.copy_from_slice(v),
-        }
-    }
-
-    /// Tape-free forward: `x` is `[batch, in_ch, time]` row-major, returns a
-    /// `[batch, out_ch, time]` buffer drawn from `ctx`. Shares the conv
-    /// kernel with the taped path.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        ctx: &mut crate::infer::InferenceContext,
-        x: &[f32],
-        batch: usize,
-        time: usize,
-    ) -> Vec<f32> {
-        self.infer_dilated(store, ctx, x, batch, time, self.dilation)
-    }
-
-    /// Tape-free [`forward_dilated`](Self::forward_dilated).
-    pub fn infer_dilated(
-        &self,
-        store: &ParamStore,
-        ctx: &mut crate::infer::InferenceContext,
-        x: &[f32],
-        batch: usize,
-        time: usize,
-        dilation: usize,
-    ) -> Vec<f32> {
-        let mut w = ctx.take(self.out_ch * self.in_ch * self.kernel);
-        self.materialize_weight(store, &mut w);
-        let mut out = ctx.take(batch * self.out_ch * time);
-        crate::conv_kernels::conv1d_into(
-            x,
-            &w,
-            &mut out,
-            batch,
-            self.in_ch,
-            self.out_ch,
-            time,
-            self.kernel,
-            dilation,
-        );
-        ctx.give(w);
-        crate::infer::add_channel_bias(
-            &mut out,
-            store.value(self.bias).as_slice(),
-            batch,
-            self.out_ch,
-            time,
-        );
-        out
+        let gain = self.gain.map(|g| store.value(g).as_slice());
+        fold_weight_norm(store.value(self.v).as_slice(), gain, self.out_ch, out);
     }
 
     /// Raw bias values `[out_ch]` (for streaming inference).
@@ -217,6 +127,8 @@ impl CausalConv1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tape;
+    use crate::graph::Graph;
 
     #[test]
     fn plain_conv_forward_shape_and_bias() {
@@ -225,7 +137,7 @@ mod tests {
         let conv = CausalConv1d::new(&mut store, "c", 2, 4, 3, 2, false, &mut rng);
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::ones(&[3, 2, 7]));
-        let y = conv.forward(&mut g, x);
+        let y = conv.forward(&mut Tape::eval(&mut g), &x);
         assert_eq!(g.value(y).shape(), &[3, 4, 7]);
         assert_eq!(conv.receptive_field(), 5);
     }
@@ -240,7 +152,7 @@ mod tests {
         let mut g = Graph::new(&store);
         let xdata = Tensor::rand_normal(&[2, 3, 6], 0.0, 1.0, &mut rng);
         let x = g.input(xdata.clone());
-        let y_norm = conv.forward(&mut g, x);
+        let y_norm = conv.forward(&mut Tape::eval(&mut g), &x);
 
         // Raw conv with the same v and bias.
         let x2 = g.input(xdata);
@@ -258,31 +170,13 @@ mod tests {
         let conv = CausalConv1d::new(&mut store, "c", 2, 2, 2, 1, true, &mut rng);
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::rand_normal(&[1, 2, 5], 0.0, 1.0, &mut rng));
-        let y = conv.forward(&mut g, x);
+        let y = conv.forward(&mut Tape::eval(&mut g), &x);
         let sq = g.square(y);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
         for id in conv.param_ids() {
             assert!(grads.get(id).is_some(), "no grad for {:?}", store.name(id));
             assert!(grads.get(id).unwrap().all_finite());
-        }
-    }
-
-    #[test]
-    fn infer_matches_taped_forward_bitwise() {
-        let mut rng = Rng::seed_from(11);
-        for weight_norm in [false, true] {
-            let mut store = ParamStore::new();
-            let conv = CausalConv1d::new(&mut store, "c", 3, 4, 3, 2, weight_norm, &mut rng);
-            let xdata = Tensor::rand_normal(&[2, 3, 9], 0.0, 1.0, &mut rng);
-            let mut g = Graph::new(&store);
-            let x = g.input(xdata.clone());
-            let y = conv.forward(&mut g, x);
-            let taped = g.value(y).clone();
-
-            let mut ctx = crate::infer::InferenceContext::new();
-            let out = conv.infer(&store, &mut ctx, xdata.as_slice(), 2, 9);
-            assert_eq!(out.as_slice(), taped.as_slice(), "wn={weight_norm}");
         }
     }
 
@@ -310,7 +204,7 @@ mod tests {
             let mut g = Graph::new(&store);
             let mut h = g.input(xd.clone());
             for c in &convs {
-                h = c.forward(&mut g, h);
+                h = c.forward(&mut Tape::eval(&mut g), &h);
             }
             g.value(h).clone()
         };

@@ -2,12 +2,11 @@
 //! use: entire channels are zeroed together so temporally-adjacent
 //! activations are not decorrelated.
 
-use tensor::{Rng, Tensor};
-
-use crate::graph::{Graph, Var};
+use crate::exec::Exec;
 
 /// Inverted dropout: surviving activations are scaled by `1/(1-p)` during
-/// training so inference needs no rescaling.
+/// training so inference needs no rescaling. The layer holds the rate; the
+/// backend decides whether the pass is a training pass and draws the mask.
 #[derive(Debug, Clone, Copy)]
 pub struct Dropout {
     p: f32,
@@ -23,46 +22,26 @@ impl Dropout {
         self.p
     }
 
-    /// Standard elementwise dropout. Identity when not training or `p == 0`.
-    pub fn apply(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng) -> Var {
-        if !training || self.p == 0.0 {
-            return x;
-        }
-        let shape = g.value(x).shape().to_vec();
-        let mask = self.sample_mask(&shape, rng);
-        g.mul_mask(x, mask)
+    /// Standard elementwise dropout. Identity outside a training pass or
+    /// when `p == 0`.
+    pub fn apply<E: Exec>(&self, ex: &mut E, x: E::V) -> E::V {
+        ex.dropout(x, self.p)
     }
 
     /// Spatial dropout on `[batch, channels, time]`: one Bernoulli draw per
     /// (batch, channel), broadcast across time.
-    pub fn apply_spatial(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng) -> Var {
-        if !training || self.p == 0.0 {
-            return x;
-        }
-        let shape = g.value(x).shape();
-        assert_eq!(shape.len(), 3, "spatial dropout expects [batch, ch, time]");
-        let mask = self.sample_mask(&[shape[0], shape[1], 1], rng);
-        let mask = mask
-            .broadcast_to(shape)
-            .expect("spatial dropout mask broadcast");
-        g.mul_mask(x, mask)
-    }
-
-    fn sample_mask(&self, shape: &[usize], rng: &mut Rng) -> Tensor {
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let n: usize = shape.iter().product();
-        let data = (0..n)
-            .map(|_| if rng.chance(keep as f64) { scale } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, shape)
+    pub fn apply_spatial<E: Exec>(&self, ex: &mut E, x: E::V) -> E::V {
+        ex.dropout_spatial(x, self.p)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tape;
+    use crate::graph::Graph;
     use crate::params::ParamStore;
+    use tensor::{Rng, Tensor};
 
     #[test]
     fn inference_is_identity() {
@@ -70,7 +49,7 @@ mod tests {
         let mut g = Graph::new(&store);
         let mut rng = Rng::seed_from(1);
         let x = g.input(Tensor::ones(&[4, 4]));
-        let y = Dropout::new(0.5).apply(&mut g, x, false, &mut rng);
+        let y = Dropout::new(0.5).apply(&mut Tape::new(&mut g, false, &mut rng), x);
         assert_eq!(g.value(y), g.value(x));
     }
 
@@ -80,7 +59,7 @@ mod tests {
         let mut g = Graph::new(&store);
         let mut rng = Rng::seed_from(2);
         let x = g.input(Tensor::ones(&[4, 4]));
-        let y = Dropout::new(0.0).apply(&mut g, x, true, &mut rng);
+        let y = Dropout::new(0.0).apply(&mut Tape::new(&mut g, true, &mut rng), x);
         assert_eq!(g.value(y), g.value(x));
     }
 
@@ -94,7 +73,7 @@ mod tests {
         for _ in 0..n_trials {
             let mut g = Graph::new(&store);
             let x = g.input(Tensor::ones(&[10, 10]));
-            let y = drop.apply(&mut g, x, true, &mut rng);
+            let y = drop.apply(&mut Tape::new(&mut g, true, &mut rng), x);
             total += tensor::reduce::mean(g.value(y)) as f64;
         }
         let avg = total / n_trials as f64;
@@ -110,7 +89,7 @@ mod tests {
         let mut g = Graph::new(&store);
         let mut rng = Rng::seed_from(4);
         let x = g.input(Tensor::ones(&[2, 8, 6]));
-        let y = Dropout::new(0.5).apply_spatial(&mut g, x, true, &mut rng);
+        let y = Dropout::new(0.5).apply_spatial(&mut Tape::new(&mut g, true, &mut rng), x);
         let out = g.value(y);
         let mut zeroed = 0;
         for b in 0..2 {
@@ -138,7 +117,7 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let mut g = Graph::new(&store);
         let w = g.param(wid);
-        let y = Dropout::new(0.5).apply(&mut g, w, true, &mut rng);
+        let y = Dropout::new(0.5).apply(&mut Tape::new(&mut g, true, &mut rng), w);
         let dropped: Vec<bool> = g.value(y).as_slice().iter().map(|&v| v == 0.0).collect();
         let loss = g.sum_all(y);
         let grads = g.backward(loss);

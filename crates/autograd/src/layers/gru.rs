@@ -4,7 +4,7 @@
 
 use tensor::{Rng, Tensor};
 
-use crate::graph::{Graph, Var};
+use crate::exec::Exec;
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 
@@ -54,79 +54,48 @@ impl GruCell {
     /// `z = σ(W_iz x + b_iz + W_hz h + b_hz)`,
     /// `n = tanh(W_in x + b_in + r ⊙ (W_hn h + b_hn))`,
     /// `h' = (1 − z) ⊙ n + z ⊙ h`.
-    pub fn step(&self, g: &mut Graph, x: Var, h: Var) -> Var {
-        debug_assert_eq!(g.value(x).shape()[1], self.input_dim);
+    pub fn step<E: Exec>(&self, ex: &mut E, x: &E::V, h: &E::V) -> E::V {
+        debug_assert_eq!(ex.shape(x)[1], self.input_dim);
         let hsz = self.hidden;
-        let w_ih = g.param(self.w_ih);
-        let w_hh = g.param(self.w_hh);
-        let b_ih = g.param(self.b_ih);
-        let b_hh = g.param(self.b_hh);
-        let xi0 = g.matmul(x, w_ih);
-        let xi = g.add(xi0, b_ih);
-        let hi0 = g.matmul(h, w_hh);
-        let hi = g.add(hi0, b_hh);
+        let xi = ex.matmul(x, self.w_ih);
+        let xi = ex.add_bias(xi, self.b_ih);
+        let hi = ex.matmul(h, self.w_hh);
+        let hi = ex.add_bias(hi, self.b_hh);
 
         let r = {
-            let a = g.slice_cols(xi, 0, hsz);
-            let b = g.slice_cols(hi, 0, hsz);
-            let s = g.add(a, b);
-            g.sigmoid(s)
+            let a = ex.slice_cols(&xi, 0, hsz);
+            let b = ex.slice_cols(&hi, 0, hsz);
+            let s = ex.add(a, &b);
+            ex.release(b);
+            ex.sigmoid(s)
         };
         let z = {
-            let a = g.slice_cols(xi, hsz, 2 * hsz);
-            let b = g.slice_cols(hi, hsz, 2 * hsz);
-            let s = g.add(a, b);
-            g.sigmoid(s)
+            let a = ex.slice_cols(&xi, hsz, 2 * hsz);
+            let b = ex.slice_cols(&hi, hsz, 2 * hsz);
+            let s = ex.add(a, &b);
+            ex.release(b);
+            ex.sigmoid(s)
         };
         let n = {
-            let a = g.slice_cols(xi, 2 * hsz, 3 * hsz);
-            let b = g.slice_cols(hi, 2 * hsz, 3 * hsz);
-            let gated = g.mul(r, b);
-            let s = g.add(a, gated);
-            g.tanh(s)
+            let a = ex.slice_cols(&xi, 2 * hsz, 3 * hsz);
+            let b = ex.slice_cols(&hi, 2 * hsz, 3 * hsz);
+            let gated = ex.mul(r, &b);
+            ex.release(b);
+            let s = ex.add(a, &gated);
+            ex.release(gated);
+            ex.tanh(s)
         };
-        // h' = (1 - z) * n + z * h = n - z*n + z*h
-        let zn = g.mul(z, n);
-        let zh = g.mul(z, h);
-        let diff = g.sub(n, zn);
-        g.add(diff, zh)
-    }
-
-    /// One tape-free step. `x` is `[batch, input_dim]`; `h` is the
-    /// `[batch, hidden]` state updated in place; `xi`/`hi` are
-    /// `[batch, 3·hidden]` scratch. Replicates the taped op order exactly
-    /// (`n − z·n + z·h` evaluated as `(n − zn) + zh`).
-    pub fn infer_step(
-        &self,
-        store: &ParamStore,
-        x: &[f32],
-        batch: usize,
-        h: &mut [f32],
-        xi: &mut [f32],
-        hi: &mut [f32],
-    ) {
-        let hsz = self.hidden;
-        let w_ih = store.value(self.w_ih).as_slice();
-        let w_hh = store.value(self.w_hh).as_slice();
-        let b_ih = store.value(self.b_ih).as_slice();
-        let b_hh = store.value(self.b_hh).as_slice();
-        tensor::matmul::matmul_into(x, w_ih, xi, batch, self.input_dim, 3 * hsz);
-        crate::infer::add_row_bias(xi, b_ih, batch, 3 * hsz);
-        tensor::matmul::matmul_into(h, w_hh, hi, batch, hsz, 3 * hsz);
-        crate::infer::add_row_bias(hi, b_hh, batch, 3 * hsz);
-        for bi in 0..batch {
-            let xrow = &xi[bi * 3 * hsz..(bi + 1) * 3 * hsz];
-            let hrow_i = &hi[bi * 3 * hsz..(bi + 1) * 3 * hsz];
-            let hrow = &mut h[bi * hsz..(bi + 1) * hsz];
-            for j in 0..hsz {
-                let r = crate::infer::stable_sigmoid(xrow[j] + hrow_i[j]);
-                let z = crate::infer::stable_sigmoid(xrow[hsz + j] + hrow_i[hsz + j]);
-                let n = (xrow[2 * hsz + j] + r * hrow_i[2 * hsz + j]).tanh();
-                let zn = z * n;
-                let zh = z * hrow[j];
-                hrow[j] = (n - zn) + zh;
-            }
-        }
+        ex.release(xi);
+        ex.release(hi);
+        // h' = (1 - z) * n + z * h, evaluated as (n - z*n) + z*h.
+        let zn = ex.dup(&z);
+        let zn = ex.mul(zn, &n);
+        let zh = ex.mul(z, h);
+        let diff = ex.sub(n, &zn);
+        ex.release(zn);
+        let h_next = ex.add(diff, &zh);
+        ex.release(zh);
+        h_next
     }
 
     pub fn input_dim(&self) -> usize {
@@ -167,71 +136,31 @@ impl Gru {
         Self { cells }
     }
 
-    /// Top-layer hidden state at every step.
-    pub fn forward_seq(&self, g: &mut Graph, steps: &[Var]) -> Vec<Var> {
+    /// Top-layer hidden state at every step; `steps` are consumed.
+    pub fn forward_seq<E: Exec>(&self, ex: &mut E, steps: Vec<E::V>) -> Vec<E::V> {
         assert!(!steps.is_empty(), "GRU over empty sequence");
-        let batch = g.value(steps[0]).shape()[0];
-        let hidden = self.cells[0].hidden_size();
-        let mut layer_inputs: Vec<Var> = steps.to_vec();
+        let state = [ex.shape(&steps[0])[0], self.hidden_size()];
+        let mut layer_inputs = steps;
         for cell in &self.cells {
-            let mut h = g.input(Tensor::zeros(&[batch, hidden]));
-            let mut outputs = Vec::with_capacity(layer_inputs.len());
-            for &x in &layer_inputs {
-                h = cell.step(g, x, h);
-                outputs.push(h);
+            let h0 = ex.input(&state, |_| {});
+            let mut outputs: Vec<E::V> = Vec::with_capacity(layer_inputs.len());
+            for x in layer_inputs {
+                let h = outputs.last().unwrap_or(&h0);
+                let h_next = cell.step(ex, &x, h);
+                ex.release(x);
+                outputs.push(h_next);
             }
+            ex.release(h0);
             layer_inputs = outputs;
         }
         layer_inputs
     }
 
     /// Final hidden state `[batch, hidden]`.
-    pub fn forward_last(&self, g: &mut Graph, steps: &[Var]) -> Var {
-        *self
-            .forward_seq(g, steps)
-            .last()
-            .expect("GRU over empty sequence")
-    }
-
-    /// Tape-free unroll returning the top-layer hidden state at the final
-    /// step (`[batch, hidden]` in a buffer from `ctx`). `fill_step(t, out)`
-    /// writes step `t`'s `[batch, input_dim]` inputs into `out`.
-    pub fn infer_last<F: FnMut(usize, &mut [f32])>(
-        &self,
-        store: &ParamStore,
-        ctx: &mut crate::infer::InferenceContext,
-        batch: usize,
-        time: usize,
-        mut fill_step: F,
-    ) -> Vec<f32> {
-        assert!(time >= 1, "GRU over empty sequence");
-        let hidden = self.cells[0].hidden_size();
-        let in_dim = self.cells[0].input_dim();
-        let mut cur = ctx.take(time * batch * in_dim);
-        for t in 0..time {
-            fill_step(t, &mut cur[t * batch * in_dim..(t + 1) * batch * in_dim]);
-        }
-        let mut cur_width = in_dim;
-        let mut h = ctx.take(batch * hidden);
-        let mut xi = ctx.take(batch * 3 * hidden);
-        let mut hi = ctx.take(batch * 3 * hidden);
-        for cell in &self.cells {
-            let mut outputs = ctx.take(time * batch * hidden);
-            h.fill(0.0);
-            for t in 0..time {
-                let x_t = &cur[t * batch * cur_width..(t + 1) * batch * cur_width];
-                cell.infer_step(store, x_t, batch, &mut h, &mut xi, &mut hi);
-                outputs[t * batch * hidden..(t + 1) * batch * hidden].copy_from_slice(&h);
-            }
-            ctx.give(std::mem::replace(&mut cur, outputs));
-            cur_width = hidden;
-        }
-        let mut last = ctx.take(batch * hidden);
-        last.copy_from_slice(&cur[(time - 1) * batch * hidden..time * batch * hidden]);
-        ctx.give(cur);
-        ctx.give(h);
-        ctx.give(xi);
-        ctx.give(hi);
+    pub fn forward_last<E: Exec>(&self, ex: &mut E, steps: Vec<E::V>) -> E::V {
+        let mut seq = self.forward_seq(ex, steps);
+        let last = seq.pop().expect("GRU over empty sequence");
+        seq.into_iter().for_each(|h| ex.release(h));
         last
     }
 
@@ -251,6 +180,8 @@ impl Gru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tape;
+    use crate::graph::{Graph, Var};
 
     #[test]
     fn shapes_and_bounds() {
@@ -261,7 +192,7 @@ mod tests {
         let steps: Vec<Var> = (0..5)
             .map(|_| g.input(Tensor::rand_normal(&[3, 4], 0.0, 10.0, &mut rng)))
             .collect();
-        let outs = gru.forward_seq(&mut g, &steps);
+        let outs = gru.forward_seq(&mut Tape::eval(&mut g), steps);
         assert_eq!(outs.len(), 5);
         for &o in &outs {
             assert_eq!(g.value(o).shape(), &[3, 6]);
@@ -280,7 +211,7 @@ mod tests {
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::ones(&[1, 2]));
         let h0 = g.input(Tensor::zeros(&[1, 3]));
-        let h1 = cell.step(&mut g, x, h0);
+        let h1 = cell.step(&mut Tape::eval(&mut g), &x, &h0);
         assert!(g.value(h1).as_slice().iter().all(|&v| v.abs() < 1.0));
     }
 
@@ -293,7 +224,7 @@ mod tests {
         let steps: Vec<Var> = (0..4)
             .map(|_| g.input(Tensor::rand_normal(&[2, 3], 0.0, 1.0, &mut rng)))
             .collect();
-        let last = gru.forward_last(&mut g, &steps);
+        let last = gru.forward_last(&mut Tape::eval(&mut g), steps);
         let sq = g.square(last);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
@@ -301,31 +232,6 @@ mod tests {
             assert!(grads.get(id).is_some(), "no grad for {}", store.name(id));
             assert!(grads.get(id).unwrap().all_finite());
         }
-    }
-
-    #[test]
-    fn infer_last_matches_taped_forward_bitwise() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from(5);
-        let gru = Gru::new(&mut store, "gru", 4, 6, 2, &mut rng);
-        let (batch, time) = (3, 5);
-        let data = Tensor::rand_normal(&[time, batch, 4], 0.0, 1.0, &mut rng);
-
-        let mut g = Graph::new(&store);
-        let steps: Vec<Var> = (0..time)
-            .map(|t| {
-                let step = data.as_slice()[t * batch * 4..(t + 1) * batch * 4].to_vec();
-                g.input(Tensor::from_vec(step, &[batch, 4]))
-            })
-            .collect();
-        let last = gru.forward_last(&mut g, &steps);
-        let taped = g.value(last).clone();
-
-        let mut ctx = crate::infer::InferenceContext::new();
-        let out = gru.infer_last(&store, &mut ctx, batch, time, |t, buf| {
-            buf.copy_from_slice(&data.as_slice()[t * batch * 4..(t + 1) * batch * 4]);
-        });
-        assert_eq!(out.as_slice(), taped.as_slice());
     }
 
     #[test]
@@ -339,7 +245,7 @@ mod tests {
             let mut g = Graph::new(&store);
             let s1 = g.input(first.clone());
             let s2 = g.input(second.clone());
-            let last = gru.forward_last(&mut g, &[s1, s2]);
+            let last = gru.forward_last(&mut Tape::eval(&mut g), vec![s1, s2]);
             g.value(last).clone()
         };
         assert!(run(&a, &b).max_abs_diff(&run(&b, &a)) > 1e-4);

@@ -2,7 +2,7 @@
 
 use tensor::{Rng, Tensor};
 
-use crate::graph::{Graph, Var};
+use crate::exec::Exec;
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 
@@ -51,41 +51,13 @@ impl Linear {
     }
 
     /// `[batch, in_dim] -> [batch, out_dim]`.
-    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        debug_assert_eq!(
-            g.value(x).shape()[1],
-            self.in_dim,
-            "Linear input width mismatch"
-        );
-        let w = g.param(self.w);
-        let y = g.matmul(x, w);
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: &E::V) -> E::V {
+        debug_assert_eq!(ex.shape(x)[1], self.in_dim, "Linear input width mismatch");
+        let y = ex.matmul(x, self.w);
         match self.b {
-            Some(b) => {
-                let bv = g.param(b);
-                g.add(y, bv)
-            }
+            Some(b) => ex.add_bias(y, b),
             None => y,
         }
-    }
-
-    /// Tape-free forward: `x` is `[rows, in_dim]` row-major, returns a
-    /// `[rows, out_dim]` buffer drawn from `ctx`. Shares the matmul kernel
-    /// with the taped path, so the outputs are bit-identical.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        ctx: &mut crate::infer::InferenceContext,
-        x: &[f32],
-        rows: usize,
-    ) -> Vec<f32> {
-        debug_assert_eq!(x.len(), rows * self.in_dim, "Linear::infer input shape");
-        let w = store.value(self.w).as_slice();
-        let mut out = ctx.take(rows * self.out_dim);
-        tensor::matmul::matmul_into(x, w, &mut out, rows, self.in_dim, self.out_dim);
-        if let Some(b) = self.b {
-            crate::infer::add_row_bias(&mut out, store.value(b).as_slice(), rows, self.out_dim);
-        }
-        out
     }
 
     /// Raw weight values `[in_dim, out_dim]` (for streaming inference).
@@ -117,6 +89,8 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tape;
+    use crate::graph::Graph;
 
     #[test]
     fn forward_matches_manual_affine() {
@@ -130,7 +104,7 @@ mod tests {
 
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::from_vec(vec![1.0, 1.0], &[1, 2]));
-        let y = layer.forward(&mut g, x);
+        let y = layer.forward(&mut Tape::eval(&mut g), &x);
         assert!(g
             .value(y)
             .allclose(&Tensor::from_vec(vec![5.1, 7.2, 9.3], &[1, 3]), 1e-5));
@@ -144,24 +118,8 @@ mod tests {
         assert_eq!(layer.param_ids().len(), 1);
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::ones(&[3, 4]));
-        let y = layer.forward(&mut g, x);
+        let y = layer.forward(&mut Tape::eval(&mut g), &x);
         assert!(g.value(y).allclose(&Tensor::full(&[3, 2], 2.0), 1e-6));
-    }
-
-    #[test]
-    fn infer_matches_taped_forward_bitwise() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from(9);
-        let layer = Linear::new(&mut store, "fc", 6, 4, &mut rng);
-        let xdata = Tensor::rand_normal(&[5, 6], 0.0, 1.0, &mut rng);
-        let mut g = Graph::new(&store);
-        let x = g.input(xdata.clone());
-        let y = layer.forward(&mut g, x);
-        let taped = g.value(y).clone();
-
-        let mut ctx = crate::infer::InferenceContext::new();
-        let out = layer.infer(&store, &mut ctx, xdata.as_slice(), 5);
-        assert_eq!(out.as_slice(), taped.as_slice());
     }
 
     #[test]
@@ -171,7 +129,7 @@ mod tests {
         let layer = Linear::new(&mut store, "fc", 3, 2, &mut rng);
         let mut g = Graph::new(&store);
         let x = g.input(Tensor::ones(&[5, 3]));
-        let y = layer.forward(&mut g, x);
+        let y = layer.forward(&mut Tape::eval(&mut g), &x);
         let loss = g.sum_all(y);
         let grads = g.backward(loss);
         for id in layer.param_ids() {

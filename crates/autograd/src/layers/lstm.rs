@@ -3,7 +3,7 @@
 
 use tensor::{Rng, Tensor};
 
-use crate::graph::{Graph, Var};
+use crate::exec::Exec;
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 
@@ -51,81 +51,35 @@ impl LstmCell {
     }
 
     /// One step: `(x_t, h, c) -> (h', c')` where `x_t` is `[batch, input]`
-    /// and the states are `[batch, hidden]`.
-    pub fn step(&self, g: &mut Graph, x: Var, h: Var, c: Var) -> (Var, Var) {
-        debug_assert_eq!(g.value(x).shape()[1], self.input_dim);
-        let w_ih = g.param(self.w_ih);
-        let w_hh = g.param(self.w_hh);
-        let b = g.param(self.bias);
-        let xi = g.matmul(x, w_ih);
-        let hi = g.matmul(h, w_hh);
-        let z0 = g.add(xi, hi);
-        let z = g.add(z0, b);
+    /// and the states are `[batch, hidden]`. The pre-activation is
+    /// `(x·W_ih + h·W_hh) + b`, in that association.
+    pub fn step<E: Exec>(&self, ex: &mut E, x: &E::V, h: &E::V, c: &E::V) -> (E::V, E::V) {
+        debug_assert_eq!(ex.shape(x)[1], self.input_dim);
+        let xi = ex.matmul(x, self.w_ih);
+        let hi = ex.matmul(h, self.w_hh);
+        let z = ex.add(xi, &hi);
+        ex.release(hi);
+        let z = ex.add_bias(z, self.bias);
         let hsz = self.hidden;
-        let i_gate = {
-            let s = g.slice_cols(z, 0, hsz);
-            g.sigmoid(s)
-        };
-        let f_gate = {
-            let s = g.slice_cols(z, hsz, 2 * hsz);
-            g.sigmoid(s)
-        };
-        let g_gate = {
-            let s = g.slice_cols(z, 2 * hsz, 3 * hsz);
-            g.tanh(s)
-        };
-        let o_gate = {
-            let s = g.slice_cols(z, 3 * hsz, 4 * hsz);
-            g.sigmoid(s)
-        };
-        let fc = g.mul(f_gate, c);
-        let ig = g.mul(i_gate, g_gate);
-        let c_next = g.add(fc, ig);
-        let tc = g.tanh(c_next);
-        let h_next = g.mul(o_gate, tc);
+        let i_gate = ex.slice_cols(&z, 0, hsz);
+        let i_gate = ex.sigmoid(i_gate);
+        let f_gate = ex.slice_cols(&z, hsz, 2 * hsz);
+        let f_gate = ex.sigmoid(f_gate);
+        let g_gate = ex.slice_cols(&z, 2 * hsz, 3 * hsz);
+        let g_gate = ex.tanh(g_gate);
+        let o_gate = ex.slice_cols(&z, 3 * hsz, 4 * hsz);
+        let o_gate = ex.sigmoid(o_gate);
+        ex.release(z);
+        let fc = ex.mul(f_gate, c);
+        let ig = ex.mul(i_gate, &g_gate);
+        ex.release(g_gate);
+        let c_next = ex.add(fc, &ig);
+        ex.release(ig);
+        let tc = ex.dup(&c_next);
+        let tc = ex.tanh(tc);
+        let h_next = ex.mul(o_gate, &tc);
+        ex.release(tc);
         (h_next, c_next)
-    }
-
-    /// One tape-free step. `x` is `[batch, input_dim]`; `h`/`c` are
-    /// `[batch, hidden]` states updated in place; `xi`/`hi` are
-    /// `[batch, 4·hidden]` scratch. The gate arithmetic replicates the taped
-    /// op sequence — `xi` and `hi` are each computed fully, then combined
-    /// elementwise as `(xi + hi) + b` — so results are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_step(
-        &self,
-        store: &ParamStore,
-        x: &[f32],
-        batch: usize,
-        h: &mut [f32],
-        c: &mut [f32],
-        xi: &mut [f32],
-        hi: &mut [f32],
-    ) {
-        let hsz = self.hidden;
-        let w_ih = store.value(self.w_ih).as_slice();
-        let w_hh = store.value(self.w_hh).as_slice();
-        let b = store.value(self.bias).as_slice();
-        tensor::matmul::matmul_into(x, w_ih, xi, batch, self.input_dim, 4 * hsz);
-        tensor::matmul::matmul_into(h, w_hh, hi, batch, hsz, 4 * hsz);
-        for bi in 0..batch {
-            let z = &mut xi[bi * 4 * hsz..(bi + 1) * 4 * hsz];
-            let hrow_i = &hi[bi * 4 * hsz..(bi + 1) * 4 * hsz];
-            for ((zv, &hv), &bv) in z.iter_mut().zip(hrow_i).zip(b) {
-                *zv = (*zv + hv) + bv;
-            }
-            let hrow = &mut h[bi * hsz..(bi + 1) * hsz];
-            let crow = &mut c[bi * hsz..(bi + 1) * hsz];
-            for j in 0..hsz {
-                let i_gate = crate::infer::stable_sigmoid(z[j]);
-                let f_gate = crate::infer::stable_sigmoid(z[hsz + j]);
-                let g_gate = z[2 * hsz + j].tanh();
-                let o_gate = crate::infer::stable_sigmoid(z[3 * hsz + j]);
-                let c_next = (f_gate * crow[j]) + (i_gate * g_gate);
-                crow[j] = c_next;
-                hrow[j] = o_gate * c_next.tanh();
-            }
-        }
     }
 
     pub fn input_dim(&self) -> usize {
@@ -168,79 +122,35 @@ impl Lstm {
         Self { cells }
     }
 
-    /// Run the stack over `steps` (each `[batch, features]`), returning the
-    /// top-layer hidden state at every step.
-    pub fn forward_seq(&self, g: &mut Graph, steps: &[Var]) -> Vec<Var> {
+    /// Run the stack over `steps` (each `[batch, features]`, consumed),
+    /// returning the top-layer hidden state at every step.
+    pub fn forward_seq<E: Exec>(&self, ex: &mut E, steps: Vec<E::V>) -> Vec<E::V> {
         assert!(!steps.is_empty(), "LSTM over empty sequence");
-        let batch = g.value(steps[0]).shape()[0];
-        let hidden = self.cells[0].hidden_size();
-        let mut layer_inputs: Vec<Var> = steps.to_vec();
+        let state = [ex.shape(&steps[0])[0], self.hidden_size()];
+        let mut layer_inputs = steps;
         for cell in &self.cells {
-            let mut h = g.input(Tensor::zeros(&[batch, hidden]));
-            let mut c = g.input(Tensor::zeros(&[batch, hidden]));
-            let mut outputs = Vec::with_capacity(layer_inputs.len());
-            for &x in &layer_inputs {
-                let (h2, c2) = cell.step(g, x, h, c);
-                h = h2;
-                c = c2;
-                outputs.push(h);
+            let h0 = ex.input(&state, |_| {});
+            let mut c = ex.input(&state, |_| {});
+            let mut outputs: Vec<E::V> = Vec::with_capacity(layer_inputs.len());
+            for x in layer_inputs {
+                let h = outputs.last().unwrap_or(&h0);
+                let (h_next, c_next) = cell.step(ex, &x, h, &c);
+                ex.release(x);
+                ex.replace(&mut c, c_next);
+                outputs.push(h_next);
             }
+            ex.release(h0);
+            ex.release(c);
             layer_inputs = outputs;
         }
         layer_inputs
     }
 
     /// Run the stack and return only the final hidden state `[batch, hidden]`.
-    pub fn forward_last(&self, g: &mut Graph, steps: &[Var]) -> Var {
-        *self
-            .forward_seq(g, steps)
-            .last()
-            .expect("LSTM over empty sequence")
-    }
-
-    /// Tape-free unroll returning the top-layer hidden state at the final
-    /// step (`[batch, hidden]` in a buffer from `ctx`). `fill_step(t, out)`
-    /// writes step `t`'s `[batch, input_dim]` inputs into `out` — callers
-    /// slice their own window layout without staging `time` tensors.
-    pub fn infer_last<F: FnMut(usize, &mut [f32])>(
-        &self,
-        store: &ParamStore,
-        ctx: &mut crate::infer::InferenceContext,
-        batch: usize,
-        time: usize,
-        mut fill_step: F,
-    ) -> Vec<f32> {
-        assert!(time >= 1, "LSTM over empty sequence");
-        let hidden = self.cells[0].hidden_size();
-        let in_dim = self.cells[0].input_dim();
-        let mut cur = ctx.take(time * batch * in_dim);
-        for t in 0..time {
-            fill_step(t, &mut cur[t * batch * in_dim..(t + 1) * batch * in_dim]);
-        }
-        let mut cur_width = in_dim;
-        let mut h = ctx.take(batch * hidden);
-        let mut c = ctx.take(batch * hidden);
-        let mut xi = ctx.take(batch * 4 * hidden);
-        let mut hi = ctx.take(batch * 4 * hidden);
-        for cell in &self.cells {
-            let mut outputs = ctx.take(time * batch * hidden);
-            h.fill(0.0);
-            c.fill(0.0);
-            for t in 0..time {
-                let x_t = &cur[t * batch * cur_width..(t + 1) * batch * cur_width];
-                cell.infer_step(store, x_t, batch, &mut h, &mut c, &mut xi, &mut hi);
-                outputs[t * batch * hidden..(t + 1) * batch * hidden].copy_from_slice(&h);
-            }
-            ctx.give(std::mem::replace(&mut cur, outputs));
-            cur_width = hidden;
-        }
-        let mut last = ctx.take(batch * hidden);
-        last.copy_from_slice(&cur[(time - 1) * batch * hidden..time * batch * hidden]);
-        ctx.give(cur);
-        ctx.give(h);
-        ctx.give(c);
-        ctx.give(xi);
-        ctx.give(hi);
+    pub fn forward_last<E: Exec>(&self, ex: &mut E, steps: Vec<E::V>) -> E::V {
+        let mut seq = self.forward_seq(ex, steps);
+        let last = seq.pop().expect("LSTM over empty sequence");
+        seq.into_iter().for_each(|h| ex.release(h));
         last
     }
 
@@ -264,6 +174,8 @@ impl Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Tape;
+    use crate::graph::{Graph, Var};
 
     fn make_steps(g: &mut Graph, batch: usize, dim: usize, time: usize, rng: &mut Rng) -> Vec<Var> {
         (0..time)
@@ -279,7 +191,7 @@ mod tests {
         assert_eq!(lstm.num_layers(), 2);
         let mut g = Graph::new(&store);
         let steps = make_steps(&mut g, 3, 5, 7, &mut rng);
-        let outs = lstm.forward_seq(&mut g, &steps);
+        let outs = lstm.forward_seq(&mut Tape::eval(&mut g), steps);
         assert_eq!(outs.len(), 7);
         for &o in &outs {
             assert_eq!(g.value(o).shape(), &[3, 8]);
@@ -296,7 +208,7 @@ mod tests {
         let steps: Vec<Var> = (0..20)
             .map(|_| g.input(Tensor::rand_normal(&[1, 2], 0.0, 100.0, &mut rng)))
             .collect();
-        let last = lstm.forward_last(&mut g, &steps);
+        let last = lstm.forward_last(&mut Tape::eval(&mut g), steps);
         assert!(g.value(last).as_slice().iter().all(|&h| h.abs() <= 1.0));
     }
 
@@ -307,7 +219,7 @@ mod tests {
         let lstm = Lstm::new(&mut store, "lstm", 3, 4, 2, &mut rng);
         let mut g = Graph::new(&store);
         let steps = make_steps(&mut g, 2, 3, 5, &mut rng);
-        let last = lstm.forward_last(&mut g, &steps);
+        let last = lstm.forward_last(&mut Tape::eval(&mut g), steps);
         let sq = g.square(last);
         let loss = g.mean_all(sq);
         let grads = g.backward(loss);
@@ -329,31 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_last_matches_taped_forward_bitwise() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng::seed_from(6);
-        let lstm = Lstm::new(&mut store, "lstm", 3, 5, 2, &mut rng);
-        let (batch, time) = (2, 6);
-        let data = Tensor::rand_normal(&[time, batch, 3], 0.0, 1.0, &mut rng);
-
-        let mut g = Graph::new(&store);
-        let steps: Vec<Var> = (0..time)
-            .map(|t| {
-                let step = data.as_slice()[t * batch * 3..(t + 1) * batch * 3].to_vec();
-                g.input(Tensor::from_vec(step, &[batch, 3]))
-            })
-            .collect();
-        let last = lstm.forward_last(&mut g, &steps);
-        let taped = g.value(last).clone();
-
-        let mut ctx = crate::infer::InferenceContext::new();
-        let out = lstm.infer_last(&store, &mut ctx, batch, time, |t, buf| {
-            buf.copy_from_slice(&data.as_slice()[t * batch * 3..(t + 1) * batch * 3]);
-        });
-        assert_eq!(out.as_slice(), taped.as_slice());
-    }
-
-    #[test]
     fn order_sensitivity() {
         // An LSTM must distinguish the same multiset of inputs in different
         // orders (unlike a bag-of-steps model).
@@ -366,7 +253,7 @@ mod tests {
             let mut g = Graph::new(&store);
             let s1 = g.input(first.clone());
             let s2 = g.input(second.clone());
-            let last = lstm.forward_last(&mut g, &[s1, s2]);
+            let last = lstm.forward_last(&mut Tape::eval(&mut g), vec![s1, s2]);
             g.value(last).clone()
         };
         let fwd = run(&a, &b);

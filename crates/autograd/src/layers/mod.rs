@@ -1,5 +1,6 @@
-//! Neural-network layers built on the tape: dense, causal convolution,
-//! dropout, attention and LSTM.
+//! Neural-network layers: dense, causal convolution, dropout, attention,
+//! LSTM and GRU. Each has one `forward`, generic over [`crate::Exec`], so
+//! the same body records on the tape and evaluates in the serving arena.
 
 pub mod attention;
 pub mod conv;

@@ -6,14 +6,21 @@
 //! * [`Graph`] — an eager, tape-based reverse-mode autodiff engine. Building
 //!   an expression *is* the forward pass; [`Graph::backward`] returns
 //!   per-parameter [`Gradients`].
+//! * [`Exec`] — the seam forward passes are written over, with two
+//!   backends: [`Tape`] records on a `Graph` (training, and the taped
+//!   reference path), [`Arena`] evaluates in place in pooled scratch
+//!   buffers ([`infer`], serving). A layer or model has one body, generic
+//!   over `Exec`; the backends are held together per primitive, bit for
+//!   bit (`tests/exec_parity.rs`).
 //! * [`layers`] — `Linear`, dilated-causal `CausalConv1d` (with weight
-//!   normalisation), `Lstm`, `Dropout` (incl. the spatial variant) and the
-//!   paper's attention mechanisms.
+//!   normalisation), `Lstm`, `Gru`, `Dropout` (incl. the spatial variant)
+//!   and the paper's attention mechanisms, each written once over `Exec`.
 //! * [`optim`] — SGD (+momentum), Adam, RMSProp with gradient clipping.
 //! * [`loss`] — MSE / MAE / Huber as tape compositions.
 //! * [`train`] — mini-batch [`train::fit`] loop with validation tracking and
 //!   Keras-style early stopping (`patience`), producing the
-//!   [`train::TrainHistory`] the convergence figures are drawn from.
+//!   [`train::TrainHistory`] the convergence figures are drawn from; and
+//!   [`SequenceModel`], whose one required method is the network.
 //!
 //! The design decision worth knowing: one `Graph` per training step,
 //! borrowing the [`ParamStore`] immutably. Gradients come back as a separate
@@ -26,6 +33,7 @@
 
 pub mod batch_exec;
 mod conv_kernels;
+mod exec;
 mod graph;
 pub mod infer;
 pub mod init;
@@ -38,8 +46,9 @@ pub mod train;
 pub use conv_kernels::{
     conv1d_backward_input, conv1d_backward_weight, conv1d_forward, conv1d_into,
 };
+pub use exec::{Exec, Tape};
 pub use graph::{Graph, Var};
-pub use infer::InferenceContext;
+pub use infer::{Arena, InferenceContext};
 pub use init::Init;
 pub use loss::LossKind;
 pub use params::{Gradients, ParamId, ParamStore, RestoreError};

@@ -3,17 +3,22 @@
 
 use tensor::{Rng, Tensor};
 
+use crate::exec::{Exec, Tape};
 use crate::graph::{Graph, Var};
-use crate::infer::InferenceContext;
+use crate::infer::{Arena, InferenceContext};
 use crate::loss::LossKind;
 use crate::optim::Optimizer;
 use crate::params::ParamStore;
 
 /// A supervised sequence model trainable by [`fit`]: windows of shape
 /// `[batch, time, features]` in, predictions `[batch, horizon]` out.
+///
+/// The network is defined once, in [`run`](Self::run), over the [`Exec`]
+/// seam; [`forward`](Self::forward) and [`infer`](Self::infer) only pick
+/// the backend.
 pub trait SequenceModel {
-    /// Build the forward pass on the tape. `training` toggles dropout.
-    fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var;
+    /// The forward pass, on whichever backend `ex` is.
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V;
 
     /// The model's parameters.
     fn params(&self) -> &ParamStore;
@@ -24,19 +29,18 @@ pub trait SequenceModel {
     /// Prediction horizon (target width).
     fn horizon(&self) -> usize;
 
-    /// Tape-free forward pass for serving: `x: [batch, time, features]` to
-    /// `[batch, horizon]` predictions, with scratch drawn from `ctx`.
-    ///
-    /// The default falls back to building a throwaway tape (correct but
-    /// slow); models override it with an arena-based implementation. The
-    /// RNG seed matches `models`' deterministic predict path — dropout is
-    /// off during inference, so the RNG is never actually consumed.
+    /// [`run`](Self::run) recorded on the tape. `training` toggles dropout,
+    /// which then draws from `rng`.
+    fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
+        self.run(&mut Tape::new(g, training, rng), x)
+    }
+
+    /// [`run`](Self::run) evaluated tape-free for serving, with scratch
+    /// drawn from `ctx`.
     fn infer(&self, ctx: &mut InferenceContext, x: &Tensor) -> Tensor {
-        let _ = ctx;
-        let mut rng = Rng::seed_from(0);
-        let mut g = Graph::new(self.params());
-        let pred = self.forward(&mut g, x, false, &mut rng);
-        g.value(pred).clone()
+        let mut arena = Arena::new(ctx, self.params());
+        let out = self.run(&mut arena, x);
+        arena.into_tensor(out)
     }
 }
 
@@ -285,11 +289,12 @@ mod tests {
     }
 
     impl SequenceModel for FlatLinear {
-        fn forward(&self, g: &mut Graph, x: &Tensor, _training: bool, _rng: &mut Rng) -> Var {
-            let b = x.shape()[0];
-            let flat = x.reshape(&[b, self.time * self.features]).unwrap();
-            let xin = g.input(flat);
-            self.layer.forward(g, xin)
+        fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
+            let flat = [x.shape()[0], self.time * self.features];
+            let xin = ex.input(&flat, |out| out.copy_from_slice(x.as_slice()));
+            let y = self.layer.forward(ex, &xin);
+            ex.release(xin);
+            y
         }
 
         fn params(&self) -> &ParamStore {

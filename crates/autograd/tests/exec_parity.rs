@@ -1,0 +1,337 @@
+//! Bitwise parity of the two [`Exec`] backends, one primitive at a time.
+//!
+//! Every layer and model is a single body over `Exec`, so "the taped and
+//! the tape-free forecast are the same bits" reduces to: each primitive
+//! yields the same shape and the same bits on [`Tape`] and on [`Arena`].
+//! This file is that check — random shapes (proptest) plus the edges the
+//! serving path meets: `batch = 1`, `time = 1`, a dilation longer than the
+//! row, exact-zero weights (which switch the conv kernel's path).
+//!
+//! It is also the suite the Miri CI job interprets: the arena `conv` and
+//! `subsample_time` primitives sit on the unsafe conv kernel (its
+//! `cfg(miri)` raw-pointer twin) and on strided row copies.
+
+use autograd::{Arena, Exec, Graph, InferenceContext, ParamId, ParamStore, Tape};
+use proptest::prelude::*;
+use tensor::{Rng, Tensor};
+
+/// One primitive applied to staged inputs.
+#[derive(Debug, Clone)]
+enum Prim {
+    Input,
+    Matmul(ParamId),
+    AddBias(ParamId),
+    Conv {
+        v: ParamId,
+        gain: Option<ParamId>,
+        bias: ParamId,
+        dilation: usize,
+    },
+    Relu,
+    Tanh,
+    Sigmoid,
+    SoftmaxRows,
+    Scale(f32),
+    Add,
+    Sub,
+    Mul,
+    AddRelu,
+    SelectTime(usize),
+    SubsampleTime(usize),
+    SliceCols(usize, usize),
+    ConcatCols,
+    Dropout(f32),
+    DropoutSpatial(f32),
+    Dup,
+}
+
+/// The single definition both backends run: stage the inputs, apply the
+/// primitive, release whatever it only read.
+fn apply<E: Exec>(prim: &Prim, ex: &mut E, inputs: &[Tensor]) -> E::V {
+    let mut vs: Vec<E::V> = inputs
+        .iter()
+        .map(|t| ex.input(t.shape(), |out| out.copy_from_slice(t.as_slice())))
+        .collect();
+    if matches!(prim, Prim::ConcatCols) {
+        let out = ex.concat_cols(&vs);
+        vs.into_iter().for_each(|v| ex.release(v));
+        return out;
+    }
+    let a = vs.remove(0);
+    // In place in `a`.
+    match *prim {
+        Prim::Input => return a,
+        Prim::AddBias(b) => return ex.add_bias(a, b),
+        Prim::Relu => return ex.relu(a),
+        Prim::Tanh => return ex.tanh(a),
+        Prim::Sigmoid => return ex.sigmoid(a),
+        Prim::SoftmaxRows => return ex.softmax_rows(a),
+        Prim::Scale(c) => return ex.scale(a, c),
+        Prim::Dropout(p) => return ex.dropout(a, p),
+        Prim::DropoutSpatial(p) => return ex.dropout_spatial(a, p),
+        _ => {}
+    }
+    // `a` (and a second input `b`) read, a fresh value out.
+    let out = match *prim {
+        Prim::Matmul(w) => ex.matmul(&a, w),
+        Prim::Conv {
+            v,
+            gain,
+            bias,
+            dilation,
+        } => ex.conv(&a, v, gain, bias, dilation),
+        Prim::SelectTime(t) => ex.select_time(&a, t),
+        Prim::SubsampleTime(step) => ex.subsample_time(&a, step),
+        Prim::SliceCols(from, to) => ex.slice_cols(&a, from, to),
+        Prim::Dup => ex.dup(&a),
+        // `a` is the residual, `b` the branch it joins.
+        Prim::AddRelu => {
+            let b = vs.remove(0);
+            ex.add_relu(&a, b)
+        }
+        Prim::Add | Prim::Sub | Prim::Mul => {
+            let b = vs.remove(0);
+            let a = ex.dup(&a);
+            let out = match prim {
+                Prim::Add => ex.add(a, &b),
+                Prim::Sub => ex.sub(a, &b),
+                _ => ex.mul(a, &b),
+            };
+            ex.release(b);
+            out
+        }
+        _ => unreachable!("in-place primitives returned above"),
+    };
+    ex.release(a);
+    out
+}
+
+/// Run `prim` on both backends and require equal shape and equal bits;
+/// then again on the warmed arena, which must stop allocating: a buffer
+/// that did not come back through `release` would be missed on every pass.
+/// (The pool is first-fit, so it may take a pass or two to settle.)
+fn check(store: &ParamStore, prim: &Prim, inputs: &[Tensor]) -> Tensor {
+    let mut g = Graph::new(store);
+    let taped = apply(prim, &mut Tape::eval(&mut g), inputs);
+    let taped = g.value(taped).clone();
+
+    let mut ctx = InferenceContext::new();
+    let run = |ctx: &mut InferenceContext| {
+        let mut arena = Arena::new(ctx, store);
+        let out = apply(prim, &mut arena, inputs);
+        assert_eq!(arena.shape(&out), taped.shape(), "{prim:?}: shape");
+        arena.into_tensor(out)
+    };
+    let free = run(&mut ctx);
+    for (i, (a, b)) in free.as_slice().iter().zip(taped.as_slice()).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{prim:?} on {:?}: element {i}: arena {a} vs tape {b}",
+            inputs.iter().map(Tensor::shape).collect::<Vec<_>>()
+        );
+    }
+    for _ in 0..3 {
+        run(&mut ctx);
+    }
+    let warm = ctx.fresh_allocs();
+    run(&mut ctx);
+    assert_eq!(
+        ctx.fresh_allocs(),
+        warm,
+        "{prim:?}: a buffer was not released"
+    );
+    taped
+}
+
+fn normal(shape: &[usize], rng: &mut Rng) -> Tensor {
+    Tensor::rand_normal(shape, 0.0, 1.5, rng)
+}
+
+fn cases() -> ProptestConfig {
+    ProptestConfig::with_cases(if cfg!(miri) { 3 } else { 48 })
+}
+
+/// A conv layer's parameters; `zero` plants an exact zero (and a `-0.0`)
+/// in the direction tensor, which sends the kernel down its tap-wise path.
+fn conv_params(
+    store: &mut ParamStore,
+    (in_ch, out_ch, kernel): (usize, usize, usize),
+    weight_norm: bool,
+    zero: bool,
+    rng: &mut Rng,
+) -> (ParamId, Option<ParamId>, ParamId) {
+    let mut v = Tensor::rand_normal(&[out_ch, in_ch, kernel], 0.0, 0.5, rng);
+    if zero {
+        let n = v.len();
+        v.as_mut_slice()[n / 2] = 0.0;
+        v.as_mut_slice()[n - 1] = -0.0;
+    }
+    let v = store.register("v", v);
+    let gain = weight_norm.then(|| store.register("g", normal(&[out_ch, 1], rng)));
+    let bias = store.register("b", normal(&[out_ch, 1], rng));
+    (v, gain, bias)
+}
+
+fn check_conv(
+    dims: (usize, usize, usize),
+    (batch, time, dilation): (usize, usize, usize),
+    weight_norm: bool,
+    zero: bool,
+    seed: u64,
+) {
+    let mut rng = Rng::seed_from(seed);
+    let mut store = ParamStore::new();
+    let (v, gain, bias) = conv_params(&mut store, dims, weight_norm, zero, &mut rng);
+    let x = normal(&[batch, dims.0, time], &mut rng);
+    let prim = Prim::Conv {
+        v,
+        gain,
+        bias,
+        dilation,
+    };
+    check(&store, &prim, &[x]);
+}
+
+#[test]
+fn conv_edges_single_row_single_step_and_dilation_past_the_row() {
+    let mut seed = 0;
+    for weight_norm in [false, true] {
+        for zero in [false, true] {
+            for (batch, time, dilation) in [
+                (1, 1, 1),
+                (1, 1, 4),
+                (1, 3, 8),
+                (2, 4, 2),
+                (1, 30, 1),
+                (3, 19, 4),
+            ] {
+                for dims in [(1, 1, 1), (2, 5, 3), (6, 4, 2), (3, 6, 1)] {
+                    seed += 1;
+                    check_conv(dims, (batch, time, dilation), weight_norm, zero, seed);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn subsample_and_select_edges() {
+    let store = ParamStore::new();
+    let mut rng = Rng::seed_from(7);
+    for (time, step) in [(1, 1), (1, 2), (2, 2), (7, 2), (8, 2), (9, 4), (5, 8)] {
+        let x = normal(&[2, 3, time], &mut rng);
+        let kept = check(&store, &Prim::SubsampleTime(step), std::slice::from_ref(&x));
+        // The last step is always kept, and last.
+        assert_eq!(
+            kept.as_slice().last().unwrap().to_bits(),
+            x.as_slice().last().unwrap().to_bits()
+        );
+        check(
+            &store,
+            &Prim::SelectTime(time - 1),
+            std::slice::from_ref(&x),
+        );
+        check(&store, &Prim::SelectTime(0), &[x]);
+    }
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    #[test]
+    fn input_stages_the_same_leaf(seed in 0u64..1000, b in 1usize..4, c in 1usize..5, t in 1usize..6) {
+        let mut rng = Rng::seed_from(seed);
+        let store = ParamStore::new();
+        check(&store, &Prim::Input, &[normal(&[b, c, t], &mut rng)]);
+        check(&store, &Prim::Input, &[normal(&[b, c], &mut rng)]);
+        check(&store, &Prim::Dup, &[normal(&[b, c, t], &mut rng)]);
+    }
+
+    #[test]
+    fn matmul_and_bias(seed in 0u64..1000, rows in 1usize..9, k in 1usize..20, n in 1usize..20) {
+        let mut rng = Rng::seed_from(seed);
+        let mut store = ParamStore::new();
+        let mut wt = normal(&[k, n], &mut rng);
+        wt.as_mut_slice()[0] = 0.0;
+        let w = store.register("w", wt);
+        let b = store.register("b", normal(&[n], &mut rng));
+        check(&store, &Prim::Matmul(w), &[normal(&[rows, k], &mut rng)]);
+        check(&store, &Prim::AddBias(b), &[normal(&[rows, n], &mut rng)]);
+    }
+
+    #[test]
+    fn conv_with_and_without_weight_norm(
+        seed in 0u64..1000,
+        (in_ch, out_ch, kernel) in (1usize..8, 1usize..8, 1usize..4),
+        (batch, time, dilation) in (1usize..4, 1usize..24, 1usize..10),
+    ) {
+        let (wn, zero) = (seed % 2 == 0, seed % 3 == 0);
+        check_conv((in_ch, out_ch, kernel), (batch, time, dilation), wn, zero, seed);
+    }
+
+    #[test]
+    fn activations_softmax_and_scale(seed in 0u64..1000, rows in 1usize..6, cols in 1usize..12, c in -3.0f32..3.0) {
+        let mut rng = Rng::seed_from(seed);
+        let store = ParamStore::new();
+        let mut x = Tensor::rand_normal(&[rows, cols], 0.0, 6.0, &mut rng);
+        x.as_mut_slice()[0] = -0.0;
+        for prim in [Prim::Relu, Prim::Tanh, Prim::Sigmoid, Prim::SoftmaxRows, Prim::Scale(c)] {
+            check(&store, &prim, std::slice::from_ref(&x));
+        }
+        // Rank-3 values take the same elementwise kernels.
+        let x3 = normal(&[rows, 2, cols], &mut rng);
+        for prim in [Prim::Relu, Prim::Tanh, Prim::Sigmoid, Prim::Scale(c)] {
+            check(&store, &prim, std::slice::from_ref(&x3));
+        }
+    }
+
+    #[test]
+    fn binary_ops_same_shape_and_column_broadcast(seed in 0u64..1000, rows in 1usize..6, cols in 1usize..12) {
+        let mut rng = Rng::seed_from(seed);
+        let store = ParamStore::new();
+        let a = normal(&[rows, cols], &mut rng);
+        let same = normal(&[rows, cols], &mut rng);
+        let column = normal(&[rows, 1], &mut rng);
+        for prim in [Prim::Add, Prim::Sub, Prim::Mul] {
+            check(&store, &prim, &[a.clone(), same.clone()]);
+            check(&store, &prim, &[a.clone(), column.clone()]);
+        }
+        let res = normal(&[rows, 3, cols], &mut rng);
+        let h = normal(&[rows, 3, cols], &mut rng);
+        check(&store, &Prim::AddRelu, &[res, h]);
+    }
+
+    #[test]
+    fn time_and_column_selection(
+        seed in 0u64..1000,
+        (batch, ch, time) in (1usize..4, 1usize..6, 1usize..20),
+        step in 1usize..10,
+        pick in 0usize..1000,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let store = ParamStore::new();
+        let x = normal(&[batch, ch, time], &mut rng);
+        check(&store, &Prim::SelectTime(pick % time), std::slice::from_ref(&x));
+        check(&store, &Prim::SubsampleTime(step), &[x]);
+
+        let m = normal(&[batch, time], &mut rng);
+        let from = pick % time;
+        let to = from + 1 + (seed as usize) % (time - from);
+        check(&store, &Prim::SliceCols(from, to), std::slice::from_ref(&m));
+        let parts = [m, normal(&[batch, 1], &mut rng), normal(&[batch, ch], &mut rng)];
+        check(&store, &Prim::ConcatCols, &parts);
+        check(&store, &Prim::ConcatCols, &parts[..1]);
+    }
+
+    #[test]
+    fn dropout_is_the_identity_outside_training(seed in 0u64..1000, batch in 1usize..4, ch in 1usize..6, time in 1usize..8) {
+        let mut rng = Rng::seed_from(seed);
+        let store = ParamStore::new();
+        let x = normal(&[batch, ch, time], &mut rng);
+        for prim in [Prim::Dropout(0.5), Prim::DropoutSpatial(0.5)] {
+            let out = check(&store, &prim, std::slice::from_ref(&x));
+            prop_assert_eq!(out.as_slice(), x.as_slice());
+        }
+    }
+}

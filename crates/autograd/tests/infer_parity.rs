@@ -204,9 +204,9 @@ fn bias_broadcasts_match_taped_adds_bitwise() {
 // ---------------------------------------------------------------------------
 
 use autograd::batch_exec::{BatchExecutor, MIN_PARALLEL_ROWS};
-use autograd::infer::{predict, predict_on, with_thread_context, InferenceContext};
+use autograd::infer::{predict, predict_on, with_thread_context};
 use autograd::layers::linear::Linear;
-use autograd::{Graph, ParamStore, SequenceModel, Var};
+use autograd::{Exec, Graph, ParamStore, SequenceModel};
 
 /// Two stacked linear layers with a tanh between — enough structure to push
 /// several GEMM shapes (packed and direct paths) through both the taped and
@@ -236,13 +236,15 @@ impl TwoLayer {
 }
 
 impl SequenceModel for TwoLayer {
-    fn forward(&self, g: &mut Graph, x: &Tensor, _training: bool, _rng: &mut Rng) -> Var {
-        let b = x.shape()[0];
-        let flat = x.reshape(&[b, self.time * self.features]).unwrap();
-        let xin = g.input(flat);
-        let h = self.hidden.forward(g, xin);
-        let h = g.tanh(h);
-        self.out.forward(g, h)
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
+        let flat = [x.shape()[0], self.time * self.features];
+        let xin = ex.input(&flat, |out| out.copy_from_slice(x.as_slice()));
+        let h = self.hidden.forward(ex, &xin);
+        ex.release(xin);
+        let h = ex.tanh(h);
+        let y = self.out.forward(ex, &h);
+        ex.release(h);
+        y
     }
 
     fn params(&self) -> &ParamStore {
@@ -255,18 +257,6 @@ impl SequenceModel for TwoLayer {
 
     fn horizon(&self) -> usize {
         2
-    }
-
-    fn infer(&self, ctx: &mut InferenceContext, x: &Tensor) -> Tensor {
-        let rows = x.shape()[0];
-        let flat = x.as_slice();
-        let mut h = self.hidden.infer(&self.store, ctx, flat, rows);
-        autograd::infer::tanh_in_place(&mut h);
-        let y = self.out.infer(&self.store, ctx, &h, rows);
-        ctx.give(h);
-        let out = Tensor::from_vec(y.clone(), &[rows, self.horizon()]);
-        ctx.give(y);
-        out
     }
 }
 

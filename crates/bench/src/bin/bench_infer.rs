@@ -28,7 +28,7 @@ use autograd::infer::{
 };
 use autograd::layers::{CausalConv1d, Dropout, FeatureAttention, Linear};
 use autograd::optim::{Adam, Optimizer};
-use autograd::{Graph, LossKind, ParamStore};
+use autograd::{Exec, Graph, LossKind, ParamStore, Tape};
 use bench_harness::ExperimentArgs;
 use cloudtrace::{ContainerConfig, WorkloadClass};
 use models::{
@@ -320,17 +320,18 @@ impl TrainStepNet {
         let time = x.shape()[2];
         let mut g = Graph::new(&self.store);
         let ct = g.input(x.clone());
+        let ex = &mut Tape::new(&mut g, true, rng);
         let last = if self.full_sequence {
-            let seq = self.backbone.forward(&mut g, ct, true, rng);
-            g.select_time(seq, time - 1)
+            let seq = self.backbone.forward(ex, ct);
+            ex.select_time(&seq, time - 1)
         } else {
-            self.backbone.forward_last(&mut g, ct, true, rng)
+            self.backbone.forward_last(ex, ct)
         };
-        let h = self.fc.forward(&mut g, last);
-        let h = g.relu(h);
-        let h = self.dropout.apply(&mut g, h, true, rng);
-        let h = self.attention.forward(&mut g, h, h);
-        let pred = self.head.forward(&mut g, h);
+        let h = self.fc.forward(ex, &last);
+        let h = ex.relu(h);
+        let h = self.dropout.apply(ex, h);
+        let h = self.attention.forward(ex, &h, &h);
+        let pred = self.head.forward(ex, &h);
         let loss = LossKind::Mse.build(&mut g, pred, y);
         let mut grads = g.backward(loss);
         grads.clip_global_norm(RptcnConfig::default().spec.clip_norm);

@@ -35,7 +35,6 @@
 pub mod allocator;
 pub mod decide;
 pub mod evaluation;
-pub mod fleet;
 pub mod observe;
 pub mod pipeline;
 pub mod placement;
@@ -48,7 +47,6 @@ pub use decide::{
     DecisionRule, DecisionStats, HysteresisConfig, HysteresisState, ScaleAction,
 };
 pub use evaluation::{rolling_origin, RollingOriginConfig, RollingOriginResult};
-pub use fleet::{EntityReport, FleetConfig, FleetService};
 pub use observe::PipelineObs;
 pub use pipeline::{
     prepare, run_model, FittedPreprocess, PipelineConfig, PipelineRun, PreparedData, ScalerScope,

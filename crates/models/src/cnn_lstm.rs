@@ -2,7 +2,7 @@
 //! temporal features, an LSTM models their sequence, a dense head predicts.
 
 use autograd::layers::{CausalConv1d, Dropout, Linear, Lstm};
-use autograd::{Graph, ParamStore, SequenceModel, Var};
+use autograd::{Exec, ParamStore, SequenceModel};
 use tensor::{Rng, Tensor};
 use timeseries::WindowedDataset;
 
@@ -46,38 +46,20 @@ struct CnnLstmNetwork {
 }
 
 impl SequenceModel for CnnLstmNetwork {
-    fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
         let time = x.shape()[1];
-        let ct = g.input(neural::to_channels_time(x));
-        let conv_out = self.conv.forward(g, ct);
-        let act = g.relu(conv_out);
+        let ct = neural::channels_time(ex, x);
+        let conv_out = self.conv.forward(ex, &ct);
+        ex.release(ct);
+        let act = ex.relu(conv_out);
         // Feed the conv feature map to the LSTM step by step.
-        let steps: Vec<Var> = (0..time).map(|t| g.select_time(act, t)).collect();
-        let last = self.lstm.forward_last(g, &steps);
-        let dropped = self.dropout.apply(g, last, training, rng);
-        self.head.forward(g, dropped)
-    }
-
-    fn infer(&self, ctx: &mut autograd::InferenceContext, x: &Tensor) -> Tensor {
-        let (batch, time, features) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let mut ct = ctx.take(batch * features * time);
-        neural::to_channels_time_into(x, &mut ct);
-        let mut act = self.conv.infer(&self.store, ctx, &ct, batch, time);
-        autograd::infer::relu_in_place(&mut act);
-        ctx.give(ct);
-        let ch = self.conv.out_channels();
-        let last = self
-            .lstm
-            .infer_last(&self.store, ctx, batch, time, |t, buf| {
-                autograd::infer::select_time_into(&act, buf, batch, ch, time, t)
-            });
-        ctx.give(act);
-        // Dropout is a no-op at inference.
-        let out = self.head.infer(&self.store, ctx, &last, batch);
-        ctx.give(last);
-        let result = Tensor::from_vec(out[..batch * self.horizon].to_vec(), &[batch, self.horizon]);
-        ctx.give(out);
-        result
+        let steps: Vec<E::V> = (0..time).map(|t| ex.select_time(&act, t)).collect();
+        ex.release(act);
+        let last = self.lstm.forward_last(ex, steps);
+        let last = self.dropout.apply(ex, last);
+        let out = self.head.forward(ex, &last);
+        ex.release(last);
+        out
     }
 
     fn params(&self) -> &ParamStore {

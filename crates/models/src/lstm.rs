@@ -2,7 +2,7 @@
 //! the final hidden state.
 
 use autograd::layers::{Dropout, Linear, Lstm};
-use autograd::{Graph, ParamStore, SequenceModel, Var};
+use autograd::{Exec, ParamStore, SequenceModel};
 use tensor::{Rng, Tensor};
 use timeseries::WindowedDataset;
 
@@ -40,26 +40,13 @@ struct LstmNetwork {
 }
 
 impl SequenceModel for LstmNetwork {
-    fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
-        let steps = neural::time_step_inputs(g, x);
-        let last = self.lstm.forward_last(g, &steps);
-        let dropped = self.dropout.apply(g, last, training, rng);
-        self.head.forward(g, dropped)
-    }
-
-    fn infer(&self, ctx: &mut autograd::InferenceContext, x: &Tensor) -> Tensor {
-        let (batch, time) = (x.shape()[0], x.shape()[1]);
-        let last = self
-            .lstm
-            .infer_last(&self.store, ctx, batch, time, |t, buf| {
-                neural::fill_time_step(x, t, buf)
-            });
-        // Dropout is a no-op at inference.
-        let out = self.head.infer(&self.store, ctx, &last, batch);
-        ctx.give(last);
-        let result = Tensor::from_vec(out[..batch * self.horizon].to_vec(), &[batch, self.horizon]);
-        ctx.give(out);
-        result
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
+        let steps = neural::time_steps(ex, x);
+        let last = self.lstm.forward_last(ex, steps);
+        let last = self.dropout.apply(ex, last);
+        let out = self.head.forward(ex, &last);
+        ex.release(last);
+        out
     }
 
     fn params(&self) -> &ParamStore {

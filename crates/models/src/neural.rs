@@ -4,7 +4,7 @@
 use std::time::Instant;
 
 use autograd::optim::Adam;
-use autograd::{Graph, LossKind, SequenceModel, TrainConfig, Var};
+use autograd::{Exec, LossKind, SequenceModel, TrainConfig};
 use tensor::{Rng, Tensor};
 use timeseries::WindowedDataset;
 
@@ -142,7 +142,7 @@ pub(crate) fn predict_network_taped<M: SequenceModel>(net: &M, x: &Tensor, batch
 
 /// Write step `step`'s `[batch, features]` slice of a `[batch, time,
 /// features]` window batch into caller-provided scratch.
-pub(crate) fn fill_time_step(x: &Tensor, step: usize, out: &mut [f32]) {
+fn fill_time_step(x: &Tensor, step: usize, out: &mut [f32]) {
     let (b, t, f) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     debug_assert_eq!(out.len(), b * f, "fill_time_step scratch shape");
     for bi in 0..b {
@@ -153,51 +153,42 @@ pub(crate) fn fill_time_step(x: &Tensor, step: usize, out: &mut [f32]) {
 
 /// Slice a `[batch, time, features]` window batch into per-step
 /// `[batch, features]` input leaves for recurrent models.
-pub(crate) fn time_step_inputs(g: &mut Graph, x: &Tensor) -> Vec<Var> {
+pub(crate) fn time_steps<E: Exec>(ex: &mut E, x: &Tensor) -> Vec<E::V> {
     let (b, t, f) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     (0..t)
-        .map(|step| {
-            let mut data = vec![0.0f32; b * f];
-            fill_time_step(x, step, &mut data);
-            g.input(Tensor::from_vec(data, &[b, f]))
-        })
+        .map(|step| ex.input(&[b, f], |out| fill_time_step(x, step, out)))
         .collect()
 }
 
-/// Rearrange `[batch, time, features]` into `[batch, channels, time]`,
-/// writing into caller-provided scratch (no allocation on the serving path).
-pub(crate) fn to_channels_time_into(x: &Tensor, out: &mut [f32]) {
+/// Stage `[batch, time, features]` as the `[batch, channels, time]` input
+/// leaf convolutional models consume.
+pub(crate) fn channels_time<E: Exec>(ex: &mut E, x: &Tensor) -> E::V {
     let (b, t, f) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    debug_assert_eq!(out.len(), b * f * t, "to_channels_time scratch shape");
     let src = x.as_slice();
-    for bi in 0..b {
-        for ti in 0..t {
-            for fi in 0..f {
-                out[(bi * f + fi) * t + ti] = src[(bi * t + ti) * f + fi];
+    ex.input(&[b, f, t], |out| {
+        for bi in 0..b {
+            for ti in 0..t {
+                for fi in 0..f {
+                    out[(bi * f + fi) * t + ti] = src[(bi * t + ti) * f + fi];
+                }
             }
         }
-    }
-}
-
-/// Rearrange `[batch, time, features]` into the `[batch, channels, time]`
-/// layout convolutional models consume.
-pub(crate) fn to_channels_time(x: &Tensor) -> Tensor {
-    let (b, t, f) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let mut out = vec![0.0f32; b * f * t];
-    to_channels_time_into(x, &mut out);
-    Tensor::from_vec(out, &[b, f, t])
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autograd::ParamStore;
+    use autograd::{Graph, ParamStore, Tape};
 
     #[test]
     fn channels_time_layout() {
         // x[b][t][f] with distinguishable entries.
         let x = Tensor::arange(2 * 3 * 2).into_reshape(&[2, 3, 2]).unwrap();
-        let ct = to_channels_time(&x);
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
+        let ct = channels_time(&mut Tape::eval(&mut g), &x);
+        let ct = g.value(ct);
         assert_eq!(ct.shape(), &[2, 2, 3]);
         // x[0, t, 0] = 0, 2, 4 should become channel 0 of item 0.
         assert_eq!(ct.at(&[0, 0, 0]), 0.0);
@@ -209,11 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn time_step_inputs_slice_correctly() {
+    fn time_steps_slice_correctly() {
         let store = ParamStore::new();
         let mut g = Graph::new(&store);
         let x = Tensor::arange(2 * 3 * 2).into_reshape(&[2, 3, 2]).unwrap();
-        let steps = time_step_inputs(&mut g, &x);
+        let steps = time_steps(&mut Tape::eval(&mut g), &x);
         assert_eq!(steps.len(), 3);
         // Step 1 holds x[:, 1, :] = [[2, 3], [8, 9]].
         assert_eq!(g.value(steps[1]).as_slice(), &[2.0, 3.0, 8.0, 9.0]);
@@ -221,20 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_helpers() {
+    fn staging_is_the_same_on_both_backends() {
         let x = Tensor::arange(2 * 4 * 3).into_reshape(&[2, 4, 3]).unwrap();
-        let ct = to_channels_time(&x);
-        let mut scratch = vec![f32::NAN; 2 * 3 * 4];
-        to_channels_time_into(&x, &mut scratch);
-        assert_eq!(scratch.as_slice(), ct.as_slice());
-
         let store = ParamStore::new();
         let mut g = Graph::new(&store);
-        let steps = time_step_inputs(&mut g, &x);
-        for (t, &step) in steps.iter().enumerate() {
-            let mut buf = vec![f32::NAN; 2 * 3];
-            fill_time_step(&x, t, &mut buf);
-            assert_eq!(buf.as_slice(), g.value(step).as_slice());
+        let mut ctx = autograd::InferenceContext::new();
+        let mut arena = autograd::Arena::new(&mut ctx, &store);
+        let taped = channels_time(&mut Tape::eval(&mut g), &x);
+        let staged = channels_time(&mut arena, &x);
+        assert_eq!(staged.shape(), g.value(taped).shape());
+        assert_eq!(staged.as_slice(), g.value(taped).as_slice());
+        let taped = time_steps(&mut Tape::eval(&mut g), &x);
+        let staged = time_steps(&mut arena, &x);
+        for (t, s) in taped.iter().zip(&staged) {
+            assert_eq!(s.shape(), g.value(*t).shape());
+            assert_eq!(s.as_slice(), g.value(*t).as_slice());
         }
     }
 

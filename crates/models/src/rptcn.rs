@@ -4,7 +4,7 @@
 //! `ablation_components` bench can quantify each addition.
 
 use autograd::layers::{Dropout, FeatureAttention, Linear, TemporalAttention};
-use autograd::{Graph, ParamStore, SequenceModel, Var};
+use autograd::{Exec, ParamStore, SequenceModel};
 use tensor::{Rng, Tensor};
 use timeseries::WindowedDataset;
 
@@ -86,84 +86,45 @@ pub(crate) struct RptcnNetwork {
 }
 
 impl SequenceModel for RptcnNetwork {
-    fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
-        let ct = g.input(neural::to_channels_time(x));
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
+        let ct = neural::channels_time(ex, x);
 
         // Collapse the time axis: temporal attention reads every step of
         // the backbone; otherwise only the causally complete final step is
         // read, and only what it depends on is computed.
         let mut h = match &self.temporal_attention {
             Some(attn) => {
-                let seq = self.backbone.forward(g, ct, training, rng);
-                attn.forward(g, seq)
-            }
-            None => self.backbone.forward_last(g, ct, training, rng),
-        };
-
-        if let Some(fc) = &self.fc {
-            h = fc.forward(g, h);
-            h = g.relu(h);
-            h = self.dropout.apply(g, h, training, rng);
-        }
-        if let Some(attn) = &self.feature_attention {
-            h = attn.forward(g, h, h);
-        }
-        let point = self.head.forward(g, h);
-        match &self.quantile_head {
-            Some(q) => {
-                let quant = q.forward(g, h);
-                g.concat_cols(&[point, quant])
-            }
-            None => point,
-        }
-    }
-
-    fn infer(&self, ctx: &mut autograd::InferenceContext, x: &Tensor) -> Tensor {
-        let (batch, time, features) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let mut ct = ctx.take(batch * features * time);
-        neural::to_channels_time_into(x, &mut ct);
-        let mut h = match &self.temporal_attention {
-            Some(attn) => {
-                let seq = self.backbone.infer(&self.store, ctx, &ct, batch, time);
-                let pooled = attn.infer(&self.store, ctx, &seq, batch, time);
-                ctx.give(seq);
+                let seq = self.backbone.forward(ex, ct);
+                let pooled = attn.forward(ex, &seq);
+                ex.release(seq);
                 pooled
             }
-            None => self.backbone.infer_last(&self.store, ctx, &ct, batch, time),
+            None => self.backbone.forward_last(ex, ct),
         };
-        ctx.give(ct);
 
-        // Dropout is a no-op at inference, so the FC branch is just
-        // linear → relu, matching the taped graph with `training=false`.
         if let Some(fc) = &self.fc {
-            let mut next = fc.infer(&self.store, ctx, &h, batch);
-            autograd::infer::relu_in_place(&mut next);
-            ctx.give(std::mem::replace(&mut h, next));
+            let z = fc.forward(ex, &h);
+            let z = ex.relu(z);
+            let z = self.dropout.apply(ex, z);
+            ex.replace(&mut h, z);
         }
         if let Some(attn) = &self.feature_attention {
-            attn.infer_in_place(&self.store, ctx, &mut h, batch);
+            let gated = attn.forward(ex, &h, &h);
+            ex.replace(&mut h, gated);
         }
-        let out = self.head.infer(&self.store, ctx, &h, batch);
-        let result = match &self.quantile_head {
+        let point = self.head.forward(ex, &h);
+        let out = match &self.quantile_head {
+            // Rows laid out `[point | q_lo | q_hi]`.
             Some(q) => {
-                // Interleave rows as [point | q_lo | q_hi], matching the
-                // taped graph's `concat_cols([head, quantile_head])`.
-                let qout = q.infer(&self.store, ctx, &h, batch);
-                let hz = self.horizon;
-                let mut data = vec![0.0f32; batch * 3 * hz];
-                for b in 0..batch {
-                    data[b * 3 * hz..b * 3 * hz + hz].copy_from_slice(&out[b * hz..(b + 1) * hz]);
-                    data[b * 3 * hz + hz..(b + 1) * 3 * hz]
-                        .copy_from_slice(&qout[b * 2 * hz..(b + 1) * 2 * hz]);
-                }
-                ctx.give(qout);
-                Tensor::from_vec(data, &[batch, 3 * hz])
+                let heads = [point, q.forward(ex, &h)];
+                let wide = ex.concat_cols(&heads);
+                heads.into_iter().for_each(|v| ex.release(v));
+                wide
             }
-            None => Tensor::from_vec(out[..batch * self.horizon].to_vec(), &[batch, self.horizon]),
+            None => point,
         };
-        ctx.give(h);
-        ctx.give(out);
-        result
+        ex.release(h);
+        out
     }
 
     fn params(&self) -> &ParamStore {
@@ -603,7 +564,11 @@ mod tests {
         let tape_free = model.predict(&ds.x);
         let taped = model.predict_taped(&ds.x);
         assert_eq!(tape_free.shape(), taped.shape());
-        assert!(tape_free.allclose(&taped, 1e-5), "taped/tape-free diverged");
+        assert_eq!(
+            tape_free.as_slice(),
+            taped.as_slice(),
+            "taped/tape-free diverged"
+        );
 
         let state = model.state().expect("fitted state");
         let restored = RptcnForecaster::from_state(&state).expect("round trip");

@@ -5,7 +5,7 @@
 //! ablation.
 
 use autograd::layers::{CausalConv1d, Dropout, Linear};
-use autograd::{Graph, ParamStore, SequenceModel, Var};
+use autograd::{Exec, ParamStore, SequenceModel};
 use tensor::{Rng, Tensor};
 use timeseries::WindowedDataset;
 
@@ -79,65 +79,23 @@ impl TemporalBlock {
     /// `[batch, in_ch, T] -> [batch, out_ch, T]` with both convolutions run
     /// at `dilation`: the block's own for a full-length sequence, the
     /// quotient left after the caller subsampled the time axis.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        dilation: usize,
-        training: bool,
-        rng: &mut Rng,
-    ) -> Var {
-        let h = self.conv1.forward_dilated(g, x, dilation);
-        let h = g.relu(h);
-        let h = self.dropout.apply_spatial(g, h, training, rng);
-        let h = self.conv2.forward_dilated(g, h, dilation);
-        let h = g.relu(h);
-        let h = self.dropout.apply_spatial(g, h, training, rng);
-        let res = match &self.downsample {
-            Some(d) => d.forward(g, x),
-            None => x,
-        };
-        let sum = g.add(res, h);
-        g.relu(sum)
-    }
-
-    /// Tape-free forward: `x` is `[batch, in_ch, time]` row-major, returns
-    /// `[batch, out_ch, time]` in a buffer from `ctx`. Dropout is inactive
-    /// at inference, so the block reduces to conv→relu→conv→relu plus the
-    /// residual sum — fused here as `(res + h).max(0)` in the output buffer.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        ctx: &mut autograd::InferenceContext,
-        x: &[f32],
-        batch: usize,
-        time: usize,
-        dilation: usize,
-    ) -> Vec<f32> {
-        let mut h1 = self
-            .conv1
-            .infer_dilated(store, ctx, x, batch, time, dilation);
-        autograd::infer::relu_in_place(&mut h1);
-        let mut out = self
-            .conv2
-            .infer_dilated(store, ctx, &h1, batch, time, dilation);
-        autograd::infer::relu_in_place(&mut out);
-        ctx.give(h1);
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: &E::V, dilation: usize) -> E::V {
+        let h = self.conv1.forward_dilated(ex, x, dilation);
+        let h = ex.relu(h);
+        let h = self.dropout.apply_spatial(ex, h);
+        let h2 = self.conv2.forward_dilated(ex, &h, dilation);
+        ex.release(h);
+        let h2 = ex.relu(h2);
+        let h2 = self.dropout.apply_spatial(ex, h2);
         match &self.downsample {
             Some(d) => {
-                let res = d.infer(store, ctx, x, batch, time);
-                for (o, &r) in out.iter_mut().zip(res.iter()) {
-                    *o = (r + *o).max(0.0);
-                }
-                ctx.give(res);
+                let res = d.forward(ex, x);
+                let out = ex.add_relu(&res, h2);
+                ex.release(res);
+                out
             }
-            None => {
-                for (o, &r) in out.iter_mut().zip(x.iter()) {
-                    *o = (r + *o).max(0.0);
-                }
-            }
+            None => ex.add_relu(x, h2),
         }
-        out
     }
 
     /// Dilation of the block's two convolutions.
@@ -207,9 +165,9 @@ impl TcnBackbone {
     }
 
     /// `[batch, features, T] -> [batch, channels, T]`: every step, for a
-    /// head that reads them all (temporal attention).
-    pub fn forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng) -> Var {
-        self.run(g, x, training, rng, false)
+    /// head that reads them all (temporal attention). Consumes `x`.
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: E::V) -> E::V {
+        self.run(ex, x, false)
     }
 
     /// `[batch, features, T] -> [batch, channels]`: step `T − 1` of
@@ -218,101 +176,31 @@ impl TcnBackbone {
     /// `t ≡ T − 1 (mod d)` reads its input only on that residue class, where
     /// its convolutions are dilation-1 convolutions over the subsampled row;
     /// so each block runs on `⌈T/d⌉` columns instead of `T`.
-    pub fn forward_last(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng) -> Var {
-        let seq = self.run(g, x, training, rng, true);
-        let kept = g.value(seq).shape()[2];
-        g.select_time(seq, kept - 1)
+    pub fn forward_last<E: Exec>(&self, ex: &mut E, x: E::V) -> E::V {
+        let seq = self.run(ex, x, true);
+        let kept = ex.shape(&seq)[2];
+        let last = ex.select_time(&seq, kept - 1);
+        ex.release(seq);
+        last
     }
 
     /// The block loop. With `last_only`, the time axis is subsampled down
     /// to the residue class of the last step before each block whose
     /// dilation grows, and the block runs at the remaining quotient.
-    fn run(&self, g: &mut Graph, x: Var, training: bool, rng: &mut Rng, last_only: bool) -> Var {
+    fn run<E: Exec>(&self, ex: &mut E, x: E::V, last_only: bool) -> E::V {
         let mut h = x;
         let mut stride = 1; // original steps between adjacent columns of `h`
         for block in &self.blocks {
             let d = block.dilation();
             if last_only && d > stride {
-                h = g.subsample_time(h, d / stride);
+                let sub = ex.subsample_time(&h, d / stride);
+                ex.replace(&mut h, sub);
                 stride = d;
             }
-            h = block.forward(g, h, d / stride, training, rng);
+            let next = block.forward(ex, &h, d / stride);
+            ex.replace(&mut h, next);
         }
         h
-    }
-
-    /// Tape-free [`forward`](Self::forward): `x` is `[batch, features,
-    /// time]` row-major, returns `[batch, channels, time]` in a buffer from
-    /// `ctx`.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        ctx: &mut autograd::InferenceContext,
-        x: &[f32],
-        batch: usize,
-        time: usize,
-    ) -> Vec<f32> {
-        self.run_infer(store, ctx, x, batch, time, false).0
-    }
-
-    /// Tape-free [`forward_last`](Self::forward_last): returns `[batch,
-    /// channels]` in a buffer from `ctx`.
-    pub fn infer_last(
-        &self,
-        store: &ParamStore,
-        ctx: &mut autograd::InferenceContext,
-        x: &[f32],
-        batch: usize,
-        time: usize,
-    ) -> Vec<f32> {
-        let (seq, kept) = self.run_infer(store, ctx, x, batch, time, true);
-        let mut last = ctx.take(batch * self.out_channels);
-        autograd::infer::select_time_into(
-            &seq,
-            &mut last,
-            batch,
-            self.out_channels,
-            kept,
-            kept - 1,
-        );
-        ctx.give(seq);
-        last
-    }
-
-    /// Tape-free twin of [`run`](Self::run); also returns the length of the
-    /// time axis it ends with.
-    fn run_infer(
-        &self,
-        store: &ParamStore,
-        ctx: &mut autograd::InferenceContext,
-        x: &[f32],
-        batch: usize,
-        time: usize,
-        last_only: bool,
-    ) -> (Vec<f32>, usize) {
-        let mut owned: Option<Vec<f32>> = None;
-        let (mut stride, mut len) = (1, time);
-        for block in &self.blocks {
-            let d = block.dilation();
-            if last_only && d > stride {
-                let cur: &[f32] = owned.as_deref().unwrap_or(x);
-                let rows = cur.len() / len;
-                let kept = autograd::infer::subsampled_len(len, d / stride);
-                let mut sub = ctx.take(rows * kept);
-                autograd::infer::subsample_time_into(cur, &mut sub, rows, len, d / stride);
-                if let Some(prev) = owned.replace(sub) {
-                    ctx.give(prev);
-                }
-                (stride, len) = (d, kept);
-            }
-            let cur: &[f32] = owned.as_deref().unwrap_or(x);
-            let next = block.infer(store, ctx, cur, batch, len, d / stride);
-            if let Some(prev) = owned.replace(next) {
-                ctx.give(prev);
-            }
-        }
-        let seq = owned.expect("backbone has at least one block"); // lint: allow(r2) — spec guarantees ≥1 block
-        (seq, len)
     }
 
     pub fn out_channels(&self) -> usize {
@@ -368,23 +256,12 @@ struct TcnNetwork {
 }
 
 impl SequenceModel for TcnNetwork {
-    fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
-        let ct = g.input(neural::to_channels_time(x));
-        let last = self.backbone.forward_last(g, ct, training, rng);
-        self.head.forward(g, last)
-    }
-
-    fn infer(&self, ctx: &mut autograd::InferenceContext, x: &Tensor) -> Tensor {
-        let (batch, time, features) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        let mut ct = ctx.take(batch * features * time);
-        neural::to_channels_time_into(x, &mut ct);
-        let last = self.backbone.infer_last(&self.store, ctx, &ct, batch, time);
-        ctx.give(ct);
-        let out = self.head.infer(&self.store, ctx, &last, batch);
-        ctx.give(last);
-        let result = Tensor::from_vec(out[..batch * self.horizon].to_vec(), &[batch, self.horizon]);
-        ctx.give(out);
-        result
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
+        let ct = neural::channels_time(ex, x);
+        let last = self.backbone.forward_last(ex, ct);
+        let out = self.head.forward(ex, &last);
+        ex.release(last);
+        out
     }
 
     fn params(&self) -> &ParamStore {
@@ -517,10 +394,9 @@ mod tests {
             x2.set(&[0, c, 11], v);
         }
         let run = |xd: &Tensor| {
-            let mut g = Graph::new(&store);
-            let mut r = Rng::seed_from(0);
+            let mut g = autograd::Graph::new(&store);
             let xi = g.input(xd.clone());
-            let out = backbone.forward(&mut g, xi, false, &mut r);
+            let out = backbone.forward(&mut autograd::Tape::eval(&mut g), xi);
             g.value(out).clone()
         };
         let y1 = run(&x1);

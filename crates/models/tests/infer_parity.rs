@@ -1,8 +1,8 @@
 //! Parity guarantees for the tape-free inference engine: every forecaster's
-//! `predict` (arena-based, no tape) must match the taped reference path
-//! within 1e-5, the streaming RPTCN engine must match batch inference over
-//! the full pushed history, and batched inputs must match row-at-a-time
-//! inference exactly.
+//! `predict` (arena backend, no tape) must match the taped backend bit for
+//! bit, the streaming RPTCN engine must match batch inference over the full
+//! pushed history, and batched inputs must match row-at-a-time inference
+//! exactly.
 
 use models::{
     AttentionKind, CnnLstmConfig, CnnLstmForecaster, Forecaster, GruConfig, GruForecaster,
@@ -32,18 +32,22 @@ fn quick_spec() -> NeuralTrainSpec {
     }
 }
 
-fn assert_close(tape_free: &Tensor, taped: &Tensor, what: &str) {
+/// One definition run on two backends whose primitives agree bit for bit:
+/// the forecasts are the same bits, not merely close.
+fn assert_bitwise(tape_free: &Tensor, taped: &Tensor, what: &str) {
     assert_eq!(tape_free.shape(), taped.shape(), "{what}: shape mismatch");
-    let worst = tape_free
+    for (i, (a, b)) in tape_free
         .as_slice()
         .iter()
         .zip(taped.as_slice())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    assert!(
-        worst <= 1e-5,
-        "{what}: tape-free diverged from taped path by {worst}"
-    );
+        .enumerate()
+    {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{what}: element {i} differs, tape-free {a} vs taped {b}"
+        );
+    }
 }
 
 #[test]
@@ -68,7 +72,7 @@ fn rptcn_every_ablation_variant_matches_taped_path() {
             ..Default::default()
         });
         model.fit(&ds, None);
-        assert_close(
+        assert_bitwise(
             &model.predict(&ds.x),
             &model.predict_taped(&ds.x),
             &format!("RPTCN fc={use_fc} attn={use_attention} {attention:?}"),
@@ -85,7 +89,7 @@ fn untrained_rptcn_at_paper_config_matches_taped_path() {
     model.init_untrained(2, 1);
     let mut rng = tensor::Rng::seed_from(11);
     let x = Tensor::rand_normal(&[5, 30, 2], 0.5, 0.2, &mut rng);
-    assert_close(
+    assert_bitwise(
         &model.predict(&x),
         &model.predict_taped(&x),
         "untrained paper-config RPTCN",
@@ -103,7 +107,7 @@ fn tcn_lstm_gru_cnn_lstm_match_taped_path() {
         ..Default::default()
     });
     tcn.fit(&ds, None);
-    assert_close(&tcn.predict(&ds.x), &tcn.predict_taped(&ds.x), "TCN");
+    assert_bitwise(&tcn.predict(&ds.x), &tcn.predict_taped(&ds.x), "TCN");
 
     let mut lstm = LstmForecaster::new(LstmConfig {
         hidden: 10,
@@ -112,7 +116,7 @@ fn tcn_lstm_gru_cnn_lstm_match_taped_path() {
         ..Default::default()
     });
     lstm.fit(&ds, None);
-    assert_close(&lstm.predict(&ds.x), &lstm.predict_taped(&ds.x), "LSTM");
+    assert_bitwise(&lstm.predict(&ds.x), &lstm.predict_taped(&ds.x), "LSTM");
 
     let mut gru = GruForecaster::new(GruConfig {
         hidden: 10,
@@ -121,7 +125,7 @@ fn tcn_lstm_gru_cnn_lstm_match_taped_path() {
         ..Default::default()
     });
     gru.fit(&ds, None);
-    assert_close(&gru.predict(&ds.x), &gru.predict_taped(&ds.x), "GRU");
+    assert_bitwise(&gru.predict(&ds.x), &gru.predict_taped(&ds.x), "GRU");
 
     let mut cnn = CnnLstmForecaster::new(CnnLstmConfig {
         conv_channels: 6,
@@ -130,7 +134,7 @@ fn tcn_lstm_gru_cnn_lstm_match_taped_path() {
         ..Default::default()
     });
     cnn.fit(&ds, None);
-    assert_close(&cnn.predict(&ds.x), &cnn.predict_taped(&ds.x), "CNN-LSTM");
+    assert_bitwise(&cnn.predict(&ds.x), &cnn.predict_taped(&ds.x), "CNN-LSTM");
 }
 
 #[test]

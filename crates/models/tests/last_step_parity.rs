@@ -13,7 +13,7 @@
 use autograd::layers::Linear;
 use autograd::optim::Adam;
 use autograd::{
-    Gradients, Graph, InferenceContext, LossKind, ParamStore, SequenceModel, TrainConfig, Var,
+    Exec, Gradients, Graph, InferenceContext, LossKind, ParamStore, SequenceModel, TrainConfig,
 };
 use models::checkpoint::{write_model_state, ModelState};
 use models::{
@@ -125,41 +125,24 @@ impl Net {
 }
 
 impl SequenceModel for Net {
-    fn forward(&self, g: &mut Graph, x: &Tensor, training: bool, rng: &mut Rng) -> Var {
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
         let time = x.shape()[1];
-        let ct = g.input(to_channels_time(x));
+        let ct = to_channels_time(x);
+        let ct = ex.input(ct.shape(), |out| out.copy_from_slice(ct.as_slice()));
         let last = if self.full_sequence {
-            let seq = self.backbone.forward(g, ct, training, rng);
-            g.select_time(seq, time - 1)
+            let seq = self.backbone.forward(ex, ct);
+            ex.select_time(&seq, time - 1)
         } else {
-            self.backbone.forward_last(g, ct, training, rng)
+            self.backbone.forward_last(ex, ct)
         };
-        let point = self.head.forward(g, last);
+        let point = self.head.forward(ex, &last);
         match &self.qhead {
             Some(q) => {
-                let quant = q.forward(g, last);
-                g.concat_cols(&[point, quant])
+                let quant = q.forward(ex, &last);
+                ex.concat_cols(&[point, quant])
             }
             None => point,
         }
-    }
-
-    fn infer(&self, ctx: &mut InferenceContext, x: &Tensor) -> Tensor {
-        let (batch, time) = (x.shape()[0], x.shape()[1]);
-        let ct = to_channels_time(x);
-        let last = self
-            .backbone
-            .infer_last(&self.store, ctx, ct.as_slice(), batch, time);
-        let point = self.head.infer(&self.store, ctx, &last, batch);
-        let mut rows: Vec<Vec<f32>> = point[..batch].iter().map(|&p| vec![p]).collect();
-        if let Some(q) = &self.qhead {
-            let quant = q.infer(&self.store, ctx, &last, batch);
-            for (row, pair) in rows.iter_mut().zip(quant.chunks(2)) {
-                row.extend_from_slice(pair);
-            }
-        }
-        let width = rows[0].len();
-        Tensor::from_vec(rows.concat(), &[batch, width])
     }
 
     fn params(&self) -> &ParamStore {

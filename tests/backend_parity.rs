@@ -1,0 +1,138 @@
+//! One forward definition, two backends — checked through the public API,
+//! in seconds, so the tier-1 command (`cargo test -q` at the root) guards
+//! the seam the per-crate parity suites check in depth.
+//!
+//! A convolutional (RPTCN) and a recurrent (LSTM) forecaster are fitted
+//! through `ResourcePredictor::fit`; the forecast must then be the same
+//! bits on the tape-free arena backend (`predict`), on the taped backend
+//! (`predict_taped`), through the predictor and through a
+//! `PredictionService` shard — and repeated forecasts must stop taking
+//! fresh buffers from the thread's scratch arena.
+
+use autograd::infer::thread_context_allocs;
+use cloudtrace::{ContainerConfig, WorkloadClass};
+use models::{
+    Forecaster, LstmConfig, LstmForecaster, NeuralTrainSpec, RptcnConfig, RptcnForecaster,
+};
+use rptcn::{PipelineConfig, ResourcePredictor, Scenario};
+use serve::{PredictionService, ServiceConfig};
+use tensor::Tensor;
+use timeseries::TimeSeriesFrame;
+
+fn bootstrap() -> TimeSeriesFrame {
+    cloudtrace::container::generate_container(
+        &ContainerConfig::new(WorkloadClass::HighDynamic, 320, 14).with_diurnal_period(120),
+    )
+}
+
+fn pipeline() -> PipelineConfig {
+    PipelineConfig {
+        scenario: Scenario::Mul,
+        window: 12,
+        ..Default::default()
+    }
+}
+
+fn spec() -> NeuralTrainSpec {
+    NeuralTrainSpec {
+        epochs: 2,
+        ..Default::default()
+    }
+}
+
+fn tiny_rptcn() -> RptcnForecaster {
+    RptcnForecaster::new(RptcnConfig {
+        channels: 6,
+        levels: 3,
+        fc_dim: 8,
+        spec: spec(),
+        ..Default::default()
+    })
+}
+
+fn tiny_lstm() -> LstmForecaster {
+    LstmForecaster::new(LstmConfig {
+        hidden: 8,
+        layers: 2,
+        spec: spec(),
+        ..Default::default()
+    })
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `build` makes an unfitted model; fits are deterministic, so every copy
+/// trained on the same bootstrap holds the same weights. `taped` runs the
+/// taped backend of a model restored from the predictor's checkpoint state.
+fn check(
+    what: &str,
+    build: impl Fn() -> Box<dyn Forecaster + Send>,
+    taped: impl Fn(&ResourcePredictor, &Tensor) -> (Tensor, Tensor),
+) {
+    let frame = bootstrap();
+    let (predictor, _) = ResourcePredictor::fit(build(), &frame, pipeline()).expect("fit");
+
+    // Arena backend == taped backend, on the window a forecast reads.
+    let (window, w, f) = predictor.inference_window().expect("window");
+    let x = Tensor::from_vec(window, &[1, w, f]);
+    let (free, on_tape) = taped(&predictor, &x);
+    assert_eq!(bits(free.as_slice()), bits(on_tape.as_slice()), "{what}");
+    let normalized = predictor.forecast_normalized().expect("forecast");
+    assert_eq!(bits(&normalized), bits(on_tape.as_slice()), "{what}");
+
+    // The same forecast out of a service shard (its own thread and arena).
+    let mut service = PredictionService::new(ServiceConfig {
+        shards: 2,
+        ..Default::default()
+    })
+    .expect("spawn service");
+    service
+        .add_entity("entity", &frame, pipeline(), build())
+        .expect("onboard");
+    let served = service.forecast("entity").expect("served forecast");
+    let direct = predictor.forecast().expect("direct forecast");
+    assert_eq!(bits(&served), bits(&direct), "{what}: service vs predictor");
+    assert_eq!(
+        bits(&direct),
+        bits(&predictor.denormalize_forecast(on_tape.as_slice())),
+        "{what}: predictor vs taped backend"
+    );
+
+    // Steady state takes no fresh scratch buffers.
+    for _ in 0..8 {
+        predictor.forecast().expect("warm-up forecast");
+    }
+    let warm = thread_context_allocs();
+    for _ in 0..64 {
+        predictor.forecast().expect("steady-state forecast");
+    }
+    assert_eq!(thread_context_allocs(), warm, "{what}: arena still growing");
+}
+
+#[test]
+fn rptcn_forecast_is_the_same_bits_on_every_path() {
+    check(
+        "RPTCN",
+        || Box::new(tiny_rptcn()),
+        |predictor, x| {
+            let state = predictor.model_state().expect("fitted state");
+            let twin = RptcnForecaster::from_state(&state).expect("restore");
+            (twin.predict(x), twin.predict_taped(x))
+        },
+    );
+}
+
+#[test]
+fn lstm_forecast_is_the_same_bits_on_every_path() {
+    check(
+        "LSTM",
+        || Box::new(tiny_lstm()),
+        |predictor, x| {
+            let state = predictor.model_state().expect("fitted state");
+            let twin = LstmForecaster::from_state(&state).expect("restore");
+            (twin.predict(x), twin.predict_taped(x))
+        },
+    );
+}
