@@ -288,8 +288,8 @@ fn worker_loop(shared: &'static Shared, idx: usize, workers: usize) {
     }
 }
 
-/// Process-wide executor, sized by `RPTCN_BATCH_WORKERS` when set, else the
-/// host's available parallelism. Built lazily on first stacked batch.
+/// Process-wide executor, sized by the host's available parallelism. Built
+/// lazily on first stacked batch.
 /// Under Miri it is always single-worker (inline): the detached global pool
 /// would otherwise trip the interpreter's thread-leak check at exit, and
 /// explicit pools in tests cover the threaded paths natively and under
@@ -300,15 +300,9 @@ pub fn global() -> &'static BatchExecutor {
         let workers = if cfg!(miri) {
             1
         } else {
-            std::env::var("RPTCN_BATCH_WORKERS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&w| w > 0)
-                .unwrap_or_else(|| {
-                    thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                })
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         };
         BatchExecutor::new(workers)
     })

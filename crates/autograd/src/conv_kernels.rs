@@ -6,11 +6,7 @@
 //! inputs `x_{t - (K-1-kk)·d}` for tap `kk`, i.e. only the past. Negative
 //! time indices contribute zero (implicit left padding of `(K-1)·d`).
 
-use rayon::prelude::*;
 use tensor::Tensor;
-
-/// Parallelise over the batch only when there is enough arithmetic per item.
-const PAR_THRESHOLD: usize = 1 << 16;
 
 #[cfg(target_arch = "x86_64")]
 mod simd {
@@ -499,14 +495,8 @@ pub fn conv1d_into(
         }
     };
 
-    if batch * out_ch * in_ch * time * k >= PAR_THRESHOLD && batch > 1 {
-        out.par_chunks_mut(out_ch * time)
-            .enumerate()
-            .for_each(|(b, chunk)| item_kernel(b, chunk));
-    } else {
-        for (b, chunk) in out.chunks_mut(out_ch * time).enumerate() {
-            item_kernel(b, chunk);
-        }
+    for (b, chunk) in out.chunks_mut(out_ch * time).enumerate() {
+        item_kernel(b, chunk);
     }
 }
 
@@ -732,22 +722,13 @@ pub fn conv1d_backward_input(
         (dgo, time)
     };
 
-    let item_kernel = |b: usize, gin_item: &mut [f32]| {
-        let go_item = &go[b * out_ch * row..(b + 1) * out_ch * row];
+    for (gin_item, go_item) in grad_in
+        .chunks_mut(in_ch * time)
+        .zip(go.chunks(out_ch * row))
+    {
         backward_input_item(
             &wt, go_item, row, gin_item, in_ch, out_ch, time, k, dilation, uniform,
         );
-    };
-
-    if batch * out_ch * in_ch * time * k >= PAR_THRESHOLD && batch > 1 {
-        grad_in
-            .par_chunks_mut(in_ch * time)
-            .enumerate()
-            .for_each(|(b, chunk)| item_kernel(b, chunk));
-    } else {
-        for (b, chunk) in grad_in.chunks_mut(in_ch * time).enumerate() {
-            item_kernel(b, chunk);
-        }
     }
     Tensor::from_vec(grad_in, &[batch, in_ch, time])
 }
@@ -1177,7 +1158,7 @@ mod tests {
     /// The lane-parallel gradient kernels against the tap-wise loops they
     /// replaced, bit for bit: every dilation and compacted row length the
     /// backbone produces, channel counts on both sides of a lane block,
-    /// batches on both sides of `PAR_THRESHOLD`.
+    /// batches of 1, 2 and 64.
     #[test]
     fn gradient_kernels_match_tap_reference_parity() {
         let mut rng = Rng::seed_from(31);
@@ -1193,8 +1174,7 @@ mod tests {
                 for &in_ch in &[1usize, 6, 16, 18] {
                     for &out_ch in &[1usize, 6, 16, 18] {
                         case += 1;
-                        // Batch 64 (the parallel side at these shapes) on
-                        // one case in eight, batch 1 and 2 on the rest.
+                        // Batch 64 on one case in eight, 1 and 2 on the rest.
                         let batch = match case % 8 {
                             0 => 64,
                             n if n % 2 == 1 => 1,
@@ -1215,8 +1195,7 @@ mod tests {
                 }
             }
         }
-        // The paper's training shape, every season, on the parallel side.
-        const { assert!(64 * 16 * 16 * 30 * 3 >= PAR_THRESHOLD) };
+        // The paper's training shape, every season.
         for how in hows {
             check_gradient_parity(64, 16, 16, 30, 3, 1, how, &mut rng);
         }

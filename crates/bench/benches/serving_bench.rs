@@ -192,7 +192,7 @@ fn bench_degraded_mode(c: &mut Criterion) {
         if poisoned_pct > 0 {
             let stats = service.stats();
             assert!(
-                stats.total_repaired_samples() > 0,
+                stats.total(|s| s.repaired_samples) > 0,
                 "fault plan never fired; the degraded benchmark measured nothing"
             );
         }

@@ -13,9 +13,7 @@
 //! * [`DecisionRule`] maps `forecast + upper_offset(τ)` to a clamped
 //!   reservation and applies hysteresis so the `scale_action_cost` is not
 //!   paid twice per oscillation.
-//! * [`DecisionPlanner`] bundles the three with outcome accounting — the
-//!   drop-in replacement for the hand-rolled headroom in
-//!   [`crate::allocator::CapacityPlanner`].
+//! * [`DecisionPlanner`] bundles the three with outcome accounting.
 
 pub mod conformal;
 
@@ -287,8 +285,7 @@ impl DecisionStats {
 }
 
 /// Conformal interval + Bayesian decision rule + hysteresis + accounting
-/// for one entity — the probabilistic successor to
-/// [`crate::allocator::CapacityPlanner`].
+/// for one entity.
 #[derive(Debug, Clone)]
 pub struct DecisionPlanner {
     rule: DecisionRule,

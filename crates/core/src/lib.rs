@@ -9,12 +9,11 @@
 //! * [`scenario`] — the Uni / Mul / Mul-Exp input scenarios of Table II.
 //! * [`predictor`] — an online [`predictor::ResourcePredictor`] that ingests
 //!   monitoring samples, serves rolling forecasts and retrains periodically.
-//! * [`allocator`] — a prediction-driven [`allocator::CapacityPlanner`]
-//!   scoring over-/under-allocation, the use-case motivating the paper.
-//! * [`decide`] — probabilistic reservations: split-conformal intervals
-//!   from rolling residuals ([`decide::ConformalState`]) driving a
-//!   Bayesian cost-model decision rule with hysteresis
-//!   ([`decide::DecisionPlanner`]).
+//! * [`decide`] — probabilistic reservations, the use-case motivating the
+//!   paper: split-conformal intervals from rolling residuals
+//!   ([`decide::ConformalState`]) driving a Bayesian cost-model decision
+//!   rule with hysteresis ([`decide::DecisionPlanner`]), scored on
+//!   over-/under-allocation.
 //! * [`observe`] — spans and counters around the pipeline stages
 //!   ([`observe::PipelineObs`]), registered in a shared `obs::Registry`.
 //!
@@ -32,7 +31,6 @@
 //! assert!(run.test_metrics.mse.is_finite());
 //! ```
 
-pub mod allocator;
 pub mod decide;
 pub mod evaluation;
 pub mod observe;
@@ -41,7 +39,6 @@ pub mod placement;
 pub mod predictor;
 pub mod scenario;
 
-pub use allocator::{CapacityPlanner, PlannerConfig, PlannerStats};
 pub use decide::{
     Calibration, ConformalState, CostModel, Decision, DecisionConfig, DecisionPlanner,
     DecisionRule, DecisionStats, HysteresisConfig, HysteresisState, ScaleAction,

@@ -3,12 +3,10 @@
 //!
 //! Second-order boosting with squared loss (`g = ŷ − y`, `h = 1`), exact
 //! greedy splits over pre-sorted features, L2 leaf regularisation `λ`,
-//! minimum split gain `γ`, shrinkage, and row/column subsampling. Split
-//! search parallelises over features with rayon.
+//! minimum split gain `γ`, shrinkage, and row/column subsampling.
 
 use std::time::Instant;
 
-use rayon::prelude::*;
 use tensor::{Rng, Tensor};
 use timeseries::WindowedDataset;
 
@@ -129,7 +127,7 @@ impl TreeBuilder<'_> {
         let parent_score = g_total * g_total / (h_total + self.cfg.lambda);
         let best = self
             .active_features
-            .par_iter()
+            .iter()
             .filter_map(|&f| {
                 let mut gl = 0.0f64;
                 let mut hl = 0.0f64;
@@ -170,7 +168,7 @@ impl TreeBuilder<'_> {
                 }
                 best
             })
-            .reduce_with(|a, b| if a.gain >= b.gain { a } else { b });
+            .reduce(|a, b| if a.gain >= b.gain { a } else { b });
         best
     }
 
@@ -300,7 +298,6 @@ impl Forecaster for GbtForecaster {
 
         // Pre-sort each feature once; reused by every node of every tree.
         let sorted_idx: Vec<Vec<u32>> = (0..flat)
-            .into_par_iter()
             .map(|f| {
                 let mut idx: Vec<u32> = (0..n as u32).collect();
                 // `total_cmp` orders NaN features last instead of

@@ -506,11 +506,11 @@ fn dispatch_inner(shared: &Arc<NodeShared>, msg: Message) -> Message {
             let service = read_recover(&shared.service);
             let stats = service.stats();
             Message::HealthOk(HealthReport {
-                entities: stats.total_entities() as u64,
-                ingested: stats.total_ingested(),
-                forecasts: stats.total_forecasts(),
-                degraded: stats.shards.iter().map(|s| s.degraded as u64).sum(),
-                restarts: stats.shards.iter().map(|s| s.restarts).sum(),
+                entities: stats.total(|s| s.entities) as u64,
+                ingested: stats.total(|s| s.ingested),
+                forecasts: stats.total(|s| s.forecasts),
+                degraded: stats.total(|s| s.degraded) as u64,
+                restarts: stats.total(|s| s.restarts),
                 draining: shared.draining.load(Ordering::SeqCst),
             })
         }

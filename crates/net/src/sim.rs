@@ -1201,7 +1201,7 @@ pub fn run_fleet_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, NetError> {
             })
             .collect();
         holdings.push((name.clone(), held));
-        executed_forecasts += server.with_service(|s| s.stats().total_forecasts());
+        executed_forecasts += server.with_service(|s| s.stats().total(|s| s.forecasts));
         dedup_hits += server.dedup_hits();
     }
     let statuses = router.nodes();

@@ -168,7 +168,7 @@ fn duplicate_request_id_replay_hits_node_dedup() {
     assert_eq!(node.dedup_hits(), 1, "replay must be answered from cache");
     let ingested = node.with_service(|s| {
         s.flush().expect("flush");
-        s.stats().total_ingested()
+        s.stats().total(|s| s.ingested)
     });
     assert_eq!(ingested, 1, "the sample must apply exactly once");
     // A *fresh* id with the same payload is a new request and executes.
@@ -220,7 +220,7 @@ fn concurrent_same_id_requests_apply_once() {
     }
     let ingested = node.with_service(|s| {
         s.flush().expect("flush");
-        s.stats().total_ingested()
+        s.stats().total(|s| s.ingested)
     });
     assert_eq!(ingested, 1, "four racing replays must apply exactly once");
     assert_eq!(node.dedup_hits(), 3);

@@ -766,9 +766,9 @@ mod tests {
             assert!((fc[0] - 55.0).abs() < 1.0, "forecast {} for {id}", fc[0]);
         }
         let stats = service.stats();
-        assert_eq!(stats.total_ingested(), 8);
-        assert_eq!(stats.total_forecasts(), 8);
-        assert_eq!(stats.total_entities(), 8);
+        assert_eq!(stats.total(|s| s.ingested), 8);
+        assert_eq!(stats.total(|s| s.forecasts), 8);
+        assert_eq!(stats.total(|s| s.entities), 8);
     }
 
     #[test]
@@ -802,7 +802,7 @@ mod tests {
         }
         service.flush().unwrap();
         let stats = service.stats();
-        assert_eq!(stats.total_ingested(), 100);
+        assert_eq!(stats.total(|s| s.ingested), 100);
         for shard in &stats.shards {
             assert_eq!(shard.queue_depth, 0, "shard {} not drained", shard.shard);
         }

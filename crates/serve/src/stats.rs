@@ -225,7 +225,7 @@ impl ShardStatsCore {
 }
 
 /// Point-in-time view of one shard.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStats {
     pub shard: usize,
     pub entities: usize,
@@ -273,43 +273,6 @@ pub struct ShardStats {
     pub scored: u64,
 }
 
-impl Default for ShardStats {
-    fn default() -> Self {
-        Self {
-            shard: 0,
-            entities: 0,
-            ingested: 0,
-            forecasts: 0,
-            refits_started: 0,
-            refits_completed: 0,
-            rejected: 0,
-            unknown_entity_ingests: 0,
-            queue_depth: 0,
-            restarts: 0,
-            degraded: 0,
-            fallback_forecasts: 0,
-            batched_forecasts: 0,
-            batch_calls: 0,
-            repaired_samples: 0,
-            quarantined_samples: 0,
-            gap_samples: 0,
-            refit_failures: 0,
-            refit_timeouts: 0,
-            refits_rejected: 0,
-            interval_forecasts: 0,
-            interval_fallbacks: 0,
-            reservations: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            forecast_p50_us: None,
-            forecast_p99_us: None,
-            rolling_mae: 0.0,
-            rolling_mse: 0.0,
-            scored: 0,
-        }
-    }
-}
-
 /// Fleet-wide view: one entry per shard plus aggregate helpers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
@@ -317,97 +280,10 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Entities currently installed across all shards.
-    pub fn total_entities(&self) -> usize {
-        self.shards.iter().map(|s| s.entities).sum()
-    }
-
-    /// Samples applied across all shards.
-    pub fn total_ingested(&self) -> u64 {
-        self.shards.iter().map(|s| s.ingested).sum()
-    }
-
-    /// Forecasts answered across all shards (model, batched or fallback).
-    pub fn total_forecasts(&self) -> u64 {
-        self.shards.iter().map(|s| s.forecasts).sum()
-    }
-
-    /// Background refits that finished and installed a model.
-    pub fn total_refits_completed(&self) -> u64 {
-        self.shards.iter().map(|s| s.refits_completed).sum()
-    }
-
-    /// Samples rejected fleet-wide under `Reject` backpressure.
-    pub fn total_rejected(&self) -> u64 {
-        self.shards.iter().map(|s| s.rejected).sum()
-    }
-
-    /// Shard worker restarts after an escaped panic, fleet-wide.
-    pub fn total_restarts(&self) -> u64 {
-        self.shards.iter().map(|s| s.restarts).sum()
-    }
-
-    /// Entities currently serving from the naive fallback.
-    pub fn total_degraded(&self) -> usize {
-        self.shards.iter().map(|s| s.degraded).sum()
-    }
-
-    /// Forecasts answered by the fallback instead of the model.
-    pub fn total_fallback_forecasts(&self) -> u64 {
-        self.shards.iter().map(|s| s.fallback_forecasts).sum()
-    }
-
-    /// Forecasts answered through batched engine calls.
-    pub fn total_batched_forecasts(&self) -> u64 {
-        self.shards.iter().map(|s| s.batched_forecasts).sum()
-    }
-
-    /// Batched engine calls issued fleet-wide.
-    pub fn total_batch_calls(&self) -> u64 {
-        self.shards.iter().map(|s| s.batch_calls).sum()
-    }
-
-    /// Non-finite samples repaired at the shard boundary.
-    pub fn total_repaired_samples(&self) -> u64 {
-        self.shards.iter().map(|s| s.repaired_samples).sum()
-    }
-
-    /// Samples dropped at the shard boundary.
-    pub fn total_quarantined_samples(&self) -> u64 {
-        self.shards.iter().map(|s| s.quarantined_samples).sum()
-    }
-
-    /// Background refits that failed every attempt.
-    pub fn total_refit_failures(&self) -> u64 {
-        self.shards.iter().map(|s| s.refit_failures).sum()
-    }
-
-    /// Background refits abandoned at the deadline.
-    pub fn total_refit_timeouts(&self) -> u64 {
-        self.shards.iter().map(|s| s.refit_timeouts).sum()
-    }
-
-    /// Interval forecasts answered fleet-wide.
-    pub fn total_interval_forecasts(&self) -> u64 {
-        self.shards.iter().map(|s| s.interval_forecasts).sum()
-    }
-
-    /// Interval requests answered from a last-good interval fleet-wide.
-    pub fn total_interval_fallbacks(&self) -> u64 {
-        self.shards.iter().map(|s| s.interval_fallbacks).sum()
-    }
-
-    /// Capacity reservations decided fleet-wide.
-    pub fn total_reservations(&self) -> u64 {
-        self.shards.iter().map(|s| s.reservations).sum()
-    }
-
-    /// Scaling actions (up + down) executed fleet-wide — reservation churn.
-    pub fn total_scale_actions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.scale_ups + s.scale_downs)
-            .sum()
+    /// One field (or expression over a shard's fields) summed across all
+    /// shards: `stats.total(|s| s.ingested)`.
+    pub fn total<T: std::iter::Sum>(&self, field: impl Fn(&ShardStats) -> T) -> T {
+        self.shards.iter().map(field).sum()
     }
 
     /// Scored-count-weighted rolling MAE across shards.
@@ -506,6 +382,10 @@ mod tests {
             forecasts: 5,
             refits_started: 1,
             refits_completed: 1,
+            restarts: 1,
+            degraded: 2,
+            scale_ups: 1,
+            scale_downs: 2,
             forecast_p50_us: Some(10.0),
             forecast_p99_us: Some(20.0),
             rolling_mae: 0.1,
@@ -518,48 +398,21 @@ mod tests {
                 base.clone(),
                 ShardStats {
                     shard: 1,
+                    restarts: 2,
+                    degraded: 1,
                     rolling_mae: 0.3,
                     scored: 30,
                     ..base
                 },
             ],
         };
-        assert_eq!(stats.total_ingested(), 20);
-        assert_eq!(stats.total_entities(), 4);
+        assert_eq!(stats.total(|s| s.ingested), 20);
+        assert_eq!(stats.total(|s| s.entities), 4);
+        assert_eq!(stats.total(|s| s.restarts), 3);
+        assert_eq!(stats.total(|s| s.degraded), 3);
+        assert_eq!(stats.total(|s| s.scale_ups + s.scale_downs), 6);
         // (0.1*10 + 0.3*30) / 40 = 0.25
         assert!((stats.rolling_mae() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fault_counters_aggregate() {
-        let stats = ServiceStats {
-            shards: vec![
-                ShardStats {
-                    restarts: 1,
-                    degraded: 2,
-                    fallback_forecasts: 5,
-                    repaired_samples: 3,
-                    quarantined_samples: 1,
-                    refit_failures: 2,
-                    refit_timeouts: 1,
-                    ..ShardStats::default()
-                },
-                ShardStats {
-                    shard: 1,
-                    restarts: 2,
-                    degraded: 1,
-                    quarantined_samples: 4,
-                    ..ShardStats::default()
-                },
-            ],
-        };
-        assert_eq!(stats.total_restarts(), 3);
-        assert_eq!(stats.total_degraded(), 3);
-        assert_eq!(stats.total_fallback_forecasts(), 5);
-        assert_eq!(stats.total_repaired_samples(), 3);
-        assert_eq!(stats.total_quarantined_samples(), 5);
-        assert_eq!(stats.total_refit_failures(), 2);
-        assert_eq!(stats.total_refit_timeouts(), 1);
     }
 
     #[test]

@@ -77,11 +77,11 @@ fn batched_forecasts_match_per_entity_path_bitwise() {
     }
 
     let stats = service.stats();
-    assert_eq!(stats.total_batch_calls(), 1, "{stats:?}");
-    assert_eq!(stats.total_batched_forecasts(), 5, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batched_forecasts), 5, "{stats:?}");
     // 5 singles + 5 batched.
-    assert_eq!(stats.total_forecasts(), 10);
-    assert_eq!(stats.total_fallback_forecasts(), 0);
+    assert_eq!(stats.total(|s| s.forecasts), 10);
+    assert_eq!(stats.total(|s| s.fallback_forecasts), 0);
 }
 
 #[test]
@@ -145,11 +145,11 @@ fn degraded_member_bypasses_the_batch_and_groupmates_keep_batching() {
         assert!(fc.iter().all(|v| v.is_finite()), "{id} returned {fc:?}");
     }
     let stats = service.stats();
-    assert_eq!(stats.total_restarts(), 1);
-    assert_eq!(stats.total_degraded(), 1);
-    assert_eq!(stats.total_fallback_forecasts(), 1, "{stats:?}");
-    assert_eq!(stats.total_batch_calls(), 1, "{stats:?}");
-    assert_eq!(stats.total_batched_forecasts(), 3, "{stats:?}");
+    assert_eq!(stats.total(|s| s.restarts), 1);
+    assert_eq!(stats.total(|s| s.degraded), 1);
+    assert_eq!(stats.total(|s| s.fallback_forecasts), 1, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batched_forecasts), 3, "{stats:?}");
 }
 
 /// A shared group big enough to cross the batch executor's parallel
@@ -215,9 +215,9 @@ fn executor_sized_batch_matches_per_entity_path_bitwise() {
         }
     }
     let stats = service.stats();
-    assert_eq!(stats.total_batch_calls(), 1, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
     assert_eq!(
-        stats.total_batched_forecasts(),
+        stats.total(|s| s.batched_forecasts),
         entities as u64,
         "{stats:?}"
     );

@@ -142,7 +142,7 @@ fn service_survives_combined_fault_plan() {
     // (c): the counters tell the story.
     let stats = service.stats();
     assert!(
-        stats.total_restarts() >= 2,
+        stats.total(|s| s.restarts) >= 2,
         "expected one restart per injected panic: {stats:?}"
     );
     assert!(
@@ -150,18 +150,18 @@ fn service_survives_combined_fault_plan() {
         "restart not attributed to the crashed shard"
     );
     assert!(
-        stats.total_repaired_samples() >= 30,
+        stats.total(|s| s.repaired_samples) >= 30,
         "poisoned samples were not repaired: {stats:?}"
     );
     assert!(
-        stats.total_quarantined_samples() >= 1,
+        stats.total(|s| s.quarantined_samples) >= 1,
         "malformed sample was not quarantined: {stats:?}"
     );
     // The crashed entity may already have healed (naive refits are fast),
     // but the permanently failing one is still degraded and must have
     // answered from the fallback.
     assert!(
-        stats.total_fallback_forecasts() >= 1,
+        stats.total(|s| s.fallback_forecasts) >= 1,
         "degraded entities did not serve from the fallback: {stats:?}"
     );
     let health = service.entity_health().unwrap();
@@ -180,13 +180,15 @@ fn service_survives_combined_fault_plan() {
         service.flush().unwrap();
         let health = service.entity_health().unwrap();
         let stats = service.stats();
-        if health[panicker].health == EntityHealth::Healthy && stats.total_refit_failures() >= 1 {
+        if health[panicker].health == EntityHealth::Healthy
+            && stats.total(|s| s.refit_failures) >= 1
+        {
             assert_eq!(
                 health[perm_fail].health,
                 EntityHealth::Degraded,
                 "entity with permanently failing refits must stay degraded"
             );
-            assert!(stats.total_degraded() >= 1);
+            assert!(stats.total(|s| s.degraded) >= 1);
             break;
         }
         assert!(
@@ -292,7 +294,7 @@ fn slow_refits_hit_the_deadline_and_are_abandoned() {
     loop {
         service.flush().unwrap();
         let stats = service.stats();
-        if stats.total_refit_timeouts() >= 1 {
+        if stats.total(|s| s.refit_timeouts) >= 1 {
             break;
         }
         assert!(
@@ -357,8 +359,8 @@ fn stalled_shard_saturates_queue_and_backpressure_fires() {
     assert!(rejected > 0, "queue never filled despite the stall");
     service.flush().unwrap();
     let stats = service.stats();
-    assert_eq!(stats.total_ingested(), accepted);
-    assert_eq!(stats.total_rejected(), rejected);
+    assert_eq!(stats.total(|s| s.ingested), accepted);
+    assert_eq!(stats.total(|s| s.rejected), rejected);
     // One journal entry per drop, attributed to the saturated shard and
     // the entity whose sample was turned away.
     let journal = service.journal();
@@ -481,10 +483,10 @@ fn degraded_entity_reserves_from_last_good_interval() {
     );
     let stats = service.stats();
     assert!(
-        stats.total_interval_fallbacks() >= 4,
+        stats.total(|s| s.interval_fallbacks) >= 4,
         "fallback counter missed requests: {stats:?}"
     );
-    assert!(stats.total_reservations() >= 4, "{stats:?}");
+    assert!(stats.total(|s| s.reservations) >= 4, "{stats:?}");
 }
 
 /// Sequence-numbered ingestion: gaps are detected and forward-filled (up

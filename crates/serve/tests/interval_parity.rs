@@ -92,8 +92,8 @@ fn interval_point_block_matches_forecast_bitwise() {
     assert!(interval.offset_lo <= interval.offset_hi);
 
     let stats = service.stats();
-    assert_eq!(stats.total_interval_forecasts(), 2, "{stats:?}");
-    assert_eq!(stats.total_interval_fallbacks(), 0, "{stats:?}");
+    assert_eq!(stats.total(|s| s.interval_forecasts), 2, "{stats:?}");
+    assert_eq!(stats.total(|s| s.interval_fallbacks), 0, "{stats:?}");
 }
 
 /// Batched path through a shared group: `forecast_with_interval_many`
@@ -149,7 +149,7 @@ fn batched_interval_points_match_forecast_many_bitwise() {
     }
 
     let stats = service.stats();
-    assert_eq!(stats.total_interval_forecasts(), 5, "{stats:?}");
+    assert_eq!(stats.total(|s| s.interval_forecasts), 5, "{stats:?}");
     // Both request waves used the shared-group batch path.
-    assert_eq!(stats.total_batch_calls(), 2, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batch_calls), 2, "{stats:?}");
 }

@@ -149,23 +149,23 @@ proptest! {
         service.flush().unwrap();
         let stats = service.stats();
         prop_assert_eq!(
-            stats.total_repaired_samples() + stats.total_quarantined_samples(),
+            stats.total(|s| s.repaired_samples) + stats.total(|s| s.quarantined_samples),
             dirty,
             "every poisoned sample must be repaired or quarantined"
         );
         match guard {
-            IngestGuard::Repair => prop_assert_eq!(stats.total_quarantined_samples(), 0),
-            IngestGuard::Quarantine => prop_assert_eq!(stats.total_repaired_samples(), 0),
+            IngestGuard::Repair => prop_assert_eq!(stats.total(|s| s.quarantined_samples), 0),
+            IngestGuard::Quarantine => prop_assert_eq!(stats.total(|s| s.repaired_samples), 0),
         }
         // The journal agrees with the counters, event for event.
         let journal = service.journal();
         prop_assert_eq!(
             journal.count(EventKind::Quarantined) as u64,
-            stats.total_quarantined_samples()
+            stats.total(|s| s.quarantined_samples)
         );
         prop_assert_eq!(
             journal.count(EventKind::Repaired) as u64,
-            stats.total_repaired_samples()
+            stats.total(|s| s.repaired_samples)
         );
     }
 }

@@ -79,7 +79,7 @@ fn shard_assignment_is_deterministic_and_stable() {
     }
     // Per-shard entity counts must sum to the fleet size.
     let stats = service.stats();
-    assert_eq!(stats.total_entities(), 20);
+    assert_eq!(stats.total(|s| s.entities), 20);
     let nonempty = stats.shards.iter().filter(|s| s.entities > 0).count();
     assert!(nonempty > 1, "20 entities all landed on one of 5 shards");
 }
@@ -114,11 +114,11 @@ fn no_sample_loss_under_block_backpressure_with_tiny_queues() {
     service.flush().unwrap();
     let stats = service.stats();
     assert_eq!(
-        stats.total_ingested(),
+        stats.total(|s| s.ingested),
         (threads * per_thread) as u64,
         "samples were lost under backpressure"
     );
-    assert_eq!(stats.total_rejected(), 0);
+    assert_eq!(stats.total(|s| s.rejected), 0);
     for shard in &stats.shards {
         assert_eq!(shard.queue_depth, 0, "shard {} not drained", shard.shard);
     }
@@ -151,8 +151,8 @@ fn reject_backpressure_counts_every_dropped_sample() {
     }
     service.flush().unwrap();
     let stats = service.stats();
-    assert_eq!(stats.total_ingested(), accepted);
-    assert_eq!(stats.total_rejected(), rejected);
+    assert_eq!(stats.total(|s| s.ingested), accepted);
+    assert_eq!(stats.total(|s| s.rejected), rejected);
     assert_eq!(accepted + rejected, 500);
     assert!(accepted > 0, "nothing was ever accepted");
 }
@@ -182,7 +182,7 @@ fn background_refits_complete_without_blocking_ingest() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = service.stats();
-        if stats.total_refits_completed() >= 4 {
+        if stats.total(|s| s.refits_completed) >= 4 {
             assert!(stats.shards.iter().map(|s| s.refits_started).sum::<u64>() >= 4);
             break;
         }

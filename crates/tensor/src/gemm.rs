@@ -18,16 +18,14 @@
 //! per lane to `_mm256_fmadd_ps`) and plain `a * b + acc` on the Avx and
 //! Scalar tiers (identical per lane to `_mm256_add_ps(_mm256_mul_ps(..))`).
 //! Because the chain never depends on `m`, on packing, on the column-chunk
-//! width, or on how rows are partitioned across threads, the following all
-//! hold bitwise:
+//! width, or on which rows share a call, the following all hold bitwise:
 //!
 //! * the SIMD path of a tier equals that tier's scalar twin
 //!   ([`gemm_scalar_fma`] for Fma, [`gemm_scalar`] for Avx/Scalar) on every
 //!   shape, including degenerate and non-tile-multiple ones;
 //! * the packed large-`m` path equals the direct small-`m` path, so a
 //!   stacked batch of rows equals the same rows computed one at a time;
-//! * rayon row-splits and the batch executor's static row partition do not
-//!   change results.
+//! * the batch executor's static row partition does not change results.
 //!
 //! Under Miri (and on non-x86 targets) the `#[target_feature]` kernels are
 //! replaced by raw-pointer scalar twins with identical signatures and
@@ -37,17 +35,10 @@
 
 use std::cell::RefCell;
 
-use rayon::prelude::*;
-
 /// Rows per microtile: one broadcast register feeds MR accumulator rows.
 pub const MR: usize = 4;
 /// Columns per microtile: two 8-lane `ymm` vectors per row.
 pub const NR: usize = 16;
-
-/// Below this many multiply-adds the sequential kernel wins (fork/join and
-/// per-thread packing cost dominate); same threshold the old kernel used so
-/// the parallel crossover stays comparable across BENCH_infer.json history.
-const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Instruction tier selected by runtime CPU feature detection.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -288,9 +279,8 @@ fn merge_tile(
 
 /// Generates one dispatch tier's driver: the direct per-row path for
 /// `m < MR` (packing B costs as much as the multiply at m=1, the streaming
-/// hot path) and the packed-panel path for larger `m`, parallelised over
-/// `MR`-row blocks once the FLOP count amortises fork/join. Both paths and
-/// both parallel modes produce identical bits (see module docs).
+/// hot path) and the packed-panel path for larger `m`. Both paths produce
+/// identical bits (see module docs).
 macro_rules! define_driver {
     ($driver:ident, $tile:ident, $row:ident) => {
         #[allow(clippy::too_many_arguments)]
@@ -328,58 +318,23 @@ macro_rules! define_driver {
             PACK_SCRATCH.with(|cell| {
                 let (a_panel, b_pack) = &mut *cell.borrow_mut();
                 pack_b(db, b_pack, k, n);
-                let b_pack: &[f32] = b_pack;
-                if m * n * k >= PAR_THRESHOLD {
-                    // Row blocks are disjoint, so a static split is bitwise
-                    // neutral; each worker packs its own A panel.
-                    out.par_chunks_mut(MR * n)
-                        .enumerate()
-                        .for_each(|(blk, out_rows)| {
-                            let mut a_local = vec![0.0f32; k * MR];
-                            let i0 = blk * MR;
-                            let rows = MR.min(m - i0);
-                            pack_a(da, &mut a_local, i0, rows, k);
-                            let mut tile = [0.0f32; MR * NR];
-                            for (c, j0) in (0..n).step_by(NR).enumerate() {
-                                let cols = NR.min(n - j0);
-                                let panel = &b_pack[c * k * NR..(c + 1) * k * NR];
-                                // SAFETY: `a_local` holds `k*MR` floats and
-                                // `panel` holds `k*NR`; the kernel reads exactly
-                                // those and writes exactly `MR*NR` floats into
-                                // `tile`. Feature availability as above.
-                                unsafe {
-                                    kernels::$tile(
-                                        a_local.as_ptr(),
-                                        panel.as_ptr(),
-                                        k,
-                                        tile.as_mut_ptr(),
-                                    );
-                                }
-                                merge_tile(&tile, out_rows, rows, cols, j0, n, accumulate);
-                            }
-                        });
-                } else {
-                    a_panel.resize(k * MR, 0.0);
-                    for (blk, out_rows) in out.chunks_mut(MR * n).enumerate() {
-                        let i0 = blk * MR;
-                        let rows = MR.min(m - i0);
-                        pack_a(da, a_panel, i0, rows, k);
-                        let mut tile = [0.0f32; MR * NR];
-                        for (c, j0) in (0..n).step_by(NR).enumerate() {
-                            let cols = NR.min(n - j0);
-                            let panel = &b_pack[c * k * NR..(c + 1) * k * NR];
-                            // SAFETY: identical bounds argument to the
-                            // parallel arm above.
-                            unsafe {
-                                kernels::$tile(
-                                    a_panel.as_ptr(),
-                                    panel.as_ptr(),
-                                    k,
-                                    tile.as_mut_ptr(),
-                                );
-                            }
-                            merge_tile(&tile, out_rows, rows, cols, j0, n, accumulate);
+                a_panel.resize(k * MR, 0.0);
+                for (blk, out_rows) in out.chunks_mut(MR * n).enumerate() {
+                    let i0 = blk * MR;
+                    let rows = MR.min(m - i0);
+                    pack_a(da, a_panel, i0, rows, k);
+                    let mut tile = [0.0f32; MR * NR];
+                    for (c, j0) in (0..n).step_by(NR).enumerate() {
+                        let cols = NR.min(n - j0);
+                        let panel = &b_pack[c * k * NR..(c + 1) * k * NR];
+                        // SAFETY: `a_panel` holds `k*MR` floats and `panel`
+                        // holds `k*NR`; the kernel reads exactly those and
+                        // writes exactly `MR*NR` floats into `tile`. Feature
+                        // availability as above.
+                        unsafe {
+                            kernels::$tile(a_panel.as_ptr(), panel.as_ptr(), k, tile.as_mut_ptr());
                         }
+                        merge_tile(&tile, out_rows, rows, cols, j0, n, accumulate);
                     }
                 }
             });
@@ -735,14 +690,13 @@ mod tests {
         }
     }
 
-    /// The rayon split above PAR_THRESHOLD must not change bits relative to
-    /// the sequential packed path (exercised via a single-row-at-a-time
-    /// reference built from the same tier).
+    /// A shape of many row blocks and several column panels equals the
+    /// tier's one-element-at-a-time twin bit for bit.
     #[test]
-    #[cfg_attr(miri, ignore = "above-threshold shapes are too slow under miri")]
+    #[cfg_attr(miri, ignore = "a shape this large is too slow under miri")]
     fn parallel_path_is_bitwise_stable() {
         let mut rng = Rng::seed_from(13);
-        let (m, k, n) = (80, 70, 64); // 80*70*64 > PAR_THRESHOLD
+        let (m, k, n) = (80, 70, 64);
         let a = rand_vec(m * k, &mut rng);
         let b = rand_vec(k * n, &mut rng);
         let mut par = vec![0.0f32; m * n];

@@ -196,7 +196,6 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let a = Tensor::rand_normal(&[80, 70], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[70, 90], 0.0, 1.0, &mut rng);
-        // 80*70*90 > PAR_THRESHOLD, so this exercises the rayon path.
         assert!(matmul(&a, &b).allclose(&matmul_ref(&a, &b), 1e-2));
     }
 

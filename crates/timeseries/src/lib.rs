@@ -16,7 +16,6 @@
 //! 7. [`split`] — chronological 6:2:2 train/valid/test split.
 //! 8. [`metrics`] — MSE / MAE / RMSE / MAPE / sMAPE / R².
 
-pub mod changepoint;
 pub mod correlate;
 pub mod decompose;
 pub mod expand;
@@ -26,7 +25,6 @@ pub mod preprocess;
 pub mod split;
 pub mod window;
 
-pub use changepoint::{ChangePoint, Cusum, PageHinkley};
 pub use correlate::{correlation_matrix, rank_by_correlation, screen_top_half, screen_top_k};
 pub use decompose::{decompose_additive, estimate_period, Decomposition};
 pub use expand::Expansion;

@@ -2,7 +2,6 @@
 //! co-location interference and CSV export. This is the stand-in for
 //! downloading Alibaba trace v2018.
 
-use rayon::prelude::*;
 use tensor::Rng;
 use timeseries::TimeSeriesFrame;
 
@@ -75,13 +74,12 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Generate a full trace. Machines are generated in parallel; every
-    /// entity derives its randomness from a forked, per-entity seed, so the
-    /// output is identical regardless of thread scheduling.
+    /// Generate a full trace. Every entity derives its randomness from a
+    /// forked, per-entity seed.
     pub fn generate(config: TraceConfig) -> Trace {
         let mut seeder = Rng::seed_from(config.seed);
-        // Pre-draw per-machine seeds and mean utilisations sequentially for
-        // determinism, then fan the heavy generation out with rayon.
+        // Pre-draw per-machine seeds and mean utilisations, so a machine's
+        // series does not depend on how much randomness its neighbours use.
         let machine_plans: Vec<(u64, f32, u64)> = (0..config.num_machines)
             .map(|_| {
                 (
@@ -93,7 +91,7 @@ impl Trace {
             .collect();
 
         let per_machine: Vec<(EntityTrace, Vec<EntityTrace>)> = machine_plans
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(mi, &(mseed, mean_util, cseed))| {
                 let mcfg = MachineConfig {

@@ -9,10 +9,10 @@
 
 use cloudtrace::{ContainerConfig, WorkloadClass};
 use models::{NaiveForecaster, NeuralTrainSpec, RptcnConfig, RptcnForecaster};
-use rptcn::{prepare, run_model, CapacityPlanner, PipelineConfig, PlannerConfig, Scenario};
+use rptcn::{prepare, run_model, DecisionConfig, DecisionPlanner, PipelineConfig, Scenario};
 
 fn plan(name: &str, predictions: &[f32], actuals: &[f32]) {
-    let mut planner = CapacityPlanner::new(PlannerConfig::default());
+    let mut planner = DecisionPlanner::new(DecisionConfig::default(), 128);
     let stats = planner.replay(predictions, actuals);
     println!(
         "{name:<12} violations {:>5.1}%   mean waste {:>5.1}% of capacity   total deficit {:.2}",

@@ -9,7 +9,7 @@
 
 use cloudtrace::{ContainerConfig, WorkloadClass};
 use models::{GbtConfig, GbtForecaster};
-use rptcn::{CapacityPlanner, PipelineConfig, PlannerConfig, ResourcePredictor, Scenario};
+use rptcn::{DecisionConfig, DecisionPlanner, PipelineConfig, ResourcePredictor, Scenario};
 
 fn main() {
     // Full trace: the second half contains a persistent usage jump.
@@ -40,14 +40,14 @@ fn main() {
         fit_run.test_metrics.mse * 100.0
     );
 
-    let mut planner = CapacityPlanner::new(PlannerConfig::default());
+    let mut planner = DecisionPlanner::new(DecisionConfig::default(), 128);
     let cpu = frame.column("cpu_util_percent").unwrap().to_vec();
     let mut refits = 0;
     #[allow(clippy::needless_range_loop)] // t is wall-clock time, not just an index
     for t in 800..steps {
         // Forecast, allocate, then observe reality.
         let forecast = predictor.forecast().expect("forecast")[0];
-        let allocation = planner.allocate(forecast);
+        let allocation = planner.reserve(forecast).reservation;
         let actual = cpu[t];
         planner.settle(forecast, allocation, actual);
 
@@ -74,5 +74,5 @@ fn main() {
         100.0 * stats.violation_rate(),
         100.0 * stats.mean_waste()
     );
-    println!("the mutation at t=1200 is absorbed: the planner's adaptive headroom widens after the level shift.");
+    println!("the mutation at t=1200 shows in the residuals: the planner's conformal margin widens after the level shift.");
 }

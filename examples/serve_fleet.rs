@@ -33,10 +33,10 @@ fn trace_for(i: usize) -> TimeSeriesFrame {
 fn print_stats(stats: &ServiceStats) {
     println!(
         "  fleet: {} entities, {} ingested, {} forecasts, {} refits done, rolling MAE {:.4}",
-        stats.total_entities(),
-        stats.total_ingested(),
-        stats.total_forecasts(),
-        stats.total_refits_completed(),
+        stats.total(|s| s.entities),
+        stats.total(|s| s.ingested),
+        stats.total(|s| s.forecasts),
+        stats.total(|s| s.refits_completed),
         stats.rolling_mae()
     );
     for s in &stats.shards {
@@ -125,7 +125,9 @@ fn main() {
     // Let in-flight background refits finish so the checkpoint captures
     // the freshest models.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while service.stats().total_refits_completed() < ENTITIES as u64 && Instant::now() < deadline {
+    while service.stats().total(|s| s.refits_completed) < ENTITIES as u64
+        && Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(20));
         service.flush().expect("flush");
     }

@@ -9,8 +9,8 @@
 //! * [`timeseries`] — cleaning, scaling, PCC screening, expansion, windows.
 //! * [`cloudtrace`] — synthetic Alibaba-v2018-style cluster traces.
 //! * [`models`] — RPTCN plus the ARIMA / XGBoost / LSTM / CNN-LSTM baselines.
-//! * [`rptcn`] — the Algorithm-1 pipeline, online predictor and capacity
-//!   planner.
+//! * [`rptcn`] — the Algorithm-1 pipeline, online predictor and
+//!   reservation decisions.
 //! * [`serve`] — sharded online prediction service with bounded ingest
 //!   queues, background refits and fleet checkpointing.
 //!

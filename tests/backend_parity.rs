@@ -7,7 +7,9 @@
 //! bits on the tape-free arena backend (`predict`), on the taped backend
 //! (`predict_taped`), through the predictor and through a
 //! `PredictionService` shard — and repeated forecasts must stop taking
-//! fresh buffers from the thread's scratch arena.
+//! fresh buffers from the thread's scratch arena. A shared-weight group
+//! large enough for the stacked-batch pool to split must answer each
+//! entity with the bits of its own forecast.
 
 use autograd::infer::thread_context_allocs;
 use cloudtrace::{ContainerConfig, WorkloadClass};
@@ -20,8 +22,12 @@ use tensor::Tensor;
 use timeseries::TimeSeriesFrame;
 
 fn bootstrap() -> TimeSeriesFrame {
+    bootstrap_seeded(14)
+}
+
+fn bootstrap_seeded(seed: u64) -> TimeSeriesFrame {
     cloudtrace::container::generate_container(
-        &ContainerConfig::new(WorkloadClass::HighDynamic, 320, 14).with_diurnal_period(120),
+        &ContainerConfig::new(WorkloadClass::HighDynamic, 320, seed).with_diurnal_period(120),
     )
 }
 
@@ -135,4 +141,40 @@ fn lstm_forecast_is_the_same_bits_on_every_path() {
             (twin.predict(x), twin.predict_taped(x))
         },
     );
+}
+
+/// The one fan-out in the compute crates: a shard answers a shared-weight
+/// group with one stacked batch, and `autograd::batch_exec` splits its
+/// rows over the pool on any multi-core host.
+#[test]
+fn stacked_batch_answers_each_entity_with_its_own_forecast_bits() {
+    const ENTITIES: usize = 16;
+    const { assert!(ENTITIES >= autograd::batch_exec::MIN_PARALLEL_ROWS) };
+    let ids: Vec<String> = (0..ENTITIES).map(|i| format!("e_{i}")).collect();
+    let fleet: Vec<(&str, TimeSeriesFrame)> = ids
+        .iter()
+        .zip(14..)
+        .map(|(id, seed)| (id.as_str(), bootstrap_seeded(seed)))
+        .collect();
+    let mut service = PredictionService::new(ServiceConfig {
+        shards: 1,
+        ..Default::default()
+    })
+    .expect("spawn service");
+    service
+        .add_entities_shared(&fleet, pipeline(), Box::new(tiny_rptcn()))
+        .expect("onboard");
+
+    let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let batched = service.forecast_many(&refs);
+    assert_eq!(
+        service.stats().total(|s| s.batched_forecasts),
+        ENTITIES as u64,
+        "the group must be answered by one stacked call"
+    );
+    for (id, forecast) in &batched {
+        let own = service.forecast(id).expect("own forecast");
+        let stacked = forecast.as_ref().expect("stacked forecast");
+        assert_eq!(bits(stacked), bits(&own), "{id}: stacked vs own");
+    }
 }
