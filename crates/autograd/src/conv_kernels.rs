@@ -44,10 +44,11 @@ mod simd {
     /// # Safety
     ///
     /// The caller must verify AVX support at runtime, `k == 3`,
-    /// `2*dilation < time`, finite nonzero weights, slice lengths matching
-    /// the `[in_ch|out_ch, time]` row-major layout,
+    /// `2*dilation < time`, slice lengths matching the
+    /// `[in_ch|out_ch, time]` row-major layout,
     /// `in_ch * (time + 2*dilation) + 8 <= PAD_CAP`, and
-    /// `time <= MAX_TIME`.
+    /// `time <= MAX_TIME`. (Finite nonzero weights are what the parity
+    /// argument needs; no memory access depends on them.)
     #[allow(clippy::too_many_arguments)]
     #[cfg(not(miri))]
     #[target_feature(enable = "avx")]
@@ -228,8 +229,8 @@ mod simd {
     /// # Safety
     ///
     /// Same contract as the AVX variant minus the CPU-feature requirement:
-    /// `k == 3`, `2*dilation < time`, finite nonzero weights, slice lengths
-    /// matching the `[in_ch|out_ch, time]` row-major layout and
+    /// `k == 3`, `2*dilation < time`, slice lengths matching the
+    /// `[in_ch|out_ch, time]` row-major layout and
     /// `in_ch * (time + 2*dilation) + 8 <= PAD_CAP`.
     #[allow(clippy::too_many_arguments)]
     #[cfg(miri)]
@@ -323,24 +324,102 @@ fn tap_accumulate(
     }
 }
 
-/// `(no weight is exactly zero, every weight is finite)` — what decides
-/// whether a kernel may take a path that adds `w · 0.0` padding terms or
-/// must reproduce the reference's skips. One pass without early exit, so
-/// the scan vectorises: it runs per convolution call, and at batch 1 two
-/// short-circuiting scans cost half as much as the convolution itself.
-fn scan_weights(dw: &[f32]) -> (bool, bool) {
+/// What a kernel asks of a weight tensor before it picks a path: whether it
+/// may add `w · 0.0` padding terms or must reproduce the reference's skips.
+/// Only [`scan_weights`] makes one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeightScan {
+    /// No weight is exactly zero.
+    nonzero: bool,
+    /// Every weight is finite.
+    finite: bool,
+}
+
+impl WeightScan {
+    /// Every weight finite and nonzero: a `w · 0.0` term is `±0.0`, and
+    /// adding a signed zero never changes an accumulator that started at
+    /// `+0.0`.
+    fn uniform(self) -> bool {
+        self.nonzero && self.finite
+    }
+}
+
+/// One pass without early exit, so the scan vectorises. It depends on the
+/// weights alone: the serving path runs it once per weight install (the
+/// [`ParamStore`](crate::ParamStore) keeps the result with the folded
+/// weight), the training kernels once per call.
+pub(crate) fn scan_weights(dw: &[f32]) -> WeightScan {
     let (mut nonzero, mut finite) = (true, true);
     for &w in dw {
         nonzero &= w != 0.0;
         finite &= w.is_finite();
     }
-    (nonzero, finite)
+    WeightScan { nonzero, finite }
+}
+
+/// The weight-norm reparameterisation `gain · v / ‖v‖` of a `[out_ch, per]`
+/// weight as one dense weight, replicating the tape's op sequence exactly
+/// (f32 squares accumulated in f64, sqrt, `+ 1e-6`, divide, then gain) so
+/// the folded weight is bit-identical to the one the taped conv primitive
+/// convolves with. Once per weight install, not per forecast; the tape
+/// folds per pass instead, because gradients have to reach `v` and the
+/// gain through the fold.
+pub(crate) fn fold_weight_norm(v: &[f32], gain: &[f32]) -> Vec<f32> {
+    let out_ch = gain.len();
+    let per = v.len() / out_ch.max(1);
+    assert_eq!(v.len(), out_ch * per, "fold_weight_norm weight length");
+    let mut out = vec![0.0f32; v.len()];
+    for ((row, orow), &gn) in v.chunks(per).zip(out.chunks_mut(per)).zip(gain) {
+        let mut ss = 0.0f64;
+        for &x in row {
+            ss += (x * x) as f64;
+        }
+        let norm = (ss as f32).sqrt() + 1e-6;
+        for (o, &x) in orow.iter_mut().zip(row) {
+            *o = (x / norm) * gn;
+        }
+    }
+    out
+}
+
+/// Output steps one pass of [`pointwise_rows`] holds in registers.
+const POINTWISE_LANES: usize = 8;
+
+/// `R` output rows of a `k == 1` convolution: `y[r][t] = Σ_ic w[r][ic] ·
+/// x[ic][t]`, each element's chain in ascending `ic` with multiply and add
+/// separate — the chain [`tap_accumulate`] builds one in-channel at a time,
+/// so the bits are the reference's. The rows share every input load and
+/// the chains stay in registers across the in-channel loop. The last block
+/// of a row is taken back from the row's end, recomputing the elements it
+/// shares with the block before it rather than running a narrower tail.
+///
+/// `w` is the `R` weight rows (`in_ch` each), `y` the `R` output rows
+/// (`time` each); `time >= POINTWISE_LANES`.
+#[inline(always)]
+fn pointwise_rows<const R: usize>(x_item: &[f32], w: &[f32], y: &mut [f32], time: usize) {
+    let in_ch = w.len() / R;
+    for block in 0..time.div_ceil(POINTWISE_LANES) {
+        let t0 = (block * POINTWISE_LANES).min(time - POINTWISE_LANES);
+        let mut acc = [[0.0f32; POINTWISE_LANES]; R];
+        for (ic, x_row) in x_item.chunks_exact(time).enumerate() {
+            let xs = &x_row[t0..t0 + POINTWISE_LANES];
+            for (r, a) in acc.iter_mut().enumerate() {
+                let wv = w[r * in_ch + ic];
+                for (slot, &xv) in a.iter_mut().zip(xs) {
+                    *slot += wv * xv;
+                }
+            }
+        }
+        for (a, y_row) in acc.iter().zip(y.chunks_exact_mut(time)) {
+            y_row[t0..t0 + POINTWISE_LANES].copy_from_slice(a);
+        }
+    }
 }
 
 /// `out = causal_conv1d(x, w)` over raw row-major slices — the
-/// allocation-free kernel the tape-free inference engine builds on.
-/// `conv1d_forward` routes through it too, so both paths produce
-/// bit-identical activations. `out` is fully overwritten.
+/// allocation-free kernel under both backends: `conv1d_forward` (the tape)
+/// calls it, the arena calls [`conv1d_scanned`] with the scan the store
+/// made when the weights were installed. `out` is fully overwritten.
 ///
 /// The zero-weight skip stays here (unlike the dense matmul): weight-normed
 /// conv filters routinely carry exact zeros and the tap loop is short enough
@@ -357,6 +436,29 @@ pub fn conv1d_into(
     k: usize,
     dilation: usize,
 ) {
+    let scan = scan_weights(dw);
+    out.fill(0.0);
+    conv1d_scanned(dx, dw, scan, out, batch, in_ch, out_ch, time, k, dilation);
+}
+
+/// [`conv1d_into`] with `scan` the [`scan_weights`] of `dw`, into an `out`
+/// that is all `+0.0` on entry — the arena's pooled buffers come zeroed,
+/// and a second pass over a stacked batch's output is not free. The scan
+/// picks among paths that are bitwise equal wherever it holds; memory
+/// safety rests on the lengths asserted here alone.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv1d_scanned(
+    dx: &[f32],
+    dw: &[f32],
+    scan: WeightScan,
+    out: &mut [f32],
+    batch: usize,
+    in_ch: usize,
+    out_ch: usize,
+    time: usize,
+    k: usize,
+    dilation: usize,
+) {
     assert!(dilation >= 1, "dilation must be >= 1");
     assert_eq!(dx.len(), batch * in_ch * time, "conv1d_into input length");
     assert_eq!(dw.len(), out_ch * in_ch * k, "conv1d_into weight length");
@@ -365,7 +467,29 @@ pub fn conv1d_into(
         batch * out_ch * time,
         "conv1d_into output length"
     );
-    out.fill(0.0);
+    debug_assert!(out.iter().all(|v| v.to_bits() == 0), "out not zeroed");
+
+    // k=1 (the residual projection): no tap reaches back, so the only
+    // difference from the reference is its skip of exact-zero weights.
+    // Non-finite weights stay on the reference too, where a NaN meets its
+    // operands in the reference's order.
+    if k == 1 && time >= POINTWISE_LANES && scan.uniform() && !dw.is_empty() {
+        for (x_item, out_item) in dx
+            .chunks_exact(in_ch * time)
+            .zip(out.chunks_exact_mut(out_ch * time))
+        {
+            let mut w4 = dw.chunks_exact(4 * in_ch);
+            let mut y4 = out_item.chunks_exact_mut(4 * time);
+            for (w, y) in (&mut w4).zip(&mut y4) {
+                pointwise_rows::<4>(x_item, w, y, time);
+            }
+            let rest = w4.remainder().chunks_exact(in_ch);
+            for (w, y) in rest.zip(y4.into_remainder().chunks_exact_mut(time)) {
+                pointwise_rows::<1>(x_item, w, y, time);
+            }
+        }
+        return;
+    }
 
     // Fused k=3 fast path: one pass over each row instead of three, four
     // output channels sharing every input load (four independent
@@ -373,13 +497,10 @@ pub fn conv1d_into(
     // still land in (in-channel, tap) order as separate adds, so the
     // result is bitwise identical to `tap_accumulate`. Exact-zero weights
     // (whose terms the reference skips) route to the slow path.
-    let (nonzero, finite) = scan_weights(dw);
-    let fused_ok = k == 3 && 2 * dilation < time && nonzero;
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = finite;
+    let fused_ok = k == 3 && 2 * dilation < time && scan.nonzero;
     #[cfg(target_arch = "x86_64")]
     let use_avx = fused_ok
-        && finite
+        && scan.finite
         && in_ch * (time + 2 * dilation) + 8 <= simd::PAD_CAP
         && time <= simd::MAX_TIME
         && avx_available();
@@ -709,7 +830,7 @@ pub fn conv1d_backward_input(
     // its padded path — `grad_out` rows are copied out with zeros past
     // their end: the terms this adds are `w · 0.0 = ±0.0`, and adding a
     // signed zero never changes an accumulator that started at `+0.0`.
-    let uniform = scan_weights(dw) == (true, true);
+    let uniform = scan_weights(dw).uniform();
     let mut padded = Vec::new();
     let (go, row) = if uniform {
         let row = time.div_ceil(STEPS) * STEPS + (k - 1) * dilation;
@@ -960,42 +1081,118 @@ mod tests {
         }
     }
 
-    /// The fused / AVX fast paths must reproduce the tap-wise reference
-    /// accumulation order bit for bit at every dilation the paper config
-    /// uses — inference parity and streaming-state checks build on this.
+    /// Tap-wise forward convolution — the accumulation order every fast
+    /// path of [`conv1d_into`] must reproduce.
+    fn forward_reference(x: &Tensor, w: &Tensor, dilation: usize) -> Vec<f32> {
+        let (batch, in_ch, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let (out_ch, k) = (w.shape()[0], w.shape()[2]);
+        let mut reference = vec![0.0f32; batch * out_ch * time];
+        for (x_item, y_item) in x
+            .as_slice()
+            .chunks(in_ch * time)
+            .zip(reference.chunks_mut(out_ch * time))
+        {
+            for (o, y_row) in y_item.chunks_mut(time).enumerate() {
+                for (i, x_row) in x_item.chunks(time).enumerate() {
+                    let w_row = &w.as_slice()[(o * in_ch + i) * k..(o * in_ch + i + 1) * k];
+                    tap_accumulate(y_row, x_row, w_row, time, k, dilation);
+                }
+            }
+        }
+        reference
+    }
+
+    /// What a forward parity case plants in otherwise finite, nonzero
+    /// weights; either sends the kernel down the reference's path.
+    #[derive(Clone, Copy, Debug)]
+    enum Planted {
+        Nothing,
+        /// An exact `0.0` and a `-0.0`, beside an infinite activation that
+        /// the reference's skip keeps from turning into NaN.
+        ZeroWeight,
+        NonFiniteWeight,
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn check_forward_parity(
+        batch: usize,
+        in_ch: usize,
+        out_ch: usize,
+        time: usize,
+        k: usize,
+        d: usize,
+        planted: Planted,
+        rng: &mut Rng,
+    ) {
+        let mut x = Tensor::rand_normal(&[batch, in_ch, time], 0.0, 1.0, rng);
+        let mut w = Tensor::rand_normal(&[out_ch, in_ch, k], 0.0, 0.5, rng);
+        // The fast paths require nonzero weights; nudge any exact zeros.
+        for v in w.as_mut_slice() {
+            if *v == 0.0 {
+                *v = 0.25;
+            }
+        }
+        match planted {
+            Planted::Nothing => {}
+            Planted::ZeroWeight => {
+                season(&mut w, &[0.0, -0.0], rng);
+                season(&mut x, &[f32::INFINITY], rng);
+            }
+            Planted::NonFiniteWeight => {
+                let v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.below(3)];
+                season(&mut w, &[v], rng);
+            }
+        }
+        assert_same_bits(
+            conv1d_forward(&x, &w, d).as_slice(),
+            &forward_reference(&x, &w, d),
+            &format!("b{batch} ic{in_ch} oc{out_ch} t{time} k{k} d{d} {planted:?}"),
+        );
+    }
+
+    /// The fused / AVX / pointwise fast paths must reproduce the tap-wise
+    /// reference accumulation order bit for bit — k=3 at every dilation the
+    /// paper config uses, k=1 (the residual projection) at channel counts
+    /// on both sides of a four-row block and row lengths on both sides of
+    /// a lane block — inference parity and streaming-state checks build on
+    /// this.
     #[test]
     fn fast_paths_match_tap_reference_bitwise() {
         let mut rng = Rng::seed_from(21);
-        let (ic, oc, time) = (16, 18, 30); // 18 exercises the remainder rows
+        let planted = [
+            Planted::Nothing,
+            Planted::ZeroWeight,
+            Planted::NonFiniteWeight,
+        ];
         for &d in &[1usize, 2, 4, 8] {
-            let x = Tensor::rand_normal(&[2, ic, time], 0.0, 1.0, &mut rng);
-            let mut w = Tensor::rand_normal(&[oc, ic, 3], 0.0, 0.5, &mut rng);
-            // The fast path requires nonzero weights; nudge any exact zeros.
-            for v in w.as_mut_slice() {
-                if *v == 0.0 {
-                    *v = 0.25;
-                }
+            // 18 output channels exercise the remainder rows.
+            for how in planted {
+                check_forward_parity(2, 16, 18, 30, 3, d, how, &mut rng);
             }
-            let fast = conv1d_forward(&x, &w, d);
-            let mut reference = vec![0.0f32; 2 * oc * time];
-            for b in 0..2 {
-                let x_item = &x.as_slice()[b * ic * time..(b + 1) * ic * time];
-                for o in 0..oc {
-                    let y_row = &mut reference[(b * oc + o) * time..(b * oc + o + 1) * time];
-                    for i in 0..ic {
-                        tap_accumulate(
-                            y_row,
-                            &x_item[i * time..(i + 1) * time],
-                            &w.as_slice()[(o * ic + i) * 3..(o * ic + i + 1) * 3],
-                            time,
-                            3,
-                            d,
-                        );
-                    }
-                }
+        }
+        let mut case = 0usize;
+        for in_ch in 1..=17 {
+            for out_ch in 1..=17 {
+                case += 1;
+                // 37 is coprime to 70: the cases walk every row length.
+                let time = 1 + (case * 37) % 70;
+                let batch = [1, 3, 1, 3, 1, 3, 1, 64][case % 8];
+                check_forward_parity(
+                    batch,
+                    in_ch,
+                    out_ch,
+                    time,
+                    1,
+                    1,
+                    planted[case % 3],
+                    &mut rng,
+                );
             }
-            for (a, b) in fast.as_slice().iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "d={d}: {a} vs {b}");
+        }
+        for time in 1..=70 {
+            for how in planted {
+                check_forward_parity(1, 8, 16, time, 1, 1, how, &mut rng);
+                check_forward_parity(3, 5, 7, time, 1, 2, how, &mut rng);
             }
         }
     }
@@ -1207,6 +1404,29 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The forward kernel on arbitrary shapes; one case in two is
+            /// the `k == 1` projection, rows up to 70 steps.
+            #[test]
+            fn forward_kernel_matches_tap_reference_on_arbitrary_shapes(
+                dims in (1usize..5, 1usize..18, 1usize..18, 1usize..71),
+                (pointwise, kernel) in (0usize..2, 1usize..6),
+                dilation in 1usize..10,
+                planted in 0usize..3,
+                seed in 0u64..1_000_000,
+            ) {
+                let (batch, in_ch, out_ch, time) = dims;
+                let kernel = if pointwise == 1 { 1 } else { kernel };
+                let planted = [
+                    Planted::Nothing,
+                    Planted::ZeroWeight,
+                    Planted::NonFiniteWeight,
+                ][planted];
+                let mut rng = Rng::seed_from(seed);
+                check_forward_parity(
+                    batch, in_ch, out_ch, time, kernel, dilation, planted, &mut rng,
+                );
+            }
 
             /// Arbitrary shapes, kernel widths and dilations (taps that fall
             /// off a short row included), arbitrary seasoning.

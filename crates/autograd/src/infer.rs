@@ -26,7 +26,7 @@ use std::cell::RefCell;
 
 use tensor::Tensor;
 
-use crate::conv_kernels::conv1d_into;
+use crate::conv_kernels::conv1d_scanned;
 use crate::exec::Exec;
 use crate::params::{ParamId, ParamStore};
 use crate::train::{take_rows, SequenceModel};
@@ -259,32 +259,6 @@ pub fn subsample_time_into(src: &[f32], out: &mut [f32], rows: usize, time: usiz
     }
 }
 
-// hot-path: per-push inference kernel, must stay allocation-free
-/// Fold the weight-norm reparameterisation `gain · v / ‖v‖` of a
-/// `[out_ch, per]` weight into `out`, replicating the tape's op sequence
-/// exactly (f32 squares accumulated in f64, sqrt, `+ 1e-6`, divide, then
-/// gain) so the folded weight is bit-identical to the one the taped conv
-/// primitive convolves with. Without a gain it is a copy.
-pub fn fold_weight_norm(v: &[f32], gain: Option<&[f32]>, out_ch: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), v.len(), "fold_weight_norm buffer size");
-    let Some(gain) = gain else {
-        out.copy_from_slice(v);
-        return;
-    };
-    assert_eq!(gain.len(), out_ch, "fold_weight_norm gain length");
-    let per = v.len() / out_ch.max(1);
-    for ((row, orow), &gn) in v.chunks(per).zip(out.chunks_mut(per)).zip(gain) {
-        let mut ss = 0.0f64;
-        for &x in row {
-            ss += (x * x) as f64;
-        }
-        let norm = (ss as f32).sqrt() + 1e-6;
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = (x / norm) * gn;
-        }
-    }
-}
-
 /// A value of an [`Arena`] pass: a pooled buffer and its shape (rank ≤ 3).
 #[derive(Debug)]
 pub struct Buf {
@@ -403,17 +377,16 @@ impl Exec for Arena<'_> {
         bias: ParamId,
         dilation: usize,
     ) -> Buf {
-        let v = self.store.value(v);
-        let (out_ch, in_ch, kernel) = (v.shape()[0], v.shape()[1], v.shape()[2]);
+        let (w, scan) = self.store.conv_weight(v, gain);
+        let shape = self.store.value(v).shape();
+        let (out_ch, in_ch, kernel) = (shape[0], shape[1], shape[2]);
         let (batch, time) = (x.dims[0], x.dims[2]);
         assert!(x.rank == 3 && x.dims[1] == in_ch, "arena conv input shape");
-        let mut w = self.ctx.take(v.len());
-        let gain = gain.map(|g| self.store.value(g).as_slice());
-        fold_weight_norm(v.as_slice(), gain, out_ch, &mut w);
         let mut out = self.take(&[batch, out_ch, time]);
-        conv1d_into(
+        conv1d_scanned(
             &x.data,
-            &w,
+            w,
+            scan,
             &mut out.data,
             batch,
             in_ch,
@@ -422,7 +395,6 @@ impl Exec for Arena<'_> {
             kernel,
             dilation,
         );
-        self.ctx.give(w);
         let bias = self.store.value(bias).as_slice();
         add_channel_bias(&mut out.data, bias, batch, out_ch, time);
         out

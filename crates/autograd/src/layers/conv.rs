@@ -4,7 +4,6 @@
 use tensor::{Rng, Tensor};
 
 use crate::exec::Exec;
-use crate::infer::fold_weight_norm;
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 
@@ -83,11 +82,10 @@ impl CausalConv1d {
     }
 
     /// The dense `[out, in, k]` weight the layer convolves with, weight
-    /// normalisation folded in (see [`fold_weight_norm`]) — what the
-    /// streaming engine snapshots.
-    pub fn materialize_weight(&self, store: &ParamStore, out: &mut [f32]) {
-        let gain = self.gain.map(|g| store.value(g).as_slice());
-        fold_weight_norm(store.value(self.v).as_slice(), gain, self.out_ch, out);
+    /// normalisation folded in — the store's prepared copy, the one the
+    /// arena reads; the streaming engine snapshots it.
+    pub fn folded_weight<'a>(&self, store: &'a ParamStore) -> &'a [f32] {
+        store.conv_weight(self.v, self.gain).0
     }
 
     /// Raw bias values `[out_ch]` (for streaming inference).

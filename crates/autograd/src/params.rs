@@ -2,6 +2,8 @@
 
 use tensor::Tensor;
 
+use crate::conv_kernels::WeightScan;
+
 /// Error raised when a snapshot or named-tensor table does not match the
 /// store it is being restored into (wrong length, unknown name, shape
 /// mismatch). Restoring mismatched weights would silently corrupt a model,
@@ -28,12 +30,149 @@ impl ParamId {
     }
 }
 
+mod weights {
+    //! The tensors of a [`ParamStore`](super::ParamStore) together with
+    //! what has been derived from them, behind accessors that keep the two
+    //! consistent: the only way to a `&mut` tensor drops everything derived.
+
+    use std::collections::BTreeMap;
+    use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+
+    use tensor::Tensor;
+
+    use super::ParamId;
+    use crate::conv_kernels::{fold_weight_norm, scan_weights, WeightScan};
+
+    /// What the arena's convolution over the direction tensor at this
+    /// index derives from the weights alone.
+    #[derive(Debug)]
+    struct Slot {
+        /// The gain it was folded with.
+        gain: Option<ParamId>,
+        /// `None` without a gain: the weight is `v` itself, read in place.
+        folded: Option<Arc<Vec<f32>>>,
+        scan: WeightScan,
+    }
+
+    #[derive(Debug, Default, Clone)]
+    pub(super) struct Weights {
+        tensors: Vec<Tensor>,
+        /// One slot per tensor, filled at a convolution's first arena pass
+        /// after the weights changed. Every holder of one table has equal
+        /// tensors — a clone copies them and shares the table, and whoever
+        /// takes `&mut` access lets go of it — so a late fill by one holder
+        /// is right for all of them.
+        prepared: OnceLock<Arc<[OnceLock<Slot>]>>,
+    }
+
+    /// Reads go straight to the tensors.
+    impl std::ops::Deref for Weights {
+        type Target = [Tensor];
+
+        fn deref(&self) -> &[Tensor] {
+            &self.tensors
+        }
+    }
+
+    impl Weights {
+        /// Mutable access; what was prepared from the old values goes.
+        /// O(1): dropping the table frees at most what one fill allocated,
+        /// and an optimiser's run of steps finds it already gone.
+        pub(super) fn tensors_mut(&mut self) -> &mut Vec<Tensor> {
+            self.prepared.take();
+            &mut self.tensors
+        }
+
+        /// See [`ParamStore::conv_weight`](super::ParamStore::conv_weight).
+        pub(super) fn conv(&self, v: ParamId, gain: Option<ParamId>) -> (&[f32], WeightScan) {
+            let table = self
+                .prepared
+                .get_or_init(|| self.tensors.iter().map(|_| OnceLock::new()).collect());
+            let dir = self.tensors[v.0].as_slice();
+            let slot = table[v.0].get_or_init(|| {
+                let folded = gain.map(|g| fold_weight_norm(dir, self.tensors[g.0].as_slice()));
+                Slot {
+                    gain,
+                    scan: scan_weights(folded.as_deref().unwrap_or(dir)),
+                    folded: folded.map(shared),
+                }
+            });
+            assert_eq!(slot.gain, gain, "one convolution per direction tensor");
+            (
+                slot.folded.as_ref().map_or(dir, |w| w.as_slice()),
+                slot.scan,
+            )
+        }
+    }
+
+    /// Folded weights still in use somewhere in the process, by a hash of
+    /// a sample of their bits.
+    struct Live {
+        by_hash: BTreeMap<u64, Vec<Weak<Vec<f32>>>>,
+        /// Entry count at which dead entries are next swept out.
+        sweep_at: usize,
+    }
+
+    static LIVE: Mutex<Live> = Mutex::new(Live {
+        by_hash: BTreeMap::new(),
+        sweep_at: 64,
+    });
+
+    /// `folded`, or the copy of the same bits some other store already
+    /// holds. A folded weight is a pure function of `(v, gain)`, and a
+    /// fleet is full of models with equal weights in stores of their own —
+    /// one fit rebuilt from its checkpoint state per entity of a shared
+    /// group, a twin rebuilt from a snapshot at every migration — so a copy
+    /// per store would cost what the weights themselves cost, per entity.
+    /// Equality is checked on every bit; the hash only finds candidates.
+    fn shared(folded: Vec<f32>) -> Arc<Vec<f32>> {
+        let stride = folded.len() / 32 + 1;
+        let hash = folded
+            .iter()
+            .step_by(stride)
+            .fold(folded.len() as u64, |h, x| {
+                (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            });
+        let same = |other: &[f32]| {
+            other.len() == folded.len()
+                && other
+                    .iter()
+                    .zip(&folded)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        // Every update below leaves the registry valid, so a panic
+        // elsewhere while the lock was held cannot have broken it.
+        let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
+        if live.by_hash.len() >= live.sweep_at {
+            live.by_hash.retain(|_, bucket| {
+                bucket.retain(|w| w.strong_count() > 0);
+                !bucket.is_empty()
+            });
+            live.sweep_at = 2 * live.by_hash.len() + 64;
+        }
+        let bucket = live.by_hash.entry(hash).or_default();
+        bucket.retain(|w| w.strong_count() > 0);
+        if let Some(found) = bucket.iter().filter_map(Weak::upgrade).find(|w| same(w)) {
+            return found;
+        }
+        let fresh = Arc::new(folded);
+        bucket.push(Arc::downgrade(&fresh));
+        fresh
+    }
+}
+
 /// Owns every trainable tensor of a model. Layers register parameters at
 /// construction and keep only [`ParamId`]s, so the whole model's state lives
 /// in one place — simple to snapshot, count and update.
+///
+/// It also keeps what the serving path derives from the weights alone (the
+/// weight-norm fold of each convolution), filled at first use and dropped
+/// by every `&mut` method here, so a fit, refit or restore re-derives it
+/// and nothing else does. Clones share it until one of them is written,
+/// and stores that hold equal weights share the folded copies.
 #[derive(Debug, Default, Clone)]
 pub struct ParamStore {
-    values: Vec<Tensor>,
+    values: weights::Weights,
     names: Vec<String>,
 }
 
@@ -44,9 +183,10 @@ impl ParamStore {
 
     /// Register a new parameter, returning its handle.
     pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        self.values.push(value);
+        let values = self.values.tensors_mut();
+        values.push(value);
         self.names.push(name.into());
-        ParamId(self.values.len() - 1)
+        ParamId(values.len() - 1)
     }
 
     /// Current value of a parameter.
@@ -56,7 +196,15 @@ impl ParamStore {
 
     /// Mutable value (used by the optimisers).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.values[id.0]
+        &mut self.values.tensors_mut()[id.0]
+    }
+
+    /// The `[out_ch, in_ch, k]` weight a causal convolution over the
+    /// direction tensor `v` convolves with — `gain · v / ‖v‖` per output
+    /// channel when `gain` is given, `v` itself otherwise — and its scan.
+    /// Prepared once per weight install, not per call.
+    pub(crate) fn conv_weight(&self, v: ParamId, gain: Option<ParamId>) -> (&[f32], WeightScan) {
+        self.values.conv(v, gain)
     }
 
     /// Diagnostic name of a parameter.
@@ -81,7 +229,7 @@ impl ParamStore {
     /// Snapshot every value (used to restore the best-validation weights
     /// after early stopping).
     pub fn snapshot(&self) -> Vec<Tensor> {
-        self.values.clone()
+        self.values.to_vec()
     }
 
     /// Restore a snapshot taken with [`ParamStore::snapshot`]. Rejects
@@ -104,7 +252,7 @@ impl ParamStore {
                 )));
             }
         }
-        for (v, s) in self.values.iter_mut().zip(snapshot) {
+        for (v, s) in self.values.tensors_mut().iter_mut().zip(snapshot) {
             *v = s.clone();
         }
         Ok(())
@@ -161,8 +309,9 @@ impl ParamStore {
             }
             seen[idx] = true;
         }
+        let values = self.values.tensors_mut();
         for (&idx, (_, value)) in resolved.iter().zip(entries) {
-            self.values[idx] = value.clone();
+            values[idx] = value.clone();
         }
         Ok(())
     }
@@ -345,6 +494,38 @@ mod tests {
         // Nothing was clobbered by the failed imports.
         assert_eq!(store.value(ParamId(0)).as_slice(), &[1.0; 2]);
         assert_eq!(store.value(ParamId(1)).as_slice(), &[0.0; 3]);
+    }
+
+    fn conv_store(v: Tensor, gain: f32) -> (ParamStore, ParamId, ParamId) {
+        let mut store = ParamStore::new();
+        let out_ch = v.shape()[0];
+        let v = store.register("v", v);
+        let g = store.register("g", Tensor::full(&[out_ch, 1], gain));
+        (store, v, g)
+    }
+
+    #[test]
+    fn folded_weights_are_stored_once_for_equal_weights() {
+        let dir = Tensor::from_vec((1..=24).map(|i| i as f32 * 0.37).collect(), &[2, 4, 3]);
+        let (a, v, g) = conv_store(dir.clone(), 1.5);
+        let (b, ..) = conv_store(dir.clone(), 1.5);
+        let (other, ..) = conv_store(dir.clone(), 2.5);
+        let (wa, _) = a.conv_weight(v, Some(g));
+        let (wb, _) = b.conv_weight(v, Some(g));
+        let (wo, _) = other.conv_weight(v, Some(g));
+        assert!(std::ptr::eq(wa, wb), "equal weights, two copies");
+        assert!(!std::ptr::eq(wa, wo));
+        assert_ne!(wa, wo);
+        // Without a gain there is nothing to fold: `v` is read in place.
+        let (plain, _) = a.conv_weight(g, None);
+        assert!(std::ptr::eq(plain, a.value(g).as_slice()));
+
+        // A written store lets go of the shared copy; the other keeps it.
+        let mut a = a;
+        let before = wb.to_vec();
+        a.value_mut(g).map_inplace(|x| x * 2.0);
+        assert_eq!(b.conv_weight(v, Some(g)).0, before.as_slice());
+        assert_ne!(a.conv_weight(v, Some(g)).0, before.as_slice());
     }
 
     #[test]

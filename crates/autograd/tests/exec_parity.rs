@@ -7,10 +7,17 @@
 //! serving path meets: `batch = 1`, `time = 1`, a dilation longer than the
 //! row, exact-zero weights (which switch the conv kernel's path).
 //!
+//! A convolution's arena pass reads weights the store prepared when they
+//! were installed (the weight-norm fold, the kernel-path scan), so the
+//! last test writes weights through every `&mut` route the store has and
+//! requires the next arena pass to be the tape's bits for the new ones.
+//!
 //! It is also the suite the Miri CI job interprets: the arena `conv` and
 //! `subsample_time` primitives sit on the unsafe conv kernel (its
 //! `cfg(miri)` raw-pointer twin) and on strided row copies.
 
+use autograd::layers::CausalConv1d;
+use autograd::optim::{Adam, Optimizer, RmsProp, Sgd};
 use autograd::{Arena, Exec, Graph, InferenceContext, ParamId, ParamStore, Tape};
 use proptest::prelude::*;
 use tensor::{Rng, Tensor};
@@ -234,6 +241,158 @@ fn subsample_and_select_edges() {
         );
         check(&store, &Prim::SelectTime(0), &[x]);
     }
+}
+
+/// A TCN block's convolutions: two weight-normed `k = 3` layers and the
+/// gain-less 1×1 projection on the skip path.
+struct ConvStack {
+    conv1: CausalConv1d,
+    conv2: CausalConv1d,
+    proj: CausalConv1d,
+}
+
+impl ConvStack {
+    fn new(store: &mut ParamStore, rng: &mut Rng) -> Self {
+        Self {
+            conv1: CausalConv1d::new(store, "c1", 3, 6, 3, 1, true, rng),
+            conv2: CausalConv1d::new(store, "c2", 6, 6, 3, 2, true, rng),
+            proj: CausalConv1d::new(store, "proj", 3, 6, 1, 1, false, rng),
+        }
+    }
+
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
+        let x = ex.input(x.shape(), |out| out.copy_from_slice(x.as_slice()));
+        let h = self.conv1.forward(ex, &x);
+        let h = ex.relu(h);
+        let h2 = self.conv2.forward(ex, &h);
+        ex.release(h);
+        let res = self.proj.forward(ex, &x);
+        ex.release(x);
+        let out = ex.add_relu(&res, h2);
+        ex.release(res);
+        out
+    }
+
+    fn taped(&self, store: &ParamStore, x: &Tensor) -> Vec<u32> {
+        let mut g = Graph::new(store);
+        let out = self.run(&mut Tape::eval(&mut g), x);
+        g.value(out)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    fn arena(&self, store: &ParamStore, ctx: &mut InferenceContext, x: &Tensor) -> Vec<u32> {
+        let mut arena = Arena::new(ctx, store);
+        let out = self.run(&mut arena, x);
+        let t = arena.into_tensor(out);
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One optimiser step on `mean(out²)`.
+    fn step(&self, store: &mut ParamStore, opt: &mut dyn Optimizer, x: &Tensor) {
+        let mut g = Graph::new(store);
+        let out = self.run(&mut Tape::eval(&mut g), x);
+        let sq = g.square(out);
+        let loss = g.mean_all(sq);
+        let grads = g.backward(loss);
+        opt.step(store, &grads);
+    }
+}
+
+/// Shift every weight, element by element differently (a uniform scale of
+/// `v` would cancel in `v / ‖v‖`).
+fn perturbed(t: &Tensor) -> Tensor {
+    let mut t = t.clone();
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        *v += 0.05 * (1 + i % 3) as f32;
+    }
+    t
+}
+
+/// A way of writing weights into a store.
+type Write = fn(&ConvStack, &mut ParamStore, &Tensor);
+
+fn write_direction(stack: &ConvStack, store: &mut ParamStore, _x: &Tensor) {
+    let v = stack.conv1.param_ids()[0];
+    let next = perturbed(store.value(v));
+    *store.value_mut(v) = next;
+}
+
+#[test]
+fn arena_convolves_with_the_weights_of_the_last_write() {
+    let writes: [(&str, Write); 7] = [
+        ("value_mut on v", write_direction),
+        ("value_mut on g alone", |stack, store, _| {
+            let g = stack.conv2.param_ids()[1];
+            let next = perturbed(store.value(g));
+            *store.value_mut(g) = next;
+        }),
+        ("Sgd step", |stack, store, x| {
+            stack.step(store, &mut Sgd::new(0.1), x)
+        }),
+        ("Adam step", |stack, store, x| {
+            stack.step(store, &mut Adam::new(0.01), x)
+        }),
+        ("RmsProp step", |stack, store, x| {
+            stack.step(store, &mut RmsProp::new(0.01), x)
+        }),
+        ("restore", |_, store, _| {
+            let snapshot: Vec<Tensor> = store.snapshot().iter().map(perturbed).collect();
+            store.restore(&snapshot).unwrap();
+        }),
+        ("import_named", |_, store, _| {
+            let table: Vec<(String, Tensor)> = store
+                .export_named()
+                .into_iter()
+                .map(|(name, t)| (name, perturbed(&t)))
+                .collect();
+            store.import_named(&table).unwrap();
+        }),
+    ];
+    let build = || {
+        let mut rng = Rng::seed_from(99);
+        let mut store = ParamStore::new();
+        let stack = ConvStack::new(&mut store, &mut rng);
+        (stack, store, normal(&[2, 3, 12], &mut rng))
+    };
+    let mut ctx = InferenceContext::new();
+    let mut stale = Vec::new();
+    for (route, write) in writes {
+        let (stack, mut store, x) = build();
+        let first = stack.arena(&store, &mut ctx, &x);
+        assert_eq!(first, stack.taped(&store, &x), "{route}: before the write");
+        write(&stack, &mut store, &x);
+        let taped = stack.taped(&store, &x);
+        assert_ne!(taped, first, "{route}: the write changed nothing");
+        if stack.arena(&store, &mut ctx, &x) != taped {
+            stale.push(route);
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "the arena read weights from before the write: {stale:?}"
+    );
+
+    // A clone shares what its source prepared until either is written;
+    // then the written one re-prepares and the other keeps its answer.
+    let (stack, mut source, x) = build();
+    let first = stack.arena(&source, &mut ctx, &x);
+    let mut copy = source.clone();
+    write_direction(&stack, &mut copy, &x);
+    let copied = stack.arena(&copy, &mut ctx, &x);
+    assert_eq!(copied, stack.taped(&copy, &x), "a written clone");
+    assert_ne!(copied, first, "a written clone");
+    assert_eq!(stack.arena(&source, &mut ctx, &x), first, "its source");
+    let kept = source.clone();
+    write_direction(&stack, &mut source, &x);
+    assert_eq!(
+        stack.arena(&source, &mut ctx, &x),
+        copied,
+        "a written source"
+    );
+    assert_eq!(stack.arena(&kept, &mut ctx, &x), first, "its clone");
 }
 
 proptest! {

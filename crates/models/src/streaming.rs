@@ -127,8 +127,7 @@ impl StreamConv {
     fn from_layer(store: &ParamStore, conv: &CausalConv1d) -> Self {
         let (in_ch, out_ch) = (conv.in_channels(), conv.out_channels());
         let (k, dilation) = (conv.kernel_size(), conv.dilation());
-        let mut rows = vec![0.0; out_ch * in_ch * k];
-        conv.materialize_weight(store, &mut rows);
+        let rows = conv.folded_weight(store);
         let w = if k <= MAX_TAPS && rows.iter().all(|&wv| wv != 0.0) {
             let ocp = out_ch.div_ceil(LANES) * LANES;
             let mut lanes = vec![0.0; in_ch * k * ocp];
@@ -139,7 +138,7 @@ impl StreamConv {
             }
             StreamWeights::Lanes(lanes)
         } else {
-            StreamWeights::Rows(rows)
+            StreamWeights::Rows(rows.to_vec())
         };
         Self {
             w,

@@ -9,14 +9,16 @@
 //! `PredictionService` shard — and repeated forecasts must stop taking
 //! fresh buffers from the thread's scratch arena. A shared-weight group
 //! large enough for the stacked-batch pool to split must answer each
-//! entity with the bits of its own forecast.
+//! entity with the bits of its own forecast. And because the arena reads
+//! convolution weights prepared when they were installed, an entity whose
+//! model is replaced must answer with the replacement's bits at once.
 
 use autograd::infer::thread_context_allocs;
 use cloudtrace::{ContainerConfig, WorkloadClass};
 use models::{
     Forecaster, LstmConfig, LstmForecaster, NeuralTrainSpec, RptcnConfig, RptcnForecaster,
 };
-use rptcn::{PipelineConfig, ResourcePredictor, Scenario};
+use rptcn::{prepare, run_model, PipelineConfig, ResourcePredictor, Scenario};
 use serve::{PredictionService, ServiceConfig};
 use tensor::Tensor;
 use timeseries::TimeSeriesFrame;
@@ -177,4 +179,89 @@ fn stacked_batch_answers_each_entity_with_its_own_forecast_bits() {
         let stacked = forecast.as_ref().expect("stacked forecast");
         assert_eq!(bits(stacked), bits(&own), "{id}: stacked vs own");
     }
+}
+
+/// The arena convolves with weights the store prepared at install, not per
+/// forecast — so the forecast after a weight install must already be the
+/// new model's, on every route an entity's weights arrive by.
+#[test]
+fn a_replaced_model_answers_the_next_forecast() {
+    let frame = bootstrap();
+    let (mut predictor, _) =
+        ResourcePredictor::fit(Box::new(tiny_rptcn()), &frame, pipeline()).expect("fit");
+    let first = predictor.forecast_normalized().expect("first forecast");
+
+    // A refit trained elsewhere: same history and shapes, other weights.
+    let prepared =
+        prepare(&predictor.history_snapshot().expect("history"), &pipeline()).expect("prepare");
+    let mut refit = RptcnForecaster::new(RptcnConfig {
+        spec: NeuralTrainSpec {
+            seed: spec().seed + 1,
+            ..spec()
+        },
+        ..*tiny_rptcn().config()
+    });
+    run_model(&mut refit, &prepared);
+    let refit_state = refit.state().expect("fitted state");
+
+    // A diverged refit is refused and the old model keeps answering.
+    let mut poisoned = refit_state.clone();
+    // (The head's: a NaN further down would be zeroed by the next ReLU.)
+    let (_, weight) = poisoned.tensors.last_mut().expect("head tensors");
+    *weight = Tensor::full(weight.shape(), f32::NAN);
+    let diverged = RptcnForecaster::from_state(&poisoned).expect("shapes still match");
+    predictor
+        .try_install_refit(Box::new(diverged), prepared.fitted())
+        .expect_err("non-finite forecast");
+    assert_eq!(
+        bits(&predictor.forecast_normalized().expect("forecast")),
+        bits(&first),
+        "a rejected replacement changed the forecast"
+    );
+
+    predictor
+        .try_install_refit(Box::new(refit), prepared.fitted())
+        .expect("install");
+    let second = predictor.forecast_normalized().expect("second forecast");
+    let (window, w, f) = predictor.inference_window().expect("window");
+    let x = Tensor::from_vec(window, &[1, w, f]);
+    let twin = RptcnForecaster::from_state(&refit_state).expect("restore");
+    assert_eq!(
+        bits(&second),
+        bits(twin.predict_taped(&x).as_slice()),
+        "the forecast after an install is not the replacement's"
+    );
+    assert_ne!(bits(&second), bits(&first), "the refit changed nothing");
+
+    // The same bits after a checkpoint round trip, from a shared-weight
+    // clone, and out of a service shard the state is handed to.
+    let state = predictor.snapshot().expect("snapshot");
+    let restored = ResourcePredictor::from_state(&state).expect("from_state");
+    assert_eq!(
+        bits(&restored.forecast_normalized().expect("forecast")),
+        bits(&second),
+        "from_state"
+    );
+    // (A clone scales by its own bootstrap, so it reads its own window.)
+    let sibling = predictor.clone_for_entity(&frame).expect("clone");
+    let (window, w, f) = sibling.inference_window().expect("window");
+    assert_eq!(
+        bits(&sibling.forecast_normalized().expect("forecast")),
+        bits(
+            twin.predict_taped(&Tensor::from_vec(window, &[1, w, f]))
+                .as_slice()
+        ),
+        "clone_for_entity"
+    );
+    let mut service = PredictionService::new(ServiceConfig {
+        shards: 1,
+        ..Default::default()
+    })
+    .expect("spawn service");
+    service.install_state("entity", &state).expect("install");
+    assert_eq!(
+        bits(&service.forecast("entity").expect("served forecast")),
+        bits(&predictor.forecast().expect("direct forecast")),
+        "service vs predictor"
+    );
 }
