@@ -418,8 +418,9 @@ fn pointwise_rows<const R: usize>(x_item: &[f32], w: &[f32], y: &mut [f32], time
 
 /// `out = causal_conv1d(x, w)` over raw row-major slices — the
 /// allocation-free kernel under both backends: `conv1d_forward` (the tape)
-/// calls it, the arena calls [`conv1d_scanned`] with the scan the store
-/// made when the weights were installed. `out` is fully overwritten.
+/// calls it, the arena calls `conv1d_scanned_into_zeroed` with the scan
+/// the store made when the weights were installed. `out` is fully
+/// overwritten.
 ///
 /// The zero-weight skip stays here (unlike the dense matmul): weight-normed
 /// conv filters routinely carry exact zeros and the tap loop is short enough
@@ -438,16 +439,21 @@ pub fn conv1d_into(
 ) {
     let scan = scan_weights(dw);
     out.fill(0.0);
-    conv1d_scanned(dx, dw, scan, out, batch, in_ch, out_ch, time, k, dilation);
+    conv1d_scanned_into_zeroed(dx, dw, scan, out, batch, in_ch, out_ch, time, k, dilation);
 }
 
 /// [`conv1d_into`] with `scan` the [`scan_weights`] of `dw`, into an `out`
-/// that is all `+0.0` on entry — the arena's pooled buffers come zeroed,
-/// and a second pass over a stacked batch's output is not free. The scan
-/// picks among paths that are bitwise equal wherever it holds; memory
-/// safety rests on the lengths asserted here alone.
+/// that **the caller has zeroed**: most paths accumulate onto it, so any
+/// other content ends up in the sums. Both callers hold to it — the
+/// arena's `take` hands out zero-filled buffers ([`InferenceContext::take`]
+/// resizes from empty), `conv1d_into` fills — and a second pass over a
+/// stacked batch's output is not free. The scan picks among paths that are
+/// bitwise equal wherever it holds; memory safety rests on the lengths
+/// asserted here alone.
+///
+/// [`InferenceContext::take`]: crate::infer::InferenceContext::take
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv1d_scanned(
+pub(crate) fn conv1d_scanned_into_zeroed(
     dx: &[f32],
     dw: &[f32],
     scan: WeightScan,

@@ -26,7 +26,7 @@ use std::cell::RefCell;
 
 use tensor::Tensor;
 
-use crate::conv_kernels::conv1d_scanned;
+use crate::conv_kernels::conv1d_scanned_into_zeroed;
 use crate::exec::Exec;
 use crate::params::{ParamId, ParamStore};
 use crate::train::{take_rows, SequenceModel};
@@ -383,7 +383,7 @@ impl Exec for Arena<'_> {
         let (batch, time) = (x.dims[0], x.dims[2]);
         assert!(x.rank == 3 && x.dims[1] == in_ch, "arena conv input shape");
         let mut out = self.take(&[batch, out_ch, time]);
-        conv1d_scanned(
+        conv1d_scanned_into_zeroed(
             &x.data,
             w,
             scan,

@@ -35,8 +35,7 @@ mod weights {
     //! what has been derived from them, behind accessors that keep the two
     //! consistent: the only way to a `&mut` tensor drops everything derived.
 
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+    use std::sync::{Arc, OnceLock};
 
     use tensor::Tensor;
 
@@ -50,114 +49,72 @@ mod weights {
         /// The gain it was folded with.
         gain: Option<ParamId>,
         /// `None` without a gain: the weight is `v` itself, read in place.
-        folded: Option<Arc<Vec<f32>>>,
+        folded: Option<Vec<f32>>,
         scan: WeightScan,
     }
 
-    #[derive(Debug, Default, Clone)]
-    pub(super) struct Weights {
+    #[derive(Debug, Default)]
+    struct Installed {
         tensors: Vec<Tensor>,
         /// One slot per tensor, filled at a convolution's first arena pass
-        /// after the weights changed. Every holder of one table has equal
-        /// tensors — a clone copies them and shares the table, and whoever
-        /// takes `&mut` access lets go of it — so a late fill by one holder
-        /// is right for all of them.
-        prepared: OnceLock<Arc<[OnceLock<Slot>]>>,
+        /// after the weights changed.
+        prepared: OnceLock<Box<[OnceLock<Slot>]>>,
     }
+
+    /// A copy is taken to be written to: the tensors, nothing prepared.
+    impl Clone for Installed {
+        fn clone(&self) -> Self {
+            Installed {
+                tensors: self.tensors.clone(),
+                prepared: OnceLock::new(),
+            }
+        }
+    }
+
+    /// Clones read one allocation — tensors and what was prepared from
+    /// them — until one of them is written, which gives that one a copy.
+    #[derive(Debug, Default, Clone)]
+    pub(super) struct Weights(Arc<Installed>);
 
     /// Reads go straight to the tensors.
     impl std::ops::Deref for Weights {
         type Target = [Tensor];
 
         fn deref(&self) -> &[Tensor] {
-            &self.tensors
+            &self.0.tensors
         }
     }
 
     impl Weights {
         /// Mutable access; what was prepared from the old values goes.
-        /// O(1): dropping the table frees at most what one fill allocated,
-        /// and an optimiser's run of steps finds it already gone.
+        /// O(1) for a store that is not shared: dropping the table frees at
+        /// most what one fill allocated, and an optimiser's run of steps
+        /// finds it already gone.
         pub(super) fn tensors_mut(&mut self) -> &mut Vec<Tensor> {
-            self.prepared.take();
-            &mut self.tensors
+            let own = Arc::make_mut(&mut self.0);
+            own.prepared.take();
+            &mut own.tensors
         }
 
         /// See [`ParamStore::conv_weight`](super::ParamStore::conv_weight).
         pub(super) fn conv(&self, v: ParamId, gain: Option<ParamId>) -> (&[f32], WeightScan) {
+            let tensors = &self.0.tensors;
             let table = self
+                .0
                 .prepared
-                .get_or_init(|| self.tensors.iter().map(|_| OnceLock::new()).collect());
-            let dir = self.tensors[v.0].as_slice();
+                .get_or_init(|| tensors.iter().map(|_| OnceLock::new()).collect());
+            let dir = tensors[v.0].as_slice();
             let slot = table[v.0].get_or_init(|| {
-                let folded = gain.map(|g| fold_weight_norm(dir, self.tensors[g.0].as_slice()));
+                let folded = gain.map(|g| fold_weight_norm(dir, tensors[g.0].as_slice()));
                 Slot {
                     gain,
                     scan: scan_weights(folded.as_deref().unwrap_or(dir)),
-                    folded: folded.map(shared),
+                    folded,
                 }
             });
             assert_eq!(slot.gain, gain, "one convolution per direction tensor");
-            (
-                slot.folded.as_ref().map_or(dir, |w| w.as_slice()),
-                slot.scan,
-            )
+            (slot.folded.as_deref().unwrap_or(dir), slot.scan)
         }
-    }
-
-    /// Folded weights still in use somewhere in the process, by a hash of
-    /// a sample of their bits.
-    struct Live {
-        by_hash: BTreeMap<u64, Vec<Weak<Vec<f32>>>>,
-        /// Entry count at which dead entries are next swept out.
-        sweep_at: usize,
-    }
-
-    static LIVE: Mutex<Live> = Mutex::new(Live {
-        by_hash: BTreeMap::new(),
-        sweep_at: 64,
-    });
-
-    /// `folded`, or the copy of the same bits some other store already
-    /// holds. A folded weight is a pure function of `(v, gain)`, and a
-    /// fleet is full of models with equal weights in stores of their own —
-    /// one fit rebuilt from its checkpoint state per entity of a shared
-    /// group, a twin rebuilt from a snapshot at every migration — so a copy
-    /// per store would cost what the weights themselves cost, per entity.
-    /// Equality is checked on every bit; the hash only finds candidates.
-    fn shared(folded: Vec<f32>) -> Arc<Vec<f32>> {
-        let stride = folded.len() / 32 + 1;
-        let hash = folded
-            .iter()
-            .step_by(stride)
-            .fold(folded.len() as u64, |h, x| {
-                (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3)
-            });
-        let same = |other: &[f32]| {
-            other.len() == folded.len()
-                && other
-                    .iter()
-                    .zip(&folded)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        };
-        // Every update below leaves the registry valid, so a panic
-        // elsewhere while the lock was held cannot have broken it.
-        let mut live = LIVE.lock().unwrap_or_else(PoisonError::into_inner);
-        if live.by_hash.len() >= live.sweep_at {
-            live.by_hash.retain(|_, bucket| {
-                bucket.retain(|w| w.strong_count() > 0);
-                !bucket.is_empty()
-            });
-            live.sweep_at = 2 * live.by_hash.len() + 64;
-        }
-        let bucket = live.by_hash.entry(hash).or_default();
-        bucket.retain(|w| w.strong_count() > 0);
-        if let Some(found) = bucket.iter().filter_map(Weak::upgrade).find(|w| same(w)) {
-            return found;
-        }
-        let fresh = Arc::new(folded);
-        bucket.push(Arc::downgrade(&fresh));
-        fresh
     }
 }
 
@@ -168,8 +125,8 @@ mod weights {
 /// It also keeps what the serving path derives from the weights alone (the
 /// weight-norm fold of each convolution), filled at first use and dropped
 /// by every `&mut` method here, so a fit, refit or restore re-derives it
-/// and nothing else does. Clones share it until one of them is written,
-/// and stores that hold equal weights share the folded copies.
+/// and nothing else does. A clone shares the tensors and what was derived
+/// from them with its source until either is written.
 #[derive(Debug, Default, Clone)]
 pub struct ParamStore {
     values: weights::Weights,
@@ -505,27 +462,26 @@ mod tests {
     }
 
     #[test]
-    fn folded_weights_are_stored_once_for_equal_weights() {
+    fn clones_share_weights_until_one_is_written() {
         let dir = Tensor::from_vec((1..=24).map(|i| i as f32 * 0.37).collect(), &[2, 4, 3]);
-        let (a, v, g) = conv_store(dir.clone(), 1.5);
-        let (b, ..) = conv_store(dir.clone(), 1.5);
-        let (other, ..) = conv_store(dir.clone(), 2.5);
+        let (a, v, g) = conv_store(dir, 1.5);
+        let mut b = a.clone();
         let (wa, _) = a.conv_weight(v, Some(g));
         let (wb, _) = b.conv_weight(v, Some(g));
-        let (wo, _) = other.conv_weight(v, Some(g));
-        assert!(std::ptr::eq(wa, wb), "equal weights, two copies");
-        assert!(!std::ptr::eq(wa, wo));
-        assert_ne!(wa, wo);
+        assert!(std::ptr::eq(wa, wb), "a clone folded a second copy");
+        assert!(std::ptr::eq(a.value(v), b.value(v)));
         // Without a gain there is nothing to fold: `v` is read in place.
         let (plain, _) = a.conv_weight(g, None);
         assert!(std::ptr::eq(plain, a.value(g).as_slice()));
 
-        // A written store lets go of the shared copy; the other keeps it.
-        let mut a = a;
-        let before = wb.to_vec();
-        a.value_mut(g).map_inplace(|x| x * 2.0);
-        assert_eq!(b.conv_weight(v, Some(g)).0, before.as_slice());
-        assert_ne!(a.conv_weight(v, Some(g)).0, before.as_slice());
+        // The written store gets tensors of its own and folds them anew;
+        // the other keeps what it had.
+        let before = wa.to_vec();
+        b.value_mut(g).map_inplace(|x| x * 2.0);
+        assert!(!std::ptr::eq(a.value(v), b.value(v)));
+        assert_eq!(a.value(g).as_slice(), &[1.5; 2]);
+        assert_eq!(a.conv_weight(v, Some(g)).0, before.as_slice());
+        assert_ne!(b.conv_weight(v, Some(g)).0, before.as_slice());
     }
 
     #[test]

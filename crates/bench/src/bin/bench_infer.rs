@@ -91,18 +91,6 @@ struct KernelRow {
     p99: u64,
 }
 
-/// What [`forward_pass_kernels`] measures.
-struct Breakdown {
-    /// The kernels of one forecast, each net of `clock_ns`.
-    rows: Vec<KernelRow>,
-    /// p50 of timing nothing: the two clock reads around a row.
-    clock_ns: u64,
-    /// `(p50, p99, convolutions)` of preparing every convolution's weights
-    /// (weight-norm fold, kernel-path scan) — paid once per weight install,
-    /// so not a row of the forecast.
-    weight_install: (u64, u64, usize),
-}
-
 /// Every kernel of one tape-free paper-default forecast, timed on its own
 /// at the shape the last-step backbone runs it: per level the time-axis
 /// subsample, conv 1, conv 2 and (level 0) the 1×1 projection at
@@ -111,14 +99,18 @@ struct Breakdown {
 /// FC, attention and head products, one `fc_dim`-wide softmax. The rows
 /// should add up towards `single_entity_forecast_ns`; what they leave is
 /// the input transpose's caller and dispatch.
-fn forward_pass_kernels(iters: usize, registry: &Registry, rng: &mut Rng) -> Breakdown {
+///
+/// Also returns `(p50, p99, convolutions)` of preparing every
+/// convolution's weights (weight-norm fold, kernel-path scan): paid once
+/// per weight install, so not a row of the forecast.
+fn forward_pass_kernels(
+    iters: usize,
+    registry: &Registry,
+    rng: &mut Rng,
+) -> (Vec<KernelRow>, (u64, u64, usize)) {
     let cfg = RptcnConfig::default();
     let (ch, k, fc_dim) = (cfg.channels, cfg.kernel, cfg.fc_dim);
     let mut rows = Vec::new();
-    // What `time_loop` reads around nothing: the two clock reads. A row is
-    // reported net of it — twenty-odd rows of a ~7 µs forecast would
-    // otherwise carry ~0.5 µs of clock between them.
-    let (clock, _) = time_loop(iters, &registry.latency_histogram("layer.clock_ns"), || {});
     let mut time = |name: String, class: &'static str, shape: String, f: &mut dyn FnMut()| {
         let hist = registry.latency_histogram(&format!("layer.{name}_ns"));
         for _ in 0..iters / 10 + 1 {
@@ -129,8 +121,8 @@ fn forward_pass_kernels(iters: usize, registry: &Registry, rng: &mut Rng) -> Bre
             name,
             class,
             shape,
-            p50: p50.saturating_sub(clock),
-            p99: p99.saturating_sub(clock),
+            p50,
+            p99,
         });
     };
 
@@ -186,6 +178,9 @@ fn forward_pass_kernels(iters: usize, registry: &Registry, rng: &mut Rng) -> Bre
                 cfg.weight_norm && conv_k > 1,
                 rng,
             );
+            // Timed as the arena's `conv` primitive, which reads the
+            // weights the store prepared: the public `conv1d_into` scans
+            // its weights on every call, which a forecast no longer does.
             let x = Tensor::rand_normal(&[1, conv_in, len], 0.0, 1.0, rng);
             let x = Arena::new(&mut ctx, &store)
                 .input(x.shape(), |buf| buf.copy_from_slice(x.as_slice()));
@@ -284,11 +279,7 @@ fn forward_pass_kernels(iters: usize, registry: &Registry, rng: &mut Rng) -> Bre
             black_box(layer.folded_weight(&store));
         }
     });
-    Breakdown {
-        rows,
-        clock_ns: clock,
-        weight_install: (p50, p99, layers.len()),
-    }
+    (rows, (p50, p99, layers.len()))
 }
 
 /// Paper-default RPTCN rebuilt from the public layers, so that one training
@@ -398,20 +389,11 @@ fn main() {
     let (taped_p50, taped_p99) = time_loop(iters, &registry.latency_histogram("taped_ns"), || {
         black_box(model.predict_taped(&x));
     });
-    // A forecast is ~7 µs, so even ten times the usual count is a few
-    // tens of milliseconds — one slow stretch of a shared host covers it
-    // whole. It is therefore timed twice, here and again right after the
-    // per-layer breakdown it is compared with, and the quieter run counts.
-    let time_forecast = || {
-        time_loop(
-            iters * 10,
-            &registry.latency_histogram("tape_free_ns"),
-            || {
-                black_box(model.predict(&x));
-            },
-        )
-    };
-    let free_before = time_forecast();
+    let (free_p50, free_p99) =
+        time_loop(iters, &registry.latency_histogram("tape_free_ns"), || {
+            black_box(model.predict(&x));
+        });
+    let speedup = taped_p50 as f64 / free_p50.max(1) as f64;
 
     // Steady-state heap traffic: after warm-up the thread-local arena
     // satisfies every buffer request from its pool.
@@ -485,11 +467,8 @@ fn main() {
     };
 
     // Per-layer breakdown: the kernels of one real forward pass.
-    let Breakdown {
-        rows: layer_rows,
-        clock_ns,
-        weight_install: (install_p50, install_p99, install_convs),
-    } = forward_pass_kernels(iters, &registry, &mut rng);
+    let (layer_rows, (install_p50, install_p99, install_convs)) =
+        forward_pass_kernels(iters, &registry, &mut rng);
     let class_p50 = |class: &str| -> u64 {
         layer_rows
             .iter()
@@ -498,8 +477,6 @@ fn main() {
             .sum()
     };
     let layers_sum: u64 = layer_rows.iter().map(|r| r.p50).sum();
-    let (free_p50, free_p99) = free_before.min(time_forecast());
-    let speedup = taped_p50 as f64 / free_p50.max(1) as f64;
 
     // One training step, paper-default RPTCN at batch 64: the last-step
     // backbone against the full sequence followed by `select_time`. The
@@ -650,7 +627,6 @@ fn main() {
         layers_sum as f64 / free_p50.max(1) as f64
     )
     .unwrap();
-    writeln!(json, "    \"clock_ns_netted_per_kernel\": {clock_ns},").unwrap();
     writeln!(
         json,
         "    \"weight_install_ns\": {{\"p50\": {install_p50}, \"p99\": {install_p99}, \"convolutions\": {install_convs}}},"

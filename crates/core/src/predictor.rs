@@ -493,25 +493,24 @@ impl ResourcePredictor {
     }
 
     /// Clone this predictor for a new entity that shares its model weights:
-    /// the model is rebuilt bit-identically from its checkpoint state (no
-    /// retraining) and the template's indicator selection is kept — input
-    /// shapes must stay identical across the group for the serving layer to
-    /// stack windows into one batched call — while the scaler is re-fitted
-    /// on the entity's own bootstrap so each entity is normalised (and
-    /// de-normalised) in its own range. The clone inherits this predictor's
+    /// the model is copied (no retraining; a neural model's copy reads this
+    /// one's weight storage until either is refitted) and the template's
+    /// indicator selection is kept — input shapes must stay identical
+    /// across the group for the serving layer to stack windows into one
+    /// batched call — while the scaler is re-fitted on the entity's own
+    /// bootstrap so each entity is normalised (and de-normalised) in its
+    /// own range. The clone inherits this predictor's
     /// [`ResourcePredictor::shared_group`] tag.
     pub fn clone_for_entity(
         &self,
         bootstrap: &TimeSeriesFrame,
     ) -> Result<ResourcePredictor, FrameError> {
-        let model_state = self.model.state().ok_or_else(|| {
+        let model = self.model.clone_boxed().ok_or_else(|| {
             FrameError(format!(
-                "model {} does not support checkpointing, so its weights cannot be shared",
+                "model {} cannot be copied, so its weights cannot be shared",
                 self.model.name()
             ))
         })?;
-        let model =
-            models::checkpoint::forecaster_from_state(&model_state).map_err(|e| FrameError(e.0))?;
         let (cleaned, _) = clean(bootstrap, self.cfg.repair);
         let selected: Vec<&str> = self
             .preprocess

@@ -35,6 +35,7 @@ impl Default for CnnLstmConfig {
     }
 }
 
+#[derive(Clone)]
 struct CnnLstmNetwork {
     store: ParamStore,
     conv: CausalConv1d,
@@ -76,6 +77,7 @@ impl SequenceModel for CnnLstmNetwork {
 }
 
 /// CNN-LSTM as a [`Forecaster`].
+#[derive(Clone)]
 pub struct CnnLstmForecaster {
     config: CnnLstmConfig,
     network: Option<CnnLstmNetwork>,
@@ -199,6 +201,10 @@ impl Forecaster for CnnLstmForecaster {
         net.store.import_named(&state.tensors)?;
         self.network = Some(net);
         Ok(())
+    }
+
+    fn clone_boxed(&self) -> Option<Box<dyn Forecaster + Send>> {
+        Some(Box::new(self.clone()))
     }
 }
 

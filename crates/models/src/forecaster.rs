@@ -74,6 +74,14 @@ pub trait Forecaster {
         )))
     }
 
+    /// A copy of this forecaster, fitted state included, for another entity
+    /// served with the same weights. A neural model's copy reads the
+    /// original's weight storage until one of the two is refitted. `None`
+    /// when the model cannot be shared (the classical baselines).
+    fn clone_boxed(&self) -> Option<Box<dyn Forecaster + Send>> {
+        None
+    }
+
     /// Serialise the fitted model to a versioned binary checkpoint file.
     fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let state = self.state().ok_or_else(|| {
@@ -161,6 +169,10 @@ impl Forecaster for NaiveForecaster {
         self.target_index = state.require_usize("target_index")?;
         self.horizon = state.horizon;
         Ok(())
+    }
+
+    fn clone_boxed(&self) -> Option<Box<dyn Forecaster + Send>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -30,6 +30,7 @@ impl Default for GruConfig {
     }
 }
 
+#[derive(Clone)]
 struct GruNetwork {
     store: ParamStore,
     gru: Gru,
@@ -63,6 +64,7 @@ impl SequenceModel for GruNetwork {
 }
 
 /// GRU as a [`Forecaster`].
+#[derive(Clone)]
 pub struct GruForecaster {
     config: GruConfig,
     network: Option<GruNetwork>,
@@ -171,6 +173,10 @@ impl Forecaster for GruForecaster {
         net.store.import_named(&state.tensors)?;
         self.network = Some(net);
         Ok(())
+    }
+
+    fn clone_boxed(&self) -> Option<Box<dyn Forecaster + Send>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -30,6 +30,7 @@ impl Default for LstmConfig {
     }
 }
 
+#[derive(Clone)]
 struct LstmNetwork {
     store: ParamStore,
     lstm: Lstm,
@@ -64,6 +65,7 @@ impl SequenceModel for LstmNetwork {
 
 /// The LSTM baseline as a [`Forecaster`]. The network is built lazily at
 /// `fit` time, once the input feature width is known.
+#[derive(Clone)]
 pub struct LstmForecaster {
     config: LstmConfig,
     network: Option<LstmNetwork>,
@@ -177,6 +179,10 @@ impl Forecaster for LstmForecaster {
         net.store.import_named(&state.tensors)?;
         self.network = Some(net);
         Ok(())
+    }
+
+    fn clone_boxed(&self) -> Option<Box<dyn Forecaster + Send>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -68,6 +68,7 @@ impl Default for RptcnConfig {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct RptcnNetwork {
     pub(crate) store: ParamStore,
     pub(crate) backbone: TcnBackbone,
@@ -147,6 +148,7 @@ impl SequenceModel for RptcnNetwork {
 }
 
 /// RPTCN as a [`Forecaster`].
+#[derive(Clone)]
 pub struct RptcnForecaster {
     config: RptcnConfig,
     network: Option<RptcnNetwork>,
@@ -408,6 +410,10 @@ impl Forecaster for RptcnForecaster {
         net.store.import_named(&state.tensors)?;
         self.network = Some(net);
         Ok(())
+    }
+
+    fn clone_boxed(&self) -> Option<Box<dyn Forecaster + Send>> {
+        Some(Box::new(self.clone()))
     }
 }
 

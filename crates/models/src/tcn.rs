@@ -16,6 +16,7 @@ use crate::neural::{self, NeuralTrainSpec};
 /// each followed by ReLU and spatial dropout, plus a 1×1 convolution on the
 /// skip path when channel counts differ; the block output is
 /// `ReLU(x + F(x))` (paper eq. 5).
+#[derive(Clone)]
 pub struct TemporalBlock {
     conv1: CausalConv1d,
     conv2: CausalConv1d,
@@ -123,6 +124,7 @@ impl TemporalBlock {
 
 /// Stack of [`TemporalBlock`]s with exponentially growing dilations
 /// `1, 2, 4, …` (paper Fig. 5 uses `[1, 2, 4]`).
+#[derive(Clone)]
 pub struct TcnBackbone {
     blocks: Vec<TemporalBlock>,
     out_channels: usize,

@@ -264,4 +264,23 @@ fn a_replaced_model_answers_the_next_forecast() {
         bits(&predictor.forecast().expect("direct forecast")),
         "service vs predictor"
     );
+
+    // The clone reads its source's weights only until one of them is
+    // refitted: the other keeps the answer it had.
+    let kept = sibling.forecast_normalized().expect("forecast");
+    let last = predictor.last_sample().expect("history");
+    for _ in 0..8 {
+        predictor.observe(&last).expect("observe");
+    }
+    predictor.refit().expect("refit");
+    assert_ne!(
+        predictor.model_state().expect("state").tensors,
+        state.model.tensors,
+        "the refit changed nothing"
+    );
+    assert_eq!(
+        bits(&sibling.forecast_normalized().expect("forecast")),
+        bits(&kept),
+        "refitting the source moved its clone"
+    );
 }
