@@ -43,11 +43,19 @@ pub struct FnIndex {
 }
 
 impl FnIndex {
-    /// Index one file's functions into the map.
-    pub fn add_file(&mut self, file: &str, lexed: &Lexed, tree: &ItemTree) {
+    /// Index one file's functions into the map. Functions (and macro
+    /// invocations) on a line `skip_line` accepts stay out: R10 passes the
+    /// file's `#[cfg(test)]` regions so a unit test is not a caller.
+    pub fn add_file(
+        &mut self,
+        file: &str,
+        lexed: &Lexed,
+        tree: &ItemTree,
+        skip_line: &dyn Fn(usize) -> bool,
+    ) {
         for f in &tree.fns {
-            if f.name.starts_with('$') {
-                continue; // resolved below, per invocation
+            if f.name.starts_with('$') || skip_line(f.line) {
+                continue; // `$name` fns are resolved below, per invocation
             }
             let mut refs = BTreeSet::new();
             let mut intrinsics = false;
@@ -80,6 +88,9 @@ impl FnIndex {
             let Some(def) = tree.macros.iter().find(|m| m.name == inv.name) else {
                 continue;
             };
+            if skip_line(inv.line) {
+                continue;
+            }
             // Shared refs: the macro body's concrete identifiers plus the
             // invocation's other single-ident arguments (a driver macro
             // that takes kernel names references those kernels).
@@ -155,7 +166,7 @@ mod tests {
         let lexed = lex(src);
         let tree = ItemTree::build(&lexed);
         let mut idx = FnIndex::default();
-        idx.add_file("t.rs", &lexed, &tree);
+        idx.add_file("t.rs", &lexed, &tree, &|_| false);
         idx
     }
 

@@ -104,15 +104,6 @@ impl ItemTree {
         walk_items(toks, 0, toks.len(), &mut path, &mut tree);
         tree
     }
-
-    /// The function whose body span contains token index `idx`, if any.
-    /// Nested spans resolve to the innermost (last-starting) function.
-    pub fn fn_owning(&self, idx: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(lo, hi)| idx >= lo && idx < hi))
-            .max_by_key(|f| f.body.map(|(lo, _)| lo).unwrap_or(0))
-    }
 }
 
 /// Index one past the close delimiter matching the open delimiter at
@@ -604,22 +595,6 @@ define_kernels!(tile_fma, row_fma, "avx2", "fma");
                 None,
                 None
             ]
-        );
-    }
-
-    #[test]
-    fn fn_owning_resolves_innermost_span() {
-        let src = "fn outer() { inner_call(); }\nfn other() {}";
-        let tree = ItemTree::build(&lex(src));
-        let lexed = lex(src);
-        let call_idx = lexed
-            .tokens
-            .iter()
-            .position(|t| matches!(&t.kind, TokKind::Ident(s) if s == "inner_call"))
-            .expect("token present");
-        assert_eq!(
-            tree.fn_owning(call_idx).map(|f| f.name.as_str()),
-            Some("outer")
         );
     }
 }

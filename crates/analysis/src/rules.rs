@@ -16,7 +16,7 @@ use crate::item_tree::ItemTree;
 use crate::lex::{lex, Lexed, TokKind, Token};
 use crate::lockgraph::LockGraph;
 
-/// The rule catalogue. Ids (`R1`…`R9`) are stable: CI logs, allowlist
+/// The rule catalogue. Ids (`R1`…`R10`) are stable: CI logs, allowlist
 /// markers and DESIGN.md all refer to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
@@ -49,10 +49,15 @@ pub enum Rule {
     /// R9: every `// lint: allow(rN)` marker must actually silence a
     /// finding; dead markers are findings themselves.
     AllowHygiene,
+    /// R10: every `pub fn` under `crates/*/src` is reachable, by name,
+    /// from a fn defined in a non-test root (`src/bin/**`, `src/main.rs`,
+    /// `examples/`, the root `src/` facade). Unit tests, integration
+    /// tests and `pub use` are not callers.
+    UnreachedPub,
 }
 
 impl Rule {
-    /// Stable short id (`R1`…`R9`).
+    /// Stable short id (`R1`…`R10`).
     pub fn id(self) -> &'static str {
         match self {
             Rule::SafetyComment => "R1",
@@ -64,10 +69,11 @@ impl Rule {
             Rule::DeterminismScope => "R7",
             Rule::TwinCoverage => "R8",
             Rule::AllowHygiene => "R9",
+            Rule::UnreachedPub => "R10",
         }
     }
 
-    /// The rule with the given lower-case id (`"r1"`…`"r9"`), if any.
+    /// The rule with the given lower-case id (`"r1"`…`"r10"`), if any.
     pub fn from_marker_id(id: &str) -> Option<Rule> {
         Rule::all()
             .into_iter()
@@ -104,11 +110,14 @@ impl Rule {
             Rule::AllowHygiene => {
                 "a `// lint: allow(rN)` marker that silences nothing is itself a finding"
             }
+            Rule::UnreachedPub => {
+                "every `pub fn` under crates/*/src must be reachable from a bin, an example or the root facade (tests and `pub use` are not callers)"
+            }
         }
     }
 
     /// Every rule, in id order.
-    pub fn all() -> [Rule; 9] {
+    pub fn all() -> [Rule; 10] {
         [
             Rule::SafetyComment,
             Rule::NoPanicPaths,
@@ -119,6 +128,7 @@ impl Rule {
             Rule::DeterminismScope,
             Rule::TwinCoverage,
             Rule::AllowHygiene,
+            Rule::UnreachedPub,
         ]
     }
 }
@@ -202,6 +212,16 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// A non-test root of the workspace, by cargo's directory layout: a bin
+/// target (`src/bin/**`, `src/main.rs`), an example, or the root package's
+/// `src/` facade. R10 walks from the fns these files define.
+fn is_root_file(p: &str) -> bool {
+    p.contains("/src/bin/")
+        || p.ends_with("/src/main.rs")
+        || p.starts_with("examples/")
+        || p.starts_with("src/")
+}
+
 /// Which rules apply to a workspace file, by repo policy:
 /// R1, R3 and R9 everywhere; R2 in `serve`/`net`/`core`/`models`/`obs`/
 /// `analysis` plus the `unsafe` kernel files (GEMM, conv, batch
@@ -210,7 +230,8 @@ impl fmt::Display for Diagnostic {
 /// kernel files and the `core/src/decide` module (deny inside the
 /// determinism core — which includes `decide`, whose reservation replays
 /// must be reproducible — warn elsewhere; see [`severity`]); R8 on the
-/// kernel files under the parity contract.
+/// kernel files under the parity contract; R10 on every library file of
+/// every crate (`crates/*/src` minus the roots it walks from).
 pub fn rules_for(path: &Path) -> Vec<Rule> {
     let p = path.to_string_lossy().replace('\\', "/");
     let in_crate = |c: &str| p.contains(&format!("crates/{c}/src/"));
@@ -254,14 +275,18 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     if p.ends_with("tensor/src/gemm.rs") || p.ends_with("autograd/src/conv_kernels.rs") {
         rules.push(Rule::TwinCoverage);
     }
+    if p.contains("crates/") && p.contains("/src/") && !is_root_file(&p) {
+        rules.push(Rule::UnreachedPub);
+    }
     rules.push(Rule::AllowHygiene);
     rules
 }
 
-/// Run `rules` over one file's source text. R6 and R8 run in their
-/// single-file form (lock graph / twin index restricted to this file);
+/// Run `rules` over one file's source text. R6, R8 and R10 run in their
+/// single-file form (lock graph / fn index restricted to this file);
 /// R9 always runs last so every other rule's marker usage is recorded
 /// first.
+// lint: allow(r10) test entry: lint_engine.rs and export_golden.rs run one fixture under chosen rules
 pub fn check_source(path: &Path, src: &str, rules: &[Rule]) -> Vec<Diagnostic> {
     let ctx = FileContext::new(path, src);
     let mut out = Vec::new();
@@ -346,6 +371,7 @@ impl FileContext {
             Rule::DeterminismScope => self.check_determinism(out),
             Rule::TwinCoverage => check_twin_coverage(&[self], out),
             Rule::AllowHygiene => {}
+            Rule::UnreachedPub => check_unreached_pub(&[self], out),
         }
     }
 
@@ -392,6 +418,27 @@ impl FileContext {
         hit
     }
 
+    /// The comment-only lines of the comment / attribute run directly
+    /// above `line`, nearest first.
+    fn comment_lines_above(&self, line: usize) -> impl Iterator<Item = usize> + '_ {
+        (1..line)
+            .rev()
+            .take_while(|l| {
+                self.lexed.is_comment_only(*l) || self.attr_only_lines.binary_search(l).is_ok()
+            })
+            .filter(|l| self.lexed.is_comment_only(*l))
+    }
+
+    /// An allow marker for `rule` in a plain comment of the run directly
+    /// above `line` — where a marker that speaks for a whole item goes,
+    /// between its docs and its first line.
+    fn allowed_above(&self, line: usize, rule: Rule) -> bool {
+        self.comment_lines_above(line).any(|l| {
+            let doc = self.lexed.comment_on(l).trim_start().starts_with("///");
+            !doc && self.allowed(l, rule)
+        })
+    }
+
     fn emit(&self, out: &mut Vec<Diagnostic>, line: usize, rule: Rule, message: String) {
         if self.in_test_region(line) || self.allowed(line, rule) {
             return;
@@ -426,46 +473,22 @@ impl FileContext {
     /// `hot-path` (after the slashes) — a doc comment merely mentioning
     /// the phrase does not opt a function in.
     fn has_hot_path_marker_above(&self, line: usize) -> bool {
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            if self.attr_only_lines.binary_search(&l).is_ok() {
-                continue;
-            }
-            if self.lexed.is_comment_only(l) {
-                let c = self.lexed.comment_on(l).trim_start();
-                if !c.starts_with("///") && !c.starts_with("//!") {
-                    let body = c.trim_start_matches('/').trim_start();
-                    if body.starts_with("hot-path") {
-                        return true;
-                    }
-                }
-                continue;
-            }
-            break;
-        }
-        false
+        self.comment_lines_above(line).any(|l| {
+            let c = self.lexed.comment_on(l).trim_start();
+            !c.starts_with("///")
+                && !c.starts_with("//!")
+                && c.trim_start_matches('/')
+                    .trim_start()
+                    .starts_with("hot-path")
+        })
     }
 
     /// Does the comment run above `line` contain a `///` doc comment?
     fn has_doc_above(&self, line: usize) -> bool {
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            if self.attr_only_lines.binary_search(&l).is_ok() {
-                continue;
-            }
-            if self.lexed.is_comment_only(l) {
-                let c = self.lexed.comment_on(l);
-                let t = c.trim_start();
-                if t.starts_with("///") || t.starts_with("/**") {
-                    return true;
-                }
-                continue;
-            }
-            break;
-        }
-        false
+        self.comment_lines_above(line).any(|l| {
+            let t = self.lexed.comment_on(l).trim_start();
+            t.starts_with("///") || t.starts_with("/**")
+        })
     }
 
     /// Walk back from token `i` over attributes and item modifiers
@@ -1060,7 +1083,7 @@ pub fn check_twin_coverage(files: &[&FileContext], out: &mut Vec<Diagnostic>) {
     let mut idx = FnIndex::default();
     for f in files {
         let disp = f.path.to_string_lossy().replace('\\', "/");
-        idx.add_file(&disp, &f.lexed, &f.tree);
+        idx.add_file(&disp, &f.lexed, &f.tree, &|_| false);
     }
     // Seeds: every identifier in *parity* files, plus identifiers inside
     // modules whose name contains "parity" (single-file fixtures).
@@ -1146,6 +1169,74 @@ pub fn check_twin_coverage(files: &[&FileContext], out: &mut Vec<Diagnostic>) {
                     ),
                 );
             }
+        }
+    }
+}
+
+// ---- R10 (cross-file) -----------------------------------------------------
+
+/// R10 over a file set: index every fn outside `#[cfg(test)]` modules,
+/// walk the name-level reference edges from the fns the root files
+/// define, and report each unrestricted `pub fn` of a library file the
+/// walk never names. The index is R8's — identifiers, not resolved paths
+/// — so a same-named fn or field anywhere on a live path keeps an item
+/// alive: the rule under-reports and never flags a called fn. A marker
+/// on an unreached item (its own line, or a plain comment between its
+/// docs and its first line) silences it and makes it a seed of a second
+/// walk. A file set with no root in it has nothing to walk from and
+/// reports nothing.
+pub fn check_unreached_pub(files: &[&FileContext], out: &mut Vec<Diagnostic>) {
+    let mut idx = FnIndex::default();
+    let mut seeds: BTreeSet<String> = BTreeSet::new();
+    for f in files {
+        let disp = f.path.to_string_lossy().replace('\\', "/");
+        idx.add_file(&disp, &f.lexed, &f.tree, &|line| f.in_test_region(line));
+        if is_root_file(&disp) {
+            let live = f.tree.fns.iter().filter(|i| !f.in_test_region(i.line));
+            seeds.extend(live.map(|i| i.name.clone()));
+        }
+    }
+    if seeds.is_empty() {
+        return;
+    }
+    let reached = idx.reachable(&seeds);
+    // An item kept for tests is a caller too: what only it calls stays,
+    // so one marker speaks for a test helper and the private API under it.
+    let mut unreached = Vec::new();
+    for f in files {
+        if !rules_for(&f.path).contains(&Rule::UnreachedPub) {
+            continue;
+        }
+        for item in &f.tree.fns {
+            // `pub(crate)` and `pub(super)` are the compiler's to audit.
+            let start = f.item_start(item.fn_idx);
+            let plain_pub = (start..item.fn_idx).any(|i| {
+                !f.in_attr[i] && f.ident_at(i) == Some("pub") && f.punct_at(i + 1) != Some('(')
+            });
+            if !plain_pub || reached.contains(&item.name) || f.in_test_region(item.line) {
+                continue;
+            }
+            if f.allowed(item.line, Rule::UnreachedPub)
+                || f.allowed_above(f.line_of(start), Rule::UnreachedPub)
+            {
+                seeds.insert(item.name.clone());
+            } else {
+                unreached.push((f, item));
+            }
+        }
+    }
+    let reached = idx.reachable(&seeds);
+    for (f, item) in unreached {
+        if !reached.contains(&item.name) {
+            f.emit(
+                out,
+                item.line,
+                Rule::UnreachedPub,
+                format!(
+                    "`pub fn {}` is reached from no bin, example or the root facade; delete it, or mark what exists for tests with `// lint: allow(r10) <why>`",
+                    item.name
+                ),
+            );
         }
     }
 }

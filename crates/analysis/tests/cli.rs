@@ -6,8 +6,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Builds a throwaway workspace root containing `crates/serve/src/<file>`
-/// copied from the named fixture, so the CLI's `crates/*/src` walk finds it
-/// and the serve-crate rule policy (R2/R4/R5) applies.
+/// copied from the named fixture, so the CLI's workspace walk finds it and
+/// the serve-crate rule policy (R2/R4/R5) applies.
 fn scratch_root(tag: &str, fixture: &str) -> PathBuf {
     let root =
         std::env::temp_dir().join(format!("rptcn-analysis-cli-{}-{tag}", std::process::id()));
@@ -122,6 +122,43 @@ fn baseline_gates_warn_findings_both_ways() {
 }
 
 #[test]
+fn check_walks_examples_as_roots_and_integration_tests_as_nothing() {
+    // A workspace whose one library file is called from an example and
+    // from an integration test: the walk must find `examples/` (or every
+    // `pub fn` is a finding) and must not start from `tests/`.
+    let root = std::env::temp_dir().join(format!("rptcn-analysis-cli-{}-r10", std::process::id()));
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (fixture, at) in [
+        ("r10_lib.rs", "crates/tensor/src/r10_lib.rs"),
+        ("r10_example.rs", "examples/r10_example.rs"),
+        ("r10_bin.rs", "tests/r10_bin.rs"),
+    ] {
+        let to = root.join(at);
+        fs::create_dir_all(to.parent().expect("nested path")).expect("create scratch workspace");
+        fs::copy(fixtures.join(fixture), to).expect("copy fixture");
+    }
+    let out = run_check(&root);
+    fs::remove_dir_all(&root).ok();
+    assert!(
+        !out.status.success(),
+        "unreached pub fns must fail the check"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let r10: Vec<&str> = stdout.lines().filter(|l| l.contains("[R10]")).collect();
+    // only_unit_tested (5), reexported_only (10), and called_from_bin (20)
+    // whose only caller stands under `tests/`.
+    assert_eq!(r10.len(), 3, "{stdout}");
+    assert!(
+        r10[2].starts_with("crates/tensor/src/r10_lib.rs:20: [R10]"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("r10_lib.rs:46: [R9]"),
+        "stale marker: {stdout}"
+    );
+}
+
+#[test]
 fn rules_lists_the_full_catalogue() {
     let out = Command::new(env!("CARGO_BIN_EXE_rptcn-analysis"))
         .arg("rules")
@@ -129,7 +166,7 @@ fn rules_lists_the_full_catalogue() {
         .expect("spawn rptcn-analysis");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for id in ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"] {
+    for id in ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10"] {
         assert!(
             stdout.contains(&format!("{id}: ")),
             "missing {id}: {stdout}"

@@ -276,6 +276,7 @@ impl<'s> Graph<'s> {
     // ---- reductions --------------------------------------------------------
 
     /// Scalar sum of all elements.
+    // lint: allow(r10) test: the scalar loss gradcheck.rs and the layer unit suites backpropagate from
     pub fn sum_all(&mut self, a: Var) -> Var {
         let v = Tensor::scalar(reduce::sum(self.value(a)));
         self.push(v, Op::SumAll(a))

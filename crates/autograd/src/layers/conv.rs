@@ -93,11 +93,6 @@ impl CausalConv1d {
         store.value(self.bias).as_slice()
     }
 
-    /// Receptive field of this single layer: `(k - 1)·d + 1`.
-    pub fn receptive_field(&self) -> usize {
-        (self.kernel - 1) * self.dilation + 1
-    }
-
     pub fn in_channels(&self) -> usize {
         self.in_ch
     }
@@ -137,7 +132,6 @@ mod tests {
         let x = g.input(Tensor::ones(&[3, 2, 7]));
         let y = conv.forward(&mut Tape::eval(&mut g), &x);
         assert_eq!(g.value(y).shape(), &[3, 4, 7]);
-        assert_eq!(conv.receptive_field(), 5);
     }
 
     #[test]
@@ -190,8 +184,6 @@ mod tests {
                 CausalConv1d::new(&mut store, &format!("c{i}"), 1, 1, 3, d, false, &mut rng)
             })
             .collect();
-        let total_rf: usize = 1 + convs.iter().map(|c| c.receptive_field() - 1).sum::<usize>();
-        assert_eq!(total_rf, 15);
 
         // Verify empirically: output at t=14 depends on x[0], output at
         // t=15.. would not (we use T=16 and perturb x[0]).

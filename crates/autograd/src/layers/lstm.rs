@@ -162,10 +162,6 @@ impl Lstm {
         self.cells[0].input_dim()
     }
 
-    pub fn num_layers(&self) -> usize {
-        self.cells.len()
-    }
-
     pub fn param_ids(&self) -> Vec<ParamId> {
         self.cells.iter().flat_map(LstmCell::param_ids).collect()
     }
@@ -188,7 +184,6 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(1);
         let lstm = Lstm::new(&mut store, "lstm", 5, 8, 2, &mut rng);
-        assert_eq!(lstm.num_layers(), 2);
         let mut g = Graph::new(&store);
         let steps = make_steps(&mut g, 3, 5, 7, &mut rng);
         let outs = lstm.forward_seq(&mut Tape::eval(&mut g), steps);

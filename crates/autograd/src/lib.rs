@@ -15,7 +15,7 @@
 //! * [`layers`] — `Linear`, dilated-causal `CausalConv1d` (with weight
 //!   normalisation), `Lstm`, `Gru`, `Dropout` (incl. the spatial variant)
 //!   and the paper's attention mechanisms, each written once over `Exec`.
-//! * [`optim`] — SGD (+momentum), Adam, RMSProp with gradient clipping.
+//! * [`optim`] — Adam behind the [`optim::Optimizer`] trait.
 //! * [`loss`] — MSE / MAE / Huber as tape compositions.
 //! * [`train`] — mini-batch [`train::fit`] loop with validation tracking and
 //!   Keras-style early stopping (`patience`), producing the

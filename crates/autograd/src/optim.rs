@@ -19,64 +19,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with optional classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum));
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        self.velocity.resize(store.len(), None);
-        for i in 0..store.len() {
-            let id = crate::params::ParamId(i);
-            let Some(g) = grads.get(id) else { continue };
-            let value = store.value_mut(id);
-            if self.momentum > 0.0 {
-                let v = self.velocity[i].get_or_insert_with(|| Tensor::zeros(g.shape()));
-                for (vs, &gs) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *vs = self.momentum * *vs + gs;
-                }
-                for (p, &vs) in value.as_mut_slice().iter_mut().zip(v.as_slice()) {
-                    *p -= self.lr * vs;
-                }
-            } else {
-                for (p, &gs) in value.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *p -= self.lr * gs;
-                }
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam (Kingma & Ba 2015) — the optimiser the paper's Keras setup defaults
 /// to, and what all deep models in this reproduction train with.
 pub struct Adam {
@@ -146,54 +88,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// RMSProp — kept as an alternative for the convergence-comparison ablation.
-pub struct RmsProp {
-    lr: f32,
-    decay: f32,
-    eps: f32,
-    cache: Vec<Option<Tensor>>,
-}
-
-impl RmsProp {
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            decay: 0.9,
-            eps: 1e-8,
-            cache: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        self.cache.resize(store.len(), None);
-        for i in 0..store.len() {
-            let id = crate::params::ParamId(i);
-            let Some(g) = grads.get(id) else { continue };
-            let c = self.cache[i].get_or_insert_with(|| Tensor::zeros(g.shape()));
-            let value = store.value_mut(id);
-            for ((p, cs), &gs) in value
-                .as_mut_slice()
-                .iter_mut()
-                .zip(c.as_mut_slice())
-                .zip(g.as_slice())
-            {
-                *cs = self.decay * *cs + (1.0 - self.decay) * gs * gs;
-                *p -= self.lr * gs / (cs.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,23 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        converges(Sgd::new(0.5), 200, 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        converges(Sgd::with_momentum(0.1, 0.9), 300, 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         converges(Adam::new(0.05), 600, 1e-2);
-    }
-
-    #[test]
-    fn rmsprop_converges_on_quadratic() {
-        converges(RmsProp::new(0.02), 800, 2e-2);
     }
 
     #[test]

@@ -312,17 +312,6 @@ impl Gradients {
         self.by_param[id.0].as_ref()
     }
 
-    /// Merge another gradient set into this one (gradient accumulation
-    /// across micro-batches).
-    pub fn merge(&mut self, other: &Gradients) {
-        assert_eq!(self.by_param.len(), other.by_param.len());
-        for (i, g) in other.by_param.iter().enumerate() {
-            if let Some(g) = g {
-                self.accumulate(ParamId(i), g);
-            }
-        }
-    }
-
     /// Scale all gradients by `s` (e.g. 1/num_micro_batches).
     pub fn scale(&mut self, s: f32) {
         for g in self.by_param.iter_mut().flatten() {
@@ -518,15 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_scale() {
+    fn scale_multiplies_every_gradient() {
         let mut a = Gradients::new(2);
-        a.accumulate(ParamId(0), &Tensor::ones(&[2]));
-        let mut b = Gradients::new(2);
-        b.accumulate(ParamId(0), &Tensor::full(&[2], 3.0));
-        b.accumulate(ParamId(1), &Tensor::ones(&[1]));
-        a.merge(&b);
-        assert_eq!(a.get(ParamId(0)).unwrap().as_slice(), &[4.0, 4.0]);
-        assert_eq!(a.get(ParamId(1)).unwrap().as_slice(), &[1.0]);
+        a.accumulate(ParamId(0), &Tensor::full(&[2], 4.0));
         a.scale(0.5);
         assert_eq!(a.get(ParamId(0)).unwrap().as_slice(), &[2.0, 2.0]);
     }

@@ -102,17 +102,6 @@ impl TrainHistory {
     pub fn epochs_run(&self) -> usize {
         self.train_loss.len()
     }
-
-    pub fn final_train_loss(&self) -> f64 {
-        self.train_loss.last().copied().unwrap_or(f64::NAN)
-    }
-
-    pub fn best_valid_loss(&self) -> f64 {
-        self.valid_loss
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// Gather rows (axis 0) of a tensor into a new tensor.
@@ -343,11 +332,11 @@ mod tests {
         };
         let hist = fit(&mut model, &x, &y, None, &mut opt, &cfg);
         assert_eq!(hist.epochs_run(), 40);
+        let last = *hist.train_loss.last().unwrap();
         assert!(
-            hist.final_train_loss() < hist.train_loss[0] * 0.05,
-            "loss barely moved: {:?} -> {:?}",
-            hist.train_loss[0],
-            hist.final_train_loss()
+            last < hist.train_loss[0] * 0.05,
+            "loss barely moved: {:?} -> {last:?}",
+            hist.train_loss[0]
         );
     }
 
@@ -368,7 +357,12 @@ mod tests {
         let mut rng = Rng::seed_from(0);
         let pv = predict(&model, &xv, 32, &mut rng);
         let vl = LossKind::Mse.eval(&pv, &yv);
-        assert!((vl - hist.best_valid_loss()).abs() < 1e-9);
+        let best = hist
+            .valid_loss
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        assert!((vl - best).abs() < 1e-9);
     }
 
     #[test]

@@ -547,14 +547,21 @@ fn main() {
 
     // Stacked-batch throughput across explicit worker pools. Each pool is
     // built fresh so one process can sweep worker counts; `predict` itself
-    // uses the identical code path through the process-global pool. On a
-    // 1-core host the sweep is flat — `available_parallelism` is recorded
-    // so readers can tell capped from broken scaling.
+    // uses the identical code path through the process-global pool. A
+    // pool with more workers than the host has cores times oversubscription,
+    // not scaling, so the sweep stops at `available_parallelism` (recorded
+    // beside the rows).
     let x_batch = Tensor::rand_normal(&[BATCH_ROWS, WINDOW, FEATURES], 0.5, 0.2, &mut rng);
     let batch_iters = if args.quick { 10 } else { 60 };
     let mut scaling = Vec::new();
     let mut best_fps = 0.0f64;
-    for &w in &WORKER_COUNTS {
+    let available_parallelism = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    for &w in WORKER_COUNTS
+        .iter()
+        .filter(|&&w| w <= available_parallelism)
+    {
         let exec = BatchExecutor::new(w);
         for _ in 0..3 {
             black_box(model.predict_with_executor(&x_batch, &exec));
@@ -567,9 +574,6 @@ fn main() {
         best_fps = best_fps.max(fps);
         scaling.push((w, exec.pinned_workers(), p50, fps));
     }
-    let available_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();

@@ -20,10 +20,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -72,11 +68,6 @@ pub fn x100(v: f64) -> String {
     format!("{:.4}", v * 100.0)
 }
 
-/// Format a plain float with 4 decimals.
-pub fn f4(v: f64) -> String {
-    format!("{v:.4}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +83,6 @@ mod tests {
         assert!(lines[0].starts_with("model"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[2].contains("RPTCN"));
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
@@ -111,6 +101,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(x100(0.004627), "0.4627");
-        assert_eq!(f4(1.23456), "1.2346");
     }
 }

@@ -14,6 +14,9 @@
 //!   ([`decide::ConformalState`]) driving a Bayesian cost-model decision
 //!   rule with hysteresis ([`decide::DecisionPlanner`]), scored on
 //!   over-/under-allocation.
+//! * [`placement`] — the fleet tier's consistent-hash ring
+//!   ([`placement::HashRing`]) and the ownership audit the chaos suites
+//!   check a fleet's holdings against.
 //! * [`observe`] — spans and counters around the pipeline stages
 //!   ([`observe::PipelineObs`]), registered in a shared `obs::Registry`.
 //!
@@ -32,7 +35,6 @@
 //! ```
 
 pub mod decide;
-pub mod evaluation;
 pub mod observe;
 pub mod pipeline;
 pub mod placement;
@@ -43,14 +45,10 @@ pub use decide::{
     Calibration, ConformalState, CostModel, Decision, DecisionConfig, DecisionPlanner,
     DecisionRule, DecisionStats, HysteresisConfig, HysteresisState, ScaleAction,
 };
-pub use evaluation::{rolling_origin, RollingOriginConfig, RollingOriginResult};
 pub use observe::PipelineObs;
 pub use pipeline::{
     prepare, run_model, FittedPreprocess, PipelineConfig, PipelineRun, PreparedData, ScalerScope,
 };
-pub use placement::{
-    Arrival, HashRing, OwnershipAudit, PlacementOutcome, PlacementSimulator, PlacementStrategy,
-    SimMachine,
-};
+pub use placement::{HashRing, OwnershipAudit};
 pub use predictor::{new_shared_group, PredictorState, ResourcePredictor};
 pub use scenario::Scenario;

@@ -53,14 +53,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// Builder-style override of the input scenario.
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
-        self
-    }
-}
-
 /// The fully prepared, model-ready data for one entity.
 #[derive(Debug, Clone)]
 pub struct PreparedData {

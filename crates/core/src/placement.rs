@@ -1,13 +1,8 @@
-//! Prediction-aware container placement — the *job scheduling* use-case
-//! the paper's §II motivates: when a new container arrives, place it on the
-//! machine whose **predicted** future load leaves the most headroom, rather
-//! than the one that merely looks idle right now. A placement simulator
-//! scores strategies by the overload time they cause.
-//!
-//! The module also hosts the fleet-tier placement primitive: a
-//! [`HashRing`] that maps entity ids onto serving nodes with consistent
-//! hashing, so the distributed router in `rptcn-net` moves only ~1/N of
-//! the entities when a node joins or leaves.
+//! The fleet tier's placement primitive: a [`HashRing`] that maps entity
+//! ids onto serving nodes with consistent hashing, so the distributed
+//! router in `rptcn-net` moves only ~1/N of the entities when a node joins
+//! or leaves, and the [`OwnershipAudit`] the chaos suites check a fleet's
+//! actual holdings against.
 
 /// Consistent-hash ring over named serving nodes.
 ///
@@ -231,296 +226,9 @@ impl HashRing {
     }
 }
 
-/// How the scheduler estimates a machine's near-future load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementStrategy {
-    /// Current instantaneous load (what a naive scheduler sees).
-    CurrentLoad,
-    /// Mean load over the recent window (smooths bursts).
-    RecentMean,
-    /// Externally supplied forecast of the next-interval load.
-    Predicted,
-}
-
-/// One machine in the simulated cluster.
-#[derive(Debug, Clone)]
-pub struct SimMachine {
-    /// Background (pre-existing) load per time step, in `[0, 1]`.
-    pub background: Vec<f32>,
-    /// Load added by containers this simulation has placed.
-    placed: Vec<f32>,
-}
-
-impl SimMachine {
-    /// A machine with the given background load series and nothing placed.
-    pub fn new(background: Vec<f32>) -> Self {
-        let n = background.len();
-        Self {
-            background,
-            placed: vec![0.0; n],
-        }
-    }
-
-    /// Total load at step `t`.
-    pub fn load_at(&self, t: usize) -> f32 {
-        (self.background[t] + self.placed[t]).min(1.5)
-    }
-
-    fn add_container(&mut self, from: usize, demand: &[f32]) {
-        for (offset, &d) in demand.iter().enumerate() {
-            if let Some(slot) = self.placed.get_mut(from + offset) {
-                *slot += d;
-            }
-        }
-    }
-}
-
-/// An arriving container: a start time and its CPU demand series.
-#[derive(Debug, Clone)]
-pub struct Arrival {
-    pub at: usize,
-    pub demand: Vec<f32>,
-}
-
-/// Outcome of one simulated placement run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PlacementOutcome {
-    pub placements: usize,
-    /// Machine-steps with total load above the overload threshold.
-    pub overloaded_steps: usize,
-    /// Total steps evaluated (machines × horizon).
-    pub total_steps: usize,
-    /// Peak load observed anywhere.
-    pub peak_load: f32,
-}
-
-impl PlacementOutcome {
-    /// Fraction of machine-steps spent above the overload threshold.
-    pub fn overload_rate(&self) -> f64 {
-        if self.total_steps == 0 {
-            0.0
-        } else {
-            self.overloaded_steps as f64 / self.total_steps as f64
-        }
-    }
-}
-
-/// Simulates placing `arrivals` onto `machines` under a strategy.
-///
-/// `forecasts[m][t]` supplies the predicted load of machine `m` for step
-/// `t+1` and is only consulted by [`PlacementStrategy::Predicted`]; pass
-/// the truth shifted by one to emulate a perfect predictor, or a model's
-/// output for an end-to-end evaluation.
-pub struct PlacementSimulator {
-    machines: Vec<SimMachine>,
-    overload_threshold: f32,
-    lookback: usize,
-}
-
-impl PlacementSimulator {
-    /// A simulator over a non-empty cluster of equal-horizon machines.
-    pub fn new(machines: Vec<SimMachine>, overload_threshold: f32) -> Self {
-        assert!(!machines.is_empty());
-        let len = machines[0].background.len();
-        assert!(machines.iter().all(|m| m.background.len() == len));
-        Self {
-            machines,
-            overload_threshold,
-            lookback: 30,
-        }
-    }
-
-    /// Number of machines in the simulated cluster.
-    pub fn num_machines(&self) -> usize {
-        self.machines.len()
-    }
-
-    fn estimated_load(
-        &self,
-        m: usize,
-        t: usize,
-        strategy: PlacementStrategy,
-        forecasts: Option<&[Vec<f32>]>,
-    ) -> f32 {
-        match strategy {
-            PlacementStrategy::CurrentLoad => self.machines[m].load_at(t),
-            PlacementStrategy::RecentMean => {
-                let lo = t.saturating_sub(self.lookback);
-                let vals: Vec<f32> = (lo..=t).map(|s| self.machines[m].load_at(s)).collect();
-                tensor::stats::mean(&vals) as f32
-            }
-            PlacementStrategy::Predicted => forecasts
-                // `run` asserts forecasts are present up front; falling
-                // back to the instantaneous load here keeps this helper
-                // total for any future caller.
-                .and_then(|f| f.get(m))
-                .and_then(|f| f.get(t))
-                .copied()
-                .unwrap_or_else(|| self.machines[m].load_at(t)),
-        }
-    }
-
-    /// Run the simulation: each arrival goes to the machine with the lowest
-    /// estimated load at its start time; afterwards every machine-step in
-    /// the run is scored against the overload threshold.
-    pub fn run(
-        &mut self,
-        arrivals: &[Arrival],
-        strategy: PlacementStrategy,
-        forecasts: Option<&[Vec<f32>]>,
-    ) -> PlacementOutcome {
-        assert!(
-            strategy != PlacementStrategy::Predicted || forecasts.is_some(),
-            "Predicted strategy requires forecasts"
-        );
-        let horizon = self.machines[0].background.len();
-        let mut outcome = PlacementOutcome {
-            placements: arrivals.len(),
-            ..Default::default()
-        };
-        for arrival in arrivals {
-            assert!(arrival.at < horizon, "arrival beyond simulation horizon");
-            // `total_cmp` orders NaN estimates last instead of panicking,
-            // and `new` guarantees at least one machine exists.
-            let best = (0..self.machines.len())
-                .min_by(|&a, &b| {
-                    self.estimated_load(a, arrival.at, strategy, forecasts)
-                        .total_cmp(&self.estimated_load(b, arrival.at, strategy, forecasts))
-                })
-                .unwrap_or(0);
-            self.machines[best].add_container(arrival.at, &arrival.demand);
-        }
-        for m in &self.machines {
-            for t in 0..horizon {
-                let load = m.load_at(t);
-                outcome.total_steps += 1;
-                outcome.peak_load = outcome.peak_load.max(load);
-                if load > self.overload_threshold {
-                    outcome.overloaded_steps += 1;
-                }
-            }
-        }
-        outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Two machines: one currently idle but about to get busy, one busy now
-    /// but about to drain. The "current load" scheduler picks wrong; a
-    /// predictive scheduler picks right.
-    fn deceptive_cluster(horizon: usize) -> Vec<SimMachine> {
-        let switch = horizon / 2;
-        let spiky: Vec<f32> = (0..horizon)
-            .map(|t| if t < switch { 0.1 } else { 0.8 })
-            .collect();
-        let draining: Vec<f32> = (0..horizon)
-            .map(|t| if t < switch { 0.6 } else { 0.15 })
-            .collect();
-        vec![SimMachine::new(spiky), SimMachine::new(draining)]
-    }
-
-    fn arrivals(horizon: usize) -> Vec<Arrival> {
-        // One long-running container arriving just before the switch.
-        vec![Arrival {
-            at: horizon / 2 - 1,
-            demand: vec![0.4; horizon / 2],
-        }]
-    }
-
-    /// Perfect one-step-ahead forecast: the background at t+1.
-    fn oracle_forecasts(machines: &[SimMachine]) -> Vec<Vec<f32>> {
-        machines
-            .iter()
-            .map(|m| {
-                let n = m.background.len();
-                (0..n).map(|t| m.background[(t + 5).min(n - 1)]).collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn predictive_placement_avoids_the_deceptive_machine() {
-        let horizon = 200;
-
-        let mut naive_sim = PlacementSimulator::new(deceptive_cluster(horizon), 0.9);
-        let naive = naive_sim.run(&arrivals(horizon), PlacementStrategy::CurrentLoad, None);
-
-        let machines = deceptive_cluster(horizon);
-        let forecasts = oracle_forecasts(&machines);
-        let mut pred_sim = PlacementSimulator::new(machines, 0.9);
-        let predicted = pred_sim.run(
-            &arrivals(horizon),
-            PlacementStrategy::Predicted,
-            Some(&forecasts),
-        );
-
-        assert!(
-            predicted.overloaded_steps < naive.overloaded_steps,
-            "prediction did not help: naive {} vs predicted {}",
-            naive.overloaded_steps,
-            predicted.overloaded_steps
-        );
-    }
-
-    #[test]
-    fn overload_accounting_is_exact() {
-        // One machine at 0.95 for 10 steps, threshold 0.9: all overloaded.
-        let mut sim = PlacementSimulator::new(vec![SimMachine::new(vec![0.95; 10])], 0.9);
-        let outcome = sim.run(&[], PlacementStrategy::CurrentLoad, None);
-        assert_eq!(outcome.overloaded_steps, 10);
-        assert_eq!(outcome.total_steps, 10);
-        assert!((outcome.overload_rate() - 1.0).abs() < 1e-12);
-        assert!((outcome.peak_load - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn placement_adds_demand_to_exactly_one_machine() {
-        let mut sim = PlacementSimulator::new(
-            vec![
-                SimMachine::new(vec![0.2; 20]),
-                SimMachine::new(vec![0.5; 20]),
-            ],
-            0.9,
-        );
-        let outcome = sim.run(
-            &[Arrival {
-                at: 0,
-                demand: vec![0.3; 20],
-            }],
-            PlacementStrategy::CurrentLoad,
-            None,
-        );
-        assert_eq!(outcome.placements, 1);
-        // Less-loaded machine receives it: loads become 0.5 and 0.5.
-        assert!((sim.machines[0].load_at(5) - 0.5).abs() < 1e-6);
-        assert!((sim.machines[1].load_at(5) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn recent_mean_smooths_transient_spikes() {
-        // Machine 0 has one instantaneous spike at the arrival step but is
-        // otherwise idle; RecentMean should still pick it over the
-        // consistently half-loaded machine 1.
-        let mut bg0 = vec![0.05f32; 100];
-        bg0[50] = 0.9;
-        let machines = vec![SimMachine::new(bg0), SimMachine::new(vec![0.5; 100])];
-        let mut sim = PlacementSimulator::new(machines, 0.95);
-        sim.run(
-            &[Arrival {
-                at: 50,
-                demand: vec![0.2; 40],
-            }],
-            PlacementStrategy::RecentMean,
-            None,
-        );
-        assert!(
-            sim.machines[0].load_at(60) > 0.2,
-            "RecentMean was fooled by the transient spike"
-        );
-    }
 
     #[test]
     fn ring_is_deterministic_and_total() {
@@ -705,23 +413,5 @@ mod tests {
         // And with no live holder anywhere, the entity is simply lost.
         let audit = ring.audit_ownership(|_| false, &ids, &holdings);
         assert_eq!(audit.missing, ids);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires forecasts")]
-    fn predicted_without_forecasts_panics() {
-        // Two machines so the comparator (and the forecast lookup) runs.
-        let mut sim = PlacementSimulator::new(
-            vec![SimMachine::new(vec![0.1; 5]), SimMachine::new(vec![0.2; 5])],
-            0.9,
-        );
-        sim.run(
-            &[Arrival {
-                at: 0,
-                demand: vec![0.1],
-            }],
-            PlacementStrategy::Predicted,
-            None,
-        );
     }
 }

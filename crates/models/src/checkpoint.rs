@@ -319,6 +319,7 @@ pub fn read_model_file<R: Read>(r: &mut R) -> Result<ModelState, CheckpointError
 }
 
 /// Save a model checkpoint to `path`.
+// lint: allow(r10) test: checkpoint_roundtrip.rs writes model files through `Forecaster::save`
 pub fn save_model(path: &Path, state: &ModelState) -> Result<(), CheckpointError> {
     let mut w = BufWriter::new(File::create(path)?);
     write_model_file(&mut w, state)?;

@@ -68,11 +68,6 @@ impl EtsForecaster {
         }
     }
 
-    /// Selected smoothing constants `(alpha, beta, gamma)`.
-    pub fn smoothing(&self) -> (f64, f64, f64) {
-        (self.alpha, self.beta, self.gamma)
-    }
-
     /// One-step-ahead in-sample SSE for a candidate parameterisation.
     fn sse(&self, series: &[f32], alpha: f64, beta: f64, gamma: f64) -> f64 {
         let mut sse = 0.0;
@@ -317,8 +312,6 @@ mod tests {
         let pred = m.predict(&ds.x);
         assert_eq!(pred.shape(), &[ds.len(), 2]);
         assert!(pred.all_finite());
-        let (a, b, _) = m.smoothing();
-        assert!(a > 0.0 && a < 1.0 && b >= 0.0);
     }
 
     #[test]

@@ -90,14 +90,6 @@ impl Tree {
             }
         }
     }
-
-    /// Number of leaves (diagnostic).
-    pub fn num_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
-    }
 }
 
 struct SplitCandidate {
@@ -248,11 +240,6 @@ impl GbtForecaster {
             horizon: 1,
             flat_features: 0,
         }
-    }
-
-    /// Trees of the booster for horizon step `h`.
-    pub fn trees(&self, h: usize) -> &[Tree] {
-        &self.boosters[h]
     }
 
     fn predict_flat(&self, rows: &[f32], n: usize) -> Vec<f32> {
@@ -494,8 +481,6 @@ mod tests {
             ..Default::default()
         });
         gbt.fit(&ds, None);
-        assert_eq!(gbt.trees(0).len(), 1);
-        assert_eq!(gbt.trees(0)[0].num_leaves(), 1);
         // Prediction equals the base score (mean) plus a ~zero leaf.
         let pred = gbt.predict(&ds.x);
         let mean = tensor::stats::mean(ds.y.as_slice()) as f32;

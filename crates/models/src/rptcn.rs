@@ -316,6 +316,7 @@ impl RptcnForecaster {
     /// Full multi-head output: `[n, 3·horizon]` rows laid out
     /// `[point | q_lo | q_hi]`. `None` when the model was built without
     /// quantile heads.
+    // lint: allow(r10) test: the pinball-loss oracle — `quantile_heads_learn_an_ordered_interval` is the only reader of the q_lo/q_hi heads that still train
     pub fn predict_quantiles(&self, x: &Tensor) -> Option<Tensor> {
         self.config.quantiles?;
         let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract

@@ -104,11 +104,6 @@ impl TemporalBlock {
         self.conv1.dilation()
     }
 
-    /// Receptive-field contribution of this block: `2·(k−1)·d`.
-    pub fn receptive_contribution(&self) -> usize {
-        2 * (self.conv1.receptive_field() - 1)
-    }
-
     pub fn conv1(&self) -> &CausalConv1d {
         &self.conv1
     }
@@ -211,15 +206,6 @@ impl TcnBackbone {
 
     pub fn blocks(&self) -> &[TemporalBlock] {
         &self.blocks
-    }
-
-    /// Total receptive field: `1 + Σ 2·(k−1)·2^l`.
-    pub fn receptive_field(&self) -> usize {
-        1 + self
-            .blocks
-            .iter()
-            .map(TemporalBlock::receptive_contribution)
-            .sum::<usize>()
     }
 }
 
@@ -324,13 +310,6 @@ impl TcnForecaster {
             horizon,
         }
     }
-
-    /// Receptive field of the configured backbone.
-    pub fn receptive_field(&self) -> usize {
-        1 + (0..self.config.levels)
-            .map(|l| 2 * (self.config.kernel - 1) * (1 << l))
-            .sum::<usize>()
-    }
 }
 
 impl Forecaster for TcnForecaster {
@@ -366,28 +345,10 @@ mod tests {
     use timeseries::{make_windows, TimeSeriesFrame};
 
     #[test]
-    fn receptive_field_formula() {
-        let cfg = TcnConfig {
-            levels: 3,
-            kernel: 3,
-            ..Default::default()
-        };
-        // 1 + 2*2*(1+2+4) = 29
-        assert_eq!(TcnForecaster::new(cfg).receptive_field(), 29);
-        let cfg = TcnConfig {
-            levels: 4,
-            kernel: 3,
-            ..Default::default()
-        };
-        assert_eq!(TcnForecaster::new(cfg).receptive_field(), 61);
-    }
-
-    #[test]
     fn backbone_preserves_time_length_and_causality() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(1);
         let backbone = TcnBackbone::new(&mut store, "t", 2, 4, 2, 3, 0.0, true, &mut rng);
-        assert_eq!(backbone.receptive_field(), 1 + 4 + 8);
 
         let x1 = Tensor::rand_normal(&[1, 2, 12], 0.0, 1.0, &mut rng);
         let mut x2 = x1.clone();

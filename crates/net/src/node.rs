@@ -137,11 +137,6 @@ impl NodeServer {
         self.shared.addr.clone()
     }
 
-    /// Whether the node is draining (refusing new ingests).
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Replays answered from the request-id dedup cache since start.
     pub fn dedup_hits(&self) -> u64 {
         lock_recover(&self.shared.dedup).cache.hits()

@@ -194,6 +194,7 @@ impl FleetRouter {
     }
 
     /// Status of a node by name, if known.
+    // lint: allow(r10) test: cluster_failover.rs and cluster_membership.rs assert one node's status
     pub fn node_status(&self, name: &str) -> Option<NodeStatus> {
         self.nodes.iter().find(|n| n.name == name).map(|n| n.status)
     }
@@ -206,11 +207,6 @@ impl FleetRouter {
             .collect()
     }
 
-    /// Number of entities the router has seeded across the fleet.
-    pub fn entity_count(&self) -> usize {
-        self.replay.len()
-    }
-
     /// Every entity id the router has seeded (the authoritative fleet
     /// entity list), in arbitrary order.
     pub fn entity_ids(&self) -> Vec<String> {
@@ -221,16 +217,6 @@ impl FleetRouter {
     /// ([`rptcn::HashRing::audit_ownership`]).
     pub fn ring(&self) -> &HashRing {
         &self.ring
-    }
-
-    /// The acknowledged sample suffix buffered for one entity, oldest
-    /// first (what failover would replay). Empty when unknown or when
-    /// replay is disabled.
-    pub fn replay_suffix(&self, id: &str) -> Vec<Vec<f32>> {
-        self.replay
-            .get(id)
-            .map(|buf| buf.iter().cloned().collect())
-            .unwrap_or_default()
     }
 
     fn alloc_id(&mut self) -> u64 {

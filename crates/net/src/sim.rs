@@ -425,14 +425,6 @@ impl SimNet {
         }
     }
 
-    /// Whether frames from `from` to `to` are currently blocked.
-    pub fn is_blocked(&self, from: &str, to: &str) -> bool {
-        lock_recover(&self.inner.state)
-            .blocked
-            .iter()
-            .any(|(a, b)| a == from && b == to)
-    }
-
     fn emit(&self, kind: EventKind, detail: String) {
         self.inner
             .journal
@@ -1293,12 +1285,10 @@ mod tests {
         let _listener = server_tp.bind("server").expect("bind");
         let tp = net.transport("client");
         net.partition("client", "server");
-        assert!(net.is_blocked("client", "server"));
         let err = tp.connect("server", Duration::from_millis(50)).err();
         assert!(err.is_some(), "connect must be refused under partition");
         assert_eq!(net.stats().connects_refused, 1);
         net.heal("client", "server");
-        assert!(!net.is_blocked("client", "server"));
         assert!(tp.connect("server", Duration::from_millis(50)).is_ok());
         let kinds: Vec<String> = net
             .journal()

@@ -128,6 +128,7 @@ fn json_string(s: &str) -> String {
 /// Render the journal as text, oldest first: one
 /// `at=<nanos> kind=<name> shard=<n|-> entity=<id|-> <detail>` line per
 /// event, with a trailing `overwritten=<n>` line when events were lost.
+// lint: allow(r10) test: golden_snapshots.rs pins the journal rendering
 pub fn journal_text(journal: &Journal) -> String {
     let mut out = String::new();
     for event in journal.events() {
@@ -210,6 +211,7 @@ pub fn parse_json(input: &str) -> Option<JsonValue> {
 
 /// Parse an exported snapshot back into a [`MetricsSnapshot`] — the
 /// inverse of [`to_json`] (quantiles are re-derived, not stored).
+// lint: allow(r10) test: golden_snapshots.rs parses the exporter's output back
 pub fn from_json(input: &str) -> Option<MetricsSnapshot> {
     let root = parse_json(input)?;
     let pairs = |key: &str| -> Option<&Vec<(String, JsonValue)>> {

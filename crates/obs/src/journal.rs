@@ -223,6 +223,7 @@ impl Journal {
     }
 
     /// Retained events of one kind, oldest first.
+    // lint: allow(r10) test: chaos.rs counts restarts, timeouts, rejections and fallbacks by kind
     pub fn of_kind(&self, kind: EventKind) -> Vec<Event> {
         self.matching(|e| e.kind == kind)
     }
@@ -233,11 +234,13 @@ impl Journal {
     }
 
     /// Retained events attributed to one entity, oldest first.
+    // lint: allow(r10) test: chaos.rs reads one entity's degrade/recover trail
     pub fn for_entity(&self, entity: &str) -> Vec<Event> {
         self.matching(|e| e.entity.as_deref() == Some(entity))
     }
 
     /// Retained events attributed to one shard, oldest first.
+    // lint: allow(r10) test: concurrency.rs checks no event of a writer thread is lost
     pub fn for_shard(&self, shard: usize) -> Vec<Event> {
         self.matching(|e| e.shard == Some(shard))
     }

@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Default histogram bucket upper bounds for latencies, in nanoseconds:
 /// a 1-2-5 series from 1 µs to 10 s. Fine enough for microsecond
@@ -173,13 +172,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    // hot-path: delegates to `record`; the nanosecond conversion is
-    // arithmetic only.
-    /// Record a duration as nanoseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos() as u64);
-    }
-
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -250,40 +242,6 @@ impl HistogramSnapshot {
     /// Mean of all samples (`None` when empty).
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Combine two snapshots recorded against the same bucket layout;
-    /// the result is identical to one histogram having recorded both
-    /// sample streams. `None` when the layouts differ.
-    pub fn merge(&self, other: &HistogramSnapshot) -> Option<HistogramSnapshot> {
-        if self.buckets.len() != other.buckets.len()
-            || self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .any(|(a, b)| a.0 != b.0)
-        {
-            return None;
-        }
-        Some(HistogramSnapshot {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-            min: match (self.min, other.min) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            max: match (self.max, other.max) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            },
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(&(le, a), &(_, b))| (le, a + b))
-                .collect(),
-            overflow: self.overflow + other.overflow,
-        })
     }
 }
 
@@ -429,27 +387,6 @@ mod tests {
         assert_eq!(h.quantile(1.0), Some(500), "q=1 is the exact max");
         assert_eq!(h.quantile(0.0), Some(10).map(|b: u64| b.clamp(5, 500)));
         assert_eq!(Histogram::latency().quantile(0.5), None, "empty → None");
-    }
-
-    #[test]
-    fn merge_equals_sequential_recording() {
-        let (a, b, c) = (
-            Histogram::with_bounds(&[10, 100]),
-            Histogram::with_bounds(&[10, 100]),
-            Histogram::with_bounds(&[10, 100]),
-        );
-        for v in [1, 50, 200] {
-            a.record(v);
-            c.record(v);
-        }
-        for v in [7, 7000] {
-            b.record(v);
-            c.record(v);
-        }
-        let merged = a.snapshot().merge(&b.snapshot()).expect("same layout");
-        assert_eq!(merged, c.snapshot());
-        let other = Histogram::with_bounds(&[42]);
-        assert!(a.snapshot().merge(&other.snapshot()).is_none());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property tests for histogram invariants: whatever the bucket layout
-//! and sample stream, counts are conserved, quantiles are monotone and
-//! stay inside the exact [min, max] envelope, and merging two snapshots
-//! is indistinguishable from recording both streams into one histogram.
+//! and sample stream, counts are conserved and quantiles are monotone
+//! and stay inside the exact [min, max] envelope.
 
 use obs::{Histogram, HistogramSnapshot};
 use proptest::collection::vec;
@@ -57,36 +56,5 @@ proptest! {
         prop_assert_eq!(s.quantile(1.0), Some(max));
         let (p50, p99) = (s.quantile(0.5).unwrap(), s.quantile(0.99).unwrap());
         prop_assert!(p50 <= p99 && p99 <= max);
-    }
-
-    /// merge(a, b) over the same layout equals one histogram that
-    /// recorded a's stream then b's stream — and is symmetric.
-    #[test]
-    fn merge_equals_sequential_recording(
-        bounds in vec(1u64..1_000_000, 0..12),
-        left in vec(0u64..10_000_000, 0..200),
-        right in vec(0u64..10_000_000, 0..200),
-    ) {
-        let a = recorded(&bounds, &left).snapshot();
-        let b = recorded(&bounds, &right).snapshot();
-        let both: Vec<u64> = left.iter().chain(&right).copied().collect();
-        let sequential = recorded(&bounds, &both).snapshot();
-        let merged = a.merge(&b).unwrap();
-        prop_assert_eq!(&merged, &sequential);
-        prop_assert_eq!(&b.merge(&a).unwrap(), &sequential);
-    }
-
-    /// Layout mismatch is detected, never silently combined.
-    #[test]
-    fn merge_rejects_different_layouts(
-        bounds in vec(1u64..1_000_000, 1..12),
-        samples in vec(0u64..10_000_000, 0..50),
-        extra in 1_000_001u64..2_000_000,
-    ) {
-        let a = recorded(&bounds, &samples).snapshot();
-        let mut other_bounds = bounds.clone();
-        other_bounds.push(extra);
-        let b = recorded(&other_bounds, &samples).snapshot();
-        prop_assert!(a.merge(&b).is_none());
     }
 }

@@ -64,6 +64,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// An empty plan with a deterministic seed.
+    // lint: allow(r10) fault injection: the empty plan every chaos suite starts from
     pub fn seeded(seed: u64) -> Self {
         Self {
             inner: Arc::new(Inner {
@@ -75,6 +76,7 @@ impl FaultPlan {
 
     /// Corrupt `rate` (0.0–1.0) of `entity`'s ingested samples with `NaN`
     /// before shard-boundary validation runs.
+    // lint: allow(r10) fault injection: chaos.rs poisons an entity's samples
     pub fn poison_entity(self, entity: &str, rate: f64) -> Self {
         lock_recover(&self.inner.poison).insert(
             entity.to_string(),
@@ -88,12 +90,14 @@ impl FaultPlan {
 
     /// Panic the shard worker the next `times` times it forecasts for
     /// `entity` — simulating a model whose panic escapes into the worker.
+    // lint: allow(r10) fault injection: chaos.rs and batched_forecasts.rs crash a shard worker
     pub fn panic_on_forecast(self, entity: &str, times: u32) -> Self {
         lock_recover(&self.inner.panic_forecast).insert(entity.to_string(), times);
         self
     }
 
     /// Make every background refit for `entity` fail.
+    // lint: allow(r10) fault injection: chaos.rs fails an entity's refits
     pub fn fail_refit(self, entity: &str) -> Self {
         lock_recover(&self.inner.refit).insert(entity.to_string(), RefitFault::Fail);
         self
@@ -101,6 +105,7 @@ impl FaultPlan {
 
     /// Delay every background refit attempt for `entity` by `delay`
     /// (drives the per-entity refit timeout).
+    // lint: allow(r10) fault injection: chaos.rs drives the refit timeout
     pub fn slow_refit(self, entity: &str, delay: Duration) -> Self {
         lock_recover(&self.inner.refit).insert(entity.to_string(), RefitFault::Slow(delay));
         self
@@ -108,6 +113,7 @@ impl FaultPlan {
 
     /// Stall `shard` for `delay` on each of its next `messages` messages,
     /// saturating its bounded queue.
+    // lint: allow(r10) fault injection: chaos.rs and cluster_failover.rs saturate a shard queue
     pub fn stall_shard(self, shard: usize, delay: Duration, messages: u32) -> Self {
         lock_recover(&self.inner.stall).insert(shard, (delay, messages));
         self

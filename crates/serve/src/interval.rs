@@ -43,6 +43,7 @@ impl IntervalForecast {
     }
 
     /// Upper interval bound for horizon step `i`.
+    // lint: allow(r10) test: chaos.rs and interval_parity.rs check lower ≤ upper on served intervals
     pub fn upper(&self, i: usize) -> f32 {
         self.point[i] + self.offset_hi
     }

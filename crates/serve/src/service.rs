@@ -407,6 +407,7 @@ impl PredictionService {
     /// entity's rolling ingest residuals. Degraded entities are answered
     /// from their journaled last-good interval, never an uncovered point
     /// estimate.
+    // lint: allow(r10) test: chaos.rs and interval_parity.rs read the served interval
     pub fn forecast_with_interval(&self, id: &str) -> Result<IntervalForecast, ServeError> {
         let mut results = self.forecast_with_interval_many(&[id]);
         match results.pop() {
@@ -510,6 +511,7 @@ impl PredictionService {
     /// their model, `Degraded` ones by the naive fallback until a clean
     /// refit restores them. Reported per entity with crash counts and the
     /// error that caused the last transition.
+    // lint: allow(r10) test: chaos.rs and batched_forecasts.rs assert per-entity health
     pub fn entity_health(&self) -> Result<BTreeMap<String, EntityHealthReport>, ServeError> {
         let mut pending = Vec::new();
         for shard in 0..self.config.shards {
@@ -562,6 +564,7 @@ impl PredictionService {
     }
 
     /// Number of entities currently served.
+    // lint: allow(r10) test: batched_forecasts.rs asserts a failed onboarding leaves no entity
     pub fn entity_count(&self) -> usize {
         self.ids.len()
     }
@@ -579,6 +582,7 @@ impl PredictionService {
     }
 
     /// The shard serving `id`.
+    // lint: allow(r10) test: chaos.rs and service_integration.rs locate an entity's shard
     pub fn shard_of(&self, id: &str) -> usize {
         shard_for(id, self.config.shards)
     }

@@ -146,6 +146,7 @@ pub fn gemm_with_tier(
 /// element in ascending-`p` order — bitwise identical per element to the
 /// AVX2+FMA microkernel. This is the reference the parity tests pin the
 /// SIMD path against, and the baseline `bench_infer` times speedups from.
+// lint: allow(r10) test: the Fma tier's scalar twin gemm_parity.rs compares bits with
 pub fn gemm_scalar_fma(
     da: &[f32],
     db: &[f32],

@@ -29,19 +29,6 @@ pub fn min(a: &Tensor) -> f32 {
     a.as_slice().iter().copied().fold(f32::INFINITY, f32::min)
 }
 
-/// Index of the maximum element (first occurrence).
-pub fn argmax(a: &Tensor) -> usize {
-    assert!(!a.is_empty(), "argmax of empty tensor");
-    let mut best = 0;
-    let data = a.as_slice();
-    for (i, &x) in data.iter().enumerate() {
-        if x > data[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 /// Walk a tensor reduced along `axis`, calling `f(out_index, value)` for every
 /// element, where `out_index` is the linear index in the reduced tensor.
 fn for_each_reduced(a: &Tensor, axis: usize, mut f: impl FnMut(usize, f32)) -> Vec<usize> {
@@ -100,28 +87,6 @@ pub fn sum_axis(a: &Tensor, axis: usize) -> Tensor {
     Tensor::from_vec(acc.into_iter().map(|x| x as f32).collect(), &out_shape)
 }
 
-/// Mean along `axis`, removing that axis from the shape.
-pub fn mean_axis(a: &Tensor, axis: usize) -> Tensor {
-    let d = a.shape()[axis].max(1) as f32;
-    let mut out = sum_axis(a, axis);
-    out.map_inplace(|x| x / d);
-    out
-}
-
-/// Maximum along `axis`, removing that axis from the shape.
-pub fn max_axis(a: &Tensor, axis: usize) -> Tensor {
-    let mut acc: Vec<f32> = Vec::new();
-    let out_shape = for_each_reduced(a, axis, |o, v| {
-        if o >= acc.len() {
-            acc.resize(o + 1, f32::NEG_INFINITY);
-        }
-        acc[o] = acc[o].max(v);
-    });
-    let n: usize = out_shape.iter().product();
-    acc.resize(n, f32::NEG_INFINITY);
-    Tensor::from_vec(acc, &out_shape)
-}
-
 /// Numerically-stable softmax along the last axis of a rank-2 tensor.
 pub fn softmax_rows(a: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2, "softmax_rows requires rank-2");
@@ -159,7 +124,6 @@ mod tests {
         assert_eq!(mean(&a), 1.5);
         assert_eq!(max(&a), 4.0);
         assert_eq!(min(&a), -2.0);
-        assert_eq!(argmax(&a), 3);
     }
 
     #[test]
@@ -183,13 +147,6 @@ mod tests {
         let s2 = sum_axis(&a, 2);
         assert_eq!(s2.shape(), &[2, 3]);
         assert_eq!(s2.at(&[1, 2]), 20.0 + 21.0 + 22.0 + 23.0);
-    }
-
-    #[test]
-    fn mean_and_max_axis() {
-        let a = t(&[1.0, 5.0, 3.0, 2.0, 4.0, 6.0], &[2, 3]);
-        assert_eq!(mean_axis(&a, 1).as_slice(), &[3.0, 4.0]);
-        assert_eq!(max_axis(&a, 0).as_slice(), &[2.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -89,12 +89,6 @@ impl Rng {
             indices.swap(i, j);
         }
     }
-
-    /// A fresh child RNG whose seed is drawn from this one. Used to give each
-    /// parallel worker an independent, reproducible stream.
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from(self.inner.gen::<u64>())
-    }
 }
 
 #[cfg(test)]
@@ -169,16 +163,5 @@ mod tests {
         }
         let hits = (0..1000).filter(|_| rng.chance(0.25)).count();
         assert!((150..350).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn fork_streams_are_independent_and_reproducible() {
-        let mut parent1 = Rng::seed_from(9);
-        let mut parent2 = Rng::seed_from(9);
-        let mut c1 = parent1.fork();
-        let mut c2 = parent2.fork();
-        for _ in 0..16 {
-            assert_eq!(c1.uniform(0.0, 1.0), c2.uniform(0.0, 1.0));
-        }
     }
 }

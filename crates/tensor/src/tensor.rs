@@ -65,6 +65,7 @@ impl Tensor {
     }
 
     /// All-one tensor of the given shape.
+    // lint: allow(r10) test: constant input of the autograd layer unit suites
     pub fn ones(shape: &[usize]) -> Self {
         Self::full(shape, 1.0)
     }
@@ -98,20 +99,12 @@ impl Tensor {
     }
 
     /// `[0, 1, 2, ..., n-1]` as a 1-D tensor.
+    // lint: allow(r10) test: counting input of the autograd and models unit suites
     pub fn arange(n: usize) -> Self {
         Self {
             data: (0..n).map(|i| i as f32).collect(),
             shape: vec![n],
         }
-    }
-
-    /// Identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// The tensor's shape.
@@ -294,6 +287,7 @@ impl Tensor {
     }
 
     /// Approximate equality within `tol` (absolute, elementwise).
+    // lint: allow(r10) test: tolerance oracle of the autograd and model unit suites
     pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
         self.shape == other.shape && self.max_abs_diff(other) <= tol
     }
@@ -324,8 +318,6 @@ mod tests {
         assert_eq!(Tensor::ones(&[2]).as_slice(), &[1.0; 2]);
         assert_eq!(Tensor::full(&[2], 7.0).as_slice(), &[7.0, 7.0]);
         assert_eq!(Tensor::arange(4).as_slice(), &[0.0, 1.0, 2.0, 3.0]);
-        let eye = Tensor::eye(2);
-        assert_eq!(eye.as_slice(), &[1.0, 0.0, 0.0, 1.0]);
         assert_eq!(Tensor::scalar(3.5).item(), 3.5);
     }
 

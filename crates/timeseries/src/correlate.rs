@@ -73,16 +73,6 @@ pub fn screen_top_half(
         .collect())
 }
 
-/// Keep the `k` best-correlated indicators (target included).
-pub fn screen_top_k(
-    frame: &TimeSeriesFrame,
-    target: &str,
-    k: usize,
-) -> Result<Vec<String>, crate::frame::FrameError> {
-    let ranks = rank_by_correlation(frame, target)?;
-    Ok(ranks.into_iter().take(k.max(1)).map(|r| r.name).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,14 +128,6 @@ mod tests {
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[0], "cpu");
         assert_eq!(kept[1], "strong");
-    }
-
-    #[test]
-    fn top_k_is_bounded_by_columns() {
-        let kept = screen_top_k(&frame(), "cpu", 10).unwrap();
-        assert_eq!(kept.len(), 4);
-        let kept1 = screen_top_k(&frame(), "cpu", 0).unwrap();
-        assert_eq!(kept1.len(), 1);
     }
 
     #[test]

@@ -39,6 +39,7 @@ impl Expansion {
     }
 
     /// Rows consumed from the start of the frame by this expansion.
+    // lint: allow(r10) test: length oracle of tests/properties.rs
     pub fn rows_consumed(&self) -> usize {
         match self {
             Expansion::None => 0,

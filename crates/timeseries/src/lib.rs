@@ -25,7 +25,7 @@ pub mod preprocess;
 pub mod split;
 pub mod window;
 
-pub use correlate::{correlation_matrix, rank_by_correlation, screen_top_half, screen_top_k};
+pub use correlate::{correlation_matrix, rank_by_correlation, screen_top_half};
 pub use decompose::{decompose_additive, estimate_period, Decomposition};
 pub use expand::Expansion;
 pub use frame::{FrameError, TimeSeriesFrame};
@@ -34,5 +34,5 @@ pub use preprocess::{
     clean, clean_tail, min_max_scale, min_max_unscale, CleanTail, MinMaxScaler, RepairPolicy,
     StandardScaler,
 };
-pub use split::{split_frame, split_windows, SplitRatios};
+pub use split::{split_windows, SplitRatios};
 pub use window::{make_windows, WindowedDataset};

@@ -1,6 +1,6 @@
 //! Chronological train/validation/test splitting (paper §IV-B: 6:2:2).
 
-use crate::frame::{FrameError, TimeSeriesFrame};
+use crate::frame::FrameError;
 use crate::window::WindowedDataset;
 
 /// Fractions for a chronological three-way split.
@@ -55,23 +55,10 @@ pub fn split_windows(
     (ds.slice(0, a), ds.slice(a, b), ds.slice(b, n))
 }
 
-/// Chronological split of a raw frame into three row ranges.
-pub fn split_frame(
-    frame: &TimeSeriesFrame,
-    ratios: SplitRatios,
-) -> Result<(TimeSeriesFrame, TimeSeriesFrame, TimeSeriesFrame), FrameError> {
-    let n = frame.len();
-    let (a, b) = ratios.boundaries(n);
-    Ok((
-        frame.slice_rows(0, a)?,
-        frame.slice_rows(a, b)?,
-        frame.slice_rows(b, n)?,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::TimeSeriesFrame;
     use crate::window::make_windows;
 
     #[test]
@@ -107,15 +94,5 @@ mod tests {
         let min_test = test.y.as_slice().iter().copied().fold(f32::MAX, f32::min);
         assert!(max_train < min_valid);
         assert!(max_valid < min_test);
-    }
-
-    #[test]
-    fn frame_split_partitions_rows() {
-        let frame =
-            TimeSeriesFrame::from_columns(&[("x", (0..10).map(|i| i as f32).collect())]).unwrap();
-        let (tr, va, te) = split_frame(&frame, SplitRatios::PAPER).unwrap();
-        assert_eq!(tr.len() + va.len() + te.len(), 10);
-        assert_eq!(tr.column("x").unwrap()[0], 0.0);
-        assert_eq!(te.column("x").unwrap().last().copied(), Some(9.0));
     }
 }

@@ -47,20 +47,6 @@ impl Indicator {
             Indicator::DiskIoPercent => "disk_io_percent",
         }
     }
-
-    /// Human-readable meaning (Table I).
-    pub fn meaning(self) -> &'static str {
-        match self {
-            Indicator::CpuUtilPercent => "cpu utilization percent",
-            Indicator::MemUtilPercent => "memory utilization percent",
-            Indicator::Cpi => "cycles per instruction",
-            Indicator::MemGps => "normalized memory gigabyte per second",
-            Indicator::Mpki => "misses per kilo instructions",
-            Indicator::NetIn => "normalized incoming network traffic",
-            Indicator::NetOut => "normalized outgoing network traffic",
-            Indicator::DiskIoPercent => "disk io percent",
-        }
-    }
 }
 
 impl std::fmt::Display for Indicator {
@@ -87,9 +73,8 @@ mod tests {
     }
 
     #[test]
-    fn meanings_are_nonempty() {
+    fn display_is_the_column_name() {
         for i in Indicator::ALL {
-            assert!(!i.meaning().is_empty());
             assert_eq!(format!("{i}"), i.name());
         }
     }

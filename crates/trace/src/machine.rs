@@ -90,11 +90,6 @@ pub fn machine_cpu_series_with_driver(cfg: &MachineConfig, rng: &mut Rng) -> (Ve
     (cpu, driver)
 }
 
-/// Generate only the machine's CPU series.
-pub fn machine_cpu_series(cfg: &MachineConfig, rng: &mut Rng) -> Vec<f32> {
-    machine_cpu_series_with_driver(cfg, rng).0
-}
-
 /// Generate a complete machine trace frame (all eight indicators).
 pub fn generate_machine(cfg: &MachineConfig) -> TimeSeriesFrame {
     let mut rng = Rng::seed_from(cfg.seed);

@@ -43,18 +43,6 @@ impl Default for TraceConfig {
     }
 }
 
-impl TraceConfig {
-    /// A small config for unit tests and doc examples.
-    pub fn tiny() -> Self {
-        Self {
-            num_machines: 3,
-            containers_per_machine: 2,
-            steps: 600,
-            ..Self::default()
-        }
-    }
-}
-
 /// One monitored entity (machine or container) of the trace.
 #[derive(Debug, Clone)]
 pub struct EntityTrace {
@@ -164,22 +152,6 @@ impl Trace {
             .map(|m| m.frame.column("cpu_util_percent").unwrap().to_vec())
             .collect()
     }
-
-    /// Duration covered by the trace, in seconds.
-    pub fn duration_secs(&self) -> u64 {
-        self.config.steps as u64 * self.config.interval_secs as u64
-    }
-
-    /// Write every entity as `<dir>/<id>.csv`.
-    pub fn write_csv_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        for e in self.machines.iter().chain(&self.containers) {
-            e.frame
-                .write_csv(&dir.join(format!("{}.csv", e.id)))
-                .map_err(|fe| std::io::Error::other(fe.to_string()))?;
-        }
-        Ok(())
-    }
 }
 
 fn clamp_unit(col: &mut [f32]) {
@@ -217,9 +189,18 @@ impl ForkSeed for Rng {
 mod tests {
     use super::*;
 
+    fn tiny() -> TraceConfig {
+        TraceConfig {
+            num_machines: 3,
+            containers_per_machine: 2,
+            steps: 600,
+            ..TraceConfig::default()
+        }
+    }
+
     #[test]
     fn generation_produces_expected_counts() {
-        let t = Trace::generate(TraceConfig::tiny());
+        let t = Trace::generate(tiny());
         assert_eq!(t.machines.len(), 3);
         assert_eq!(t.containers.len(), 6);
         for e in t.machines.iter().chain(&t.containers) {
@@ -227,12 +208,11 @@ mod tests {
             assert_eq!(e.frame.num_columns(), 8);
             assert!(e.frame.is_clean());
         }
-        assert_eq!(t.duration_secs(), 6000);
     }
 
     #[test]
     fn containers_know_their_host() {
-        let t = Trace::generate(TraceConfig::tiny());
+        let t = Trace::generate(tiny());
         for (i, c) in t.containers.iter().enumerate() {
             assert_eq!(c.host, Some(i / 2));
             assert!(c.id.starts_with("c_"));
@@ -242,14 +222,11 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = Trace::generate(TraceConfig::tiny());
-        let b = Trace::generate(TraceConfig::tiny());
+        let a = Trace::generate(tiny());
+        let b = Trace::generate(tiny());
         assert_eq!(a.machines[0].frame, b.machines[0].frame);
         assert_eq!(a.containers[3].frame, b.containers[3].frame);
-        let c = Trace::generate(TraceConfig {
-            seed: 99,
-            ..TraceConfig::tiny()
-        });
+        let c = Trace::generate(TraceConfig { seed: 99, ..tiny() });
         assert_ne!(a.machines[0].frame, c.machines[0].frame);
     }
 
@@ -282,7 +259,7 @@ mod tests {
                 cpi_alpha: 0.0,
                 mpki_alpha: 0.0,
             },
-            ..TraceConfig::tiny()
+            ..tiny()
         };
         let quiet = Trace::generate(base_cfg.clone());
         let noisy = Trace::generate(TraceConfig {
@@ -298,25 +275,5 @@ mod tests {
             n_mean > q_mean,
             "interference had no effect: {q_mean} vs {n_mean}"
         );
-    }
-
-    #[test]
-    fn csv_export_roundtrip() {
-        let t = Trace::generate(TraceConfig {
-            num_machines: 1,
-            containers_per_machine: 1,
-            steps: 50,
-            ..TraceConfig::tiny()
-        });
-        let dir = std::env::temp_dir().join("rptcn_trace_export");
-        t.write_csv_dir(&dir).unwrap();
-        let m = TimeSeriesFrame::read_csv(&dir.join("m_0.csv")).unwrap();
-        assert_eq!(m.len(), 50);
-        let orig_cpu = t.machines[0].frame.column("cpu_util_percent").unwrap();
-        let read_cpu = m.column("cpu_util_percent").unwrap();
-        for (a, b) in orig_cpu.iter().zip(read_cpu) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
