@@ -19,6 +19,10 @@
 //! - **Degraded mode** ([`fallback`]): entities whose model errors,
 //!   panics or emits non-finite values are served by an always-warm naive
 //!   forecaster, and auto-recover on the next clean refit.
+//! - **One model run per sample** (`memo`): a shard keeps each healthy
+//!   entity's model forecast beside its predictor until the predictor is
+//!   written, so forecast, interval and reservation reads between two
+//!   samples are lookups, bitwise what the model path returns.
 //! - **Ingest guardrails**: samples are validated at the shard boundary —
 //!   NaN/Inf values repaired or quarantined, wrong arity dropped,
 //!   sequence gaps forward-filled (the paper's cleaning step, online).
@@ -48,6 +52,7 @@ pub mod error;
 pub mod fallback;
 pub mod faults;
 pub mod interval;
+mod memo;
 pub mod router;
 pub mod service;
 mod shard;

@@ -19,17 +19,19 @@ pub fn shard_for(id: &str, shards: usize) -> usize {
     (entity_hash(id) % shards as u64) as usize
 }
 
-/// Group entity ids by their target shard — the fan-out step of a batched
-/// forecast request. Returns one `(shard, ids)` bucket per non-empty shard.
-pub fn group_by_shard<'a>(ids: &[&'a str], shards: usize) -> Vec<(usize, Vec<&'a str>)> {
-    let mut buckets: Vec<Vec<&str>> = vec![Vec::new(); shards];
-    for &id in ids {
-        buckets[shard_for(id, shards)].push(id);
+/// Group a request's ids by their target shard — the fan-out step of a
+/// batched forecast request. Returns one `(shard, positions)` bucket per
+/// non-empty shard; positions index into `ids` and keep request order, so
+/// replies scatter back by position and an id asked for twice is two rows.
+pub fn group_by_shard(ids: &[&str], shards: usize) -> Vec<(usize, Vec<usize>)> {
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    for (at, id) in ids.iter().enumerate() {
+        buckets[shard_for(id, shards)].push(at);
     }
     buckets
         .into_iter()
         .enumerate()
-        .filter(|(_, ids)| !ids.is_empty())
+        .filter(|(_, positions)| !positions.is_empty())
         .collect()
 }
 
@@ -61,17 +63,22 @@ mod tests {
     }
 
     #[test]
-    fn group_by_shard_covers_every_id_once() {
-        let ids: Vec<String> = (0..100).map(|i| format!("c_{i}")).collect();
+    fn group_by_shard_covers_every_position_once() {
+        // A repeated id is two positions, both on its shard.
+        let mut ids: Vec<String> = (0..100).map(|i| format!("c_{i}")).collect();
+        ids.push("c_7".to_string());
         let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
         let groups = group_by_shard(&refs, 4);
-        let total: usize = groups.iter().map(|(_, g)| g.len()).sum();
-        assert_eq!(total, 100);
-        for (shard, group) in &groups {
-            for id in group {
-                assert_eq!(shard_for(id, 4), *shard);
+        let mut seen: Vec<usize> = Vec::new();
+        for (shard, positions) in &groups {
+            assert!(positions.windows(2).all(|w| w[0] < w[1]), "request order");
+            for &at in positions {
+                assert_eq!(shard_for(refs[at], 4), *shard);
+                seen.push(at);
             }
         }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..101).collect::<Vec<_>>());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`PredictionService::checkpoint`] / [`PredictionService::restore`]
 //! round-trip the whole fleet through a versioned binary file.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::mpsc::{channel, sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -445,49 +445,55 @@ impl PredictionService {
         self.fan_out(ids, |ids, reply| ShardMsg::ReserveBatch { ids, reply })
     }
 
-    /// Shared fan-out plumbing for the batched request APIs: group ids per
-    /// shard, dispatch to every shard concurrently, then collect replies
-    /// back into the caller's id order. A shard that cannot be reached
-    /// answers its whole group with the transport error.
+    /// Shared fan-out plumbing for the batched request APIs: group the
+    /// request's positions per shard, dispatch to every shard concurrently,
+    /// then scatter each shard's rows — it answers in the order asked —
+    /// back to the positions they were asked at. A shard that cannot be
+    /// reached answers its whole group with the transport error.
     fn fan_out<T>(
         &self,
         ids: &[&str],
         make_msg: impl Fn(Vec<String>, SyncSender<Vec<(String, Result<T, ServeError>)>>) -> ShardMsg,
     ) -> Vec<(String, Result<T, ServeError>)> {
-        let mut collected: HashMap<String, Result<T, ServeError>> = HashMap::new();
-        let mut pending = Vec::new();
-        for (shard, group) in group_by_shard(ids, self.config.shards) {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            let msg = make_msg(group.iter().map(|s| s.to_string()).collect(), reply_tx);
-            match self.send_blocking(shard, msg) {
-                Ok(()) => pending.push((shard, group, reply_rx)),
+        // Every shard gets its message before any reply is awaited.
+        let pending: Vec<_> = group_by_shard(ids, self.config.shards)
+            .into_iter()
+            .map(|(shard, positions)| {
+                let (reply_tx, reply_rx) = sync_channel(1);
+                let asked = positions.iter().map(|&at| ids[at].to_string()).collect();
+                let sent = self.send_blocking(shard, make_msg(asked, reply_tx));
+                (shard, positions, sent.map(|()| reply_rx))
+            })
+            .collect();
+        let mut rows: Vec<Option<(String, Result<T, ServeError>)>> =
+            ids.iter().map(|_| None).collect();
+        for (shard, positions, sent) in pending {
+            let answered = sent.and_then(|rx| rx.recv().map_err(|_| ServeError::ShardDown(shard)));
+            match answered {
+                Ok(answered) => {
+                    for (at, row) in positions.into_iter().zip(answered) {
+                        debug_assert_eq!(row.0, ids[at], "shard replied out of order");
+                        rows[at] = Some(row);
+                    }
+                }
                 Err(err) => {
-                    for id in group {
-                        collected.insert(id.to_string(), Err(err.clone()));
+                    for at in positions {
+                        rows[at] = Some((ids[at].to_string(), Err(err.clone())));
                     }
                 }
             }
         }
-        for (shard, group, reply_rx) in pending {
-            match reply_rx.recv() {
-                Ok(results) => {
-                    for (id, res) in results {
-                        collected.insert(id, res);
-                    }
-                }
-                Err(_) => {
-                    for id in group {
-                        collected.insert(id.to_string(), Err(ServeError::ShardDown(shard)));
-                    }
-                }
-            }
-        }
-        ids.iter()
-            .map(|&id| {
-                let res = collected
-                    .remove(id)
-                    .unwrap_or_else(|| Err(ServeError::UnknownEntity(id.to_string())));
-                (id.to_string(), res)
+        rows.into_iter()
+            .zip(ids)
+            .map(|(row, id)| {
+                // A shard answers every id it is asked; a short reply would
+                // be a shard bug, surfaced as an error instead of a panic.
+                row.unwrap_or_else(|| {
+                    (
+                        id.to_string(),
+                        Err(ServeError::UnknownEntity(id.to_string())),
+                    )
+                })
             })
             .collect()
     }

@@ -46,6 +46,7 @@ use crate::error::ServeError;
 use crate::fallback::FallbackForecaster;
 use crate::faults::{FaultPlan, RefitFault};
 use crate::interval::{IntervalForecast, IntervalSource, Reservation};
+use crate::memo::{usable, MemoPredictor};
 use crate::service::{IngestGuard, RefitPolicy};
 use crate::stats::{lock_recover, EntityHealth, ShardStatsCore};
 use crate::supervisor::EntityHealthReport;
@@ -146,13 +147,16 @@ pub(crate) struct RefitJob {
 }
 
 pub(crate) struct EntitySlot {
-    pub(crate) predictor: ResourcePredictor,
+    /// The predictor and the model forecast of its current state; every
+    /// write goes through [`MemoPredictor::mutate`], which drops the memo.
+    pub(crate) predictor: MemoPredictor,
     /// Index of the pipeline target within the sample layout (for scoring
     /// and for feeding the fallback).
     target_column: Option<usize>,
     samples_since_refit: usize,
     pub(crate) refit_in_flight: bool,
-    /// Forecast issued at the previous ingest, scored on the next one.
+    /// First step of the forecast issued at the previous ingest, scored on
+    /// the next one.
     pending: Option<f32>,
     pub(crate) health: EntityHealth,
     /// Always-warm naive forecaster serving while the model is degraded.
@@ -340,7 +344,7 @@ fn install_entity(
                 .last_sample()
                 .filter(|s| s.iter().all(|v| v.is_finite()));
             entry.insert(EntitySlot {
-                predictor: *predictor,
+                predictor: MemoPredictor::new(*predictor),
                 target_column,
                 samples_since_refit: 0,
                 refit_in_flight: false,
@@ -420,7 +424,7 @@ fn ingest_sample(
                 if ctx.ingest_guard == IngestGuard::Repair {
                     if let Some(fill) = slot.last_valid.clone() {
                         for _ in 0..missed.min(MAX_GAP_FILL) {
-                            let _ = slot.predictor.observe(&fill);
+                            let _ = slot.predictor.mutate().observe(&fill);
                         }
                     }
                 }
@@ -472,7 +476,7 @@ fn ingest_sample(
             slot.conformal.push(actual - forecast);
         }
     }
-    if slot.predictor.observe(&sample).is_err() {
+    if slot.predictor.mutate().observe(&sample).is_err() {
         ctx.stats.quarantined_samples.inc();
         ctx.note(
             EventKind::Quarantined,
@@ -491,35 +495,59 @@ fn ingest_sample(
         dispatch_refit(ctx, &id, slot);
     }
     if ctx.score_on_ingest {
-        slot.pending = rolling_forecast(ctx, &id, slot).map(|fc| fc[0]);
+        slot.pending = rolling_forecast(ctx, &id, slot);
     }
 }
 
-/// One-step forecast for ingest-time scoring: model when healthy (guarded
-/// against panics and non-finite output), fallback otherwise — so the
-/// rolling accuracy of degraded entities tracks what they actually serve.
-fn rolling_forecast(ctx: &ShardContext, id: &str, slot: &mut EntitySlot) -> Option<Vec<f32>> {
-    if slot.health == EntityHealth::Healthy {
-        match catch_unwind(AssertUnwindSafe(|| slot.predictor.forecast())) {
-            Ok(Ok(fc)) if !fc.is_empty() && fc.iter().all(|v| v.is_finite()) => return Some(fc),
-            Ok(Ok(fc)) => degrade(
-                ctx,
-                id,
-                slot,
-                ServeError::Frame(format!("non-finite rolling forecast {fc:?}")),
-            ),
-            Ok(Err(e)) => degrade(ctx, id, slot, ServeError::from(e)),
-            Err(_) => degrade(ctx, id, slot, ServeError::Frame("model panicked".into())),
+/// First step of the forecast issued for ingest-time scoring: model when
+/// healthy — this is the one model run a sample costs; the reads that
+/// follow until the next sample are answered from what it leaves in the
+/// memo — fallback otherwise, so the rolling accuracy of degraded
+/// entities tracks what they actually serve.
+fn rolling_forecast(ctx: &ShardContext, id: &str, slot: &mut EntitySlot) -> Option<f32> {
+    if let Some(fc) = model_forecast(ctx, id, slot) {
+        return Some(fc[0]);
+    }
+    slot.fallback.forecast(slot.horizon).map(|fc| fc[0])
+}
+
+/// The model's forecast for `slot`'s current state, `None` when the entity
+/// is (or just became) degraded. Answered from the memo when the state has
+/// not been written since it was computed; otherwise one model run,
+/// guarded against panics and non-finite output, whose result the memo
+/// keeps. A failure degrades the entity and leaves nothing behind.
+fn model_forecast<'a>(ctx: &ShardContext, id: &str, slot: &'a mut EntitySlot) -> Option<&'a [f32]> {
+    if slot.health != EntityHealth::Healthy {
+        return None;
+    }
+    if slot.predictor.memo().is_some() {
+        ctx.stats.memo_hits.inc();
+        return slot.predictor.memo();
+    }
+    match catch_unwind(AssertUnwindSafe(|| slot.predictor.forecast())) {
+        Ok(Ok(fc)) if usable(&fc) => {
+            slot.predictor.remember(fc);
+            return slot.predictor.memo();
         }
+        Ok(Ok(fc)) => degrade(
+            ctx,
+            id,
+            slot,
+            ServeError::Frame(format!("non-finite forecast {fc:?}")),
+        ),
+        Ok(Err(e)) => degrade(ctx, id, slot, ServeError::from(e)),
+        Err(_) => degrade(ctx, id, slot, ServeError::Frame("model panicked".into())),
     }
-    slot.fallback.forecast(slot.horizon)
+    None
 }
 
-/// Serve a batch of forecast requests. Healthy entities that share a
-/// weight group (see [`ResourcePredictor::shared_group`]) and produce
-/// identically-shaped input windows are stacked into ONE batched engine
-/// call; every other entity — degraded, unknown, ungrouped, or alone in
-/// its group — takes the per-entity path unchanged, so the fallback and
+/// Serve a batch of forecast requests. An entity whose state has not
+/// changed since its last model run is answered from its memo. Of the
+/// rest, healthy entities that share a weight group (see
+/// [`ResourcePredictor::shared_group`]) and produce identically-shaped
+/// input windows are stacked into ONE batched engine call, whose rows then
+/// fill their memos; every other entity — degraded, unknown, ungrouped,
+/// or alone in its group — takes the per-entity path, so the fallback and
 /// degradation semantics of [`forecast_entity`] are preserved exactly.
 fn forecast_many(
     ctx: &ShardContext,
@@ -574,10 +602,14 @@ fn forecast_many(
             }
         }
         let batched = match slots.get(id) {
-            Some(slot) if slot.health == EntityHealth::Healthy => slot
-                .predictor
-                .shared_group()
-                .is_some_and(|group| groups.entry(group).or_default().push(idx, &slot.predictor)),
+            // Only a cold memo needs the model, hence a place in a stack.
+            Some(slot)
+                if slot.health == EntityHealth::Healthy && slot.predictor.memo().is_none() =>
+            {
+                slot.predictor.shared_group().is_some_and(|group| {
+                    groups.entry(group).or_default().push(idx, &slot.predictor)
+                })
+            }
             _ => false,
         };
         if !batched {
@@ -655,10 +687,13 @@ fn forecast_many(
                 continue;
             };
             let fc = slot.predictor.denormalize_forecast(normalized);
-            if !fc.is_empty() && fc.iter().all(|v| v.is_finite()) {
+            if usable(&fc) {
                 ctx.stats.forecasts.inc();
                 ctx.stats.batched_forecasts.inc();
                 ctx.stats.forecast_ns.record(per_entity_nanos);
+                // The row is what `forecast()` returns for this state, bit
+                // for bit, so it serves the reads that follow.
+                slot.predictor.remember(fc.clone());
                 replies[*idx] = Some(Ok(fc));
             } else {
                 // A bad row degrades only its own entity; the shared
@@ -937,16 +972,8 @@ fn forecast_entity(
         return Err(ServeError::UnknownEntity(id.to_string()));
     };
     if slot.health == EntityHealth::Healthy {
-        match catch_unwind(AssertUnwindSafe(|| slot.predictor.forecast())) {
-            Ok(Ok(fc)) if !fc.is_empty() && fc.iter().all(|v| v.is_finite()) => return Ok(fc),
-            Ok(Ok(fc)) => degrade(
-                ctx,
-                id,
-                slot,
-                ServeError::Frame(format!("non-finite forecast {fc:?}")),
-            ),
-            Ok(Err(e)) => degrade(ctx, id, slot, ServeError::from(e)),
-            Err(_) => degrade(ctx, id, slot, ServeError::Frame("model panicked".into())),
+        if let Some(fc) = model_forecast(ctx, id, slot) {
+            return Ok(fc.to_vec());
         }
         if ctx.refit_enabled && !slot.refit_in_flight {
             dispatch_refit(ctx, id, slot);
@@ -962,8 +989,10 @@ fn forecast_entity(
 }
 
 /// Flip an entity into degraded mode (idempotent) and remember why. The
-/// transition — not every repeated failure — is journalled.
+/// transition — not every repeated failure — is journalled. Its model no
+/// longer answers, so the memo goes too.
 pub(crate) fn degrade(ctx: &ShardContext, id: &str, slot: &mut EntitySlot, reason: ServeError) {
+    slot.predictor.forget();
     if slot.health == EntityHealth::Healthy {
         slot.health = EntityHealth::Degraded;
         ctx.stats.degraded.inc();
@@ -984,7 +1013,7 @@ fn apply_refit_outcome(
     slot.refit_in_flight = false;
     match outcome {
         RefitOutcome::Replaced(model, preprocess) => {
-            match slot.predictor.try_install_refit(model, preprocess) {
+            match slot.predictor.mutate().try_install_refit(model, preprocess) {
                 Ok(()) => {
                     ctx.stats.refits_completed.inc();
                     ctx.note(
@@ -1234,4 +1263,112 @@ fn train_replacement(job: &RefitJob) -> Option<Replacement> {
     let prepared = prepare(&job.frame, &job.cfg).ok()?;
     run_model(model.as_mut(), &prepared);
     Some((model, prepared.fitted()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use models::{NeuralTrainSpec, RptcnConfig, RptcnForecaster};
+    use obs::{MonotonicClock, Registry};
+    use rptcn::Scenario;
+
+    fn context() -> (ShardContext, Receiver<RefitJob>) {
+        let (refit_tx, refit_rx) = std::sync::mpsc::channel();
+        let ctx = ShardContext {
+            shard_id: 0,
+            stats: Arc::new(ShardStatsCore::new(&Registry::new(), 0)),
+            clock: MonotonicClock::shared(),
+            journal: Arc::new(Journal::new(16)),
+            refit_tx,
+            refit_every: 0,
+            refit_enabled: false,
+            score_on_ingest: true,
+            ingest_guard: IngestGuard::Repair,
+            faults: None,
+            decision: DecisionConfig::default(),
+            interval_coverage: 0.9,
+            residual_window: 16,
+        };
+        (ctx, refit_rx)
+    }
+
+    fn rptcn(seed: u64) -> RptcnForecaster {
+        RptcnForecaster::new(RptcnConfig {
+            channels: 4,
+            levels: 1,
+            fc_dim: 8,
+            spec: NeuralTrainSpec {
+                epochs: 20,
+                seed,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// No fault plan can make a trained replacement fail validation, so the
+    /// rejected-refit route is driven here, below the service.
+    #[test]
+    fn a_rejected_replacement_keeps_the_answer_and_an_accepted_one_moves_it() {
+        let cpu: Vec<f32> = (0..96)
+            .map(|i| 0.45 + 0.25 * (i as f32 * 0.2).sin())
+            .collect();
+        let frame = TimeSeriesFrame::from_columns(&[("cpu_util_percent", cpu)]).unwrap();
+        let cfg = PipelineConfig {
+            scenario: Scenario::Uni,
+            window: 12,
+            horizon: 2,
+            ..Default::default()
+        };
+        let (predictor, _) =
+            ResourcePredictor::fit(Box::new(rptcn(1)), &frame, cfg.clone()).expect("fit");
+        let (ctx, _refit_rx) = context();
+        let mut slots = HashMap::new();
+        install_entity(&ctx, &mut slots, "e".into(), Box::new(predictor)).expect("install");
+        let own = |slots: &HashMap<String, EntitySlot>| {
+            let state = slots["e"].predictor.snapshot().expect("snapshot");
+            let twin = ResourcePredictor::from_state(&state).expect("twin");
+            bits(&twin.forecast().expect("own forecast"))
+        };
+
+        let before = own(&slots);
+        assert_eq!(
+            bits(&forecast_entity(&ctx, &mut slots, "e").unwrap()),
+            before
+        );
+        assert!(slots["e"].predictor.memo().is_some());
+
+        // A replacement whose head diverged: validation refuses it.
+        let prepared = prepare(&frame, &cfg).expect("prepare");
+        let mut refit = rptcn(2);
+        run_model(&mut refit, &prepared);
+        let mut poisoned = refit.state().expect("fitted state");
+        let (_, head) = poisoned.tensors.last_mut().expect("head tensors");
+        *head = Tensor::full(head.shape(), f32::NAN);
+        let diverged = RptcnForecaster::from_state(&poisoned).expect("shapes match");
+        let outcome = RefitOutcome::Replaced(Box::new(diverged), prepared.fitted());
+        apply_refit_outcome(&ctx, &mut slots, "e", outcome);
+        assert_eq!(ctx.stats.refits_rejected.get(), 1);
+        assert_eq!(
+            bits(&forecast_entity(&ctx, &mut slots, "e").unwrap()),
+            before
+        );
+
+        // The same refit, undamaged: the warm memo must not outlive it.
+        assert!(slots["e"].predictor.memo().is_some());
+        let outcome = RefitOutcome::Replaced(Box::new(refit), prepared.fitted());
+        apply_refit_outcome(&ctx, &mut slots, "e", outcome);
+        assert_eq!(ctx.stats.refits_completed.get(), 1);
+        let after = own(&slots);
+        assert_ne!(after, before, "the refit changed nothing");
+        assert_eq!(
+            bits(&forecast_entity(&ctx, &mut slots, "e").unwrap()),
+            after
+        );
+        assert_eq!(slots["e"].health, EntityHealth::Healthy);
+    }
 }

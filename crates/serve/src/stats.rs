@@ -103,6 +103,10 @@ pub struct ShardStatsCore {
     pub batched_forecasts: Arc<Counter>,
     /// Batched engine calls issued (each covers ≥2 entities).
     pub batch_calls: Arc<Counter>,
+    /// Forecast reads answered from the entity's memo — its state had not
+    /// changed since the last model run — instead of running the model.
+    /// `memo_hits / forecasts` is the share of reads that cost a lookup.
+    pub memo_hits: Arc<Counter>,
     /// Samples with non-finite values repaired by forward-filling the last
     /// valid observation at the shard boundary.
     pub repaired_samples: Arc<Counter>,
@@ -129,7 +133,10 @@ pub struct ShardStatsCore {
     pub scale_ups: Arc<Counter>,
     /// Reservation scale-down actions executed (post-hysteresis).
     pub scale_downs: Arc<Counter>,
-    /// Per-forecast serving latency (nanoseconds).
+    /// Per-forecast serving latency (nanoseconds): one record per answered
+    /// forecast read, memo hits included (a hit records the lookup), so the
+    /// percentiles describe what callers wait for, not what a model run
+    /// costs. Rows of a stacked call record the call's time split evenly.
     pub forecast_ns: Arc<Histogram>,
     /// Per-sample ingest processing latency (nanoseconds).
     pub ingest_ns: Arc<Histogram>,
@@ -163,6 +170,7 @@ impl ShardStatsCore {
             fallback_forecasts: counter("fallback_forecasts"),
             batched_forecasts: counter("batched_forecasts"),
             batch_calls: counter("batch_calls"),
+            memo_hits: counter("memo_hits"),
             repaired_samples: counter("repaired_samples"),
             quarantined_samples: counter("quarantined_samples"),
             gap_samples: counter("gap_samples"),
@@ -204,6 +212,7 @@ impl ShardStatsCore {
             fallback_forecasts: self.fallback_forecasts.get(),
             batched_forecasts: self.batched_forecasts.get(),
             batch_calls: self.batch_calls.get(),
+            memo_hits: self.memo_hits.get(),
             repaired_samples: self.repaired_samples.get(),
             quarantined_samples: self.quarantined_samples.get(),
             gap_samples: self.gap_samples.get(),
@@ -243,6 +252,9 @@ pub struct ShardStats {
     pub batched_forecasts: u64,
     /// Batched engine calls issued (each covers ≥2 entities).
     pub batch_calls: u64,
+    /// Forecast reads answered from an entity's memo without a model run
+    /// (hit ratio = `memo_hits / forecasts`).
+    pub memo_hits: u64,
     pub repaired_samples: u64,
     pub quarantined_samples: u64,
     pub gap_samples: u64,

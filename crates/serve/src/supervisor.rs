@@ -93,7 +93,7 @@ fn quarantine_culprit(ctx: &ShardContext, slots: &mut HashMap<String, EntitySlot
     // object — degraded mode never calls its model anyway.
     if let Ok(state) = slot.predictor.snapshot() {
         if let Ok(fresh) = ResourcePredictor::from_state(&state) {
-            slot.predictor = fresh;
+            slot.predictor.replace(fresh);
         }
     }
     // A refit may have been in flight when the crash hit; it will still be

@@ -1,9 +1,13 @@
 //! Batched shard forecasts: entities onboarded with
-//! `add_entities_shared` share one model's weights and are answered by a
-//! single stacked engine call per shard — bit-identical to the per-entity
-//! path — while degraded or faulted members fall back to individual
-//! serving without disturbing their groupmates.
+//! `add_entities_shared` share one model's weights and, while their memos
+//! are cold, are answered by a single stacked engine call per shard —
+//! bit-identical to each entity's own `forecast()`, computed outside the
+//! service on a twin — while degraded or faulted members fall back to
+//! individual serving without disturbing their groupmates.
 
+mod common;
+
+use common::{bits, twin_forecast_bits};
 use models::NaiveForecaster;
 use rptcn::{PipelineConfig, Scenario};
 use serve::{EntityHealth, FaultPlan, PredictionService, ServeError, ServiceConfig};
@@ -60,27 +64,34 @@ fn batched_forecasts_match_per_entity_path_bitwise() {
     }
     service.flush().unwrap();
 
-    // Single-id requests are singleton groups and take the per-entity path.
-    let singles: Vec<Vec<f32>> = ids.iter().map(|id| service.forecast(id).unwrap()).collect();
+    // No rolling forecast ran, so every memo is cold: the request is one
+    // stacked call. The reference never enters the service.
+    let twins = twin_forecast_bits(&service);
     let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let batched = service.forecast_many(&refs);
-    for ((id, res), single) in batched.iter().zip(&singles) {
-        let fc = res.as_ref().unwrap();
+    for (id, res) in service.forecast_many(&refs) {
+        let fc = res.unwrap();
         assert_eq!(fc.len(), 1);
-        for (a, b) in fc.iter().zip(single) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "batched forecast for {id} differs from per-entity path: {a} vs {b}"
-            );
-        }
+        assert_eq!(bits(&fc), twins[&id], "stacked row for {id} vs its twin");
     }
-
     let stats = service.stats();
     assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
     assert_eq!(stats.total(|s| s.batched_forecasts), 5, "{stats:?}");
-    // 5 singles + 5 batched.
-    assert_eq!(stats.total(|s| s.forecasts), 10);
+    assert_eq!(stats.total(|s| s.forecasts), 5, "{stats:?}");
+    assert_eq!(stats.total(|s| s.memo_hits), 0, "{stats:?}");
+
+    // The rows filled the memos: batch and single reads of the unchanged
+    // state are lookups with the same bits, and no engine call.
+    for (id, res) in service.forecast_many(&refs) {
+        assert_eq!(bits(&res.unwrap()), twins[&id], "memo for {id} vs its twin");
+    }
+    for id in &ids {
+        assert_eq!(bits(&service.forecast(id).unwrap()), twins[id], "{id}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batched_forecasts), 5, "{stats:?}");
+    assert_eq!(stats.total(|s| s.forecasts), 15, "{stats:?}");
+    assert_eq!(stats.total(|s| s.memo_hits), 10, "{stats:?}");
     assert_eq!(stats.total(|s| s.fallback_forecasts), 0);
 }
 
@@ -155,9 +166,10 @@ fn degraded_member_bypasses_the_batch_and_groupmates_keep_batching() {
 /// A shared group big enough to cross the batch executor's parallel
 /// threshold: the stacked engine call inside `forecast_many` fans its rows
 /// out over the pinned worker pool (inline on 1-core hosts). Either way the
-/// batched answers must stay bitwise identical to the per-entity path —
-/// with a real fitted RPTCN, not a toy forecaster, so the full conv →
-/// attention → FC → head stack rides the GEMM microkernel.
+/// batched answers must stay bitwise identical to each entity's own
+/// batch-1 `forecast()` on a twin outside the service — with a real fitted
+/// RPTCN, not a toy forecaster, so the full conv → attention → FC → head
+/// stack rides the GEMM microkernel.
 #[test]
 fn executor_sized_batch_matches_per_entity_path_bitwise() {
     use autograd::batch_exec::MIN_PARALLEL_ROWS;
@@ -200,19 +212,17 @@ fn executor_sized_batch_matches_per_entity_path_bitwise() {
     }
     service.flush().unwrap();
 
-    let singles: Vec<Vec<f32>> = ids.iter().map(|id| service.forecast(id).unwrap()).collect();
+    let twins = twin_forecast_bits(&service);
     let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let batched = service.forecast_many(&refs);
     assert_eq!(batched.len(), entities);
-    for ((id, res), single) in batched.iter().zip(&singles) {
+    for (id, res) in &batched {
         let fc = res.as_ref().unwrap_or_else(|e| panic!("{id}: {e:?}"));
-        for (a, b) in fc.iter().zip(single) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "executor-sized batch diverged from per-entity path for {id}"
-            );
-        }
+        assert_eq!(
+            bits(fc),
+            twins[id],
+            "executor-sized batch diverged from {id}'s own forecast"
+        );
     }
     let stats = service.stats();
     assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
@@ -221,4 +231,6 @@ fn executor_sized_batch_matches_per_entity_path_bitwise() {
         entities as u64,
         "{stats:?}"
     );
+    assert_eq!(stats.total(|s| s.forecasts), entities as u64, "{stats:?}");
+    assert_eq!(stats.total(|s| s.memo_hits), 0, "{stats:?}");
 }

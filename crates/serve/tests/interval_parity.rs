@@ -1,8 +1,13 @@
 //! Interval parity: `forecast_with_interval` must answer with a point
 //! block bitwise-identical to `forecast` — per entity and batched through
 //! a shared group — because both ride the SAME forecast path; the interval
-//! only attaches two scalar conformal offsets on top.
+//! only attaches two scalar conformal offsets on top. Both are also read
+//! from the same memo, so the batched case checks them against twins
+//! outside the service as well as against each other.
 
+mod common;
+
+use common::{bits, twin_forecast_bits};
 use models::{NaiveForecaster, NeuralTrainSpec, RptcnConfig, RptcnForecaster};
 use rptcn::{Calibration, PipelineConfig, Scenario};
 use serve::{IntervalSource, PredictionService, ServiceConfig};
@@ -96,15 +101,11 @@ fn interval_point_block_matches_forecast_bitwise() {
     assert_eq!(stats.total(|s| s.interval_fallbacks), 0, "{stats:?}");
 }
 
-/// Batched path through a shared group: `forecast_with_interval_many`
-/// point blocks are bitwise-identical to `forecast_many`, member by
-/// member, and interval requests ride the same batched engine call.
-#[test]
-fn batched_interval_points_match_forecast_many_bitwise() {
+fn shared_naive_service(score_on_ingest: bool) -> (PredictionService, Vec<String>) {
     let mut service = PredictionService::new(ServiceConfig {
         shards: 1,
         refit_workers: 0,
-        score_on_ingest: true,
+        score_on_ingest,
         ..Default::default()
     })
     .expect("spawn service");
@@ -127,29 +128,63 @@ fn batched_interval_points_match_forecast_many_bitwise() {
         }
     }
     service.flush().unwrap();
+    (service, ids)
+}
 
+/// Batched path through a shared group: `forecast_with_interval_many`
+/// point blocks are bitwise-identical to `forecast_many` and to each
+/// entity's own forecast on a twin, member by member — from the memos the
+/// rolling forecasts left when score-on-ingest is on, and through ONE
+/// stacked engine call on cold memos when it is off.
+#[test]
+fn batched_interval_points_match_forecast_many_bitwise() {
+    // Score-on-ingest calibrates the intervals and leaves every memo warm.
+    let (service, ids) = shared_naive_service(true);
+    let twins = twin_forecast_bits(&service);
     let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let points = service.forecast_many(&refs);
     let intervals = service.forecast_with_interval_many(&refs);
     assert_eq!(points.len(), intervals.len());
     for ((pid, pres), (iid, ires)) in points.iter().zip(&intervals) {
         assert_eq!(pid, iid, "caller-order mismatch");
-        let point = pres.as_ref().unwrap();
         let interval = ires.as_ref().unwrap();
-        assert_eq!(interval.point.len(), point.len());
-        for (a, b) in interval.point.iter().zip(point) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "batched interval point diverged for {pid}"
-            );
-        }
+        assert_eq!(bits(pres.as_ref().unwrap()), twins[pid], "point for {pid}");
+        assert_eq!(
+            bits(&interval.point),
+            twins[pid],
+            "interval point for {pid}"
+        );
         assert_eq!(interval.calibration, Calibration::Calibrated);
         assert_eq!(interval.source, IntervalSource::Live);
     }
-
     let stats = service.stats();
     assert_eq!(stats.total(|s| s.interval_forecasts), 5, "{stats:?}");
-    // Both request waves used the shared-group batch path.
-    assert_eq!(stats.total(|s| s.batch_calls), 2, "{stats:?}");
+    // Neither wave reached the engine: the state had not changed since the
+    // last sample's rolling forecast.
+    assert_eq!(stats.total(|s| s.batch_calls), 0, "{stats:?}");
+    assert_eq!(stats.total(|s| s.forecasts), 10, "{stats:?}");
+    assert_eq!(stats.total(|s| s.memo_hits), 10, "{stats:?}");
+
+    // Without it the memos are cold: the interval wave rides the stacked
+    // call, and the plain wave after it reads what that call left.
+    let (service, ids) = shared_naive_service(false);
+    let twins = twin_forecast_bits(&service);
+    let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+    for (id, res) in service.forecast_with_interval_many(&refs) {
+        let interval = res.unwrap();
+        assert_eq!(bits(&interval.point), twins[&id], "stacked point for {id}");
+        assert_eq!(interval.calibration, Calibration::Insufficient);
+        assert_eq!(interval.source, IntervalSource::Live);
+    }
+    let stats = service.stats();
+    assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
+    assert_eq!(stats.total(|s| s.batched_forecasts), 5, "{stats:?}");
+    assert_eq!(stats.total(|s| s.memo_hits), 0, "{stats:?}");
+    for (id, res) in service.forecast_many(&refs) {
+        assert_eq!(bits(&res.unwrap()), twins[&id], "memo for {id}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.total(|s| s.batch_calls), 1, "{stats:?}");
+    assert_eq!(stats.total(|s| s.forecasts), 10, "{stats:?}");
+    assert_eq!(stats.total(|s| s.memo_hits), 5, "{stats:?}");
 }

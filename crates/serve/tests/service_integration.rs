@@ -84,6 +84,64 @@ fn shard_assignment_is_deterministic_and_stable() {
     assert!(nonempty > 1, "20 entities all landed on one of 5 shards");
 }
 
+/// Batched replies scatter back by request position, so an id asked for
+/// twice is answered twice — on every batched read.
+#[test]
+fn a_duplicated_id_is_answered_at_both_positions() {
+    let service = naive_service(
+        ServiceConfig {
+            shards: 2,
+            refit_workers: 0,
+            ..Default::default()
+        },
+        4,
+    );
+    let ids = ["c_0", "c_1", "c_0", "c_3", "c_0"];
+    let forecasts = service.forecast_many(&ids);
+    let intervals = service.forecast_with_interval_many(&ids);
+    let reservations = service.reserve_many(&ids);
+    for (at, &id) in ids.iter().enumerate() {
+        assert_eq!(forecasts[at].0, id);
+        assert_eq!(intervals[at].0, id);
+        assert_eq!(reservations[at].0, id);
+        let own = service.forecast(id).unwrap();
+        assert_eq!(forecasts[at].1.as_ref(), Ok(&own), "{id} at {at}");
+        let interval = intervals[at].1.as_ref();
+        assert_eq!(interval.map(|i| &i.point), Ok(&own), "{id} at {at}");
+        let reserved = reservations[at].1.as_ref();
+        assert!(
+            matches!(reserved, Ok(r) if r.reservation.is_finite()),
+            "{id} at {at}: {reserved:?}"
+        );
+    }
+    assert_ne!(forecasts[0].1, forecasts[1].1, "c_1 got c_0's row");
+    assert_ne!(forecasts[0].1, forecasts[3].1, "c_3 got c_0's row");
+}
+
+#[test]
+fn an_unknown_id_between_known_ones_fails_alone() {
+    let service = naive_service(
+        ServiceConfig {
+            shards: 2,
+            refit_workers: 0,
+            ..Default::default()
+        },
+        2,
+    );
+    let got = service.forecast_many(&["c_0", "nope", "c_1"]);
+    assert_eq!(
+        got.iter().map(|(id, _)| id.as_str()).collect::<Vec<_>>(),
+        ["c_0", "nope", "c_1"]
+    );
+    assert_eq!(got[0].1, service.forecast("c_0"));
+    assert!(matches!(&got[1].1, Err(ServeError::UnknownEntity(id)) if id == "nope"));
+    assert_eq!(got[2].1, service.forecast("c_1"));
+    assert_ne!(got[0].1, got[2].1);
+    let reserved = service.reserve_many(&["c_0", "nope", "c_1"]);
+    assert!(reserved[0].1.is_ok() && reserved[2].1.is_ok());
+    assert!(matches!(&reserved[1].1, Err(ServeError::UnknownEntity(id)) if id == "nope"));
+}
+
 #[test]
 fn no_sample_loss_under_block_backpressure_with_tiny_queues() {
     // Queue capacity 2 forces constant backpressure; Block must deliver

@@ -9,9 +9,12 @@
 //! `PredictionService` shard — and repeated forecasts must stop taking
 //! fresh buffers from the thread's scratch arena. A shared-weight group
 //! large enough for the stacked-batch pool to split must answer each
-//! entity with the bits of its own forecast. And because the arena reads
+//! entity with the bits of its own forecast (run outside the service, on a
+//! twin rebuilt from its snapshot). And because the arena reads
 //! convolution weights prepared when they were installed, an entity whose
 //! model is replaced must answer with the replacement's bits at once.
+
+use std::collections::BTreeMap;
 
 use autograd::infer::thread_context_allocs;
 use cloudtrace::{ContainerConfig, WorkloadClass};
@@ -167,18 +170,41 @@ fn stacked_batch_answers_each_entity_with_its_own_forecast_bits() {
         .add_entities_shared(&fleet, pipeline(), Box::new(tiny_rptcn()))
         .expect("onboard");
 
+    // Each entity's own batch-1 forecast, computed outside the service on a
+    // predictor rebuilt from its snapshot: a shard answers repeated reads
+    // of an unchanged state from the forecast it kept, so asking the
+    // service twice would compare that memo with itself.
+    let own: BTreeMap<String, Vec<u32>> = service
+        .snapshot_entities()
+        .expect("snapshot")
+        .into_iter()
+        .map(|(id, state)| {
+            let twin = ResourcePredictor::from_state(&state).expect("twin");
+            (id, bits(&twin.forecast().expect("own forecast")))
+        })
+        .collect();
+
+    // Freshly installed, so every memo is cold: one stacked call.
     let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let batched = service.forecast_many(&refs);
+    let stats = service.stats();
     assert_eq!(
-        service.stats().total(|s| s.batched_forecasts),
+        stats.total(|s| s.batched_forecasts),
         ENTITIES as u64,
         "the group must be answered by one stacked call"
     );
+    assert_eq!(stats.total(|s| s.batch_calls), 1);
+    assert_eq!(stats.total(|s| s.memo_hits), 0);
     for (id, forecast) in &batched {
-        let own = service.forecast(id).expect("own forecast");
         let stacked = forecast.as_ref().expect("stacked forecast");
-        assert_eq!(bits(stacked), bits(&own), "{id}: stacked vs own");
+        assert_eq!(bits(stacked), own[id], "{id}: stacked vs own");
+        // The row the stack left behind answers the next read, unchanged.
+        let kept = service.forecast(id).expect("kept forecast");
+        assert_eq!(bits(&kept), own[id], "{id}: kept vs own");
     }
+    let stats = service.stats();
+    assert_eq!(stats.total(|s| s.batch_calls), 1);
+    assert_eq!(stats.total(|s| s.memo_hits), ENTITIES as u64);
 }
 
 /// The arena convolves with weights the store prepared at install, not per
