@@ -12,6 +12,8 @@ use tensor::Tensor;
 mod simd {
     #[cfg(not(miri))]
     use std::arch::x86_64::*;
+    #[cfg(not(miri))]
+    use std::mem::MaybeUninit;
 
     /// Capacity of the on-stack left-padded input scratch; the AVX path
     /// requires `in_ch * (time + 2*dilation) + 8` floats to fit (the final
@@ -69,13 +71,27 @@ mod simd {
         unsafe {
             let head = 2 * d;
             let stride = time + head;
-            let mut pad = [0.0f32; PAD_CAP];
+            // Neither scratch is zero-filled whole: of `pad` the kernel
+            // reads `in_ch * stride + 8` floats — each row's `head` zeros
+            // and its `time` samples, written here, and the 8-float tail
+            // the last row's full-width loads run into — and of `ys` only
+            // what it has stored.
+            let mut pad = [MaybeUninit::<f32>::uninit(); PAD_CAP];
+            let pad = pad.as_mut_ptr().cast::<f32>();
             for ic in 0..in_ch {
-                pad[ic * stride + head..(ic + 1) * stride]
-                    .copy_from_slice(&x_item[ic * time..(ic + 1) * time]);
+                // SAFETY: `(ic + 1) * stride <= in_ch * stride < PAD_CAP`
+                // (scratch-fit bound) and `x_item` holds `in_ch * time`.
+                let row = pad.add(ic * stride);
+                row.write_bytes(0, head);
+                row.add(head)
+                    .copy_from_nonoverlapping(x_item.as_ptr().add(ic * time), time);
             }
+            // SAFETY: `in_ch * stride + 8 <= PAD_CAP`.
+            pad.add(in_ch * stride).write_bytes(0, 8);
+            let pad: *const f32 = pad;
             let st = (time + 7) & !7;
-            let mut ys = [0.0f32; Y_CAP];
+            let mut ys = [MaybeUninit::<f32>::uninit(); Y_CAP];
+            let ys = ys.as_mut_ptr().cast::<f32>();
             let mut rows = out_item.chunks_exact_mut(time);
             let mut oc = 0;
             while oc + 4 <= out_ch {
@@ -101,7 +117,7 @@ mod simd {
                     let mut v2b = _mm256_setzero_ps();
                     let mut v3b = _mm256_setzero_ps();
                     for ic in 0..in_ch {
-                        let xp = pad.as_ptr().add(ic * stride + i);
+                        let xp = pad.add(ic * stride + i);
                         let a0 = _mm256_loadu_ps(xp);
                         let b0 = _mm256_loadu_ps(xp.add(d));
                         let c0 = _mm256_loadu_ps(xp.add(head));
@@ -149,14 +165,14 @@ mod simd {
                         v3b = _mm256_add_ps(v3b, _mm256_mul_ps(w1, b1));
                         v3b = _mm256_add_ps(v3b, _mm256_mul_ps(w2, c1));
                     }
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(i), v0a);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(i + 8), v0b);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(st + i), v1a);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(st + i + 8), v1b);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(2 * st + i), v2a);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(2 * st + i + 8), v2b);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(3 * st + i), v3a);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(3 * st + i + 8), v3b);
+                    _mm256_storeu_ps(ys.add(i), v0a);
+                    _mm256_storeu_ps(ys.add(i + 8), v0b);
+                    _mm256_storeu_ps(ys.add(st + i), v1a);
+                    _mm256_storeu_ps(ys.add(st + i + 8), v1b);
+                    _mm256_storeu_ps(ys.add(2 * st + i), v2a);
+                    _mm256_storeu_ps(ys.add(2 * st + i + 8), v2b);
+                    _mm256_storeu_ps(ys.add(3 * st + i), v3a);
+                    _mm256_storeu_ps(ys.add(3 * st + i + 8), v3b);
                     i += 16;
                 }
                 while i < st {
@@ -165,7 +181,7 @@ mod simd {
                     let mut v2 = _mm256_setzero_ps();
                     let mut v3 = _mm256_setzero_ps();
                     for ic in 0..in_ch {
-                        let xp = pad.as_ptr().add(ic * stride + i);
+                        let xp = pad.add(ic * stride + i);
                         let a = _mm256_loadu_ps(xp);
                         let b = _mm256_loadu_ps(xp.add(d));
                         let c = _mm256_loadu_ps(xp.add(head));
@@ -186,25 +202,27 @@ mod simd {
                         v3 = _mm256_add_ps(v3, _mm256_mul_ps(_mm256_set1_ps(*wr.add(1)), b));
                         v3 = _mm256_add_ps(v3, _mm256_mul_ps(_mm256_set1_ps(*wr.add(2)), c));
                     }
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(i), v0);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(st + i), v1);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(2 * st + i), v2);
-                    _mm256_storeu_ps(ys.as_mut_ptr().add(3 * st + i), v3);
+                    _mm256_storeu_ps(ys.add(i), v0);
+                    _mm256_storeu_ps(ys.add(st + i), v1);
+                    _mm256_storeu_ps(ys.add(2 * st + i), v2);
+                    _mm256_storeu_ps(ys.add(3 * st + i), v3);
                     i += 8;
                 }
                 let y0 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
                 let y1 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
                 let y2 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
                 let y3 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-                y0.copy_from_slice(&ys[..time]);
-                y1.copy_from_slice(&ys[st..st + time]);
-                y2.copy_from_slice(&ys[2 * st..2 * st + time]);
-                y3.copy_from_slice(&ys[3 * st..3 * st + time]);
+                                                          // SAFETY: the loops above stored `[0, st)` of each of the
+                                                          // four scratch rows, and `time <= st`.
+                for (r, y) in [y0, y1, y2, y3].into_iter().enumerate() {
+                    y.copy_from_slice(std::slice::from_raw_parts(ys.add(r * st), time));
+                }
                 oc += 4;
             }
             for y_row in rows {
                 for ic in 0..in_ch {
-                    let xp = &pad[ic * stride..(ic + 1) * stride];
+                    // SAFETY: row `ic` of the scratch, written whole above.
+                    let xp = std::slice::from_raw_parts(pad.add(ic * stride), stride);
                     let w = &dw[(oc * in_ch + ic) * 3..][..3];
                     for t in 0..time {
                         let mut v = y_row[t];
@@ -624,6 +642,246 @@ pub(crate) fn conv1d_scanned_into_zeroed(
 
     for (b, chunk) in out.chunks_mut(out_ch * time).enumerate() {
         item_kernel(b, chunk);
+    }
+}
+
+/// Out-channel lanes of one accumulator of the kept-column kernel: two AVX
+/// registers. Its weight copy pads the out-channels up to a multiple.
+const KEPT_LANES: usize = 16;
+
+/// Row length of the lane-major weight: `out_ch` padded to whole lane blocks.
+fn kept_lane_stride(out_ch: usize) -> usize {
+    out_ch.div_ceil(KEPT_LANES) * KEPT_LANES
+}
+
+/// Columns [`conv1d_kept_into`] advances together: with [`KEPT_LANES`]
+/// lanes each, eight independent chains that share every weight load.
+const KEPT_COLS: usize = 4;
+
+/// Longest full row (`keep == 1`) the kept-column kernel takes; longer ones
+/// fill the time lanes of the fused kernels.
+const KEPT_SHORT_ROW: usize = 8;
+
+/// Whether a convolution over `in_ch` rows of `time` steps whose consumer
+/// reads every `keep`-th column goes to [`conv1d_kept_into`]: subsampled or
+/// short rows — few columns, where out-channels fill a vector and time
+/// steps do not — of weights the kernel may multiply without the
+/// reference's zero test.
+pub(crate) fn kept_kernel_takes(scan: WeightScan, in_ch: usize, time: usize, keep: usize) -> bool {
+    let few_columns = keep > 1 || time <= KEPT_SHORT_ROW;
+    scan.uniform() && in_ch >= 1 && time >= 1 && few_columns
+}
+
+/// `[out_ch, in_ch, k]` re-laid as `[in_ch, k, out_ch]`, out-channels
+/// zero-padded up to a multiple of [`KEPT_LANES`]: the weight
+/// [`conv1d_kept_into`] reads, one contiguous lane vector per
+/// `(in-channel, tap)`. Depends on the weights alone — made once per weight
+/// install, like the fold and the scan.
+pub(crate) fn lane_major_weight(dw: &[f32], out_ch: usize, in_ch: usize, k: usize) -> Vec<f32> {
+    assert_eq!(dw.len(), out_ch * in_ch * k, "lane_major_weight length");
+    let lane_stride = kept_lane_stride(out_ch);
+    let mut lanes = vec![0.0f32; in_ch * k * lane_stride];
+    for (oc, w_oc) in dw.chunks_exact((in_ch * k).max(1)).enumerate() {
+        for (row, &wv) in w_oc.iter().enumerate() {
+            lanes[row * lane_stride + oc] = wv;
+        }
+    }
+    lanes
+}
+
+/// One batch item of a kept-column convolution: its `[in_ch, time]` input
+/// rows and the whole lane-major weight, one row of `lane_stride` per
+/// `(in-channel, tap)`.
+#[derive(Clone, Copy)]
+struct KeptItem<'a> {
+    x_item: &'a [f32],
+    w_rows: &'a [f32],
+    lane_stride: usize,
+    time: usize,
+    k: usize,
+    dilation: usize,
+}
+
+impl KeptItem<'_> {
+    /// The convolution sums at the `S` steps `cols` (ascending) of the
+    /// input rows for the [`KEPT_LANES`] out-channels from `lane0`: every
+    /// `(out-channel, column)` element accumulates `acc += w · x[t − shift]`
+    /// in `(in-channel, tap)` order from `+0.0`, multiply and add separate,
+    /// over exactly the taps with `shift <= t` — the chain
+    /// [`tap_accumulate`] builds for it, with no padding term. `WARM`
+    /// admits columns with taps that reach before the row and tests for
+    /// them; a block whose first column has every tap runs without the
+    /// test.
+    #[inline(always)]
+    fn chains<const S: usize, const WARM: bool>(
+        self,
+        lane0: usize,
+        cols: [usize; S],
+    ) -> [[f32; KEPT_LANES]; S] {
+        let (time, k, dilation) = (self.time, self.k, self.dilation);
+        let reach = (k - 1) * dilation;
+        // Leading taps a column leaves out.
+        let skip: [usize; S] = match WARM {
+            true => cols.map(|t| (k - 1).saturating_sub(t / dilation)),
+            false => [0; S],
+        };
+        // Column `s` reads `xs[s][ic · time + (kk − skip[s]) · dilation]`:
+        // its slice starts at the first step it reads of in-channel 0.
+        let mut xs: [&[f32]; S] =
+            std::array::from_fn(|s| &self.x_item[cols[s] + skip[s] * dilation - reach..]);
+        if !WARM {
+            // One length, so that one bounds check serves a tap's `S` loads.
+            let shortest = xs[S - 1].len();
+            xs = xs.map(|x| &x[..shortest]);
+        }
+        let mut acc = [[0.0f32; KEPT_LANES]; S];
+        let w_ics = self.w_rows.chunks_exact(k * self.lane_stride);
+        for (ic, w_ic) in w_ics.enumerate() {
+            for (kk, w_row) in w_ic.chunks_exact(self.lane_stride).enumerate() {
+                let w = &w_row[lane0..lane0 + KEPT_LANES];
+                let i = ic * time + kk * dilation;
+                for s in 0..S {
+                    if !WARM || kk >= skip[s] {
+                        let xv = xs[s][i - skip[s] * dilation];
+                        for (slot, &wv) in acc[s].iter_mut().zip(w) {
+                            *slot += wv * xv;
+                        }
+                    }
+                }
+            }
+        }
+        acc
+    }
+
+    /// [`chains`](Self::chains) of a block, biased and written out to the
+    /// `[out_ch, kept]` item: `acc[s][l]` is kept column `j0 + s` of
+    /// out-channel `lane0 + l`, so each out-channel gets its `S`
+    /// neighbouring columns in one copy.
+    #[inline(always)]
+    fn block<const S: usize>(
+        self,
+        lane0: usize,
+        cols: [usize; S],
+        bias: &[f32],
+        out_item: &mut [f32],
+        kept: usize,
+        j0: usize,
+    ) {
+        let acc = match cols[0] < (self.k - 1) * self.dilation {
+            true => self.chains::<S, true>(lane0, cols),
+            false => self.chains::<S, false>(lane0, cols),
+        };
+        for (oc, &b) in bias.iter().enumerate().skip(lane0).take(KEPT_LANES) {
+            let columns: [f32; S] = std::array::from_fn(|s| acc[s][oc - lane0] + b);
+            out_item[oc * kept + j0..][..S].copy_from_slice(&columns);
+        }
+    }
+}
+
+// hot-path: the body of every kept-column convolution, must stay allocation-free
+/// One batch item of [`conv1d_kept_into`]: `out_item` is the
+/// `[out_ch, ⌈time/keep⌉]` kept columns, fully overwritten with sum plus
+/// channel bias. Blocks of [`KEPT_COLS`] columns by [`KEPT_LANES`]
+/// out-channels keep their chains in registers; the last block of a row is
+/// taken back from its end, recomputing the columns it shares with the
+/// block before it, and rows shorter than a block go column by column.
+/// Safe Rust: this body is the portable (and Miri) path and, inlined under
+/// [`kept_item_avx`], the vector one.
+#[inline(always)]
+fn kept_item_scalar(item: KeptItem, bias: &[f32], out_item: &mut [f32], keep: usize) {
+    let kept = item.time.div_ceil(keep);
+    let first = (item.time - 1) % keep;
+    for lane0 in (0..bias.len()).step_by(KEPT_LANES) {
+        if kept < KEPT_COLS {
+            for j in 0..kept {
+                item.block(lane0, [first + j * keep], bias, out_item, kept, j);
+            }
+            continue;
+        }
+        for block in 0..kept.div_ceil(KEPT_COLS) {
+            let j0 = (block * KEPT_COLS).min(kept - KEPT_COLS);
+            let cols: [usize; KEPT_COLS] = std::array::from_fn(|s| first + (j0 + s) * keep);
+            item.block(lane0, cols, bias, out_item, kept, j0);
+        }
+    }
+}
+
+/// [`kept_item_scalar`] compiled with AVX enabled, so that an accumulator
+/// is two `ymm` registers rather than four `xmm` ones and a block's eight
+/// chains fit the register file. The same safe body: the same operations in
+/// the same order on every element, hence the same bits.
+///
+/// # Safety
+///
+/// The caller must verify AVX support at runtime. No memory access depends
+/// on it: every index is bounds-checked.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx")]
+unsafe fn kept_item_avx(item: KeptItem, bias: &[f32], out_item: &mut [f32], keep: usize) {
+    kept_item_scalar(item, bias, out_item, keep);
+}
+
+// hot-path: one call per convolution of a served forecast, must stay allocation-free
+/// The columns of `causal_conv1d(x, w) + bias` a consumer reads when it
+/// keeps every `keep`-th step counted back from the last
+/// ([`subsample_time_into`](crate::infer::subsample_time_into)'s rule;
+/// `keep == 1` is the whole row), and only those: `out` is
+/// `[batch, out_ch, ⌈time/keep⌉]`, fully overwritten. `w_lanes` is the
+/// [`lane_major_weight`] of a weight whose scan is uniform
+/// ([`kept_kernel_takes`]): out-channels sit on the vector lanes, which a
+/// handful of columns cannot fill along time, and each kept element keeps
+/// the `(in-channel, tap)` chain of [`tap_accumulate`] — so the result is
+/// bitwise the reference convolution, biased, then subsampled. Batch items
+/// go through one kernel one after the other: a stacked row is the lone
+/// forecast's bits.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv1d_kept_into(
+    dx: &[f32],
+    w_lanes: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    batch: usize,
+    in_ch: usize,
+    out_ch: usize,
+    time: usize,
+    k: usize,
+    dilation: usize,
+    keep: usize,
+) {
+    assert!(dilation >= 1 && keep >= 1 && time >= 1 && k >= 1 && in_ch >= 1);
+    let kept = time.div_ceil(keep);
+    let lane_stride = kept_lane_stride(out_ch);
+    assert_eq!(dx.len(), batch * in_ch * time, "conv1d_kept_into input");
+    assert_eq!(
+        w_lanes.len(),
+        in_ch * k * lane_stride,
+        "conv1d_kept_into weight"
+    );
+    assert_eq!(bias.len(), out_ch, "conv1d_kept_into bias");
+    assert_eq!(out.len(), batch * out_ch * kept, "conv1d_kept_into output");
+    if out.is_empty() {
+        return;
+    }
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    let avx = avx_available();
+    for (b, out_item) in out.chunks_exact_mut(out_ch * kept).enumerate() {
+        let item = KeptItem {
+            x_item: &dx[b * in_ch * time..(b + 1) * in_ch * time],
+            w_rows: w_lanes,
+            lane_stride,
+            time,
+            k,
+            dilation,
+        };
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if avx {
+            // SAFETY: AVX support was verified at runtime just above.
+            unsafe {
+                kept_item_avx(item, bias, out_item, keep);
+            }
+            continue;
+        }
+        kept_item_scalar(item, bias, out_item, keep);
     }
 }
 
@@ -1199,6 +1457,94 @@ mod tests {
             for how in planted {
                 check_forward_parity(1, 8, 16, time, 1, 1, how, &mut rng);
                 check_forward_parity(3, 5, 7, time, 1, 2, how, &mut rng);
+            }
+        }
+    }
+
+    /// The kept-column kernel — its dispatched form and its portable body
+    /// — against the reference convolution, biased, then subsampled: in-
+    /// and out-channel counts on both sides of a lane block (24 leaves a
+    /// remainder, 4 a lone padded block), every row length up to two
+    /// column blocks past the paper's window, `keep` on both sides of the
+    /// row length, dilations with no, some and all taps before the row,
+    /// stacked items.
+    #[test]
+    fn kept_columns_match_tap_reference_bitwise() {
+        let mut rng = Rng::seed_from(57);
+        let mut case = 0usize;
+        for in_ch in [1usize, 8, 16] {
+            for out_ch in [4usize, 16, 24] {
+                // Every eighth row length under Miri, which interprets the
+                // portable body (the AVX wrapper is compiled out there).
+                for time in (1..=33usize).step_by(if cfg!(miri) { 8 } else { 1 }) {
+                    for keep in [1, 2, 3, time, time + 2] {
+                        case += 1;
+                        let k = [3, 1, 3, 2][case % 4];
+                        let d = [1, 2, 1, 4, 40][case % 5];
+                        let batch = [1, 3][case % 2];
+                        let x = Tensor::rand_normal(&[batch, in_ch, time], 0.0, 1.0, &mut rng);
+                        let mut w = Tensor::rand_normal(&[out_ch, in_ch, k], 0.0, 0.5, &mut rng);
+                        for v in w.as_mut_slice() {
+                            if *v == 0.0 {
+                                *v = 0.25;
+                            }
+                        }
+                        let bias = Tensor::rand_normal(&[out_ch], 0.0, 1.0, &mut rng);
+                        assert!(scan_weights(w.as_slice()).uniform());
+
+                        let mut full = forward_reference(&x, &w, d);
+                        for (row, oc) in full.chunks_mut(time).zip((0..out_ch).cycle()) {
+                            for y in row {
+                                *y += bias.as_slice()[oc];
+                            }
+                        }
+                        let kept = time.div_ceil(keep);
+                        let mut reference = vec![0.0f32; batch * out_ch * kept];
+                        crate::infer::subsample_time_into(
+                            &full,
+                            &mut reference,
+                            batch * out_ch,
+                            time,
+                            keep,
+                        );
+
+                        let what =
+                            format!("b{batch} ic{in_ch} oc{out_ch} t{time} k{k} d{d} keep{keep}");
+                        let lanes = lane_major_weight(w.as_slice(), out_ch, in_ch, k);
+                        let mut out = vec![f32::NAN; reference.len()];
+                        conv1d_kept_into(
+                            x.as_slice(),
+                            &lanes,
+                            bias.as_slice(),
+                            &mut out,
+                            batch,
+                            in_ch,
+                            out_ch,
+                            time,
+                            k,
+                            d,
+                            keep,
+                        );
+                        assert_same_bits(&out, &reference, &what);
+                        let mut portable = vec![f32::NAN; reference.len()];
+                        for (x_item, out_item) in x
+                            .as_slice()
+                            .chunks(in_ch * time)
+                            .zip(portable.chunks_mut(out_ch * kept))
+                        {
+                            let item = KeptItem {
+                                x_item,
+                                w_rows: &lanes,
+                                lane_stride: lanes.len() / (in_ch * k),
+                                time,
+                                k,
+                                dilation: d,
+                            };
+                            kept_item_scalar(item, bias.as_slice(), out_item, keep);
+                        }
+                        assert_same_bits(&portable, &reference, &format!("portable, {what}"));
+                    }
+                }
             }
         }
     }

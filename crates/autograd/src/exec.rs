@@ -50,7 +50,12 @@ pub trait Exec {
     /// Causal convolution of `[batch, in_ch, time]` at `dilation` with the
     /// weight `v: [out_ch, in_ch, k]` — reparameterised as
     /// `gain · v / ‖v‖` per output channel when `gain` is given — plus the
-    /// `[out_ch, 1]` channel `bias`.
+    /// `[out_ch, 1]` channel `bias`, on the columns its consumer reads:
+    /// every `keep`-th step counted back from the last
+    /// ([`subsample_time`](Self::subsample_time)'s rule; `keep == 1` is
+    /// every step). The tape records the whole convolution and subsamples
+    /// it; the arena computes only the kept columns.
+    #[allow(clippy::too_many_arguments)]
     fn conv(
         &mut self,
         x: &Self::V,
@@ -58,6 +63,7 @@ pub trait Exec {
         gain: Option<ParamId>,
         bias: ParamId,
         dilation: usize,
+        keep: usize,
     ) -> Self::V;
 
     fn relu(&mut self, x: Self::V) -> Self::V;
@@ -168,6 +174,7 @@ impl Exec for Tape<'_, '_> {
         gain: Option<ParamId>,
         bias: ParamId,
         dilation: usize,
+        keep: usize,
     ) -> Var {
         let g = &mut *self.g;
         let v = g.param(v);
@@ -191,7 +198,13 @@ impl Exec for Tape<'_, '_> {
         };
         let y = g.conv1d(*x, w, dilation);
         let b = g.param(bias);
-        g.add(y, b)
+        let y = g.add(y, b);
+        // The nodes the gradient kernels already differentiate: a dropped
+        // column's gradient is the exact zero `subsample_time` scatters.
+        match keep {
+            1 => y,
+            _ => g.subsample_time(y, keep),
+        }
     }
 
     fn relu(&mut self, x: Var) -> Var {

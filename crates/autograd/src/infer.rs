@@ -26,7 +26,7 @@ use std::cell::RefCell;
 
 use tensor::Tensor;
 
-use crate::conv_kernels::conv1d_scanned_into_zeroed;
+use crate::conv_kernels::{conv1d_kept_into, conv1d_scanned_into_zeroed, kept_kernel_takes};
 use crate::exec::Exec;
 use crate::params::{ParamId, ParamStore};
 use crate::train::{take_rows, SequenceModel};
@@ -376,16 +376,35 @@ impl Exec for Arena<'_> {
         gain: Option<ParamId>,
         bias: ParamId,
         dilation: usize,
+        keep: usize,
     ) -> Buf {
-        let (w, scan) = self.store.conv_weight(v, gain);
-        let shape = self.store.value(v).shape();
-        let (out_ch, in_ch, kernel) = (shape[0], shape[1], shape[2]);
+        let w = self.store.conv_weight(v, gain);
+        let (out_ch, in_ch, kernel) = w.dims();
         let (batch, time) = (x.dims[0], x.dims[2]);
         assert!(x.rank == 3 && x.dims[1] == in_ch, "arena conv input shape");
+        let bias = self.store.value(bias).as_slice();
+        if kept_kernel_takes(w.scan, in_ch, time, keep) {
+            let mut out = self.take(&[batch, out_ch, subsampled_len(time, keep)]);
+            conv1d_kept_into(
+                &x.data,
+                w.lane_major(),
+                bias,
+                &mut out.data,
+                batch,
+                in_ch,
+                out_ch,
+                time,
+                kernel,
+                dilation,
+                keep,
+            );
+            return out;
+        }
         let mut out = self.take(&[batch, out_ch, time]);
+        let scan = w.scan;
         conv1d_scanned_into_zeroed(
             &x.data,
-            w,
+            w.dense(),
             scan,
             &mut out.data,
             batch,
@@ -395,9 +414,15 @@ impl Exec for Arena<'_> {
             kernel,
             dilation,
         );
-        let bias = self.store.value(bias).as_slice();
         add_channel_bias(&mut out.data, bias, batch, out_ch, time);
-        out
+        if keep == 1 {
+            return out;
+        }
+        // Weights the kept-column kernel refuses (an exact zero, a
+        // non-finite value): the reference's own path, then its columns.
+        let kept = self.subsample_time(&out, keep);
+        self.release(out);
+        kept
     }
 
     fn relu(&mut self, mut x: Buf) -> Buf {

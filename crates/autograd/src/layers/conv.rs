@@ -70,22 +70,38 @@ impl CausalConv1d {
 
     /// `[batch, in_ch, T] -> [batch, out_ch, T]`.
     pub fn forward<E: Exec>(&self, ex: &mut E, x: &E::V) -> E::V {
-        self.forward_dilated(ex, x, self.dilation)
+        self.forward_dilated(ex, x, self.dilation, 1)
     }
 
     /// [`forward`](Self::forward) at `dilation` instead of the layer's own —
     /// for a caller that has subsampled the time axis, so that adjacent
-    /// columns of `x` are already `self.dilation() / dilation` steps apart.
-    pub fn forward_dilated<E: Exec>(&self, ex: &mut E, x: &E::V, dilation: usize) -> E::V {
+    /// columns of `x` are already `self.dilation() / dilation` steps apart —
+    /// on every `keep`-th column counted back from the last, for a caller
+    /// that reads no others: `[batch, out_ch, ⌈T/keep⌉]`.
+    pub fn forward_dilated<E: Exec>(
+        &self,
+        ex: &mut E,
+        x: &E::V,
+        dilation: usize,
+        keep: usize,
+    ) -> E::V {
         debug_assert_eq!(ex.shape(x)[1], self.in_ch, "conv input channels mismatch");
-        ex.conv(x, self.v, self.gain, self.bias, dilation)
+        ex.conv(x, self.v, self.gain, self.bias, dilation, keep)
     }
 
     /// The dense `[out, in, k]` weight the layer convolves with, weight
     /// normalisation folded in — the store's prepared copy, the one the
     /// arena reads; the streaming engine snapshots it.
     pub fn folded_weight<'a>(&self, store: &'a ParamStore) -> &'a [f32] {
-        store.conv_weight(self.v, self.gain).0
+        store.conv_weight(self.v, self.gain).dense()
+    }
+
+    /// [`folded_weight`](Self::folded_weight) as `[in, k, out]`, out-channels
+    /// zero-padded to a lane multiple — the store's prepared copy the arena
+    /// reads when it computes a few kept columns with out-channels on the
+    /// vector lanes. Made at first use after a weight install.
+    pub fn lane_major_weight<'a>(&self, store: &'a ParamStore) -> &'a [f32] {
+        store.conv_weight(self.v, self.gain).lane_major()
     }
 
     /// Raw bias values `[out_ch]` (for streaming inference).

@@ -2,7 +2,7 @@
 
 use tensor::Tensor;
 
-use crate::conv_kernels::WeightScan;
+pub(crate) use weights::ConvWeight;
 
 /// Error raised when a snapshot or named-tensor table does not match the
 /// store it is being restored into (wrong length, unknown name, shape
@@ -40,17 +40,73 @@ mod weights {
     use tensor::Tensor;
 
     use super::ParamId;
-    use crate::conv_kernels::{fold_weight_norm, scan_weights, WeightScan};
+    use crate::conv_kernels::{fold_weight_norm, lane_major_weight, scan_weights, WeightScan};
 
     /// What the arena's convolution over the direction tensor at this
-    /// index derives from the weights alone.
+    /// index derives from the weights alone: the scan, and the weight in
+    /// each layout a pass has asked for. A convolution that only ever runs
+    /// on kept or short rows holds the lane-major copy alone, one that only
+    /// sees long full rows the dense one.
     #[derive(Debug)]
     struct Slot {
         /// The gain it was folded with.
         gain: Option<ParamId>,
-        /// `None` without a gain: the weight is `v` itself, read in place.
-        folded: Option<Vec<f32>>,
         scan: WeightScan,
+        /// `[out_ch, in_ch, k]` with the gain folded in; never filled
+        /// without a gain, when that weight is `v` itself, read in place.
+        dense: OnceLock<Vec<f32>>,
+        /// [`lane_major_weight`] of the same.
+        lanes: OnceLock<Vec<f32>>,
+    }
+
+    /// The prepared weight of one convolution: its scan, on which the
+    /// arena picks a kernel, and the layout that kernel reads, made at the
+    /// first request after the weights were installed and kept with them.
+    pub(crate) struct ConvWeight<'a> {
+        pub(crate) scan: WeightScan,
+        shape: [usize; 3],
+        slot: &'a Slot,
+        dir: &'a [f32],
+        gain: Option<&'a [f32]>,
+        /// The fold the scan was made from, when this call made it:
+        /// whichever layout is asked for takes it.
+        fresh: Option<Vec<f32>>,
+    }
+
+    impl<'a> ConvWeight<'a> {
+        /// `(out_ch, in_ch, k)`.
+        pub(crate) fn dims(&self) -> (usize, usize, usize) {
+            (self.shape[0], self.shape[1], self.shape[2])
+        }
+
+        /// `[out_ch, in_ch, k]`, weight normalisation folded in.
+        pub(crate) fn dense(self) -> &'a [f32] {
+            let Some(gain) = self.gain else {
+                return self.dir;
+            };
+            let fresh = self.fresh;
+            self.slot
+                .dense
+                .get_or_init(|| fresh.unwrap_or_else(|| fold_weight_norm(self.dir, gain)))
+        }
+
+        /// The same weight as [`lane_major_weight`] lays it out.
+        pub(crate) fn lane_major(self) -> &'a [f32] {
+            let [out_ch, in_ch, k] = self.shape;
+            self.slot.lanes.get_or_init(|| {
+                let refolded;
+                let dense = match (self.gain, self.slot.dense.get(), &self.fresh) {
+                    (None, ..) => self.dir,
+                    (_, Some(dense), _) => dense,
+                    (_, _, Some(fresh)) => fresh,
+                    (Some(gain), None, None) => {
+                        refolded = fold_weight_norm(self.dir, gain);
+                        &refolded
+                    }
+                };
+                lane_major_weight(dense, out_ch, in_ch, k)
+            })
+        }
     }
 
     #[derive(Debug, Default)]
@@ -97,23 +153,35 @@ mod weights {
         }
 
         /// See [`ParamStore::conv_weight`](super::ParamStore::conv_weight).
-        pub(super) fn conv(&self, v: ParamId, gain: Option<ParamId>) -> (&[f32], WeightScan) {
+        pub(super) fn conv(&self, v: ParamId, gain: Option<ParamId>) -> ConvWeight<'_> {
             let tensors = &self.0.tensors;
             let table = self
                 .0
                 .prepared
                 .get_or_init(|| tensors.iter().map(|_| OnceLock::new()).collect());
             let dir = tensors[v.0].as_slice();
+            let gain_values = gain.map(|g| tensors[g.0].as_slice());
+            let mut fresh = None;
             let slot = table[v.0].get_or_init(|| {
-                let folded = gain.map(|g| fold_weight_norm(dir, tensors[g.0].as_slice()));
+                fresh = gain_values.map(|g| fold_weight_norm(dir, g));
                 Slot {
                     gain,
-                    scan: scan_weights(folded.as_deref().unwrap_or(dir)),
-                    folded,
+                    scan: scan_weights(fresh.as_deref().unwrap_or(dir)),
+                    dense: OnceLock::new(),
+                    lanes: OnceLock::new(),
                 }
             });
             assert_eq!(slot.gain, gain, "one convolution per direction tensor");
-            (slot.folded.as_deref().unwrap_or(dir), slot.scan)
+            let shape = tensors[v.0].shape();
+            assert_eq!(shape.len(), 3, "conv weight must be [out_ch, in_ch, k]");
+            ConvWeight {
+                scan: slot.scan,
+                shape: [shape[0], shape[1], shape[2]],
+                slot,
+                dir,
+                gain: gain_values,
+                fresh,
+            }
         }
     }
 }
@@ -158,9 +226,10 @@ impl ParamStore {
 
     /// The `[out_ch, in_ch, k]` weight a causal convolution over the
     /// direction tensor `v` convolves with — `gain · v / ‖v‖` per output
-    /// channel when `gain` is given, `v` itself otherwise — and its scan.
-    /// Prepared once per weight install, not per call.
-    pub(crate) fn conv_weight(&self, v: ParamId, gain: Option<ParamId>) -> (&[f32], WeightScan) {
+    /// channel when `gain` is given, `v` itself otherwise — as its scan and,
+    /// on request, in the layout a kernel reads. Each is prepared once per
+    /// weight install, not per call.
+    pub(crate) fn conv_weight(&self, v: ParamId, gain: Option<ParamId>) -> ConvWeight<'_> {
         self.values.conv(v, gain)
     }
 
@@ -453,15 +522,21 @@ mod tests {
     #[test]
     fn clones_share_weights_until_one_is_written() {
         let dir = Tensor::from_vec((1..=24).map(|i| i as f32 * 0.37).collect(), &[2, 4, 3]);
-        let (a, v, g) = conv_store(dir, 1.5);
+        let (mut a, v, g) = conv_store(dir, 1.5);
+        let p = a.register("p", Tensor::ones(&[2, 4, 1]));
         let mut b = a.clone();
-        let (wa, _) = a.conv_weight(v, Some(g));
-        let (wb, _) = b.conv_weight(v, Some(g));
+        let (wa, wb) = (a.conv_weight(v, Some(g)), b.conv_weight(v, Some(g)));
+        assert!(
+            std::ptr::eq(wa.lane_major(), wb.lane_major()),
+            "a clone laid out a second lane-major copy"
+        );
+        let wa = a.conv_weight(v, Some(g)).dense();
+        let wb = b.conv_weight(v, Some(g)).dense();
         assert!(std::ptr::eq(wa, wb), "a clone folded a second copy");
         assert!(std::ptr::eq(a.value(v), b.value(v)));
         // Without a gain there is nothing to fold: `v` is read in place.
-        let (plain, _) = a.conv_weight(g, None);
-        assert!(std::ptr::eq(plain, a.value(g).as_slice()));
+        let plain = a.conv_weight(p, None).dense();
+        assert!(std::ptr::eq(plain, a.value(p).as_slice()));
 
         // The written store gets tensors of its own and folds them anew;
         // the other keeps what it had.
@@ -469,8 +544,23 @@ mod tests {
         b.value_mut(g).map_inplace(|x| x * 2.0);
         assert!(!std::ptr::eq(a.value(v), b.value(v)));
         assert_eq!(a.value(g).as_slice(), &[1.5; 2]);
-        assert_eq!(a.conv_weight(v, Some(g)).0, before.as_slice());
-        assert_ne!(b.conv_weight(v, Some(g)).0, before.as_slice());
+        assert_eq!(a.conv_weight(v, Some(g)).dense(), before.as_slice());
+        assert_ne!(b.conv_weight(v, Some(g)).dense(), before.as_slice());
+    }
+
+    #[test]
+    fn a_layout_is_the_same_whichever_is_asked_for_first() {
+        let dir = Tensor::from_vec((1..=60).map(|i| (i as f32).sin()).collect(), &[5, 4, 3]);
+        let (lanes_first, v, g) = conv_store(dir.clone(), 0.7);
+        let (dense_first, ..) = conv_store(dir, 0.7);
+        let lanes = lanes_first.conv_weight(v, Some(g)).lane_major();
+        let dense = dense_first.conv_weight(v, Some(g)).dense();
+        assert_eq!(lanes_first.conv_weight(v, Some(g)).dense(), dense);
+        assert_eq!(dense_first.conv_weight(v, Some(g)).lane_major(), lanes);
+        assert_eq!(
+            lanes,
+            crate::conv_kernels::lane_major_weight(dense, 5, 4, 3)
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! row, exact-zero weights (which switch the conv kernel's path).
 //!
 //! A convolution's arena pass reads weights the store prepared when they
-//! were installed (the weight-norm fold, the kernel-path scan), so the
+//! were installed (the weight-norm fold, the kernel-path scan, the
+//! lane-major copy the kept-column kernel reads), so the
 //! last test writes weights through every `&mut` route the store has and
 //! requires the next arena pass to be the tape's bits for the new ones.
 //!
@@ -33,6 +34,7 @@ enum Prim {
         gain: Option<ParamId>,
         bias: ParamId,
         dilation: usize,
+        keep: usize,
     },
     Relu,
     Tanh,
@@ -86,7 +88,8 @@ fn apply<E: Exec>(prim: &Prim, ex: &mut E, inputs: &[Tensor]) -> E::V {
             gain,
             bias,
             dilation,
-        } => ex.conv(&a, v, gain, bias, dilation),
+            keep,
+        } => ex.conv(&a, v, gain, bias, dilation, keep),
         Prim::SelectTime(t) => ex.select_time(&a, t),
         Prim::SubsampleTime(step) => ex.subsample_time(&a, step),
         Prim::SliceCols(from, to) => ex.slice_cols(&a, from, to),
@@ -159,20 +162,33 @@ fn cases() -> ProptestConfig {
     ProptestConfig::with_cases(if cfg!(miri) { 3 } else { 48 })
 }
 
-/// A conv layer's parameters; `zero` plants an exact zero (and a `-0.0`)
-/// in the direction tensor, which sends the kernel down its tap-wise path.
+/// What a conv case plants in its direction tensor. Either sends the arena
+/// off its vector kernels onto the reference's tap-wise path (and, for a
+/// kept convolution, through `subsample_time`).
+#[derive(Debug, Clone, Copy)]
+enum Planted {
+    Nothing,
+    /// An exact zero and a `-0.0`.
+    Zero,
+    Nan,
+}
+
 fn conv_params(
     store: &mut ParamStore,
     (in_ch, out_ch, kernel): (usize, usize, usize),
     weight_norm: bool,
-    zero: bool,
+    planted: Planted,
     rng: &mut Rng,
 ) -> (ParamId, Option<ParamId>, ParamId) {
     let mut v = Tensor::rand_normal(&[out_ch, in_ch, kernel], 0.0, 0.5, rng);
-    if zero {
-        let n = v.len();
-        v.as_mut_slice()[n / 2] = 0.0;
-        v.as_mut_slice()[n - 1] = -0.0;
+    let n = v.len();
+    match planted {
+        Planted::Nothing => {}
+        Planted::Zero => {
+            v.as_mut_slice()[n / 2] = 0.0;
+            v.as_mut_slice()[n - 1] = -0.0;
+        }
+        Planted::Nan => v.as_mut_slice()[n / 2] = f32::NAN,
     }
     let v = store.register("v", v);
     let gain = weight_norm.then(|| store.register("g", normal(&[out_ch, 1], rng)));
@@ -180,31 +196,36 @@ fn conv_params(
     (v, gain, bias)
 }
 
+/// `(batch, time, dilation, keep)` of a conv case.
+type Call = (usize, usize, usize, usize);
+
 fn check_conv(
     dims: (usize, usize, usize),
-    (batch, time, dilation): (usize, usize, usize),
+    (batch, time, dilation, keep): Call,
     weight_norm: bool,
-    zero: bool,
+    planted: Planted,
     seed: u64,
 ) {
     let mut rng = Rng::seed_from(seed);
     let mut store = ParamStore::new();
-    let (v, gain, bias) = conv_params(&mut store, dims, weight_norm, zero, &mut rng);
+    let (v, gain, bias) = conv_params(&mut store, dims, weight_norm, planted, &mut rng);
     let x = normal(&[batch, dims.0, time], &mut rng);
     let prim = Prim::Conv {
         v,
         gain,
         bias,
         dilation,
+        keep,
     };
-    check(&store, &prim, &[x]);
+    let out = check(&store, &prim, &[x]);
+    assert_eq!(out.shape(), &[batch, dims.1, time.div_ceil(keep)]);
 }
 
 #[test]
 fn conv_edges_single_row_single_step_and_dilation_past_the_row() {
     let mut seed = 0;
     for weight_norm in [false, true] {
-        for zero in [false, true] {
+        for planted in [Planted::Nothing, Planted::Zero] {
             for (batch, time, dilation) in [
                 (1, 1, 1),
                 (1, 1, 4),
@@ -215,7 +236,38 @@ fn conv_edges_single_row_single_step_and_dilation_past_the_row() {
             ] {
                 for dims in [(1, 1, 1), (2, 5, 3), (6, 4, 2), (3, 6, 1)] {
                     seed += 1;
-                    check_conv(dims, (batch, time, dilation), weight_norm, zero, seed);
+                    let call = (batch, time, dilation, 1);
+                    check_conv(dims, call, weight_norm, planted, seed);
+                }
+            }
+        }
+    }
+}
+
+/// The columns a consumer keeps: the tape convolves the whole row and
+/// subsamples it, the arena computes the kept columns alone (out-channels
+/// on the lanes) or, for weights that kernel refuses, takes the tape's
+/// route. `keep` on both sides of the row length, rows on both sides of a
+/// column block, out-channels on both sides of a lane block, taps that
+/// reach before the row at every kept column.
+#[test]
+fn conv_on_kept_columns_is_the_subsampled_convolution() {
+    let mut seed = 1000;
+    for time in [1usize, 2, 7, 30] {
+        for keep in [1, 2, 3, time, time + 5] {
+            for batch in [1, 3] {
+                for (dims, dilation) in [
+                    ((3, 5, 1), 1),
+                    ((8, 16, 3), 1),
+                    ((16, 16, 3), 2),
+                    ((2, 20, 3), 40),
+                    ((5, 33, 2), 3),
+                ] {
+                    for planted in [Planted::Nothing, Planted::Zero, Planted::Nan] {
+                        seed += 1;
+                        let call = (batch, time, dilation, keep);
+                        check_conv(dims, call, seed % 2 == 0, planted, seed);
+                    }
                 }
             }
         }
@@ -262,11 +314,14 @@ impl ConvStack {
 
     fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
         let x = ex.input(x.shape(), |out| out.copy_from_slice(x.as_slice()));
+        // Conv 2 and the projection on every second column, as a block
+        // of the last-step backbone runs them: the arena reads their
+        // lane-major copies, conv 1's dense fold.
         let h = self.conv1.forward(ex, &x);
         let h = ex.relu(h);
-        let h2 = self.conv2.forward(ex, &h);
+        let h2 = self.conv2.forward_dilated(ex, &h, 2, 2);
         ex.release(h);
-        let res = self.proj.forward(ex, &x);
+        let res = self.proj.forward_dilated(ex, &x, 1, 2);
         ex.release(x);
         let out = ex.add_relu(&res, h2);
         ex.release(res);
@@ -417,10 +472,11 @@ proptest! {
     fn conv_with_and_without_weight_norm(
         seed in 0u64..1000,
         (in_ch, out_ch, kernel) in (1usize..8, 1usize..8, 1usize..4),
-        (batch, time, dilation) in (1usize..4, 1usize..24, 1usize..10),
+        (batch, time, dilation, keep) in (1usize..4, 1usize..24, 1usize..10, 1usize..6),
     ) {
-        let (wn, zero) = (seed % 2 == 0, seed % 3 == 0);
-        check_conv((in_ch, out_ch, kernel), (batch, time, dilation), wn, zero, seed);
+        let wn = seed % 2 == 0;
+        let planted = [Planted::Zero, Planted::Nothing, Planted::Nothing][seed as usize % 3];
+        check_conv((in_ch, out_ch, kernel), (batch, time, dilation, keep), wn, planted, seed);
     }
 
     #[test]

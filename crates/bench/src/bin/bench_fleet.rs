@@ -344,30 +344,10 @@ struct ReportInputs<'a> {
     router: &'a FleetRouter,
 }
 
-/// The machine the figures were taken on: CPU model, the threads this
-/// process may run at once, and RAM — the three node processes and the
-/// orchestrator share all of it.
-fn host_json() -> String {
-    let field = |path: &str, key: &str| {
-        std::fs::read_to_string(path)
-            .unwrap_or_default()
-            .lines()
-            .find(|l| l.starts_with(key))
-            .and_then(|l| l.split(':').nth(1))
-            .map_or("unknown".to_string(), |v| v.trim().replace('"', "'"))
-    };
-    format!(
-        "{{\"cpu_model\": \"{}\", \"available_parallelism\": {}, \"mem_total\": \"{}\"}}",
-        field("/proc/cpuinfo", "model name"),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        field("/proc/meminfo", "MemTotal"),
-    )
-}
-
 fn render_report(args: &FleetArgs, r: ReportInputs<'_>) -> String {
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"host\": {},", host_json()).unwrap();
+    writeln!(json, "  \"host\": {},", bench_harness::host_json()).unwrap();
     writeln!(
         json,
         "  \"config\": {{\"entities\": {}, \"nodes\": {}, \"shards_per_node\": {}, \"rounds\": {}, \"seed\": {}, \"quick\": {}, \"ingest_chunk\": {INGEST_CHUNK}, \"forecast_chunk\": {FORECAST_CHUNK}}},",

@@ -91,18 +91,150 @@ struct KernelRow {
     p99: u64,
 }
 
+/// An [`Exec`] backend that computes nothing: a value is its shape, and
+/// each convolution adds the multiply-accumulates of the columns it was
+/// asked for (kept column × in-channel × out-channel × tap). Running the
+/// real `TcnBackbone` on it counts what the one forward definition asks a
+/// serving backend to compute — so the count moves if, and only if, the
+/// definition does.
+struct MacCounter<'a> {
+    store: &'a ParamStore,
+    conv_macs: usize,
+}
+
+impl Exec for MacCounter<'_> {
+    type V = Vec<usize>;
+
+    fn shape<'v>(&'v self, v: &'v Vec<usize>) -> &'v [usize] {
+        v
+    }
+    fn input(&mut self, shape: &[usize], _fill: impl FnOnce(&mut [f32])) -> Vec<usize> {
+        shape.to_vec()
+    }
+    fn matmul(&mut self, x: &Vec<usize>, w: autograd::ParamId) -> Vec<usize> {
+        vec![x[0], self.store.value(w).shape()[1]]
+    }
+    fn add_bias(&mut self, x: Vec<usize>, _b: autograd::ParamId) -> Vec<usize> {
+        x
+    }
+    fn conv(
+        &mut self,
+        x: &Vec<usize>,
+        v: autograd::ParamId,
+        _gain: Option<autograd::ParamId>,
+        _bias: autograd::ParamId,
+        _dilation: usize,
+        keep: usize,
+    ) -> Vec<usize> {
+        let w = self.store.value(v).shape();
+        let kept = subsampled_len(x[2], keep);
+        self.conv_macs += x[0] * kept * w.iter().product::<usize>();
+        vec![x[0], w[0], kept]
+    }
+    fn relu(&mut self, x: Vec<usize>) -> Vec<usize> {
+        x
+    }
+    fn tanh(&mut self, x: Vec<usize>) -> Vec<usize> {
+        x
+    }
+    fn sigmoid(&mut self, x: Vec<usize>) -> Vec<usize> {
+        x
+    }
+    fn softmax_rows(&mut self, x: Vec<usize>) -> Vec<usize> {
+        x
+    }
+    fn scale(&mut self, x: Vec<usize>, _c: f32) -> Vec<usize> {
+        x
+    }
+    fn add(&mut self, a: Vec<usize>, _b: &Vec<usize>) -> Vec<usize> {
+        a
+    }
+    fn sub(&mut self, a: Vec<usize>, _b: &Vec<usize>) -> Vec<usize> {
+        a
+    }
+    fn mul(&mut self, a: Vec<usize>, _b: &Vec<usize>) -> Vec<usize> {
+        a
+    }
+    fn add_relu(&mut self, _res: &Vec<usize>, h: Vec<usize>) -> Vec<usize> {
+        h
+    }
+    fn select_time(&mut self, x: &Vec<usize>, _t: usize) -> Vec<usize> {
+        x[..2].to_vec()
+    }
+    fn subsample_time(&mut self, x: &Vec<usize>, step: usize) -> Vec<usize> {
+        vec![x[0], x[1], subsampled_len(x[2], step)]
+    }
+    fn slice_cols(&mut self, x: &Vec<usize>, from: usize, to: usize) -> Vec<usize> {
+        vec![x[0], to - from]
+    }
+    fn concat_cols(&mut self, parts: &[Vec<usize>]) -> Vec<usize> {
+        vec![parts[0][0], parts.iter().map(|p| p[1]).sum()]
+    }
+    fn dropout(&mut self, x: Vec<usize>, _p: f32) -> Vec<usize> {
+        x
+    }
+    fn dropout_spatial(&mut self, x: Vec<usize>, _p: f32) -> Vec<usize> {
+        x
+    }
+    fn dup(&mut self, x: &Vec<usize>) -> Vec<usize> {
+        x.clone()
+    }
+    fn release(&mut self, _v: Vec<usize>) {}
+}
+
+/// Multiply-accumulates of the backbone's convolutions in one
+/// paper-default forecast. `full_sequence` and `cone` are what
+/// `TcnBackbone::forward` and `forward_last` ask of a [`MacCounter`];
+/// `residue_class` is what `forward_last` asked before the cone (both
+/// convolutions and the projection of block `l` on `⌈WINDOW/2^l⌉` columns),
+/// which no code path computes any more. Counts, not timings: they repeat
+/// exactly on every host.
+fn macs_per_forecast() -> [(&'static str, usize); 3] {
+    let net = TrainStepNet::new(false, 0);
+    let count = |last_only: bool| {
+        let mut ex = MacCounter {
+            store: &net.store,
+            conv_macs: 0,
+        };
+        let x = vec![1, FEATURES, WINDOW];
+        match last_only {
+            true => net.backbone.forward_last(&mut ex, x),
+            false => net.backbone.forward(&mut ex, x),
+        };
+        ex.conv_macs
+    };
+    let cfg = RptcnConfig::default();
+    let residue_class = (0..cfg.levels)
+        .map(|l| {
+            let in_ch = if l == 0 { FEATURES } else { cfg.channels };
+            let proj = if l == 0 { in_ch * cfg.channels } else { 0 };
+            let taps = (in_ch + cfg.channels) * cfg.channels * cfg.kernel;
+            WINDOW.div_ceil(1 << l) * (taps + proj)
+        })
+        .sum();
+    [
+        ("full_sequence", count(false)),
+        ("residue_class", residue_class),
+        ("cone", count(true)),
+    ]
+}
+
 /// Every kernel of one tape-free paper-default forecast, timed on its own
-/// at the shape the last-step backbone runs it: per level the time-axis
-/// subsample, conv 1, conv 2 and (level 0) the 1×1 projection at
-/// `⌈WINDOW/2^l⌉` columns — each as the arena's `conv` primitive runs it,
-/// prepared weights, pooled output, bias add — and their ReLUs; then the
-/// FC, attention and head products, one `fc_dim`-wide softmax. The rows
-/// should add up towards `single_entity_forecast_ns`; what they leave is
-/// the input transpose's caller and dispatch.
+/// at the shape the last-step backbone runs it. Block `l` takes the
+/// `⌈WINDOW/2^l⌉` columns the block before it kept: conv 1 on all of them,
+/// conv 2 and the skip path (level 0: the 1×1 projection; above: a
+/// subsample of the block input) on every second one — the last block on
+/// its final column — each convolution as the arena's `conv` primitive
+/// runs it (prepared weights, pooled output, bias), and their ReLUs; then
+/// the FC, attention and head products, one `fc_dim`-wide softmax. The
+/// rows should add up towards `single_entity_forecast_ns`; what they leave
+/// is the input transpose's caller and dispatch.
 ///
 /// Also returns `(p50, p99, convolutions)` of preparing every
-/// convolution's weights (weight-norm fold, kernel-path scan): paid once
-/// per weight install, so not a row of the forecast.
+/// convolution's weights (weight-norm fold, kernel-path scan, and the
+/// layout its kernel reads — lane-major for those the forecast runs on
+/// kept or short rows): paid once per weight install, so not a row of the
+/// forecast.
 fn forward_pass_kernels(
     iters: usize,
     registry: &Registry,
@@ -144,30 +276,21 @@ fn forward_pass_kernels(
 
     let mut store = ParamStore::new();
     let mut ctx = InferenceContext::new();
-    let mut layers = Vec::new();
+    // Each layer with whether the forecast reads its weight lane-major
+    // (kept rows, or full rows of at most 8 columns — the arena's
+    // `kept_kernel_takes` rule) rather than dense.
+    let mut layers: Vec<(CausalConv1d, bool)> = Vec::new();
     let mut len = WINDOW;
     for level in 0..cfg.levels {
         let in_ch = if level == 0 { FEATURES } else { ch };
-        if level > 0 {
-            let src = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
-            let kept = subsampled_len(len, 2);
-            let mut dst = vec![0.0f32; ch * kept];
-            time(
-                format!("level{level}.subsample"),
-                "pointwise",
-                format!("{ch}x{len}->{kept}"),
-                &mut || {
-                    subsample_time_into(src.as_slice(), &mut dst, ch, len, 2);
-                    black_box(&dst);
-                },
-            );
-            len = kept;
-        }
-        let mut convs = vec![("conv1", in_ch, k), ("conv2", ch, k)];
+        // What the next block reads of this one's `len` columns.
+        let keep = if level + 1 == cfg.levels { len } else { 2 };
+        let kept = subsampled_len(len, keep);
+        let mut convs = vec![("conv1", in_ch, k, 1), ("conv2", ch, k, keep)];
         if in_ch != ch {
-            convs.push(("proj1x1", in_ch, 1));
+            convs.push(("proj1x1", in_ch, 1, keep));
         }
-        for (which, conv_in, conv_k) in convs {
+        for (which, conv_in, conv_k, conv_keep) in convs {
             let layer = CausalConv1d::new(
                 &mut store,
                 &format!("l{level}.{which}"),
@@ -184,39 +307,58 @@ fn forward_pass_kernels(
             let x = Tensor::rand_normal(&[1, conv_in, len], 0.0, 1.0, rng);
             let x = Arena::new(&mut ctx, &store)
                 .input(x.shape(), |buf| buf.copy_from_slice(x.as_slice()));
+            let columns = match conv_keep {
+                1 => format!("t{len}"),
+                _ => format!("t{len} keep{conv_keep}->{kept}"),
+            };
             time(
                 format!("level{level}.{which}"),
                 "conv",
-                format!("{conv_in}->{ch} k{conv_k} t{len}"),
+                format!("{conv_in}->{ch} k{conv_k} {columns}"),
                 &mut || {
                     let mut arena = Arena::new(&mut ctx, &store);
-                    let out = layer.forward(&mut arena, &x);
+                    let out = layer.forward_dilated(&mut arena, &x, 1, conv_keep);
                     black_box(out.as_slice());
                     arena.release(out);
                 },
             );
             Arena::new(&mut ctx, &store).release(x);
-            layers.push(layer);
+            layers.push((layer, conv_keep > 1 || len <= 8));
+        }
+        if in_ch == ch {
+            let src = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
+            let mut dst = vec![0.0f32; ch * kept];
+            time(
+                format!("level{level}.skip_subsample"),
+                "pointwise",
+                format!("{ch}x{len}->{kept}"),
+                &mut || {
+                    subsample_time_into(src.as_slice(), &mut dst, ch, len, keep);
+                    black_box(&dst);
+                },
+            );
         }
         let act = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
         let mut buf = vec![0.0f32; ch * len];
         time(
             format!("level{level}.relus"),
             "pointwise",
-            format!("3x{ch}x{len}"),
+            format!("{ch}x{len}+2x{ch}x{kept}"),
             &mut || {
-                // conv 1's and conv 2's ReLU, then the fused residual
-                // `(res + h).max(0)`.
-                for _ in 0..2 {
-                    buf.copy_from_slice(act.as_slice());
-                    relu_in_place(&mut buf);
-                }
-                for (o, &r) in buf.iter_mut().zip(act.as_slice()) {
+                // Conv 1's ReLU on every column; conv 2's and the fused
+                // residual `(res + h).max(0)` on the kept ones.
+                buf.copy_from_slice(act.as_slice());
+                relu_in_place(&mut buf);
+                let joined = &mut buf[..ch * kept];
+                joined.copy_from_slice(&act.as_slice()[..ch * kept]);
+                relu_in_place(joined);
+                for (o, &r) in joined.iter_mut().zip(act.as_slice()) {
                     *o = (r + *o).max(0.0);
                 }
                 black_box(&buf);
             },
         );
+        len = kept;
     }
 
     let seq = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
@@ -270,13 +412,16 @@ fn forward_pass_kernels(
         },
     );
 
-    let any_weight = layers[0].param_ids()[0];
+    let any_weight = layers[0].0.param_ids()[0];
     let hist = registry.latency_histogram("weight_install_ns");
     let (p50, p99) = time_loop(iters, &hist, || {
         // Any write drops what the store had prepared.
         black_box(store.value_mut(any_weight));
-        for layer in &layers {
-            black_box(layer.folded_weight(&store));
+        for (layer, lane_major) in &layers {
+            black_box(match lane_major {
+                true => layer.lane_major_weight(&store),
+                false => layer.folded_weight(&store),
+            });
         }
     });
     (rows, (p50, p99, layers.len()))
@@ -577,6 +722,7 @@ fn main() {
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
+    writeln!(json, "  \"host\": {},", bench_harness::host_json()).unwrap();
     writeln!(json, "  \"model\": \"RPTCN paper_default\",").unwrap();
     writeln!(
         json,
@@ -619,6 +765,11 @@ fn main() {
     writeln!(json, "    ],").unwrap();
     writeln!(json, "    \"speedup_p50\": {gemm_speedup_p50:.2}").unwrap();
     writeln!(json, "  }},").unwrap();
+    let macs: Vec<String> = macs_per_forecast()
+        .iter()
+        .map(|(form, n)| format!("\"{form}\": {n}"))
+        .collect();
+    writeln!(json, "  \"macs_per_forecast\": {{{}}},", macs.join(", ")).unwrap();
     writeln!(json, "  \"per_layer_breakdown_ns\": {{").unwrap();
     for class in ["conv", "matmul", "pointwise"] {
         writeln!(json, "    \"{class}_p50\": {},", class_p50(class)).unwrap();

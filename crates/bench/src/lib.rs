@@ -31,3 +31,22 @@ pub mod table;
 pub use args::ExperimentArgs;
 pub use runners::ModelKind;
 pub use table::TextTable;
+
+/// The machine a report's figures were taken on, as a JSON object: CPU
+/// model, the threads this process may run at once, and RAM.
+pub fn host_json() -> String {
+    let field = |path: &str, key: &str| {
+        std::fs::read_to_string(path)
+            .unwrap_or_default()
+            .lines()
+            .find(|l| l.starts_with(key))
+            .and_then(|l| l.split(':').nth(1))
+            .map_or("unknown".to_string(), |v| v.trim().replace('"', "'"))
+    };
+    format!(
+        "{{\"cpu_model\": \"{}\", \"available_parallelism\": {}, \"mem_total\": \"{}\"}}",
+        field("/proc/cpuinfo", "model name"),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        field("/proc/meminfo", "MemTotal"),
+    )
+}

@@ -77,26 +77,31 @@ impl TemporalBlock {
         }
     }
 
-    /// `[batch, in_ch, T] -> [batch, out_ch, T]` with both convolutions run
-    /// at `dilation`: the block's own for a full-length sequence, the
-    /// quotient left after the caller subsampled the time axis.
-    pub fn forward<E: Exec>(&self, ex: &mut E, x: &E::V, dilation: usize) -> E::V {
-        let h = self.conv1.forward_dilated(ex, x, dilation);
+    /// `[batch, in_ch, T] -> [batch, out_ch, ⌈T/keep⌉]` with both
+    /// convolutions run at `dilation` — the block's own for a full-length
+    /// sequence, the quotient left once the time axis is subsampled — and
+    /// the output on every `keep`-th column counted back from the last,
+    /// the ones the caller goes on to read. Conv 1 runs on every column
+    /// (conv 2's taps reach all of them); conv 2, the skip path and the
+    /// join only on the kept ones.
+    pub fn forward<E: Exec>(&self, ex: &mut E, x: &E::V, dilation: usize, keep: usize) -> E::V {
+        let h = self.conv1.forward_dilated(ex, x, dilation, 1);
         let h = ex.relu(h);
         let h = self.dropout.apply_spatial(ex, h);
-        let h2 = self.conv2.forward_dilated(ex, &h, dilation);
+        let h2 = self.conv2.forward_dilated(ex, &h, dilation, keep);
         ex.release(h);
         let h2 = ex.relu(h2);
         let h2 = self.dropout.apply_spatial(ex, h2);
-        match &self.downsample {
-            Some(d) => {
-                let res = d.forward(ex, x);
-                let out = ex.add_relu(&res, h2);
-                ex.release(res);
-                out
-            }
-            None => ex.add_relu(x, h2),
+        let res = match &self.downsample {
+            Some(d) => Some(d.forward_dilated(ex, x, d.dilation(), keep)),
+            None if keep > 1 => Some(ex.subsample_time(x, keep)),
+            None => None,
+        };
+        let out = ex.add_relu(res.as_ref().unwrap_or(x), h2);
+        if let Some(res) = res {
+            ex.release(res);
         }
+        out
     }
 
     /// Dilation of the block's two convolutions.
@@ -169,10 +174,13 @@ impl TcnBackbone {
 
     /// `[batch, features, T] -> [batch, channels]`: step `T − 1` of
     /// [`forward`](Self::forward), bitwise, for a head that reads nothing
-    /// else. A block of dilation `d` whose output is read only at
-    /// `t ≡ T − 1 (mod d)` reads its input only on that residue class, where
-    /// its convolutions are dilation-1 convolutions over the subsampled row;
-    /// so each block runs on `⌈T/d⌉` columns instead of `T`.
+    /// else — computed on that step's dependency cone. A block of dilation
+    /// `d` whose output is read only at `t ≡ T − 1 (mod d)` reads its input
+    /// only on that residue class, where its convolutions are dilation-1
+    /// convolutions over the subsampled row: conv 1 of block `l` runs on
+    /// `⌈T/d_l⌉` columns. The next block reads its output on the residue
+    /// class of `d_{l+1}` only, so conv 2, the skip path and the join run
+    /// on `⌈T/d_{l+1}⌉` columns; the last block's on the final one.
     pub fn forward_last<E: Exec>(&self, ex: &mut E, x: E::V) -> E::V {
         let seq = self.run(ex, x, true);
         let kept = ex.shape(&seq)[2];
@@ -181,21 +189,24 @@ impl TcnBackbone {
         last
     }
 
-    /// The block loop. With `last_only`, the time axis is subsampled down
-    /// to the residue class of the last step before each block whose
-    /// dilation grows, and the block runs at the remaining quotient.
+    /// The block loop. With `last_only`, each block hands on only the
+    /// columns the next one reads — the residue class of the last step
+    /// modulo the next dilation, the final column after the last block —
+    /// and a block whose input is already that sparse runs at the
+    /// remaining quotient.
     fn run<E: Exec>(&self, ex: &mut E, x: E::V, last_only: bool) -> E::V {
         let mut h = x;
         let mut stride = 1; // original steps between adjacent columns of `h`
-        for block in &self.blocks {
+        for (l, block) in self.blocks.iter().enumerate() {
             let d = block.dilation();
-            if last_only && d > stride {
-                let sub = ex.subsample_time(&h, d / stride);
-                ex.replace(&mut h, sub);
-                stride = d;
-            }
-            let next = block.forward(ex, &h, d / stride);
+            let keep = match (last_only, self.blocks.get(l + 1)) {
+                (false, _) => 1,
+                (true, Some(next)) => next.dilation() / stride,
+                (true, None) => ex.shape(&h)[2],
+            };
+            let next = block.forward(ex, &h, d / stride, keep);
             ex.replace(&mut h, next);
+            stride *= keep;
         }
         h
     }
@@ -373,6 +384,43 @@ mod tests {
                     y2.at(&[0, c, t]),
                     "future leaked at t={t}"
                 );
+            }
+        }
+    }
+
+    /// A block asked for every `keep`-th column hands on exactly those
+    /// columns of its full output, bit for bit, on both backends, with and
+    /// without the 1×1 projection on the skip path.
+    #[test]
+    fn a_block_hands_on_the_kept_columns_of_its_full_output() {
+        use autograd::{Arena, InferenceContext};
+        let mut rng = Rng::seed_from(5);
+        for in_ch in [3, 6] {
+            let mut store = ParamStore::new();
+            let block = TemporalBlock::new(&mut store, "b", in_ch, 6, 3, 2, 0.0, true, &mut rng);
+            for (time, keep) in [(13, 1), (13, 2), (13, 3), (4, 4), (2, 5)] {
+                let x = Tensor::rand_normal(&[2, in_ch, time], 0.0, 1.0, &mut rng);
+                let taped = |keep: usize| {
+                    let mut g = autograd::Graph::new(&store);
+                    let xi = g.input(x.clone());
+                    let out = block.forward(&mut autograd::Tape::eval(&mut g), &xi, 2, keep);
+                    g.value(out).clone()
+                };
+                let full = taped(1);
+                let mut g = autograd::Graph::new(&store);
+                let full_node = g.input(full);
+                let want = g.subsample_time(full_node, keep);
+                let want = g.value(want);
+                assert_eq!(want.shape(), &[2, 6, time.div_ceil(keep)]);
+                assert_eq!(taped(keep).as_slice(), want.as_slice(), "tape, keep {keep}");
+
+                let mut ctx = InferenceContext::new();
+                let mut arena = Arena::new(&mut ctx, &store);
+                let xi = arena.input(x.shape(), |buf| buf.copy_from_slice(x.as_slice()));
+                let out = block.forward(&mut arena, &xi, 2, keep);
+                let out = arena.into_tensor(out);
+                assert_eq!(out.shape(), want.shape());
+                assert_eq!(out.as_slice(), want.as_slice(), "arena, keep {keep}");
             }
         }
     }

@@ -1,8 +1,10 @@
 //! Parity suite for the last-step form of the TCN backbone.
 //!
 //! A model whose head reads only the final step runs each block of
-//! dilation `d` on the `⌈T/d⌉` columns of that step's residue class
-//! (`TcnBackbone::forward_last`). The contract checked here is that this is
+//! dilation `d` on the `⌈T/d⌉` columns of that step's residue class, and
+//! its second convolution, skip path and join only on the columns the next
+//! block reads of those (`TcnBackbone::forward_last`) — the step's
+//! dependency cone. The contract checked here is that this is
 //! **bitwise** what the full sequence followed by `select_time(T − 1)`
 //! computes: forecasts (taped, tape-free, streaming), the loss, every
 //! parameter gradient, the dropout RNG stream, and so every trained weight.
@@ -234,6 +236,46 @@ fn forecasts_match_the_full_sequence_for_every_window_and_depth() {
             assert_eq!(bits(&p_last), bits(&p_full), "taped, {what}");
             let p_free = last.infer(&mut ctx, &x);
             assert_eq!(bits(&p_free), bits(&p_full), "tape-free, {what}");
+        }
+    }
+}
+
+/// The dependency cone at the windows where it is least regular — primes
+/// and odd lengths, whose residue classes never halve evenly, and windows
+/// shorter than a column block or a single step — at every depth, with
+/// channel counts on both sides of the kernel's 16 out-channel lanes, alone
+/// and stacked: conv 2, the skip path and the join of every block run on
+/// the columns the next block reads, and the forecast is still the full
+/// sequence's last step.
+#[test]
+fn the_cone_matches_the_full_sequence_at_prime_and_odd_windows() {
+    let mut ctx = InferenceContext::new();
+    let mut case = 0;
+    for window in [29, 31, 3, 1] {
+        for levels in 1..=5 {
+            for channels in [16, 5, 24] {
+                for batch in [1, 3] {
+                    case += 1;
+                    let shape = Shape {
+                        features: [8, 1, 3][case % 3],
+                        channels,
+                        levels,
+                        kernel: [3, 3, 2][case % 3],
+                        weight_norm: case % 2 == 0,
+                        quantiles: false,
+                        dropout: 0.1,
+                    };
+                    let what = format!("window {window} batch {batch} {shape:?}");
+                    let last = Net::new(shape, 500 + case as u64, false);
+                    let full = Net::new(shape, 500 + case as u64, true);
+                    let (x, y) = inputs(batch, window, shape.features, 3000 + case as u64);
+                    let (p_full, ..) = taped_step(&full, &x, &y, false, 0);
+                    let (p_last, ..) = taped_step(&last, &x, &y, false, 0);
+                    assert_eq!(bits(&p_last), bits(&p_full), "taped, {what}");
+                    let p_free = last.infer(&mut ctx, &x);
+                    assert_eq!(bits(&p_free), bits(&p_full), "tape-free, {what}");
+                }
+            }
         }
     }
 }
