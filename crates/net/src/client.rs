@@ -9,24 +9,35 @@
 //! on node-side dedup for exactly-once effects. An id mismatch or an
 //! unexpected reply kind marks the connection untrustworthy
 //! ([`NetError::Protocol`]) and callers are expected to reconnect.
+//!
+//! Every request leaves through one path, `request_encoded`, which
+//! sends bytes the caller already encoded (the router encodes a frame
+//! once and resends it on retry). Replies are read through one buffered
+//! reader, so a small reply costs one `read`, and the socket timeouts are
+//! set only when a request asks for a different one than the last.
 
+use std::io::BufReader;
 use std::time::Duration;
 
 use crate::error::NetError;
-use crate::frame::{read_frame, write_frame, Message};
+use crate::frame::{encode_frame_into, read_frame, write_encoded, Message};
 use crate::transport::{Connection, TcpTransport, Transport};
 
 /// A blocking client bound to one node connection.
 pub struct NodeClient {
-    conn: Box<dyn Connection>,
+    conn: BufReader<Box<dyn Connection>>,
     next_id: u64,
     timeout: Duration,
+    /// The read/write timeout the connection currently has.
+    applied: Option<Duration>,
+    /// Encode buffer of [`NodeClient::request_with_id`], reused.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for NodeClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeClient")
-            .field("peer", &self.conn.peer())
+            .field("peer", &self.conn.get_ref().peer())
             .field("next_id", &self.next_id)
             .field("timeout", &self.timeout)
             .finish()
@@ -51,9 +62,11 @@ impl NodeClient {
     ) -> Result<Self, NetError> {
         let conn = transport.connect(addr, timeout)?;
         Ok(NodeClient {
-            conn,
+            conn: BufReader::new(conn),
             next_id: 1,
             timeout,
+            applied: None,
+            frame: Vec::new(),
         })
     }
 
@@ -87,19 +100,39 @@ impl NodeClient {
         msg: &Message,
         timeout: Duration,
     ) -> Result<Message, NetError> {
-        self.conn.set_write_timeout(Some(timeout))?;
-        self.conn.set_read_timeout(Some(timeout))?;
-        write_frame(&mut self.conn, id, msg)?;
-        self.conn.flush()?;
+        let mut frame = std::mem::take(&mut self.frame);
+        let reply = match encode_frame_into(&mut frame, id, msg) {
+            Ok(()) => self.request_encoded(id, &frame, timeout),
+            Err(e) => Err(e.into()),
+        };
+        self.frame = frame;
+        reply
+    }
+
+    /// Send one already-encoded request frame, whose header carries
+    /// `request_id`, and wait for its reply.
+    pub(crate) fn request_encoded(
+        &mut self,
+        request_id: u64,
+        frame: &[u8],
+        timeout: Duration,
+    ) -> Result<Message, NetError> {
+        if self.applied != Some(timeout) {
+            let conn = self.conn.get_mut();
+            conn.set_write_timeout(Some(timeout))?;
+            conn.set_read_timeout(Some(timeout))?;
+            self.applied = Some(timeout);
+        }
+        write_encoded(self.conn.get_mut(), frame)?;
         let (reply_id, reply) = read_frame(&mut self.conn)?;
         if let Message::Error(fault) = reply {
             // Error frames are authoritative even with a mismatched id:
             // connection-scoped faults (malformed request) use id 0.
             return Err(NetError::Remote(fault));
         }
-        if reply_id != id {
+        if reply_id != request_id {
             return Err(NetError::Protocol(format!(
-                "reply id {reply_id} does not match request id {id}"
+                "reply id {reply_id} does not match request id {request_id}"
             )));
         }
         Ok(reply)

@@ -20,6 +20,12 @@
 //! to disk. Decoding is strict: unknown kinds, non-zero flags, trailing
 //! bytes, implausible counts and truncated payloads all yield a typed
 //! [`WireError`] and never panic, hang, or allocate unbounded memory.
+//!
+//! Encoders write into a caller's buffer (`encode_frame_into`). The
+//! `Ingest` and `Forecast` payloads also encode straight from borrowed
+//! samples and ids ([`encode_ingest_frame`], [`encode_forecast_frame`])
+//! through the same payload writers an owned [`Message`] uses, so the
+//! router sends the bytes of the message it never builds.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -322,13 +328,54 @@ pub enum Message {
     Error(WireFault),
 }
 
+/// Wire discriminant of [`Message::Ingest`].
+pub(crate) const KIND_INGEST: u8 = 1;
+/// Wire discriminant of [`Message::Forecast`].
+pub(crate) const KIND_FORECAST: u8 = 3;
+
+/// Short names of the message kinds, indexed by `kind - 1`.
+const KIND_NAMES: [&str; 19] = [
+    "ingest",
+    "ingest_ok",
+    "forecast",
+    "forecast_ok",
+    "health",
+    "health_ok",
+    "checkpoint",
+    "checkpoint_ok",
+    "restore",
+    "restore_ok",
+    "seed",
+    "seed_ok",
+    "evict",
+    "evict_ok",
+    "drain",
+    "drain_ok",
+    "shutdown",
+    "shutdown_ok",
+    "error",
+];
+
+/// Length of a table indexed by kind discriminant (kinds start at 1).
+pub(crate) const KIND_SLOTS: usize = KIND_NAMES.len() + 1;
+
+/// Short name of a message kind discriminant (`"unknown"` past the
+/// known kinds).
+pub(crate) fn kind_name(kind: u8) -> &'static str {
+    usize::from(kind)
+        .checked_sub(1)
+        .and_then(|at| KIND_NAMES.get(at))
+        .copied()
+        .unwrap_or("unknown")
+}
+
 impl Message {
     /// Wire discriminant for this message, written in the frame header.
     pub fn kind(&self) -> u8 {
         match self {
-            Message::Ingest { .. } => 1,
+            Message::Ingest { .. } => KIND_INGEST,
             Message::IngestOk { .. } => 2,
-            Message::Forecast { .. } => 3,
+            Message::Forecast { .. } => KIND_FORECAST,
             Message::ForecastOk { .. } => 4,
             Message::Health => 5,
             Message::HealthOk(_) => 6,
@@ -350,59 +397,28 @@ impl Message {
 
     /// Short human-readable name for metrics and journal entries.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Message::Ingest { .. } => "ingest",
-            Message::IngestOk { .. } => "ingest_ok",
-            Message::Forecast { .. } => "forecast",
-            Message::ForecastOk { .. } => "forecast_ok",
-            Message::Health => "health",
-            Message::HealthOk(_) => "health_ok",
-            Message::Checkpoint { .. } => "checkpoint",
-            Message::CheckpointOk { .. } => "checkpoint_ok",
-            Message::Restore { .. } => "restore",
-            Message::RestoreOk { .. } => "restore_ok",
-            Message::Seed(_) => "seed",
-            Message::SeedOk { .. } => "seed_ok",
-            Message::Evict { .. } => "evict",
-            Message::EvictOk { .. } => "evict_ok",
-            Message::Drain => "drain",
-            Message::DrainOk { .. } => "drain_ok",
-            Message::Shutdown => "shutdown",
-            Message::ShutdownOk => "shutdown_ok",
-            Message::Error(_) => "error",
-        }
+        kind_name(self.kind())
     }
 
     fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         match self {
-            Message::Ingest { entries } => {
-                wire::write_u32(out, len_u32(entries.len(), "ingest entries")?)?;
-                for e in entries {
-                    wire::write_str(out, &e.entity)?;
-                    match e.seq {
-                        Some(seq) => {
-                            out.push(1);
-                            wire::write_u64(out, seq)?;
-                        }
-                        None => out.push(0),
-                    }
-                    wire::write_u32(out, len_u32(e.values.len(), "sample values")?)?;
-                    for v in &e.values {
-                        wire::write_f32(out, *v)?;
-                    }
-                }
-            }
+            Message::Ingest { entries } => write_ingest_entries(
+                out,
+                entries
+                    .iter()
+                    .map(|e| (e.entity.as_str(), e.seq, e.values.as_slice())),
+            )?,
             Message::IngestOk {
                 accepted,
                 unknown,
                 errors,
             } => {
                 wire::write_u64(out, *accepted)?;
-                write_str_list(out, unknown)?;
+                write_str_list(out, unknown.iter().map(String::as_str))?;
                 write_pair_list(out, errors)?;
             }
             Message::Forecast { ids } | Message::Checkpoint { ids } | Message::Evict { ids } => {
-                write_str_list(out, ids)?;
+                write_str_list(out, ids.iter().map(String::as_str))?;
             }
             Message::ForecastOk { results } => {
                 wire::write_u32(out, len_u32(results.len(), "forecast results")?)?;
@@ -447,14 +463,14 @@ impl Message {
                 write_pair_list(out, errors)?;
             }
             Message::Seed(spec) => {
-                write_str_list(out, &spec.ids)?;
+                write_str_list(out, spec.ids.iter().map(String::as_str))?;
                 wire::write_u64(out, spec.seed)?;
                 wire::write_u32(out, spec.bootstrap_len)?;
                 wire::write_u32(out, spec.window)?;
             }
             Message::SeedOk { installed, already } => {
                 wire::write_u64(out, *installed)?;
-                write_str_list(out, already)?;
+                write_str_list(out, already.iter().map(String::as_str))?;
             }
             Message::EvictOk { removed } => wire::write_u64(out, *removed)?,
             Message::Error(fault) => {
@@ -610,12 +626,65 @@ fn read_count(r: &mut &[u8], min_item_bytes: usize, what: &str) -> Result<usize,
     Ok(n)
 }
 
-fn write_str_list(out: &mut Vec<u8>, items: &[String]) -> Result<(), WireError> {
-    wire::write_u32(out, len_u32(items.len(), "strings")?)?;
-    for s in items {
-        wire::write_str(out, s)?;
+// hot-path: appends to the caller's buffer, allocates nothing itself.
+/// A `u32` item count, then each item as `write_item` writes it. The count
+/// is patched in afterwards, so a borrowed iterator of any shape encodes
+/// without being collected first.
+fn write_counted<T>(
+    out: &mut Vec<u8>,
+    items: impl IntoIterator<Item = T>,
+    what: &str,
+    mut write_item: impl FnMut(&mut Vec<u8>, T) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut n = 0usize;
+    for item in items {
+        write_item(out, item)?;
+        n += 1;
     }
+    out[at..at + 4].copy_from_slice(&len_u32(n, what)?.to_le_bytes());
     Ok(())
+}
+
+// hot-path: one write per field into the caller's buffer.
+/// The `Ingest` payload: `(entity, seq, values)` per entry. The one
+/// encoding of that kind, fed from owned [`IngestEntry`]s and borrowed
+/// samples alike.
+fn write_ingest_entries<'a>(
+    out: &mut Vec<u8>,
+    entries: impl IntoIterator<Item = (&'a str, Option<u64>, &'a [f32])>,
+) -> Result<(), WireError> {
+    write_counted(
+        out,
+        entries,
+        "ingest entries",
+        |out, (entity, seq, values)| {
+            wire::write_str(out, entity)?;
+            match seq {
+                Some(seq) => {
+                    out.push(1);
+                    wire::write_u64(out, seq)?;
+                }
+                None => out.push(0),
+            }
+            wire::write_u32(out, len_u32(values.len(), "sample values")?)?;
+            for v in values {
+                wire::write_f32(out, *v)?;
+            }
+            Ok(())
+        },
+    )
+}
+
+// hot-path: one write per id into the caller's buffer.
+/// A list of strings: the `Forecast`, `Checkpoint` and `Evict` payloads,
+/// and the id lists inside replies.
+fn write_str_list<'a>(
+    out: &mut Vec<u8>,
+    items: impl IntoIterator<Item = &'a str>,
+) -> Result<(), WireError> {
+    write_counted(out, items, "strings", |out, s| Ok(wire::write_str(out, s)?))
 }
 
 fn read_str_list(r: &mut &[u8]) -> Result<Vec<String>, WireError> {
@@ -716,26 +785,75 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
-/// Encode a complete frame (header + payload) into a fresh buffer.
-pub fn encode_frame(request_id: u64, msg: &Message) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::new();
-    msg.encode_payload(&mut payload)?;
-    if payload.len() > MAX_PAYLOAD as usize {
+/// Replace `out` with one frame: the header, then the payload `payload`
+/// writes, whose length is patched into the header afterwards.
+fn encode_frame_with(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    kind: u8,
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    out.clear();
+    out.extend_from_slice(&WIRE_MAGIC);
+    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    out.push(kind);
+    out.push(0);
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    payload(out)?;
+    let len = out.len() - HEADER_LEN;
+    if len > MAX_PAYLOAD as usize {
         return Err(WireError::Oversized {
-            len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+            len: u32::try_from(len).unwrap_or(u32::MAX),
             max: MAX_PAYLOAD,
         });
     }
-    let payload_len = payload.len() as u32;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.push(msg.kind());
-    out.push(0);
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&payload_len.to_le_bytes());
-    out.extend_from_slice(&payload);
+    out[16..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Encode a complete frame (header + payload) into `out`, replacing what
+/// it held; a reused buffer makes encoding allocation-free once it has
+/// grown to the frame size.
+pub(crate) fn encode_frame_into(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    msg: &Message,
+) -> Result<(), WireError> {
+    encode_frame_with(out, request_id, msg.kind(), |out| msg.encode_payload(out))
+}
+
+/// Encode a complete frame (header + payload) into a fresh buffer.
+pub fn encode_frame(request_id: u64, msg: &Message) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, request_id, msg)?;
     Ok(out)
+}
+
+/// Encode an `Ingest` frame into `out` straight from borrowed
+/// `(entity, seq, values)` entries: the bytes [`encode_frame`] writes for
+/// the [`Message::Ingest`] holding the same entries.
+pub fn encode_ingest_frame<'a>(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    entries: impl IntoIterator<Item = (&'a str, Option<u64>, &'a [f32])>,
+) -> Result<(), WireError> {
+    encode_frame_with(out, request_id, KIND_INGEST, |out| {
+        write_ingest_entries(out, entries)
+    })
+}
+
+/// Encode a `Forecast` frame into `out` straight from borrowed ids: the
+/// bytes [`encode_frame`] writes for the [`Message::Forecast`] holding the
+/// same ids.
+pub fn encode_forecast_frame<'a>(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    ids: impl IntoIterator<Item = &'a str>,
+) -> Result<(), WireError> {
+    encode_frame_with(out, request_id, KIND_FORECAST, |out| {
+        write_str_list(out, ids)
+    })
 }
 
 /// Decode one frame from the front of `bytes`. Returns the request id,
@@ -766,8 +884,12 @@ pub fn write_frame<W: Write + ?Sized>(
     request_id: u64,
     msg: &Message,
 ) -> Result<(), WireError> {
-    let bytes = encode_frame(request_id, msg)?;
-    w.write_all(&bytes).map_err(|e| io_err("frame write", &e))?;
+    write_encoded(w, &encode_frame(request_id, msg)?)
+}
+
+/// Write one already-encoded frame to a stream and flush it.
+pub(crate) fn write_encoded<W: Write + ?Sized>(w: &mut W, frame: &[u8]) -> Result<(), WireError> {
+    w.write_all(frame).map_err(|e| io_err("frame write", &e))?;
     w.flush().map_err(|e| io_err("frame flush", &e))?;
     Ok(())
 }

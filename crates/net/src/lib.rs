@@ -34,9 +34,10 @@ pub mod transport;
 pub use client::NodeClient;
 pub use error::NetError;
 pub use frame::{
-    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, ForecastOutcome, FrameHeader,
-    HealthReport, IngestEntry, Message, SeedSpec, WireError, WireFault, HEADER_LEN,
-    IDEMPOTENT_ID_BASE, MAX_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
+    decode_frame, encode_forecast_frame, encode_frame, encode_ingest_frame, read_frame,
+    write_frame, ErrorCode, ForecastOutcome, FrameHeader, HealthReport, IngestEntry, Message,
+    SeedSpec, WireError, WireFault, HEADER_LEN, IDEMPOTENT_ID_BASE, MAX_PAYLOAD, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 pub use node::{seed_bootstrap, NodeConfig, NodeServer};
 pub use router::{FleetRouter, NodeStatus, RouterConfig};

@@ -24,16 +24,16 @@
 //! injectable clock.
 
 use std::collections::HashSet;
-use std::io;
+use std::io::{self, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cloudtrace::container::{self, ContainerConfig};
 use cloudtrace::WorkloadClass;
 use models::NaiveForecaster;
-use obs::{EventKind, Span};
+use obs::{EventKind, Histogram, Span};
 use rptcn::{PipelineConfig, Scenario};
 use serve::{entity_hash, DedupCache, PredictionService, ServeError};
 use tensor::Rng;
@@ -42,7 +42,7 @@ use timeseries::TimeSeriesFrame;
 use crate::error::NetError;
 use crate::frame::{
     decode_payload, parse_header, write_frame, ErrorCode, HealthReport, IngestEntry, Message,
-    SeedSpec, WireError, WireFault, HEADER_LEN, IDEMPOTENT_ID_BASE,
+    SeedSpec, WireError, WireFault, HEADER_LEN, IDEMPOTENT_ID_BASE, KIND_SLOTS,
 };
 use crate::sync::{lock_recover, read_recover, wait_timeout_recover, write_recover};
 use crate::transport::{Connection, Listener, SharedTransport, TcpTransport};
@@ -81,6 +81,9 @@ struct NodeShared {
     conns: Mutex<Vec<JoinHandle<()>>>,
     dedup: Mutex<DedupState>,
     dedup_cv: Condvar,
+    /// `net_req_<kind>` latency histograms by kind discriminant, looked
+    /// up in the service registry on a kind's first request only.
+    req_latency: [OnceLock<Arc<Histogram>>; KIND_SLOTS],
 }
 
 /// A running node server. Dropping it shuts the node down.
@@ -120,6 +123,7 @@ impl NodeServer {
                 inflight: HashSet::new(),
             }),
             dedup_cv: Condvar::new(),
+            req_latency: std::array::from_fn(|_| OnceLock::new()),
         });
         let accept_shared = shared.clone();
         let accept = std::thread::Builder::new()
@@ -240,7 +244,7 @@ enum Fill {
 /// stop flag. `allow_clean_eof` permits EOF before the first byte (idle
 /// peer hung up between frames); EOF mid-buffer is always an error.
 fn fill_idle(
-    conn: &mut dyn Connection,
+    conn: &mut impl Read,
     buf: &mut [u8],
     shared: &NodeShared,
     allow_clean_eof: bool,
@@ -271,7 +275,7 @@ fn fill_idle(
     Ok(Fill::Filled)
 }
 
-fn send_fault(conn: &mut dyn Connection, request_id: u64, code: ErrorCode, message: String) {
+fn send_fault(conn: &mut impl Write, request_id: u64, code: ErrorCode, message: String) {
     let _ = write_frame(
         conn,
         request_id,
@@ -294,9 +298,12 @@ fn handle_connection(mut conn: Box<dyn Connection>, shared: &Arc<NodeShared>) {
 }
 
 fn serve_connection(conn: &mut dyn Connection, shared: &Arc<NodeShared>) {
+    // Requests are read through one buffer, so a small frame (header and
+    // payload) costs one `read`; replies are written to the connection.
+    let mut conn = BufReader::new(conn);
     loop {
         let mut header = [0u8; HEADER_LEN];
-        match fill_idle(conn, &mut header, shared, true) {
+        match fill_idle(&mut conn, &mut header, shared, true) {
             Ok(Fill::Filled) => {}
             Ok(Fill::CleanEof) | Ok(Fill::Stopped) | Err(_) => return,
         }
@@ -309,13 +316,13 @@ fn serve_connection(conn: &mut dyn Connection, shared: &Arc<NodeShared>) {
                     WireError::UnsupportedVersion(_) => ErrorCode::Unsupported,
                     _ => ErrorCode::Malformed,
                 };
-                send_fault(conn, 0, code, e.to_string());
+                send_fault(conn.get_mut(), 0, code, e.to_string());
                 bump(shared, "net_malformed_frames");
                 return;
             }
         };
         let mut payload = vec![0u8; h.payload_len as usize];
-        match fill_idle(conn, &mut payload, shared, false) {
+        match fill_idle(&mut conn, &mut payload, shared, false) {
             Ok(Fill::Filled) => {}
             Ok(_) | Err(_) => return,
         }
@@ -325,7 +332,7 @@ fn serve_connection(conn: &mut dyn Connection, shared: &Arc<NodeShared>) {
                 // Payload was fully consumed, so the stream is still in
                 // sync: answer Unsupported and keep the connection.
                 send_fault(
-                    conn,
+                    conn.get_mut(),
                     h.request_id,
                     ErrorCode::Unsupported,
                     format!("unknown message kind {k}"),
@@ -333,14 +340,19 @@ fn serve_connection(conn: &mut dyn Connection, shared: &Arc<NodeShared>) {
                 continue;
             }
             Err(e) => {
-                send_fault(conn, h.request_id, ErrorCode::Malformed, e.to_string());
+                send_fault(
+                    conn.get_mut(),
+                    h.request_id,
+                    ErrorCode::Malformed,
+                    e.to_string(),
+                );
                 bump(shared, "net_malformed_frames");
                 return;
             }
         };
         let stop_after = matches!(msg, Message::Shutdown);
         let reply = dispatch_dedup(shared, h.request_id, msg);
-        if write_frame(conn, h.request_id, &reply).is_err() {
+        if write_frame(conn.get_mut(), h.request_id, &reply).is_err() {
             return;
         }
         if stop_after {
@@ -455,15 +467,14 @@ fn dispatch_dedup(shared: &Arc<NodeShared>, request_id: u64, msg: Message) -> Me
 }
 
 fn dispatch(shared: &Arc<NodeShared>, msg: Message) -> Message {
-    let kind = msg.kind_name();
     let (histogram, clock) = {
         let service = read_recover(&shared.service);
-        (
+        let histogram = shared.req_latency[usize::from(msg.kind())].get_or_init(|| {
             service
                 .registry()
-                .latency_histogram(&format!("net_req_{kind}")),
-            service.clock(),
-        )
+                .latency_histogram(&format!("net_req_{}", msg.kind_name()))
+        });
+        (Arc::clone(histogram), service.clock())
     };
     let span = Span::start(clock.as_ref(), &histogram);
     let reply = dispatch_inner(shared, msg);
@@ -478,7 +489,7 @@ fn dispatch_inner(shared: &Arc<NodeShared>, msg: Message) -> Message {
                 return fault(ErrorCode::Draining, "node is draining".into());
             }
             let service = read_recover(&shared.service);
-            handle_ingest(&service, &entries)
+            handle_ingest(&service, entries)
         }
         Message::Forecast { ids } => {
             let service = read_recover(&shared.service);
@@ -511,15 +522,14 @@ fn dispatch_inner(shared: &Arc<NodeShared>, msg: Message) -> Message {
         }
         Message::Checkpoint { ids } => {
             let service = read_recover(&shared.service);
-            match service.snapshot_entities() {
-                Ok(mut entities) => {
-                    if !ids.is_empty() {
-                        let wanted: std::collections::BTreeSet<&str> =
-                            ids.iter().map(String::as_str).collect();
-                        entities.retain(|(id, _)| wanted.contains(id.as_str()));
-                    }
-                    Message::CheckpointOk { entities }
-                }
+            let entities = if ids.is_empty() {
+                service.snapshot_entities()
+            } else {
+                let named: Vec<&str> = ids.iter().map(String::as_str).collect();
+                service.snapshot_named(&named)
+            };
+            match entities {
+                Ok(entities) => Message::CheckpointOk { entities },
                 Err(e) => serve_fault(&e),
             }
         }
@@ -601,19 +611,25 @@ fn dispatch_inner(shared: &Arc<NodeShared>, msg: Message) -> Message {
     }
 }
 
-fn handle_ingest(service: &PredictionService, entries: &[IngestEntry]) -> Message {
+/// Apply decoded samples in order, moving each into the service.
+fn handle_ingest(service: &PredictionService, entries: Vec<IngestEntry>) -> Message {
     let mut accepted = 0u64;
     let mut unknown = Vec::new();
     let mut errors = Vec::new();
-    for e in entries {
-        let result = match e.seq {
-            Some(seq) => service.ingest_at(&e.entity, seq, e.values.clone()),
-            None => service.ingest(&e.entity, e.values.clone()),
+    for IngestEntry {
+        entity,
+        seq,
+        values,
+    } in entries
+    {
+        let result = match seq {
+            Some(seq) => service.ingest_at(&entity, seq, values),
+            None => service.ingest(&entity, values),
         };
         match result {
             Ok(()) => accepted += 1,
-            Err(ServeError::UnknownEntity(_)) => unknown.push(e.entity.clone()),
-            Err(err) => errors.push((e.entity.clone(), err.to_string())),
+            Err(ServeError::UnknownEntity(_)) => unknown.push(entity),
+            Err(err) => errors.push((entity, err.to_string())),
         }
     }
     Message::IngestOk {

@@ -162,3 +162,76 @@ fn stalled_node_times_out_and_fails_over() {
     assert!(router.registry().counter("router_failed_over").get() > 0);
     assert!(router.registry().counter("router_healed").get() > 0);
 }
+
+/// A node dies holding a group of thousands of entities: the survivor
+/// answers the whole group `unknown`, and the router heals every one of
+/// them in a single pass — re-seeded once, its acknowledged suffix
+/// replayed once — so the survivor applies exactly `replay_window + 1`
+/// samples per healed entity, and every forecast equals the last
+/// acknowledged sample.
+#[test]
+fn a_lost_group_of_thousands_heals_each_entity_once() {
+    const WINDOW: usize = 3;
+    let mut nodes = [start_node(None), start_node(None)];
+    let mut router = FleetRouter::new(router_config(WINDOW, Duration::from_secs(5)));
+    for (i, n) in nodes.iter().enumerate() {
+        router
+            .add_node(&format!("n{i}"), &n.addr().to_string())
+            .expect("node joins");
+    }
+    let ids: Vec<String> = (0..4400).map(|i| format!("g-{i:04}")).collect();
+    assert_eq!(router.seed_entities(&ids).expect("seed"), 4400);
+    let lost = ids
+        .iter()
+        .filter(|id| router.ring().node_for(id) == Some("n1"))
+        .count();
+    assert!(lost >= 2000, "the victim's group holds {lost} entities");
+
+    let batch = |round: usize| -> Vec<(String, Vec<f32>)> {
+        ids.iter()
+            .enumerate()
+            .map(|(i, id)| (id.clone(), sample(i, round)))
+            .collect()
+    };
+    let rounds = WINDOW + 2;
+    for round in 0..rounds {
+        let report = router.ingest_batch(&batch(round)).expect("batch routes");
+        assert_eq!(report.accepted, ids.len() as u64);
+    }
+    let applied = |node: &NodeServer| {
+        node.with_service(|s| {
+            s.flush().expect("flush");
+            s.stats().total(|s| s.ingested)
+        })
+    };
+    let before = applied(&nodes[0]);
+
+    nodes[1].shutdown();
+    nodes[1].join();
+    let report = router.ingest_batch(&batch(rounds)).expect("batch routes");
+    assert!(report.errors.is_empty(), "hard errors: {:?}", report.errors);
+    assert_eq!(report.accepted, ids.len() as u64);
+    assert_eq!(report.failed_over, lost as u64);
+    assert_eq!(report.healed, lost as u64);
+    assert_eq!(
+        router.registry().counter("router_healed").get(),
+        lost as u64
+    );
+
+    let survivors = (ids.len() - lost) as u64;
+    assert_eq!(
+        applied(&nodes[0]) - before,
+        survivors + lost as u64 * (WINDOW as u64 + 1),
+        "one sample per survivor; one replayed suffix plus the resent sample per healed entity"
+    );
+    for (id, result) in router.forecast_batch(&ids) {
+        let f = result.expect("forecast after heal")[0];
+        let i: usize = id[2..].parse().expect("numbered id");
+        let expect = sample(i, rounds)[0];
+        assert!(
+            (f - expect).abs() < 2e-2,
+            "{id}: forecast {f} strayed from last acked {expect}"
+        );
+    }
+    router.shutdown_fleet();
+}

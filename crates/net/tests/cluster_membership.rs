@@ -206,3 +206,50 @@ fn restore_of_malformed_state_is_a_typed_error() {
     assert!(matches!(results[1].1, net::ForecastOutcome::Unknown));
     router.shutdown_fleet();
 }
+
+/// `Checkpoint { ids }` snapshots only the entities it names: three known
+/// ids and one unknown come back as exactly the three states, sorted by
+/// id, byte for byte the rows a full `snapshot_entities` holds for them.
+#[test]
+fn checkpoint_of_named_ids_snapshots_only_those() {
+    let node = start_node();
+    let mut router = FleetRouter::new(router_config());
+    router
+        .add_node("n0", &node.addr().to_string())
+        .expect("node joins");
+    let ids: Vec<String> = (0..40).map(|i| format!("k-{i:02}")).collect();
+    assert_eq!(router.seed_entities(&ids).expect("seed"), 40);
+    ingest_rounds(&mut router, &ids, 0..3);
+
+    let mut client =
+        NodeClient::connect(&node.addr().to_string(), Duration::from_secs(2)).expect("connects");
+    let asked = vec![
+        ids[31].clone(),
+        "k-unknown".to_string(),
+        ids[4].clone(),
+        ids[17].clone(),
+    ];
+    let reply = client
+        .request(&Message::Checkpoint { ids: asked })
+        .expect("checkpoint answers");
+    let Message::CheckpointOk { entities } = reply else {
+        panic!("unexpected reply {reply:?}");
+    };
+    let named: Vec<&str> = entities.iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(named, [&ids[4], &ids[17], &ids[31]]);
+
+    let full = node
+        .with_service(|s| s.snapshot_entities())
+        .expect("full snapshot");
+    let rows: Vec<(String, rptcn::PredictorState)> = full
+        .into_iter()
+        .filter(|(id, _)| named.contains(&id.as_str()))
+        .collect();
+    let frame = |entities| net::encode_frame(1, &Message::CheckpointOk { entities });
+    assert_eq!(
+        frame(entities).expect("encode"),
+        frame(rows).expect("encode"),
+        "named states equal their full-snapshot rows byte for byte"
+    );
+    router.shutdown_fleet();
+}

@@ -1,13 +1,19 @@
 //! Codec edge cases the happy path never exercises: frames split at
-//! every byte boundary, pipelined back-to-back frames in a single read,
-//! and duplicate-request-id replay hitting the node's dedup cache.
+//! every byte boundary, pipelined back-to-back frames in a single read —
+//! through the bare codec and through the client's and the node's
+//! buffered readers — duplicate-request-id replay hitting the node's
+//! dedup cache, and a short deadline after a long one.
 
-use std::io::{self, Cursor, Read};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::io::{self, Cursor, Read, Write};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use net::{
-    encode_frame, read_frame, IngestEntry, Message, NodeClient, NodeConfig, NodeServer, SeedSpec,
-    SimNet, IDEMPOTENT_ID_BASE,
+    decode_frame, encode_frame, read_frame, Connection, ForecastOutcome, HealthReport, IngestEntry,
+    Listener, Message, NetError, NodeClient, NodeConfig, NodeServer, SeedSpec, SimNet,
+    TcpTransport, Transport, IDEMPOTENT_ID_BASE,
 };
 use obs::MonotonicClock;
 use serve::{PredictionService, ServiceConfig};
@@ -234,4 +240,273 @@ fn sample_message_single() -> Message {
             values: vec![0.5],
         }],
     }
+}
+
+/// A connection whose reads serve fixed parts (at most one per `read`,
+/// then EOF) and whose writes land in a buffer the test can inspect.
+struct Scripted {
+    reads: SplitReader,
+    written: Arc<Mutex<Vec<u8>>>,
+}
+
+impl Read for Scripted {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads.read(buf)
+    }
+}
+
+impl Write for Scripted {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.written.lock().expect("written").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Connection for Scripted {
+    fn set_read_timeout(&mut self, _d: Option<Duration>) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn set_write_timeout(&mut self, _d: Option<Duration>) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn peer(&self) -> String {
+        "scripted".into()
+    }
+}
+
+fn scripted(parts: Vec<Vec<u8>>) -> (Scripted, Arc<Mutex<Vec<u8>>>) {
+    let written = Arc::new(Mutex::new(Vec::new()));
+    let conn = Scripted {
+        reads: SplitReader::new(parts),
+        written: Arc::clone(&written),
+    };
+    (conn, written)
+}
+
+/// A transport whose connections are scripted: `connect` hands out the
+/// next queued client-side script, and its one listener accepts the
+/// node-side scripts the test dials.
+struct ScriptedTransport {
+    client_parts: Mutex<VecDeque<Vec<Vec<u8>>>>,
+    accept_tx: Mutex<Sender<Scripted>>,
+    accept_rx: Mutex<Option<Receiver<Scripted>>>,
+}
+
+impl ScriptedTransport {
+    fn new(client_parts: Vec<Vec<Vec<u8>>>) -> Arc<ScriptedTransport> {
+        let (tx, rx) = channel();
+        Arc::new(ScriptedTransport {
+            client_parts: Mutex::new(client_parts.into()),
+            accept_tx: Mutex::new(tx),
+            accept_rx: Mutex::new(Some(rx)),
+        })
+    }
+
+    /// Hand the node one inbound connection; returns what it writes.
+    fn dial_node(&self, parts: Vec<Vec<u8>>) -> Arc<Mutex<Vec<u8>>> {
+        let (conn, written) = scripted(parts);
+        self.accept_tx
+            .lock()
+            .expect("tx")
+            .send(conn)
+            .expect("node listens");
+        written
+    }
+}
+
+struct ScriptedListener(Mutex<Receiver<Scripted>>);
+
+impl Listener for ScriptedListener {
+    fn accept(&self) -> io::Result<Box<dyn Connection>> {
+        match self.0.lock().expect("rx").recv() {
+            Ok(conn) => Ok(Box::new(conn)),
+            Err(_) => Err(io::Error::new(io::ErrorKind::NotConnected, "closed")),
+        }
+    }
+
+    fn local_addr(&self) -> String {
+        "scripted-node".into()
+    }
+}
+
+impl Transport for ScriptedTransport {
+    fn connect(&self, _addr: &str, _timeout: Duration) -> Result<Box<dyn Connection>, NetError> {
+        let script = self.client_parts.lock().expect("parts").pop_front();
+        if script.is_none() {
+            // Past the scripts, the caller is the node's own wake-up at
+            // shutdown: it must reach the accept loop, as a TCP connect does.
+            let _ = self.dial_node(Vec::new());
+        }
+        Ok(Box::new(scripted(script.unwrap_or_default()).0))
+    }
+
+    fn bind(&self, _addr: &str) -> Result<Box<dyn Listener>, NetError> {
+        let rx = self.accept_rx.lock().expect("rx").take();
+        Ok(Box::new(ScriptedListener(Mutex::new(
+            rx.expect("one listener"),
+        ))))
+    }
+}
+
+fn forecast_reply(id: u64) -> Vec<u8> {
+    let msg = Message::ForecastOk {
+        results: vec![
+            ("edge-a".into(), ForecastOutcome::Values(vec![0.25, -1.5])),
+            ("edge-b".into(), ForecastOutcome::Unknown),
+        ],
+    };
+    encode_frame(id, &msg).expect("encode")
+}
+
+/// The client reads replies through its buffer: a reply split at every
+/// byte boundary decodes, and two replies that arrive in one read answer
+/// two requests in turn — the second from bytes already buffered.
+#[test]
+fn client_reads_split_and_coalesced_replies_through_its_buffer() {
+    let bytes = forecast_reply(7);
+    let mut scripts: Vec<Vec<Vec<u8>>> = (1..bytes.len())
+        .map(|split| vec![bytes[..split].to_vec(), bytes[split..].to_vec()])
+        .collect();
+    let mut coalesced = forecast_reply(8);
+    coalesced.extend_from_slice(
+        &encode_frame(9, &Message::HealthOk(HealthReport::default())).expect("encode"),
+    );
+    scripts.push(vec![coalesced]);
+    let splits = scripts.len() - 1;
+    let tp = ScriptedTransport::new(scripts);
+    let ask = Message::Forecast {
+        ids: vec!["edge-a".into(), "edge-b".into()],
+    };
+    let timeout = Duration::from_secs(1);
+    for split in 1..=splits {
+        let mut client =
+            NodeClient::connect_with(tp.as_ref(), "scripted-node", timeout).expect("connect");
+        let reply = client
+            .request_with_id(7, &ask, timeout)
+            .unwrap_or_else(|e| panic!("reply split at byte {split}: {e}"));
+        assert_eq!(
+            encode_frame(7, &reply).expect("encode"),
+            bytes,
+            "split {split}"
+        );
+    }
+    let mut client =
+        NodeClient::connect_with(tp.as_ref(), "scripted-node", timeout).expect("connect");
+    let first = client
+        .request_with_id(8, &ask, timeout)
+        .expect("first reply");
+    assert!(matches!(first, Message::ForecastOk { .. }));
+    let second = client
+        .request_with_id(9, &Message::Health, timeout)
+        .expect("second reply, already buffered");
+    assert!(matches!(second, Message::HealthOk(_)));
+}
+
+/// Wait until `written` holds `frames` complete frames; decode them.
+fn replies(written: &Arc<Mutex<Vec<u8>>>, frames: usize) -> Vec<(u64, Message)> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let bytes = written.lock().expect("written").clone();
+        let mut rest = &bytes[..];
+        let mut out = Vec::new();
+        while let Ok((id, msg, used)) = decode_frame(rest) {
+            out.push((id, msg));
+            rest = &rest[used..];
+        }
+        if out.len() >= frames || Instant::now() > deadline {
+            return out;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The node reads requests through its buffer: a request split at every
+/// byte boundary is answered, and two requests that arrive in one read are
+/// both answered, in order, on the same connection.
+#[test]
+fn node_reads_split_and_coalesced_requests_through_its_buffer() {
+    let tp = ScriptedTransport::new(Vec::new());
+    let service = PredictionService::new(ServiceConfig {
+        shards: 1,
+        refit_every: 0,
+        ..ServiceConfig::default()
+    })
+    .expect("service");
+    let node = NodeServer::start_with(
+        NodeConfig {
+            listen: "scripted-node".into(),
+            ..NodeConfig::default()
+        },
+        service,
+        tp.clone(),
+    )
+    .expect("node");
+    let ask = Message::Forecast {
+        ids: vec!["edge-a".into(), "edge-b".into()],
+    };
+    let unknown_both = |msg: &Message| {
+        matches!(msg, Message::ForecastOk { results } if results.len() == 2
+            && results.iter().all(|(_, o)| matches!(o, ForecastOutcome::Unknown)))
+    };
+    let bytes = encode_frame(11, &ask).expect("encode");
+    for split in 1..bytes.len() {
+        let written = tp.dial_node(vec![bytes[..split].to_vec(), bytes[split..].to_vec()]);
+        let got = replies(&written, 1);
+        assert_eq!(got.len(), 1, "request split at byte {split} unanswered");
+        assert_eq!(got[0].0, 11);
+        assert!(unknown_both(&got[0].1), "split {split}: {:?}", got[0].1);
+    }
+    let mut both = encode_frame(12, &ask).expect("encode");
+    both.extend_from_slice(&encode_frame(13, &Message::Health).expect("encode"));
+    let written = tp.dial_node(vec![both]);
+    let got = replies(&written, 2);
+    assert_eq!(got.len(), 2, "both coalesced requests answered");
+    assert_eq!(got[0].0, 12);
+    assert!(unknown_both(&got[0].1));
+    assert_eq!(got[1].0, 13);
+    assert!(matches!(got[1].1, Message::HealthOk(_)));
+    drop(node);
+}
+
+/// The client sets socket timeouts only when a request asks for a new
+/// one, so a short-deadline request (a probe) after a long one (a bulk
+/// transfer) must still give up at its own short deadline.
+#[test]
+fn a_short_deadline_after_a_long_one_still_times_out_short() {
+    let listener = TcpTransport.bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr();
+    let (done_tx, done_rx) = channel::<()>();
+    let server = std::thread::spawn(move || {
+        let mut conn = listener.accept().expect("accept");
+        let (id, _) = read_frame(&mut conn).expect("first request");
+        net::write_frame(&mut conn, id, &Message::HealthOk(HealthReport::default()))
+            .expect("reply");
+        // Swallow the second request and hold the connection open.
+        let _ = read_frame(&mut conn);
+        let _ = done_rx.recv();
+    });
+    let mut client = NodeClient::connect(&addr, Duration::from_secs(2)).expect("connect");
+    let long = Duration::from_secs(30);
+    let reply = client
+        .request_with_timeout(&Message::Health, long)
+        .expect("answered under the long deadline");
+    assert!(matches!(reply, Message::HealthOk(_)));
+    let started = Instant::now();
+    let err = client
+        .request_with_timeout(&Message::Health, Duration::from_millis(100))
+        .expect_err("the second request is never answered");
+    let waited = started.elapsed();
+    assert!(err.is_transport(), "{err:?}");
+    assert!(
+        waited < Duration::from_secs(5),
+        "short deadline ignored: waited {waited:?}"
+    );
+    done_tx.send(()).expect("server waits");
+    server.join().expect("server thread");
 }

@@ -5,8 +5,9 @@
 
 use models::NaiveForecaster;
 use net::frame::{
-    decode_frame, encode_frame, read_frame, ErrorCode, ForecastOutcome, HealthReport, IngestEntry,
-    Message, SeedSpec, WireError, WireFault, HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION,
+    decode_frame, encode_forecast_frame, encode_frame, encode_ingest_frame, read_frame, ErrorCode,
+    ForecastOutcome, HealthReport, IngestEntry, Message, SeedSpec, WireError, WireFault,
+    HEADER_LEN, MAX_PAYLOAD, WIRE_VERSION,
 };
 use proptest::prelude::*;
 use rptcn::{PipelineConfig, PredictorState, ResourcePredictor, Scenario};
@@ -240,6 +241,115 @@ proptest! {
             Err(WireError::UnknownKind(k)) if k == kind
         ));
     }
+}
+
+/// Any f32 bit pattern, with NaNs (payload-carrying ones included),
+/// infinities and signed zeros drawn often.
+fn any_bits() -> impl Strategy<Value = f32> {
+    (0usize..10, 0u32..u32::MAX).prop_map(|(kind, raw)| match kind {
+        0 => f32::NAN,
+        1 => f32::from_bits(0x7fa0_0001),
+        2 => f32::from_bits(0xffc0_1234),
+        3 => f32::INFINITY,
+        4 => f32::NEG_INFINITY,
+        5 => -0.0,
+        _ => f32::from_bits(raw),
+    })
+}
+
+/// Samples of arity 0–16 with arbitrary bits and either seq form, under
+/// empty, ASCII and multi-byte UTF-8 ids.
+fn wire_entry() -> impl Strategy<Value = IngestEntry> {
+    (
+        small_string(),
+        (0usize..2, 0u64..u64::MAX),
+        proptest::collection::vec(any_bits(), 0..17),
+    )
+        .prop_map(|(entity, (has_seq, seq), values)| IngestEntry {
+            entity,
+            seq: (has_seq == 1).then_some(seq),
+            values,
+        })
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    /// The borrowed encoders write exactly the bytes of the owned message
+    /// they stand for, into a buffer whose old contents they replace, and
+    /// those bytes decode back to the same bits.
+    #[test]
+    fn borrowed_encoders_write_the_owned_message_bytes(
+        entries in proptest::collection::vec(wire_entry(), 0..6),
+        request_id in 0u64..u64::MAX,
+    ) {
+        let mut out = vec![0xAB; 7];
+        let borrowed = entries
+            .iter()
+            .map(|e| (e.entity.as_str(), e.seq, e.values.as_slice()));
+        encode_ingest_frame(&mut out, request_id, borrowed).expect("encode");
+        let ingest = Message::Ingest { entries: entries.clone() };
+        prop_assert_eq!(&out, &encode_frame(request_id, &ingest).expect("encode"));
+        let (id, decoded, _) = decode_frame(&out).expect("decode");
+        prop_assert_eq!(id, request_id);
+        let Message::Ingest { entries: decoded } = decoded else {
+            panic!("ingest decodes as {}", decoded.kind_name());
+        };
+        for (got, want) in decoded.iter().zip(&entries) {
+            prop_assert_eq!(&got.entity, &want.entity);
+            prop_assert_eq!(got.seq, want.seq);
+            prop_assert_eq!(bits(&got.values), bits(&want.values));
+        }
+
+        let ids: Vec<String> = entries.into_iter().map(|e| e.entity).collect();
+        encode_forecast_frame(&mut out, request_id, ids.iter().map(String::as_str))
+            .expect("encode");
+        let forecast = Message::Forecast { ids };
+        prop_assert_eq!(&out, &encode_frame(request_id, &forecast).expect("encode"));
+    }
+}
+
+/// The version-1 bytes of an Ingest and a Forecast frame, written out by
+/// hand from the layout in `net::frame`'s docs, so any change to what
+/// the router sends fails here whichever encoder made it.
+#[test]
+fn ingest_and_forecast_frames_keep_their_version_1_bytes() {
+    fn frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = b"RPTW".to_vec();
+        out.extend_from_slice(&1u16.to_le_bytes());
+        out.extend_from_slice(&[kind, 0]);
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+    let nan = f32::from_bits(0x7fc0_0001);
+    let mut ingest = 2u32.to_le_bytes().to_vec();
+    ingest.extend_from_slice(&3u32.to_le_bytes());
+    ingest.extend_from_slice(b"c-1");
+    ingest.push(0);
+    ingest.extend_from_slice(&2u32.to_le_bytes());
+    ingest.extend_from_slice(&0.5f32.to_le_bytes());
+    ingest.extend_from_slice(&nan.to_bits().to_le_bytes());
+    // "π-日": 2 + 1 + 3 UTF-8 bytes.
+    ingest.extend_from_slice(&6u32.to_le_bytes());
+    ingest.extend_from_slice("π-日".as_bytes());
+    ingest.push(1);
+    ingest.extend_from_slice(&9u64.to_le_bytes());
+    ingest.extend_from_slice(&0u32.to_le_bytes());
+    let samples = [("c-1", None, &[0.5, nan][..]), ("π-日", Some(9), &[][..])];
+    let mut out = Vec::new();
+    encode_ingest_frame(&mut out, 1 << 33, samples).expect("encode");
+    assert_eq!(out, frame(1, 1 << 33, &ingest));
+
+    let mut forecast = 2u32.to_le_bytes().to_vec();
+    forecast.extend_from_slice(&3u32.to_le_bytes());
+    forecast.extend_from_slice(b"c-1");
+    forecast.extend_from_slice(&0u32.to_le_bytes());
+    encode_forecast_frame(&mut out, 42, ["c-1", ""]).expect("encode");
+    assert_eq!(out, frame(3, 42, &forecast));
 }
 
 fn fitted_state(phase: f32) -> PredictorState {

@@ -280,24 +280,21 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(self.tables().counters.entry(name.to_string()).or_default())
+        get_or_insert(&mut self.tables().counters, name, Arc::default)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(self.tables().gauges.entry(name.to_string()).or_default())
+        get_or_insert(&mut self.tables().gauges, name, Arc::default)
     }
 
     /// Get or create the histogram named `name`. The bounds apply only
     /// on first creation; later calls return the existing histogram
     /// unchanged.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        Arc::clone(
-            self.tables()
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::with_bounds(bounds))),
-        )
+        get_or_insert(&mut self.tables().histograms, name, || {
+            Arc::new(Histogram::with_bounds(bounds))
+        })
     }
 
     /// Get or create a latency histogram ([`LATENCY_BOUNDS_NS`]).
@@ -326,6 +323,19 @@ impl Registry {
                 .collect(),
         }
     }
+}
+
+/// The handle registered under `name`, created by `make` on first use. A
+/// hit is one map lookup: the name is copied only when it is inserted.
+fn get_or_insert<T>(
+    table: &mut BTreeMap<String, Arc<T>>,
+    name: &str,
+    make: impl FnOnce() -> Arc<T>,
+) -> Arc<T> {
+    if let Some(found) = table.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(table.entry(name.to_string()).or_insert_with(make))
 }
 
 /// Point-in-time copy of a [`Registry`], in deterministic name order —

@@ -599,10 +599,42 @@ impl PredictionService {
     /// sample ingested before this call. This is the building block for
     /// both file checkpoints and node-to-node state migration.
     pub fn snapshot_entities(&self) -> Result<Vec<(String, rptcn::PredictorState)>, ServeError> {
+        self.snapshot_shards((0..self.config.shards).map(|shard| (shard, None)))
+    }
+
+    /// Like [`PredictionService::snapshot_entities`], for the named
+    /// entities only: each shard snapshots just the names it serves, so a
+    /// migration chunk costs its own entities, not the whole service.
+    /// Names not served here are skipped; each entity appears once.
+    pub fn snapshot_named(
+        &self,
+        ids: &[&str],
+    ) -> Result<Vec<(String, rptcn::PredictorState)>, ServeError> {
+        let asks = group_by_shard(ids, self.config.shards)
+            .into_iter()
+            .map(|(shard, positions)| {
+                let named = positions.iter().map(|&at| ids[at].to_string()).collect();
+                (shard, Some(named))
+            });
+        self.snapshot_shards(asks)
+    }
+
+    /// Ask each listed shard for a snapshot (of the named ids, or of all
+    /// its entities) before awaiting any reply, then merge by id.
+    fn snapshot_shards(
+        &self,
+        asks: impl Iterator<Item = (usize, Option<Vec<String>>)>,
+    ) -> Result<Vec<(String, rptcn::PredictorState)>, ServeError> {
         let mut pending = Vec::new();
-        for shard in 0..self.config.shards {
+        for (shard, ids) in asks {
             let (reply_tx, reply_rx) = sync_channel(1);
-            self.send_blocking(shard, ShardMsg::Snapshot { reply: reply_tx })?;
+            self.send_blocking(
+                shard,
+                ShardMsg::Snapshot {
+                    ids,
+                    reply: reply_tx,
+                },
+            )?;
             pending.push((shard, reply_rx));
         }
         let mut entities = Vec::new();

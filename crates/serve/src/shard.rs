@@ -104,8 +104,10 @@ pub(crate) enum ShardMsg {
     },
     /// A background refit finished.
     RefitDone { id: String, outcome: RefitOutcome },
-    /// Capture the state of every entity on this shard, sorted by id.
+    /// Capture the state of the named entities on this shard (`None`:
+    /// every entity), sorted by id; names not on this shard are skipped.
     Snapshot {
+        ids: Option<Vec<String>>,
         reply: SyncSender<Result<Vec<(String, PredictorState)>, ServeError>>,
     },
     /// Evict an entity from this shard (used when its state migrates to
@@ -285,8 +287,11 @@ pub(crate) fn shard_loop(
                 apply_refit_outcome(ctx, slots, &id, outcome);
                 *current = None;
             }
-            ShardMsg::Snapshot { reply } => {
-                let _ = reply.send(snapshot_all(slots));
+            ShardMsg::Snapshot { ids, reply } => {
+                let _ = reply.send(match ids {
+                    None => snapshot_all(slots),
+                    Some(named) => snapshot_named(slots, &named),
+                });
             }
             ShardMsg::Remove { id, reply } => {
                 let removed = match slots.remove(&id) {
@@ -1096,6 +1101,24 @@ fn snapshot_all(
 ) -> Result<Vec<(String, PredictorState)>, ServeError> {
     let mut ids: Vec<&String> = slots.keys().collect();
     ids.sort();
+    snapshot_sorted(slots, ids)
+}
+
+/// The named entities this shard holds, sorted by id, once each.
+fn snapshot_named(
+    slots: &HashMap<String, EntitySlot>,
+    named: &[String],
+) -> Result<Vec<(String, PredictorState)>, ServeError> {
+    let mut ids: Vec<&String> = named.iter().filter(|id| slots.contains_key(*id)).collect();
+    ids.sort();
+    ids.dedup();
+    snapshot_sorted(slots, ids)
+}
+
+fn snapshot_sorted(
+    slots: &HashMap<String, EntitySlot>,
+    ids: Vec<&String>,
+) -> Result<Vec<(String, PredictorState)>, ServeError> {
     ids.into_iter()
         .map(|id| {
             slots[id]
