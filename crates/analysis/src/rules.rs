@@ -157,11 +157,7 @@ impl Severity {
 /// The files that hold the repo's `unsafe` compute kernels. They sit on
 /// the serving hot path and double as determinism-critical scope: their
 /// outputs are under a bitwise parity contract.
-const KERNEL_FILES: [&str; 3] = [
-    "tensor/src/gemm.rs",
-    "autograd/src/conv_kernels.rs",
-    "autograd/src/batch_exec.rs",
-];
+const KERNEL_FILES: [&str; 2] = ["tensor/src/gemm.rs", "autograd/src/conv_kernels.rs"];
 
 /// Severity of a rule for a given file, by repo policy: everything is
 /// deny except R7, which denies only in its determinism-critical core
@@ -224,8 +220,7 @@ fn is_root_file(p: &str) -> bool {
 
 /// Which rules apply to a workspace file, by repo policy:
 /// R1, R3 and R9 everywhere; R2 in `serve`/`net`/`core`/`models`/`obs`/
-/// `analysis` plus the `unsafe` kernel files (GEMM, conv, batch
-/// executor); R4 and R6 in `serve` and `net`; R5 in `serve`, `net`,
+/// `analysis` plus the `unsafe` kernel files (GEMM, conv); R4 and R6 in `serve` and `net`; R5 in `serve`, `net`,
 /// `core`, `obs` and `analysis`; R7 in `serve`/`net`/`obs` plus the
 /// kernel files and the `core/src/decide` module (deny inside the
 /// determinism core — which includes `decide`, whose reservation replays
@@ -237,9 +232,9 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     let in_crate = |c: &str| p.contains(&format!("crates/{c}/src/"));
     // The kernel files sit on the serving hot path: a stray panic there
     // aborts a forecast mid-batch, so they carry R2 even though their
-    // crates as a whole do not. The deliberate sites (worker-panic
-    // re-raise, spawn failure) carry r2 allow markers with their
-    // justification inline.
+    // crates as a whole do not. The deliberate sites (row counts a guard
+    // already checked) carry r2 allow markers with their justification
+    // inline.
     let kernel_file = KERNEL_FILES.iter().any(|f| p.ends_with(f));
     let mut rules = vec![Rule::SafetyComment, Rule::HotPathAlloc];
     if in_crate("serve")
@@ -879,11 +874,6 @@ impl FileContext {
             "into_values",
             "retain",
         ];
-        let seam_file = self
-            .path
-            .to_string_lossy()
-            .replace('\\', "/")
-            .ends_with("batch_exec.rs");
         let hash_vars = self.hash_typed_names();
         let toks = self.tokens();
         for i in 0..toks.len() {
@@ -913,12 +903,13 @@ impl FileContext {
                         format!("entropy-seeded RNG (`{name}`); derive randomness from the run seed (splitmix64)"),
                     );
                 }
-                "available_parallelism" if !seam_file => {
+                "available_parallelism" => {
                     self.emit(
                         out,
                         self.line_of(i),
                         Rule::DeterminismScope,
-                        "bare `available_parallelism`; thread counts must come from the batch-executor seam".to_string(),
+                        "bare `available_parallelism`; thread counts must come from configuration"
+                            .to_string(),
                     );
                 }
                 "in" => {

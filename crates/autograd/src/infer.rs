@@ -527,16 +527,14 @@ impl Exec for Arena<'_> {
 }
 
 /// Tape-free batched inference over `x: [n, time, features]`, chunked like
-/// `train::predict` and routed through [`SequenceModel::infer`].
+/// `train::predict` and routed through [`SequenceModel::infer`], on the
+/// calling thread.
 ///
-/// Stacked batches of at least [`batch_exec::MIN_PARALLEL_ROWS`] rows are
-/// split across the pinned [`batch_exec::global`] worker pool with a static
-/// contiguous row partition. Rows are independent through the whole network
-/// (the GEMM and conv kernels give every output element one fixed
-/// accumulation chain regardless of `m`), so the parallel result is bitwise
-/// identical to the sequential stacked call — asserted in
-/// `tests/infer_parity.rs`.
-pub fn predict<M: SequenceModel + ?Sized + Sync>(
+/// Rows are independent through the whole network (the GEMM and conv
+/// kernels give every output element one fixed accumulation chain
+/// regardless of `m`), so any chunking of the batch is bitwise identical to
+/// forecasting each row alone — asserted in `tests/infer_parity.rs`.
+pub fn predict<M: SequenceModel + ?Sized>(
     model: &M,
     x: &Tensor,
     batch_size: usize,
@@ -544,12 +542,6 @@ pub fn predict<M: SequenceModel + ?Sized + Sync>(
 ) -> Tensor {
     let n = x.shape()[0];
     let cap = batch_size.max(1);
-    if n >= crate::batch_exec::MIN_PARALLEL_ROWS {
-        let exec = crate::batch_exec::global();
-        if exec.workers() > 1 {
-            return predict_on(model, x, cap, exec);
-        }
-    }
     if n <= cap {
         // The serving hot path: no row gather, straight into the model.
         return model.infer(ctx, x);
@@ -561,68 +553,6 @@ pub fn predict<M: SequenceModel + ?Sized + Sync>(
         let xb = take_rows(x, chunk);
         out.extend_from_slice(model.infer(ctx, &xb).as_slice());
     }
-    Tensor::from_vec(out, &[n, horizon])
-}
-
-/// Raw output pointer shared across executor workers. Each worker writes
-/// only its disjoint `[start, end)` row range, so no synchronisation is
-/// needed beyond the executor's completion barrier.
-struct RowOutPtr(*mut f32);
-// SAFETY: the pointer is only dereferenced through disjoint row ranges
-// handed out by the executor's static partition, and the dispatching call
-// joins every worker before the buffer is read or freed.
-unsafe impl Sync for RowOutPtr {}
-
-/// Fan a stacked batch out over an explicit worker pool. Every worker runs
-/// the same per-`cap` chunking the sequential path uses on its own row
-/// range, with its own thread-local [`InferenceContext`], and writes into
-/// its disjoint slice of the output. Total for every `(rows, workers)`
-/// combination — small batches and single-worker pools run inline on the
-/// caller — and bitwise identical to the sequential path throughout.
-/// [`predict`] routes through this with [`crate::batch_exec::global`];
-/// parity tests and `bench_infer` pass pools of explicit sizes.
-pub fn predict_on<M: SequenceModel + ?Sized + Sync>(
-    model: &M,
-    x: &Tensor,
-    cap: usize,
-    exec: &crate::batch_exec::BatchExecutor,
-) -> Tensor {
-    let cap = cap.max(1);
-    let n = x.shape()[0];
-    let horizon = model.horizon();
-    let row_stride = x.len() / n.max(1);
-    let xs = x.as_slice();
-    let sub_shape = x.shape().to_vec();
-    let mut out = vec![0.0f32; n * horizon];
-    let out_ptr = RowOutPtr(out.as_mut_ptr());
-    exec.run_rows(n, |_worker, start, end| {
-        // Capture the Sync wrapper itself, not the raw field (edition-2021
-        // disjoint capture would otherwise grab the bare `*mut f32`).
-        let out_ptr = &out_ptr;
-        // SAFETY: `start..end` comes from the executor's static partition,
-        // so ranges across workers are disjoint and within `0..n`; the
-        // dispatch blocks until all workers finish, keeping `out` alive.
-        let dst = unsafe {
-            std::slice::from_raw_parts_mut(out_ptr.0.add(start * horizon), (end - start) * horizon)
-        };
-        with_thread_context(|wctx| {
-            let mut filled = 0usize;
-            let mut chunk_start = start;
-            while chunk_start < end {
-                let rows = cap.min(end - chunk_start);
-                let mut shape = sub_shape.clone();
-                shape[0] = rows;
-                let xb = Tensor::from_vec(
-                    xs[chunk_start * row_stride..(chunk_start + rows) * row_stride].to_vec(),
-                    &shape,
-                );
-                let pred = model.infer(wctx, &xb);
-                dst[filled..filled + rows * horizon].copy_from_slice(pred.as_slice());
-                filled += rows * horizon;
-                chunk_start += rows;
-            }
-        });
-    });
     Tensor::from_vec(out, &[n, horizon])
 }
 

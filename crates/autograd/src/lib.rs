@@ -31,7 +31,6 @@
 // unsafe operation inside an `unsafe fn` carry its own block + SAFETY note.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod batch_exec;
 mod conv_kernels;
 mod exec;
 mod graph;

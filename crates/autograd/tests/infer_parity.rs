@@ -191,7 +191,7 @@ fn bias_broadcasts_match_taped_adds_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM rerouting + batch executor parity.
+// GEMM rerouting + stacked-batch parity.
 //
 // After routing every matmul through the runtime-dispatched GEMM microkernel
 // (`tensor::gemm`), two invariants must keep holding bitwise:
@@ -199,12 +199,11 @@ fn bias_broadcasts_match_taped_adds_bitwise() {
 //  1. the taped forward pass and the tape-free `infer` path agree (both call
 //     the same kernel), and
 //  2. a stacked batch equals the same rows forecast individually — which is
-//     exactly what lets the pinned batch executor split `forecast_many`
-//     batches across workers without changing a single bit.
+//     what keeps `forecast_many`'s one stacked call bitwise equal to each
+//     entity's own `forecast`.
 // ---------------------------------------------------------------------------
 
-use autograd::batch_exec::{BatchExecutor, MIN_PARALLEL_ROWS};
-use autograd::infer::{predict, predict_on, with_thread_context};
+use autograd::infer::{predict, with_thread_context};
 use autograd::layers::linear::Linear;
 use autograd::{Exec, Graph, ParamStore, SequenceModel};
 
@@ -278,18 +277,17 @@ fn taped_and_tape_free_agree_after_gemm_rerouting() {
     assert_eq!(taped.shape(), tape_free.shape());
 }
 
-/// Invariant 2: the executor's static row partition is invisible in the
-/// bits — an explicit multi-worker pool, the global-pool `predict` driver,
-/// and row-at-a-time sequential inference all agree exactly. Also checks
-/// stability across repeated dispatches on one warm pool.
+/// Invariant 2: how `predict` chunks a stacked batch is invisible in the
+/// bits — one chunk per row, ragged chunks, one chunk of all rows and a cap
+/// past the row count all equal row-at-a-time inference exactly.
 #[test]
-fn executor_partition_is_bitwise_invisible() {
+fn chunked_predict_is_bitwise_row_at_a_time() {
     let model = TwoLayer::new(4, 2, 7, 2, 23);
-    let rows = MIN_PARALLEL_ROWS + 5;
+    let rows = 13;
     let mut rng = Rng::seed_from(29);
     let x = Tensor::rand_normal(&[rows, 4, 2], 0.0, 1.0, &mut rng);
 
-    // Sequential reference: one row at a time, fresh context.
+    // Reference: one row at a time.
     let mut seq = Vec::new();
     for i in 0..rows {
         let xi = Tensor::from_vec(x.as_slice()[i * 8..(i + 1) * 8].to_vec(), &[1, 4, 2]);
@@ -297,26 +295,13 @@ fn executor_partition_is_bitwise_invisible() {
         seq.extend_from_slice(yi.as_slice());
     }
 
-    // Global-pool driver (parallel when the host has >1 core, inline
-    // otherwise — both must match).
-    let via_predict = with_thread_context(|ctx| predict(&model, &x, 64, ctx));
-    assert_eq!(via_predict.as_slice(), seq.as_slice());
-
-    // Explicit pools of several widths, incl. more workers than rows/chunk.
-    for workers in [2, 3, 4] {
-        let exec = BatchExecutor::new(workers);
-        for _ in 0..3 {
-            let par = predict_on(&model, &x, 64, &exec);
-            assert_eq!(
-                par.as_slice(),
-                seq.as_slice(),
-                "{workers}-worker pool diverged from sequential"
-            );
-        }
+    for cap in [1, 2, 5, rows, rows + 3] {
+        let stacked = with_thread_context(|ctx| predict(&model, &x, cap, ctx));
+        assert_eq!(stacked.shape(), &[rows, 2]);
+        assert_eq!(
+            stacked.as_slice(),
+            seq.as_slice(),
+            "batch cap {cap} diverged from row-at-a-time"
+        );
     }
-
-    // Tiny batch-size caps force per-worker sub-chunking; still identical.
-    let exec = BatchExecutor::new(3);
-    let chunked = predict_on(&model, &x, 2, &exec);
-    assert_eq!(chunked.as_slice(), seq.as_slice());
 }

@@ -8,8 +8,8 @@
 //! backbone runs them), one training step in the last-step form against
 //! the full sequence followed by `select_time`, window-preparation
 //! latency across history lengths (flat ⇒ a forecast does not
-//! re-preprocess the entity's history), and stacked-batch throughput
-//! across batch-executor worker counts. Emits `BENCH_infer.json` for the CI
+//! re-preprocess the entity's history), and what a row of a stacked batch
+//! costs on the calling thread. Emits `BENCH_infer.json` for the CI
 //! smoke job; every timing loop also feeds an `obs` histogram, so the
 //! report carries full bucketed distributions alongside the exact sorted
 //! quantiles.
@@ -20,7 +20,6 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use autograd::batch_exec::BatchExecutor;
 use autograd::infer::{
     add_row_bias, relu_in_place, select_time_into, softmax_rows_in_place, subsample_time_into,
     subsampled_len,
@@ -41,11 +40,8 @@ use tensor::{Rng, Tensor};
 const FEATURES: usize = 8;
 const WINDOW: usize = 30;
 const LOOKBACKS: [usize; 3] = [32, 64, 128];
-/// Stacked batch size for the executor-scaling section — large enough that
-/// `predict` always takes the parallel path.
+/// Rows of the stacked batch section.
 const BATCH_ROWS: usize = 128;
-/// Worker counts swept by the executor-scaling section.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// History lengths for the window-preparation section: a monitoring
 /// stream an hour, ten hours and four days old at 10 s samples.
 const WINDOW_PREP_ROWS: [usize; 3] = [400, 4_000, 40_000];
@@ -228,7 +224,11 @@ fn macs_per_forecast() -> [(&'static str, usize); 3] {
 /// runs it (prepared weights, pooled output, bias), and their ReLUs; then
 /// the FC, attention and head products, one `fc_dim`-wide softmax. The
 /// rows should add up towards `single_entity_forecast_ns`; what they leave
-/// is the input transpose's caller and dispatch.
+/// is the glue between the kernels (arena, copies, dispatch).
+///
+/// Each row is net of the timing loop's own cost: the p50 of an empty
+/// closure timed the same way (returned as the second value, and recorded
+/// raw in `layer.clock_read_ns` like every row's samples).
 ///
 /// Also returns `(p50, p99, convolutions)` of preparing every
 /// convolution's weights (weight-norm fold, kernel-path scan, and the
@@ -239,22 +239,26 @@ fn forward_pass_kernels(
     iters: usize,
     registry: &Registry,
     rng: &mut Rng,
-) -> (Vec<KernelRow>, (u64, u64, usize)) {
+) -> (Vec<KernelRow>, u64, (u64, u64, usize)) {
     let cfg = RptcnConfig::default();
     let (ch, k, fc_dim) = (cfg.channels, cfg.kernel, cfg.fc_dim);
-    let mut rows = Vec::new();
-    let mut time = |name: String, class: &'static str, shape: String, f: &mut dyn FnMut()| {
+    let time_raw = |name: &str, f: &mut dyn FnMut()| {
         let hist = registry.latency_histogram(&format!("layer.{name}_ns"));
         for _ in 0..iters / 10 + 1 {
             f();
         }
-        let (p50, p99) = time_loop(iters, &hist, f);
+        time_loop(iters, &hist, f)
+    };
+    let (clock_read, _) = time_raw("clock_read", &mut || {});
+    let mut rows = Vec::new();
+    let mut time = |name: String, class: &'static str, shape: String, f: &mut dyn FnMut()| {
+        let (p50, p99) = time_raw(&name, f);
         rows.push(KernelRow {
             name,
             class,
             shape,
-            p50,
-            p99,
+            p50: p50.saturating_sub(clock_read),
+            p99: p99.saturating_sub(clock_read),
         });
     };
 
@@ -424,7 +428,7 @@ fn forward_pass_kernels(
             });
         }
     });
-    (rows, (p50, p99, layers.len()))
+    (rows, clock_read, (p50, p99, layers.len()))
 }
 
 /// Paper-default RPTCN rebuilt from the public layers, so that one training
@@ -612,7 +616,7 @@ fn main() {
     };
 
     // Per-layer breakdown: the kernels of one real forward pass.
-    let (layer_rows, (install_p50, install_p99, install_convs)) =
+    let (layer_rows, clock_read_p50, (install_p50, install_p99, install_convs)) =
         forward_pass_kernels(iters, &registry, &mut rng);
     let class_p50 = |class: &str| -> u64 {
         layer_rows
@@ -690,35 +694,21 @@ fn main() {
         window_prep.push((scenario, features, rows, growth));
     }
 
-    // Stacked-batch throughput across explicit worker pools. Each pool is
-    // built fresh so one process can sweep worker counts; `predict` itself
-    // uses the identical code path through the process-global pool. A
-    // pool with more workers than the host has cores times oversubscription,
-    // not scaling, so the sweep stops at `available_parallelism` (recorded
-    // beside the rows).
+    // A stacked batch, the shape of `forecast_many`'s one engine call for a
+    // cold shared group, run on the calling thread like every kernel.
     let x_batch = Tensor::rand_normal(&[BATCH_ROWS, WINDOW, FEATURES], 0.5, 0.2, &mut rng);
     let batch_iters = if args.quick { 10 } else { 60 };
-    let mut scaling = Vec::new();
-    let mut best_fps = 0.0f64;
-    let available_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    for &w in WORKER_COUNTS
-        .iter()
-        .filter(|&&w| w <= available_parallelism)
-    {
-        let exec = BatchExecutor::new(w);
-        for _ in 0..3 {
-            black_box(model.predict_with_executor(&x_batch, &exec));
-        }
-        let hist = registry.latency_histogram(&format!("batch_exec.workers{w}_ns"));
-        let (p50, _) = time_loop(batch_iters, &hist, || {
-            black_box(model.predict_with_executor(&x_batch, &exec));
-        });
-        let fps = BATCH_ROWS as f64 * 1e9 / p50.max(1) as f64;
-        best_fps = best_fps.max(fps);
-        scaling.push((w, exec.pinned_workers(), p50, fps));
+    for _ in 0..3 {
+        black_box(model.predict(&x_batch));
     }
+    let (batch_p50, _) = time_loop(
+        batch_iters,
+        &registry.latency_histogram("stacked_batch_ns"),
+        || {
+            black_box(model.predict(&x_batch));
+        },
+    );
+    let row_ns = batch_p50 as f64 / BATCH_ROWS as f64;
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
@@ -775,6 +765,7 @@ fn main() {
         writeln!(json, "    \"{class}_p50\": {},", class_p50(class)).unwrap();
     }
     writeln!(json, "    \"sum_p50\": {layers_sum},").unwrap();
+    writeln!(json, "    \"clock_read_p50\": {clock_read_p50},").unwrap();
     writeln!(json, "    \"tape_free_forecast_p50\": {free_p50},").unwrap();
     writeln!(
         json,
@@ -838,25 +829,11 @@ fn main() {
         .unwrap();
     }
     writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"batch_executor\": {{").unwrap();
-    writeln!(json, "    \"rows\": {BATCH_ROWS},").unwrap();
     writeln!(
         json,
-        "    \"available_parallelism\": {available_parallelism},"
+        "  \"stacked_batch\": {{\"rows\": {BATCH_ROWS}, \"batch_p50_ns\": {batch_p50}, \"row_ns\": {row_ns:.0}}},"
     )
     .unwrap();
-    writeln!(json, "    \"scaling\": [").unwrap();
-    for (i, (w, pinned, p50, fps)) in scaling.iter().enumerate() {
-        let sep = if i + 1 == scaling.len() { "" } else { "," };
-        writeln!(
-            json,
-            "      {{\"workers\": {w}, \"pinned_workers\": {pinned}, \"batch_p50_ns\": {p50}, \"forecasts_per_sec\": {fps:.0}}}{sep}"
-        )
-        .unwrap();
-    }
-    writeln!(json, "    ],").unwrap();
-    writeln!(json, "    \"forecasts_per_sec_aggregate\": {best_fps:.0}").unwrap();
-    writeln!(json, "  }},").unwrap();
     // Bucketed distribution summaries from the obs histograms that every
     // timing loop fed. The `*_p50`/`*_p99` fields above stay the exact
     // sorted-sample quantiles; these add count/mean/max and bucket-resolved
@@ -905,7 +882,7 @@ fn main() {
         );
     }
     eprintln!(
-        "gemm [{}]: median {gemm_speedup_p50:.1}x over scalar; batch executor: {best_fps:.0} forecasts/sec aggregate ({available_parallelism} cores)",
+        "gemm [{}]: median {gemm_speedup_p50:.1}x over scalar; stacked batch: {row_ns:.0} ns a row of {BATCH_ROWS}",
         gemm_tier.name(),
     );
 }

@@ -125,11 +125,7 @@ pub(crate) fn fit_network_with_loss<M: SequenceModel>(
 /// Run inference through the tape-free engine, reusing this thread's
 /// scratch arena. All `Forecaster::predict` impls route through here, so
 /// serving forecasts never build a tape.
-pub(crate) fn predict_network<M: SequenceModel + Sync>(
-    net: &M,
-    x: &Tensor,
-    batch: usize,
-) -> Tensor {
+pub(crate) fn predict_network<M: SequenceModel>(net: &M, x: &Tensor, batch: usize) -> Tensor {
     autograd::infer::with_thread_context(|ctx| autograd::infer::predict(net, x, batch, ctx))
 }
 

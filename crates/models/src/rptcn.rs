@@ -339,24 +339,6 @@ impl RptcnForecaster {
         }
         Tensor::from_vec(out, &[n, h])
     }
-
-    /// Tape-free batched inference on an explicit worker pool instead of
-    /// the process-global one — the seam `bench_infer` uses to measure
-    /// throughput scaling across worker counts within a single process.
-    /// Bitwise identical to [`Forecaster::predict`] for any pool size.
-    pub fn predict_with_executor(
-        &self,
-        x: &Tensor,
-        exec: &autograd::batch_exec::BatchExecutor,
-    ) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
-        self.point_block(autograd::infer::predict_on(
-            net,
-            x,
-            self.config.spec.batch_size.max(1),
-            exec,
-        ))
-    }
 }
 
 impl Forecaster for RptcnForecaster {

@@ -670,14 +670,10 @@ fn forecast_many(
         };
         ctx.stats.batch_calls.inc();
         let per_entity_nanos = ctx.clock.now_nanos().saturating_sub(batch_started) / rows as u64;
-        // Stacked batches of >= MIN_PARALLEL_ROWS rows are split across the
-        // pinned batch-executor pool inside the engine; surface the pool
-        // width so journal readers can attribute throughput.
-        let workers = autograd::batch_exec::global().workers();
         ctx.note(
             EventKind::BatchForecast,
             None,
-            format!("{rows} entities answered by one engine call ({workers}-worker pool)"),
+            format!("{rows} entities answered by one engine call"),
         );
         let horizon = pred.shape()[1];
         for (row, idx) in members.iter().enumerate() {

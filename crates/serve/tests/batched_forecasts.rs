@@ -163,19 +163,16 @@ fn degraded_member_bypasses_the_batch_and_groupmates_keep_batching() {
     assert_eq!(stats.total(|s| s.batched_forecasts), 3, "{stats:?}");
 }
 
-/// A shared group big enough to cross the batch executor's parallel
-/// threshold: the stacked engine call inside `forecast_many` fans its rows
-/// out over the pinned worker pool (inline on 1-core hosts). Either way the
-/// batched answers must stay bitwise identical to each entity's own
-/// batch-1 `forecast()` on a twin outside the service — with a real fitted
-/// RPTCN, not a toy forecaster, so the full conv → attention → FC → head
-/// stack rides the GEMM microkernel.
+/// A shared RPTCN group answered by one stacked engine call inside
+/// `forecast_many`: the batched answers must stay bitwise identical to each
+/// entity's own batch-1 `forecast()` on a twin outside the service — with a
+/// real fitted RPTCN, not a toy forecaster, so the full conv → attention →
+/// FC → head stack rides the GEMM microkernel.
 #[test]
-fn executor_sized_batch_matches_per_entity_path_bitwise() {
-    use autograd::batch_exec::MIN_PARALLEL_ROWS;
+fn rptcn_stacked_group_matches_twins_bitwise() {
     use models::{NeuralTrainSpec, RptcnConfig, RptcnForecaster};
 
-    let entities = MIN_PARALLEL_ROWS + 2;
+    let entities = 10;
     let mut service = PredictionService::new(ServiceConfig {
         shards: 1,
         refit_workers: 0,
@@ -221,7 +218,7 @@ fn executor_sized_batch_matches_per_entity_path_bitwise() {
         assert_eq!(
             bits(fc),
             twins[id],
-            "executor-sized batch diverged from {id}'s own forecast"
+            "stacked group diverged from {id}'s own forecast"
         );
     }
     let stats = service.stats();

@@ -25,7 +25,7 @@
 //!   shape, including degenerate and non-tile-multiple ones;
 //! * the packed large-`m` path equals the direct small-`m` path, so a
 //!   stacked batch of rows equals the same rows computed one at a time;
-//! * the batch executor's static row partition does not change results.
+//! * splitting a batch into row chunks does not change results.
 //!
 //! Under Miri (and on non-x86 targets) the `#[target_feature]` kernels are
 //! replaced by raw-pointer scalar twins with identical signatures and
@@ -653,7 +653,7 @@ mod tests {
     }
 
     /// Stacked rows must equal the same rows computed one at a time — the
-    /// property the batch executor and shard batching rely on.
+    /// property chunked inference and shard batching rely on.
     #[test]
     fn row_partition_is_bitwise_neutral() {
         let mut rng = Rng::seed_from(11);

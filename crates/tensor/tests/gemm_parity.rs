@@ -5,7 +5,7 @@
 //! multiple of the 4×16 microtile, and both merge modes (overwrite vs
 //! accumulate). The twins are the semantics; the SIMD kernels are only an
 //! implementation detail, and these tests are what let the rest of the
-//! workspace (taped training, tape-free inference, the batch executor,
+//! workspace (taped training, tape-free inference, chunked batches,
 //! shard batching) assume row-partitioning never changes results.
 
 use proptest::prelude::*;
@@ -80,8 +80,8 @@ proptest! {
 
     /// Any row partition of the batch is bitwise neutral: computing a
     /// stacked [m, k] product equals computing each contiguous row chunk
-    /// independently. This is the exact property the pinned batch executor
-    /// relies on when it splits `forecast_many` batches across workers.
+    /// independently. This is the exact property `infer::predict` relies on
+    /// when it runs a stacked batch in chunks of the model's batch size.
     #[test]
     fn row_chunking_is_bitwise_neutral(
         (m, k, n, seed) in (1usize..12, 1usize..32, 1usize..32, 0u64..10_000),

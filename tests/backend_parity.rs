@@ -8,11 +8,11 @@
 //! (`predict_taped`), through the predictor and through a
 //! `PredictionService` shard — and repeated forecasts must stop taking
 //! fresh buffers from the thread's scratch arena. A shared-weight group
-//! large enough for the stacked-batch pool to split must answer each
-//! entity with the bits of its own forecast (run outside the service, on a
-//! twin rebuilt from its snapshot). And because the arena reads
-//! convolution weights prepared when they were installed, an entity whose
-//! model is replaced must answer with the replacement's bits at once.
+//! answered by one stacked batch must answer each entity with the bits of
+//! its own forecast (run outside the service, on a twin rebuilt from its
+//! snapshot). And because the arena reads convolution weights prepared
+//! when they were installed, an entity whose model is replaced must answer
+//! with the replacement's bits at once.
 
 use std::collections::BTreeMap;
 
@@ -148,13 +148,10 @@ fn lstm_forecast_is_the_same_bits_on_every_path() {
     );
 }
 
-/// The one fan-out in the compute crates: a shard answers a shared-weight
-/// group with one stacked batch, and `autograd::batch_exec` splits its
-/// rows over the pool on any multi-core host.
+/// A shard answers a shared-weight group with one stacked batch.
 #[test]
 fn stacked_batch_answers_each_entity_with_its_own_forecast_bits() {
     const ENTITIES: usize = 16;
-    const { assert!(ENTITIES >= autograd::batch_exec::MIN_PARALLEL_ROWS) };
     let ids: Vec<String> = (0..ENTITIES).map(|i| format!("e_{i}")).collect();
     let fleet: Vec<(&str, TimeSeriesFrame)> = ids
         .iter()
