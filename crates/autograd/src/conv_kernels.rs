@@ -8,316 +8,9 @@
 
 use tensor::Tensor;
 
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    #[cfg(not(miri))]
-    use std::arch::x86_64::*;
-    #[cfg(not(miri))]
-    use std::mem::MaybeUninit;
-
-    /// Capacity of the on-stack left-padded input scratch; the AVX path
-    /// requires `in_ch * (time + 2*dilation) + 8` floats to fit (the final
-    /// 8 absorb full-width over-reads of the last row).
-    pub const PAD_CAP: usize = 1024;
-
-    /// Capacity of the on-stack output scratch (four rows, 8-aligned).
-    const Y_CAP: usize = 512;
-
-    /// Longest row the AVX path handles: four 8-aligned rows must fit in
-    /// the output scratch.
-    pub const MAX_TIME: usize = Y_CAP / 4;
-
-    /// One batch item of the fused k=3 kernel, vectorised. Each input row
-    /// is first copied into a scratch row with `2*dilation` leading zeros,
-    /// which turns the causal warm-up region into ordinary lanes: every
-    /// output element becomes `y[t] += w0*xp[t] + w1*xp[t+d] + w2*xp[t+2d]`
-    /// and one full-width loop covers the whole row at any dilation. Four
-    /// output rows share every input load (independent accumulator chains).
-    ///
-    /// Bitwise identity with `tap_accumulate` holds because (a) multiplies
-    /// and adds stay separate instructions (Rust never contracts to FMA),
-    /// (b) per element, contributions land in the same `(in-channel, tap)`
-    /// order, and (c) the extra `w * 0.0` terms for taps the reference
-    /// skips are exact no-ops: the weights are finite and nonzero (the
-    /// caller checks), so each such term is `±0.0`, and an accumulator
-    /// that starts at `+0.0` can never become `-0.0` under
-    /// round-to-nearest, so adding a signed zero never changes its bits.
-    ///
-    /// # Safety
-    ///
-    /// The caller must verify AVX support at runtime, `k == 3`,
-    /// `2*dilation < time`, slice lengths matching the
-    /// `[in_ch|out_ch, time]` row-major layout,
-    /// `in_ch * (time + 2*dilation) + 8 <= PAD_CAP`, and
-    /// `time <= MAX_TIME`. (Finite nonzero weights are what the parity
-    /// argument needs; no memory access depends on them.)
-    #[allow(clippy::too_many_arguments)]
-    #[cfg(not(miri))]
-    #[target_feature(enable = "avx")]
-    pub unsafe fn item_fused_avx(
-        x_item: &[f32],
-        dw: &[f32],
-        out_item: &mut [f32],
-        in_ch: usize,
-        out_ch: usize,
-        time: usize,
-        d: usize,
-    ) {
-        // SAFETY: the whole kernel relies on the fn contract above —
-        // AVX verified by the caller, `k == 3`, `2*dilation < time`,
-        // row-major slices of the stated lengths, and the scratch-fit
-        // bounds `in_ch*(time+2d)+8 <= PAD_CAP`, `time <= MAX_TIME`.
-        // The per-loop bounds are spelled out where each loop starts.
-        unsafe {
-            let head = 2 * d;
-            let stride = time + head;
-            // Neither scratch is zero-filled whole: of `pad` the kernel
-            // reads `in_ch * stride + 8` floats — each row's `head` zeros
-            // and its `time` samples, written here, and the 8-float tail
-            // the last row's full-width loads run into — and of `ys` only
-            // what it has stored.
-            let mut pad = [MaybeUninit::<f32>::uninit(); PAD_CAP];
-            let pad = pad.as_mut_ptr().cast::<f32>();
-            for ic in 0..in_ch {
-                // SAFETY: `(ic + 1) * stride <= in_ch * stride < PAD_CAP`
-                // (scratch-fit bound) and `x_item` holds `in_ch * time`.
-                let row = pad.add(ic * stride);
-                row.write_bytes(0, head);
-                row.add(head)
-                    .copy_from_nonoverlapping(x_item.as_ptr().add(ic * time), time);
-            }
-            // SAFETY: `in_ch * stride + 8 <= PAD_CAP`.
-            pad.add(in_ch * stride).write_bytes(0, 8);
-            let pad: *const f32 = pad;
-            let st = (time + 7) & !7;
-            let mut ys = [MaybeUninit::<f32>::uninit(); Y_CAP];
-            let ys = ys.as_mut_ptr().cast::<f32>();
-            let mut rows = out_item.chunks_exact_mut(time);
-            let mut oc = 0;
-            while oc + 4 <= out_ch {
-                // Two output chunks per pass give eight independent accumulator
-                // chains — enough to hide vaddps latency — and the 8-aligned
-                // scratch rows make every store full-width: lanes past `time`
-                // hold garbage from over-reading the padded input and are
-                // dropped at copy-out.
-                let mut i = 0;
-                // SAFETY: the fn contract bounds every access. Input loads read
-                // `pad[ic*stride + i .. +head+16]`; the worst case
-                // `i = st-16 <= time-9` gives an end offset of at most
-                // `in_ch*(time+head) + 8 <= PAD_CAP`. Weight reads stop at
-                // `(oc+3)*in_ch*3 + 3 <= dw.len()`. Stores write
-                // `ys[3*st + i .. +16] <= 4*st <= Y_CAP` (`time <= MAX_TIME`).
-                while i + 16 <= st {
-                    let mut v0a = _mm256_setzero_ps();
-                    let mut v1a = _mm256_setzero_ps();
-                    let mut v2a = _mm256_setzero_ps();
-                    let mut v3a = _mm256_setzero_ps();
-                    let mut v0b = _mm256_setzero_ps();
-                    let mut v1b = _mm256_setzero_ps();
-                    let mut v2b = _mm256_setzero_ps();
-                    let mut v3b = _mm256_setzero_ps();
-                    for ic in 0..in_ch {
-                        let xp = pad.add(ic * stride + i);
-                        let a0 = _mm256_loadu_ps(xp);
-                        let b0 = _mm256_loadu_ps(xp.add(d));
-                        let c0 = _mm256_loadu_ps(xp.add(head));
-                        let a1 = _mm256_loadu_ps(xp.add(8));
-                        let b1 = _mm256_loadu_ps(xp.add(d + 8));
-                        let c1 = _mm256_loadu_ps(xp.add(head + 8));
-                        let wr = dw.as_ptr().add((oc * in_ch + ic) * 3);
-                        let w0 = _mm256_set1_ps(*wr);
-                        let w1 = _mm256_set1_ps(*wr.add(1));
-                        let w2 = _mm256_set1_ps(*wr.add(2));
-                        v0a = _mm256_add_ps(v0a, _mm256_mul_ps(w0, a0));
-                        v0a = _mm256_add_ps(v0a, _mm256_mul_ps(w1, b0));
-                        v0a = _mm256_add_ps(v0a, _mm256_mul_ps(w2, c0));
-                        v0b = _mm256_add_ps(v0b, _mm256_mul_ps(w0, a1));
-                        v0b = _mm256_add_ps(v0b, _mm256_mul_ps(w1, b1));
-                        v0b = _mm256_add_ps(v0b, _mm256_mul_ps(w2, c1));
-                        let wr = dw.as_ptr().add(((oc + 1) * in_ch + ic) * 3);
-                        let w0 = _mm256_set1_ps(*wr);
-                        let w1 = _mm256_set1_ps(*wr.add(1));
-                        let w2 = _mm256_set1_ps(*wr.add(2));
-                        v1a = _mm256_add_ps(v1a, _mm256_mul_ps(w0, a0));
-                        v1a = _mm256_add_ps(v1a, _mm256_mul_ps(w1, b0));
-                        v1a = _mm256_add_ps(v1a, _mm256_mul_ps(w2, c0));
-                        v1b = _mm256_add_ps(v1b, _mm256_mul_ps(w0, a1));
-                        v1b = _mm256_add_ps(v1b, _mm256_mul_ps(w1, b1));
-                        v1b = _mm256_add_ps(v1b, _mm256_mul_ps(w2, c1));
-                        let wr = dw.as_ptr().add(((oc + 2) * in_ch + ic) * 3);
-                        let w0 = _mm256_set1_ps(*wr);
-                        let w1 = _mm256_set1_ps(*wr.add(1));
-                        let w2 = _mm256_set1_ps(*wr.add(2));
-                        v2a = _mm256_add_ps(v2a, _mm256_mul_ps(w0, a0));
-                        v2a = _mm256_add_ps(v2a, _mm256_mul_ps(w1, b0));
-                        v2a = _mm256_add_ps(v2a, _mm256_mul_ps(w2, c0));
-                        v2b = _mm256_add_ps(v2b, _mm256_mul_ps(w0, a1));
-                        v2b = _mm256_add_ps(v2b, _mm256_mul_ps(w1, b1));
-                        v2b = _mm256_add_ps(v2b, _mm256_mul_ps(w2, c1));
-                        let wr = dw.as_ptr().add(((oc + 3) * in_ch + ic) * 3);
-                        let w0 = _mm256_set1_ps(*wr);
-                        let w1 = _mm256_set1_ps(*wr.add(1));
-                        let w2 = _mm256_set1_ps(*wr.add(2));
-                        v3a = _mm256_add_ps(v3a, _mm256_mul_ps(w0, a0));
-                        v3a = _mm256_add_ps(v3a, _mm256_mul_ps(w1, b0));
-                        v3a = _mm256_add_ps(v3a, _mm256_mul_ps(w2, c0));
-                        v3b = _mm256_add_ps(v3b, _mm256_mul_ps(w0, a1));
-                        v3b = _mm256_add_ps(v3b, _mm256_mul_ps(w1, b1));
-                        v3b = _mm256_add_ps(v3b, _mm256_mul_ps(w2, c1));
-                    }
-                    _mm256_storeu_ps(ys.add(i), v0a);
-                    _mm256_storeu_ps(ys.add(i + 8), v0b);
-                    _mm256_storeu_ps(ys.add(st + i), v1a);
-                    _mm256_storeu_ps(ys.add(st + i + 8), v1b);
-                    _mm256_storeu_ps(ys.add(2 * st + i), v2a);
-                    _mm256_storeu_ps(ys.add(2 * st + i + 8), v2b);
-                    _mm256_storeu_ps(ys.add(3 * st + i), v3a);
-                    _mm256_storeu_ps(ys.add(3 * st + i + 8), v3b);
-                    i += 16;
-                }
-                while i < st {
-                    let mut v0 = _mm256_setzero_ps();
-                    let mut v1 = _mm256_setzero_ps();
-                    let mut v2 = _mm256_setzero_ps();
-                    let mut v3 = _mm256_setzero_ps();
-                    for ic in 0..in_ch {
-                        let xp = pad.add(ic * stride + i);
-                        let a = _mm256_loadu_ps(xp);
-                        let b = _mm256_loadu_ps(xp.add(d));
-                        let c = _mm256_loadu_ps(xp.add(head));
-                        let wr = dw.as_ptr().add((oc * in_ch + ic) * 3);
-                        v0 = _mm256_add_ps(v0, _mm256_mul_ps(_mm256_set1_ps(*wr), a));
-                        v0 = _mm256_add_ps(v0, _mm256_mul_ps(_mm256_set1_ps(*wr.add(1)), b));
-                        v0 = _mm256_add_ps(v0, _mm256_mul_ps(_mm256_set1_ps(*wr.add(2)), c));
-                        let wr = dw.as_ptr().add(((oc + 1) * in_ch + ic) * 3);
-                        v1 = _mm256_add_ps(v1, _mm256_mul_ps(_mm256_set1_ps(*wr), a));
-                        v1 = _mm256_add_ps(v1, _mm256_mul_ps(_mm256_set1_ps(*wr.add(1)), b));
-                        v1 = _mm256_add_ps(v1, _mm256_mul_ps(_mm256_set1_ps(*wr.add(2)), c));
-                        let wr = dw.as_ptr().add(((oc + 2) * in_ch + ic) * 3);
-                        v2 = _mm256_add_ps(v2, _mm256_mul_ps(_mm256_set1_ps(*wr), a));
-                        v2 = _mm256_add_ps(v2, _mm256_mul_ps(_mm256_set1_ps(*wr.add(1)), b));
-                        v2 = _mm256_add_ps(v2, _mm256_mul_ps(_mm256_set1_ps(*wr.add(2)), c));
-                        let wr = dw.as_ptr().add(((oc + 3) * in_ch + ic) * 3);
-                        v3 = _mm256_add_ps(v3, _mm256_mul_ps(_mm256_set1_ps(*wr), a));
-                        v3 = _mm256_add_ps(v3, _mm256_mul_ps(_mm256_set1_ps(*wr.add(1)), b));
-                        v3 = _mm256_add_ps(v3, _mm256_mul_ps(_mm256_set1_ps(*wr.add(2)), c));
-                    }
-                    _mm256_storeu_ps(ys.add(i), v0);
-                    _mm256_storeu_ps(ys.add(st + i), v1);
-                    _mm256_storeu_ps(ys.add(2 * st + i), v2);
-                    _mm256_storeu_ps(ys.add(3 * st + i), v3);
-                    i += 8;
-                }
-                let y0 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-                let y1 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-                let y2 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-                let y3 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-                                                          // SAFETY: the loops above stored `[0, st)` of each of the
-                                                          // four scratch rows, and `time <= st`.
-                for (r, y) in [y0, y1, y2, y3].into_iter().enumerate() {
-                    y.copy_from_slice(std::slice::from_raw_parts(ys.add(r * st), time));
-                }
-                oc += 4;
-            }
-            for y_row in rows {
-                for ic in 0..in_ch {
-                    // SAFETY: row `ic` of the scratch, written whole above.
-                    let xp = std::slice::from_raw_parts(pad.add(ic * stride), stride);
-                    let w = &dw[(oc * in_ch + ic) * 3..][..3];
-                    for t in 0..time {
-                        let mut v = y_row[t];
-                        v += w[0] * xp[t];
-                        v += w[1] * xp[t + d];
-                        v += w[2] * xp[t + head];
-                        y_row[t] = v;
-                    }
-                }
-                oc += 1;
-            }
-        }
-    }
-
-    /// Scalar twin of the AVX kernel for Miri runs: the same padded-scratch
-    /// layout, the same raw-pointer arithmetic and the same per-element
-    /// `(in-channel, tap)` accumulation order, so Miri checks the bounds
-    /// and aliasing reasoning the vector path relies on while the result
-    /// stays bitwise identical to `tap_accumulate` under the fused-path
-    /// preconditions (see the parity argument on the AVX variant).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as the AVX variant minus the CPU-feature requirement:
-    /// `k == 3`, `2*dilation < time`, slice lengths matching the
-    /// `[in_ch|out_ch, time]` row-major layout and
-    /// `in_ch * (time + 2*dilation) + 8 <= PAD_CAP`.
-    #[allow(clippy::too_many_arguments)]
-    #[cfg(miri)]
-    pub unsafe fn item_fused_avx(
-        x_item: &[f32],
-        dw: &[f32],
-        out_item: &mut [f32],
-        in_ch: usize,
-        out_ch: usize,
-        time: usize,
-        d: usize,
-    ) {
-        let head = 2 * d;
-        let stride = time + head;
-        let mut pad = [0.0f32; PAD_CAP];
-        for ic in 0..in_ch {
-            pad[ic * stride + head..(ic + 1) * stride]
-                .copy_from_slice(&x_item[ic * time..(ic + 1) * time]);
-        }
-        let padp = pad.as_ptr();
-        let wp = dw.as_ptr();
-        let outp = out_item.as_mut_ptr();
-        for oc in 0..out_ch {
-            for t in 0..time {
-                let mut acc = 0.0f32;
-                for ic in 0..in_ch {
-                    // SAFETY: `t < time` and the contract's scratch-fit
-                    // bound keep `ic*stride + t + head < PAD_CAP`; the
-                    // weight row ends at `(oc*in_ch + ic)*3 + 3
-                    // <= dw.len()`. Taps read the padded row at offsets
-                    // `t`, `t+d`, `t+head` — the leading `head` zeros
-                    // stand in for the causal warm-up.
-                    unsafe {
-                        let xp = padp.add(ic * stride + t);
-                        let wr = wp.add((oc * in_ch + ic) * 3);
-                        acc += *wr * *xp;
-                        acc += *wr.add(1) * *xp.add(d);
-                        acc += *wr.add(2) * *xp.add(head);
-                    }
-                }
-                // SAFETY: `oc < out_ch` and `t < time`, and the contract
-                // guarantees `out_item.len() == out_ch * time`.
-                unsafe {
-                    *outp.add(oc * time + t) = acc;
-                }
-            }
-        }
-    }
-}
-
-/// Runtime AVX detection. Under Miri the scalar twin stands in for the
-/// vector kernel, so the fast path is always "available" — that is the
-/// point: Miri interprets the twin's raw-pointer arithmetic and validates
-/// the layout reasoning the real AVX kernel shares.
-#[cfg(target_arch = "x86_64")]
-fn avx_available() -> bool {
-    #[cfg(miri)]
-    {
-        true
-    }
-    #[cfg(not(miri))]
-    {
-        std::is_x86_feature_detected!("avx")
-    }
-}
-
 /// Accumulate one `(oc, ic)` filter row tap-by-tap: for each tap `kk`, an
 /// axpy over the valid region of the row. The reference accumulation
-/// order — the fused fast path below must reproduce it bitwise.
+/// order — [`conv1d_kept_into`] reproduces it bitwise wherever it runs.
 #[inline]
 fn tap_accumulate(
     y_row: &mut [f32],
@@ -342,37 +35,19 @@ fn tap_accumulate(
     }
 }
 
-/// What a kernel asks of a weight tensor before it picks a path: whether it
-/// may add `w · 0.0` padding terms or must reproduce the reference's skips.
-/// Only [`scan_weights`] makes one.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WeightScan {
-    /// No weight is exactly zero.
-    nonzero: bool,
-    /// Every weight is finite.
-    finite: bool,
-}
-
-impl WeightScan {
-    /// Every weight finite and nonzero: a `w · 0.0` term is `±0.0`, and
-    /// adding a signed zero never changes an accumulator that started at
-    /// `+0.0`.
-    fn uniform(self) -> bool {
-        self.nonzero && self.finite
-    }
-}
-
-/// One pass without early exit, so the scan vectorises. It depends on the
+/// Every weight finite and nonzero: a `w · 0.0` term is `±0.0`, and adding
+/// a signed zero never changes an accumulator that started at `+0.0`. One
+/// pass without early exit, so the scan vectorises. It depends on the
 /// weights alone: the serving path runs it once per weight install (the
-/// [`ParamStore`](crate::ParamStore) keeps the result with the folded
-/// weight), the training kernels once per call.
-pub(crate) fn scan_weights(dw: &[f32]) -> WeightScan {
+/// [`ParamStore`](crate::ParamStore) picks the layout it prepares by it),
+/// the training kernels once per call.
+fn uniform_weights(dw: &[f32]) -> bool {
     let (mut nonzero, mut finite) = (true, true);
     for &w in dw {
         nonzero &= w != 0.0;
         finite &= w.is_finite();
     }
-    WeightScan { nonzero, finite }
+    nonzero && finite
 }
 
 /// The weight-norm reparameterisation `gain · v / ‖v‖` of a `[out_ch, per]`
@@ -400,49 +75,14 @@ pub(crate) fn fold_weight_norm(v: &[f32], gain: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Output steps one pass of [`pointwise_rows`] holds in registers.
-const POINTWISE_LANES: usize = 8;
-
-/// `R` output rows of a `k == 1` convolution: `y[r][t] = Σ_ic w[r][ic] ·
-/// x[ic][t]`, each element's chain in ascending `ic` with multiply and add
-/// separate — the chain [`tap_accumulate`] builds one in-channel at a time,
-/// so the bits are the reference's. The rows share every input load and
-/// the chains stay in registers across the in-channel loop. The last block
-/// of a row is taken back from the row's end, recomputing the elements it
-/// shares with the block before it rather than running a narrower tail.
+/// `out = causal_conv1d(x, w)` over raw row-major slices — the tape's
+/// forward (`conv1d_forward`) calls it. `out` is fully overwritten.
 ///
-/// `w` is the `R` weight rows (`in_ch` each), `y` the `R` output rows
-/// (`time` each); `time >= POINTWISE_LANES`.
-#[inline(always)]
-fn pointwise_rows<const R: usize>(x_item: &[f32], w: &[f32], y: &mut [f32], time: usize) {
-    let in_ch = w.len() / R;
-    for block in 0..time.div_ceil(POINTWISE_LANES) {
-        let t0 = (block * POINTWISE_LANES).min(time - POINTWISE_LANES);
-        let mut acc = [[0.0f32; POINTWISE_LANES]; R];
-        for (ic, x_row) in x_item.chunks_exact(time).enumerate() {
-            let xs = &x_row[t0..t0 + POINTWISE_LANES];
-            for (r, a) in acc.iter_mut().enumerate() {
-                let wv = w[r * in_ch + ic];
-                for (slot, &xv) in a.iter_mut().zip(xs) {
-                    *slot += wv * xv;
-                }
-            }
-        }
-        for (a, y_row) in acc.iter().zip(y.chunks_exact_mut(time)) {
-            y_row[t0..t0 + POINTWISE_LANES].copy_from_slice(a);
-        }
-    }
-}
-
-/// `out = causal_conv1d(x, w)` over raw row-major slices — the
-/// allocation-free kernel under both backends: `conv1d_forward` (the tape)
-/// calls it, the arena calls `conv1d_scanned_into_zeroed` with the scan
-/// the store made when the weights were installed. `out` is fully
-/// overwritten.
-///
-/// The zero-weight skip stays here (unlike the dense matmul): weight-normed
-/// conv filters routinely carry exact zeros and the tap loop is short enough
-/// that the branch does not hurt vectorisation.
+/// Weights [`kept_kernel_takes`] run on [`conv1d_kept_into`] with every
+/// column kept, laid out lane-major for this call and with a zero bias:
+/// `acc + 0.0` is `acc`, because no chain that starts at `+0.0` reaches
+/// `−0.0`. Any other weight — weight-normed filters can carry exact zeros —
+/// takes the tap-wise reference.
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_into(
     dx: &[f32],
@@ -455,26 +95,29 @@ pub fn conv1d_into(
     k: usize,
     dilation: usize,
 ) {
-    let scan = scan_weights(dw);
+    if kept_kernel_takes(dw) {
+        let lanes = lane_major_weight(dw, out_ch, in_ch, k);
+        let zero_bias = vec![0.0f32; out_ch];
+        conv1d_kept_into(
+            dx, &lanes, &zero_bias, out, batch, in_ch, out_ch, time, k, dilation, 1,
+        );
+        return;
+    }
     out.fill(0.0);
-    conv1d_scanned_into_zeroed(dx, dw, scan, out, batch, in_ch, out_ch, time, k, dilation);
+    conv1d_taps_into_zeroed(dx, dw, out, batch, in_ch, out_ch, time, k, dilation);
 }
 
-/// [`conv1d_into`] with `scan` the [`scan_weights`] of `dw`, into an `out`
-/// that **the caller has zeroed**: most paths accumulate onto it, so any
-/// other content ends up in the sums. Both callers hold to it — the
-/// arena's `take` hands out zero-filled buffers ([`InferenceContext::take`]
-/// resizes from empty), `conv1d_into` fills — and a second pass over a
-/// stacked batch's output is not free. The scan picks among paths that are
-/// bitwise equal wherever it holds; memory safety rests on the lengths
-/// asserted here alone.
+/// The reference convolution — [`tap_accumulate`] for every `(out-channel,
+/// in-channel)` pair — into an `out` that **the caller has zeroed**: it
+/// accumulates, so any other content ends up in the sums. Both callers
+/// hold to it: the arena's `take` hands out zero-filled buffers
+/// ([`InferenceContext::take`] resizes from empty), [`conv1d_into`] fills.
 ///
 /// [`InferenceContext::take`]: crate::infer::InferenceContext::take
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv1d_scanned_into_zeroed(
+pub(crate) fn conv1d_taps_into_zeroed(
     dx: &[f32],
     dw: &[f32],
-    scan: WeightScan,
     out: &mut [f32],
     batch: usize,
     in_ch: usize,
@@ -492,156 +135,16 @@ pub(crate) fn conv1d_scanned_into_zeroed(
         "conv1d_into output length"
     );
     debug_assert!(out.iter().all(|v| v.to_bits() == 0), "out not zeroed");
-
-    // k=1 (the residual projection): no tap reaches back, so the only
-    // difference from the reference is its skip of exact-zero weights.
-    // Non-finite weights stay on the reference too, where a NaN meets its
-    // operands in the reference's order.
-    if k == 1 && time >= POINTWISE_LANES && scan.uniform() && !dw.is_empty() {
-        for (x_item, out_item) in dx
-            .chunks_exact(in_ch * time)
-            .zip(out.chunks_exact_mut(out_ch * time))
-        {
-            let mut w4 = dw.chunks_exact(4 * in_ch);
-            let mut y4 = out_item.chunks_exact_mut(4 * time);
-            for (w, y) in (&mut w4).zip(&mut y4) {
-                pointwise_rows::<4>(x_item, w, y, time);
-            }
-            let rest = w4.remainder().chunks_exact(in_ch);
-            for (w, y) in rest.zip(y4.into_remainder().chunks_exact_mut(time)) {
-                pointwise_rows::<1>(x_item, w, y, time);
-            }
-        }
-        return;
-    }
-
-    // Fused k=3 fast path: one pass over each row instead of three, four
-    // output channels sharing every input load (four independent
-    // accumulator chains hide FMA latency). Per element, contributions
-    // still land in (in-channel, tap) order as separate adds, so the
-    // result is bitwise identical to `tap_accumulate`. Exact-zero weights
-    // (whose terms the reference skips) route to the slow path.
-    let fused_ok = k == 3 && 2 * dilation < time && scan.nonzero;
-    #[cfg(target_arch = "x86_64")]
-    let use_avx = fused_ok
-        && scan.finite
-        && in_ch * (time + 2 * dilation) + 8 <= simd::PAD_CAP
-        && time <= simd::MAX_TIME
-        && avx_available();
-
-    let item_fused = |b: usize, out_item: &mut [f32]| {
-        let x_item = &dx[b * in_ch * time..(b + 1) * in_ch * time];
-        let d = dilation;
-        let head = 2 * d;
-        let tail = time - head;
-        let mut rows = out_item.chunks_exact_mut(time);
-        let mut oc = 0;
-        while oc + 4 <= out_ch {
-            let y0 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-            let y1 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-            let y2 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-            let y3 = rows.next().expect("row count"); // lint: allow(r2) — chunks_exact count checked by the `oc + 4 <= out_ch` guard
-            for ic in 0..in_ch {
-                let x_row = &x_item[ic * time..(ic + 1) * time];
-                let wa = &dw[((oc) * in_ch + ic) * 3..][..3];
-                let wb = &dw[((oc + 1) * in_ch + ic) * 3..][..3];
-                let wc = &dw[((oc + 2) * in_ch + ic) * 3..][..3];
-                let we = &dw[((oc + 3) * in_ch + ic) * 3..][..3];
-                // Warm-up region t < 2d, tap-wise like the reference.
-                for t in d..head {
-                    let xv = x_row[t - d];
-                    y0[t] += wa[1] * xv;
-                    y1[t] += wb[1] * xv;
-                    y2[t] += wc[1] * xv;
-                    y3[t] += we[1] * xv;
-                }
-                for t in 0..head {
-                    let xv = x_row[t];
-                    y0[t] += wa[2] * xv;
-                    y1[t] += wb[2] * xv;
-                    y2[t] += wc[2] * xv;
-                    y3[t] += we[2] * xv;
-                }
-                for i in 0..tail {
-                    let x0 = x_row[i];
-                    let x1 = x_row[d + i];
-                    let x2 = x_row[head + i];
-                    let t = head + i;
-                    let mut v0 = y0[t];
-                    v0 += wa[0] * x0;
-                    v0 += wa[1] * x1;
-                    v0 += wa[2] * x2;
-                    y0[t] = v0;
-                    let mut v1 = y1[t];
-                    v1 += wb[0] * x0;
-                    v1 += wb[1] * x1;
-                    v1 += wb[2] * x2;
-                    y1[t] = v1;
-                    let mut v2 = y2[t];
-                    v2 += wc[0] * x0;
-                    v2 += wc[1] * x1;
-                    v2 += wc[2] * x2;
-                    y2[t] = v2;
-                    let mut v3 = y3[t];
-                    v3 += we[0] * x0;
-                    v3 += we[1] * x1;
-                    v3 += we[2] * x2;
-                    y3[t] = v3;
-                }
-            }
-            oc += 4;
-        }
-        for y_row in rows {
-            for ic in 0..in_ch {
-                let x_row = &x_item[ic * time..(ic + 1) * time];
-                let w = &dw[(oc * in_ch + ic) * 3..][..3];
-                for t in d..head {
-                    y_row[t] += w[1] * x_row[t - d];
-                }
-                for t in 0..head {
-                    y_row[t] += w[2] * x_row[t];
-                }
-                for i in 0..tail {
-                    let t = head + i;
-                    let mut v = y_row[t];
-                    v += w[0] * x_row[i];
-                    v += w[1] * x_row[d + i];
-                    v += w[2] * x_row[t];
-                    y_row[t] = v;
-                }
-            }
-            oc += 1;
-        }
-    };
-
-    let item_kernel = |b: usize, out_item: &mut [f32]| {
-        #[cfg(target_arch = "x86_64")]
-        if use_avx {
-            let x_item = &dx[b * in_ch * time..(b + 1) * in_ch * time];
-            // SAFETY: `use_avx` checked AVX support at runtime and implies
-            // `fused_ok`; slice lengths were asserted above.
-            unsafe {
-                simd::item_fused_avx(x_item, dw, out_item, in_ch, out_ch, time, dilation);
-            }
-            return;
-        }
-        if fused_ok {
-            item_fused(b, out_item);
-            return;
-        }
-        let x_item = &dx[b * in_ch * time..(b + 1) * in_ch * time];
+    for b in 0..batch {
+        let x_item = &dx[b * in_ch * time..][..in_ch * time];
         for oc in 0..out_ch {
-            let y_row = &mut out_item[oc * time..(oc + 1) * time];
+            let y_row = &mut out[(b * out_ch + oc) * time..][..time];
             for ic in 0..in_ch {
-                let x_row = &x_item[ic * time..(ic + 1) * time];
-                let w_row = &dw[(oc * in_ch + ic) * k..(oc * in_ch + ic + 1) * k];
+                let x_row = &x_item[ic * time..][..time];
+                let w_row = &dw[(oc * in_ch + ic) * k..][..k];
                 tap_accumulate(y_row, x_row, w_row, time, k, dilation);
             }
         }
-    };
-
-    for (b, chunk) in out.chunks_mut(out_ch * time).enumerate() {
-        item_kernel(b, chunk);
     }
 }
 
@@ -658,25 +161,19 @@ fn kept_lane_stride(out_ch: usize) -> usize {
 /// lanes each, eight independent chains that share every weight load.
 const KEPT_COLS: usize = 4;
 
-/// Longest full row (`keep == 1`) the kept-column kernel takes; longer ones
-/// fill the time lanes of the fused kernels.
-const KEPT_SHORT_ROW: usize = 8;
-
-/// Whether a convolution over `in_ch` rows of `time` steps whose consumer
-/// reads every `keep`-th column goes to [`conv1d_kept_into`]: subsampled or
-/// short rows — few columns, where out-channels fill a vector and time
-/// steps do not — of weights the kernel may multiply without the
-/// reference's zero test.
-pub(crate) fn kept_kernel_takes(scan: WeightScan, in_ch: usize, time: usize, keep: usize) -> bool {
-    let few_columns = keep > 1 || time <= KEPT_SHORT_ROW;
-    scan.uniform() && in_ch >= 1 && time >= 1 && few_columns
+/// Whether a convolution with the `[out_ch, in_ch, k]` weight `dw` runs on
+/// [`conv1d_kept_into`]: weights [`uniform_weights`] accepts — the
+/// reference's zero test is the one thing the kernel does not reproduce —
+/// and not empty. Everything else takes the tap-wise reference.
+pub(crate) fn kept_kernel_takes(dw: &[f32]) -> bool {
+    !dw.is_empty() && uniform_weights(dw)
 }
 
 /// `[out_ch, in_ch, k]` re-laid as `[in_ch, k, out_ch]`, out-channels
 /// zero-padded up to a multiple of [`KEPT_LANES`]: the weight
 /// [`conv1d_kept_into`] reads, one contiguous lane vector per
 /// `(in-channel, tap)`. Depends on the weights alone — made once per weight
-/// install, like the fold and the scan.
+/// install for the arena, like the fold and the scan.
 pub(crate) fn lane_major_weight(dw: &[f32], out_ch: usize, in_ch: usize, k: usize) -> Vec<f32> {
     assert_eq!(dw.len(), out_ch * in_ch * k, "lane_major_weight length");
     let lane_stride = kept_lane_stride(out_ch);
@@ -827,9 +324,9 @@ unsafe fn kept_item_avx(item: KeptItem, bias: &[f32], out_item: &mut [f32], keep
 /// ([`subsample_time_into`](crate::infer::subsample_time_into)'s rule;
 /// `keep == 1` is the whole row), and only those: `out` is
 /// `[batch, out_ch, ⌈time/keep⌉]`, fully overwritten. `w_lanes` is the
-/// [`lane_major_weight`] of a weight whose scan is uniform
-/// ([`kept_kernel_takes`]): out-channels sit on the vector lanes, which a
-/// handful of columns cannot fill along time, and each kept element keeps
+/// [`lane_major_weight`] of a weight [`kept_kernel_takes`]: out-channels
+/// sit on the vector lanes, which fill at any row length (a handful of
+/// kept columns cannot fill them along time), and each kept element keeps
 /// the `(in-channel, tap)` chain of [`tap_accumulate`] — so the result is
 /// bitwise the reference convolution, biased, then subsampled. Batch items
 /// go through one kernel one after the other: a stacked row is the lone
@@ -848,7 +345,7 @@ pub(crate) fn conv1d_kept_into(
     dilation: usize,
     keep: usize,
 ) {
-    assert!(dilation >= 1 && keep >= 1 && time >= 1 && k >= 1 && in_ch >= 1);
+    assert!(dilation >= 1 && keep >= 1 && k >= 1 && in_ch >= 1);
     let kept = time.div_ceil(keep);
     let lane_stride = kept_lane_stride(out_ch);
     assert_eq!(dx.len(), batch * in_ch * time, "conv1d_kept_into input");
@@ -863,7 +360,7 @@ pub(crate) fn conv1d_kept_into(
         return;
     }
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    let avx = avx_available();
+    let avx = std::is_x86_feature_detected!("avx");
     for (b, out_item) in out.chunks_exact_mut(out_ch * kept).enumerate() {
         let item = KeptItem {
             x_item: &dx[b * in_ch * time..(b + 1) * in_ch * time],
@@ -1090,11 +587,12 @@ pub fn conv1d_backward_input(
     for (w_oc, wt_oc) in dw.chunks_exact(in_ch * k).zip(wt.chunks_exact_mut(k * icp)) {
         transpose_padded(w_oc, wt_oc, in_ch, k, icp);
     }
-    // With every weight finite and nonzero — the forward kernel's rule for
-    // its padded path — `grad_out` rows are copied out with zeros past
-    // their end: the terms this adds are `w · 0.0 = ±0.0`, and adding a
-    // signed zero never changes an accumulator that started at `+0.0`.
-    let uniform = scan_weights(dw).uniform();
+    // With every weight finite and nonzero — the rule by which the forward
+    // pass takes the kept-column kernel — `grad_out` rows are copied out
+    // with zeros past their end: the terms this adds are `w · 0.0 = ±0.0`,
+    // and adding a signed zero never changes an accumulator that started
+    // at `+0.0`.
+    let uniform = uniform_weights(dw);
     let mut padded = Vec::new();
     let (go, row) = if uniform {
         let row = time.div_ceil(STEPS) * STEPS + (k - 1) * dilation;
@@ -1345,8 +843,8 @@ mod tests {
         }
     }
 
-    /// Tap-wise forward convolution — the accumulation order every fast
-    /// path of [`conv1d_into`] must reproduce.
+    /// Tap-wise forward convolution — the accumulation order the kernel of
+    /// [`conv1d_into`] must reproduce.
     fn forward_reference(x: &Tensor, w: &Tensor, dilation: usize) -> Vec<f32> {
         let (batch, in_ch, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let (out_ch, k) = (w.shape()[0], w.shape()[2]);
@@ -1367,7 +865,8 @@ mod tests {
     }
 
     /// What a forward parity case plants in otherwise finite, nonzero
-    /// weights; either sends the kernel down the reference's path.
+    /// weights and finite inputs. Either weight sends [`conv1d_into`] down
+    /// the reference's path; a non-finite input keeps it on the kernel.
     #[derive(Clone, Copy, Debug)]
     enum Planted {
         Nothing,
@@ -1375,6 +874,9 @@ mod tests {
         /// the reference's skip keeps from turning into NaN.
         ZeroWeight,
         NonFiniteWeight,
+        /// An infinity, a negative infinity and a NaN among the
+        /// activations, weights untouched.
+        NonFiniteInput,
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1390,7 +892,7 @@ mod tests {
     ) {
         let mut x = Tensor::rand_normal(&[batch, in_ch, time], 0.0, 1.0, rng);
         let mut w = Tensor::rand_normal(&[out_ch, in_ch, k], 0.0, 0.5, rng);
-        // The fast paths require nonzero weights; nudge any exact zeros.
+        // The kernel takes only nonzero weights; nudge any exact zeros.
         for v in w.as_mut_slice() {
             if *v == 0.0 {
                 *v = 0.25;
@@ -1406,6 +908,9 @@ mod tests {
                 let v = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.below(3)];
                 season(&mut w, &[v], rng);
             }
+            Planted::NonFiniteInput => {
+                season(&mut x, &[f32::INFINITY, f32::NEG_INFINITY, f32::NAN], rng);
+            }
         }
         assert_same_bits(
             conv1d_forward(&x, &w, d).as_slice(),
@@ -1414,19 +919,22 @@ mod tests {
         );
     }
 
-    /// The fused / AVX / pointwise fast paths must reproduce the tap-wise
-    /// reference accumulation order bit for bit — k=3 at every dilation the
-    /// paper config uses, k=1 (the residual projection) at channel counts
-    /// on both sides of a four-row block and row lengths on both sides of
-    /// a lane block — inference parity and streaming-state checks build on
-    /// this.
+    /// [`conv1d_forward`] — the kept-column kernel at every column, or the
+    /// reference itself for a planted zero or non-finite weight — must
+    /// reproduce the tap-wise reference accumulation order bit for bit:
+    /// k=3 at every dilation the paper config uses, k=1 (the residual
+    /// projection) at channel counts on both sides of a lane block and row
+    /// lengths on both sides of a column block, non-finite inputs on the
+    /// bias-free route. Inference parity and streaming-state checks build
+    /// on this.
     #[test]
-    fn fast_paths_match_tap_reference_bitwise() {
+    fn forward_kernel_matches_tap_reference_bitwise() {
         let mut rng = Rng::seed_from(21);
         let planted = [
             Planted::Nothing,
             Planted::ZeroWeight,
             Planted::NonFiniteWeight,
+            Planted::NonFiniteInput,
         ];
         for &d in &[1usize, 2, 4, 8] {
             // 18 output channels exercise the remainder rows.
@@ -1448,7 +956,7 @@ mod tests {
                     time,
                     1,
                     1,
-                    planted[case % 3],
+                    planted[case % 4],
                     &mut rng,
                 );
             }
@@ -1490,7 +998,7 @@ mod tests {
                             }
                         }
                         let bias = Tensor::rand_normal(&[out_ch], 0.0, 1.0, &mut rng);
-                        assert!(scan_weights(w.as_slice()).uniform());
+                        assert!(kept_kernel_takes(w.as_slice()));
 
                         let mut full = forward_reference(&x, &w, d);
                         for (row, oc) in full.chunks_mut(time).zip((0..out_ch).cycle()) {
@@ -1764,7 +1272,7 @@ mod tests {
                 dims in (1usize..5, 1usize..18, 1usize..18, 1usize..71),
                 (pointwise, kernel) in (0usize..2, 1usize..6),
                 dilation in 1usize..10,
-                planted in 0usize..3,
+                planted in 0usize..4,
                 seed in 0u64..1_000_000,
             ) {
                 let (batch, in_ch, out_ch, time) = dims;
@@ -1773,6 +1281,7 @@ mod tests {
                     Planted::Nothing,
                     Planted::ZeroWeight,
                     Planted::NonFiniteWeight,
+                    Planted::NonFiniteInput,
                 ][planted];
                 let mut rng = Rng::seed_from(seed);
                 check_forward_parity(

@@ -26,7 +26,7 @@ use std::cell::RefCell;
 
 use tensor::Tensor;
 
-use crate::conv_kernels::{conv1d_kept_into, conv1d_scanned_into_zeroed, kept_kernel_takes};
+use crate::conv_kernels::{conv1d_kept_into, conv1d_taps_into_zeroed};
 use crate::exec::Exec;
 use crate::params::{ParamId, ParamStore};
 use crate::train::{take_rows, SequenceModel};
@@ -379,15 +379,15 @@ impl Exec for Arena<'_> {
         keep: usize,
     ) -> Buf {
         let w = self.store.conv_weight(v, gain);
-        let (out_ch, in_ch, kernel) = w.dims();
+        let (out_ch, in_ch, kernel) = w.dims;
         let (batch, time) = (x.dims[0], x.dims[2]);
         assert!(x.rank == 3 && x.dims[1] == in_ch, "arena conv input shape");
         let bias = self.store.value(bias).as_slice();
-        if kept_kernel_takes(w.scan, in_ch, time, keep) {
+        if w.lane_major {
             let mut out = self.take(&[batch, out_ch, subsampled_len(time, keep)]);
             conv1d_kept_into(
                 &x.data,
-                w.lane_major(),
+                w.values,
                 bias,
                 &mut out.data,
                 batch,
@@ -401,11 +401,9 @@ impl Exec for Arena<'_> {
             return out;
         }
         let mut out = self.take(&[batch, out_ch, time]);
-        let scan = w.scan;
-        conv1d_scanned_into_zeroed(
+        conv1d_taps_into_zeroed(
             &x.data,
-            w.dense(),
-            scan,
+            w.values,
             &mut out.data,
             batch,
             in_ch,

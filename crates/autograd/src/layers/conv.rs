@@ -3,6 +3,7 @@
 
 use tensor::{Rng, Tensor};
 
+use crate::conv_kernels::fold_weight_norm;
 use crate::exec::Exec;
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
@@ -90,18 +91,23 @@ impl CausalConv1d {
     }
 
     /// The dense `[out, in, k]` weight the layer convolves with, weight
-    /// normalisation folded in — the store's prepared copy, the one the
-    /// arena reads; the streaming engine snapshots it.
-    pub fn folded_weight<'a>(&self, store: &'a ParamStore) -> &'a [f32] {
-        store.conv_weight(self.v, self.gain).dense()
+    /// normalisation folded in — folded anew on each call, since the store
+    /// prepares only the layout the arena reads; the streaming engine
+    /// snapshots it.
+    pub fn folded_weight(&self, store: &ParamStore) -> Vec<f32> {
+        let v = store.value(self.v).as_slice();
+        match self.gain {
+            Some(gain) => fold_weight_norm(v, store.value(gain).as_slice()),
+            None => v.to_vec(),
+        }
     }
 
-    /// [`folded_weight`](Self::folded_weight) as `[in, k, out]`, out-channels
-    /// zero-padded to a lane multiple — the store's prepared copy the arena
-    /// reads when it computes a few kept columns with out-channels on the
-    /// vector lanes. Made at first use after a weight install.
-    pub fn lane_major_weight<'a>(&self, store: &'a ParamStore) -> &'a [f32] {
-        store.conv_weight(self.v, self.gain).lane_major()
+    /// The store's prepared copy of the folded weight, the one the arena
+    /// reads: lane-major (`[in, k, out]`, out-channels zero-padded to a lane
+    /// multiple) when the kept-column kernel takes it, else dense. Made at
+    /// first use after a weight install.
+    pub fn prepared_weight<'a>(&self, store: &'a ParamStore) -> &'a [f32] {
+        store.conv_weight(self.v, self.gain).values
     }
 
     /// Raw bias values `[out_ch]` (for streaming inference).

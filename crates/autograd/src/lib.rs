@@ -27,8 +27,9 @@
 //! value, so optimisers take `(&mut ParamStore, &Gradients)` with no interior
 //! mutability anywhere.
 
-// The SIMD conv kernels are the workspace's only unsafe code; make every
-// unsafe operation inside an `unsafe fn` carry its own block + SAFETY note.
+// The crate's one unsafe item is the AVX-compiled wrapper of the safe
+// kept-column kernel; make every unsafe operation inside an `unsafe fn`
+// carry its own block + SAFETY note.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod conv_kernels;

@@ -40,73 +40,39 @@ mod weights {
     use tensor::Tensor;
 
     use super::ParamId;
-    use crate::conv_kernels::{fold_weight_norm, lane_major_weight, scan_weights, WeightScan};
+    use crate::conv_kernels::{fold_weight_norm, kept_kernel_takes, lane_major_weight};
 
     /// What the arena's convolution over the direction tensor at this
-    /// index derives from the weights alone: the scan, and the weight in
-    /// each layout a pass has asked for. A convolution that only ever runs
-    /// on kept or short rows holds the lane-major copy alone, one that only
-    /// sees long full rows the dense one.
+    /// index derives from the weights alone: the weight in the one layout
+    /// its kernel reads.
     #[derive(Debug)]
     struct Slot {
         /// The gain it was folded with.
         gain: Option<ParamId>,
-        scan: WeightScan,
-        /// `[out_ch, in_ch, k]` with the gain folded in; never filled
-        /// without a gain, when that weight is `v` itself, read in place.
-        dense: OnceLock<Vec<f32>>,
-        /// [`lane_major_weight`] of the same.
-        lanes: OnceLock<Vec<f32>>,
+        prepared: Prepared,
     }
 
-    /// The prepared weight of one convolution: its scan, on which the
-    /// arena picks a kernel, and the layout that kernel reads, made at the
-    /// first request after the weights were installed and kept with them.
+    /// The layout [`kept_kernel_takes`] picks for the folded weight.
+    #[derive(Debug)]
+    enum Prepared {
+        /// [`lane_major_weight`] of the fold, for the kept-column kernel.
+        LaneMajor(Vec<f32>),
+        /// `[out_ch, in_ch, k]` with the gain folded in, for the tap-wise
+        /// reference.
+        Folded(Vec<f32>),
+        /// The reference's path without a gain: `v` itself, read in place.
+        Direction,
+    }
+
+    /// The prepared weight of one convolution, made at the first request
+    /// after the weights were installed and kept with them.
     pub(crate) struct ConvWeight<'a> {
-        pub(crate) scan: WeightScan,
-        shape: [usize; 3],
-        slot: &'a Slot,
-        dir: &'a [f32],
-        gain: Option<&'a [f32]>,
-        /// The fold the scan was made from, when this call made it:
-        /// whichever layout is asked for takes it.
-        fresh: Option<Vec<f32>>,
-    }
-
-    impl<'a> ConvWeight<'a> {
         /// `(out_ch, in_ch, k)`.
-        pub(crate) fn dims(&self) -> (usize, usize, usize) {
-            (self.shape[0], self.shape[1], self.shape[2])
-        }
-
-        /// `[out_ch, in_ch, k]`, weight normalisation folded in.
-        pub(crate) fn dense(self) -> &'a [f32] {
-            let Some(gain) = self.gain else {
-                return self.dir;
-            };
-            let fresh = self.fresh;
-            self.slot
-                .dense
-                .get_or_init(|| fresh.unwrap_or_else(|| fold_weight_norm(self.dir, gain)))
-        }
-
-        /// The same weight as [`lane_major_weight`] lays it out.
-        pub(crate) fn lane_major(self) -> &'a [f32] {
-            let [out_ch, in_ch, k] = self.shape;
-            self.slot.lanes.get_or_init(|| {
-                let refolded;
-                let dense = match (self.gain, self.slot.dense.get(), &self.fresh) {
-                    (None, ..) => self.dir,
-                    (_, Some(dense), _) => dense,
-                    (_, _, Some(fresh)) => fresh,
-                    (Some(gain), None, None) => {
-                        refolded = fold_weight_norm(self.dir, gain);
-                        &refolded
-                    }
-                };
-                lane_major_weight(dense, out_ch, in_ch, k)
-            })
-        }
+        pub(crate) dims: (usize, usize, usize),
+        /// Whether `values` is lane-major, for the kept-column kernel, rather
+        /// than the dense `[out_ch, in_ch, k]` the tap-wise reference reads.
+        pub(crate) lane_major: bool,
+        pub(crate) values: &'a [f32],
     }
 
     #[derive(Debug, Default)]
@@ -160,27 +126,28 @@ mod weights {
                 .prepared
                 .get_or_init(|| tensors.iter().map(|_| OnceLock::new()).collect());
             let dir = tensors[v.0].as_slice();
-            let gain_values = gain.map(|g| tensors[g.0].as_slice());
-            let mut fresh = None;
-            let slot = table[v.0].get_or_init(|| {
-                fresh = gain_values.map(|g| fold_weight_norm(dir, g));
-                Slot {
-                    gain,
-                    scan: scan_weights(fresh.as_deref().unwrap_or(dir)),
-                    dense: OnceLock::new(),
-                    lanes: OnceLock::new(),
-                }
-            });
-            assert_eq!(slot.gain, gain, "one convolution per direction tensor");
             let shape = tensors[v.0].shape();
             assert_eq!(shape.len(), 3, "conv weight must be [out_ch, in_ch, k]");
+            let (out_ch, in_ch, k) = (shape[0], shape[1], shape[2]);
+            let slot = table[v.0].get_or_init(|| {
+                let folded = gain.map(|g| fold_weight_norm(dir, tensors[g.0].as_slice()));
+                let dense = folded.as_deref().unwrap_or(dir);
+                let prepared = match kept_kernel_takes(dense) {
+                    true => Prepared::LaneMajor(lane_major_weight(dense, out_ch, in_ch, k)),
+                    false => folded.map_or(Prepared::Direction, Prepared::Folded),
+                };
+                Slot { gain, prepared }
+            });
+            assert_eq!(slot.gain, gain, "one convolution per direction tensor");
+            let (lane_major, values) = match &slot.prepared {
+                Prepared::LaneMajor(lanes) => (true, lanes.as_slice()),
+                Prepared::Folded(folded) => (false, folded.as_slice()),
+                Prepared::Direction => (false, dir),
+            };
             ConvWeight {
-                scan: slot.scan,
-                shape: [shape[0], shape[1], shape[2]],
-                slot,
-                dir,
-                gain: gain_values,
-                fresh,
+                dims: (out_ch, in_ch, k),
+                lane_major,
+                values,
             }
         }
     }
@@ -226,9 +193,9 @@ impl ParamStore {
 
     /// The `[out_ch, in_ch, k]` weight a causal convolution over the
     /// direction tensor `v` convolves with — `gain · v / ‖v‖` per output
-    /// channel when `gain` is given, `v` itself otherwise — as its scan and,
-    /// on request, in the layout a kernel reads. Each is prepared once per
-    /// weight install, not per call.
+    /// channel when `gain` is given, `v` itself otherwise — in the layout
+    /// the arena's kernel for it reads. Prepared once per weight install,
+    /// not per call.
     pub(crate) fn conv_weight(&self, v: ParamId, gain: Option<ParamId>) -> ConvWeight<'_> {
         self.values.conv(v, gain)
     }
@@ -523,44 +490,30 @@ mod tests {
     fn clones_share_weights_until_one_is_written() {
         let dir = Tensor::from_vec((1..=24).map(|i| i as f32 * 0.37).collect(), &[2, 4, 3]);
         let (mut a, v, g) = conv_store(dir, 1.5);
-        let p = a.register("p", Tensor::ones(&[2, 4, 1]));
+        let with_zero = [1.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+        let p = a.register("p", Tensor::from_vec(with_zero.to_vec(), &[2, 4, 1]));
         let mut b = a.clone();
         let (wa, wb) = (a.conv_weight(v, Some(g)), b.conv_weight(v, Some(g)));
+        assert!(wa.lane_major, "uniform weights are prepared lane-major");
         assert!(
-            std::ptr::eq(wa.lane_major(), wb.lane_major()),
-            "a clone laid out a second lane-major copy"
+            std::ptr::eq(wa.values, wb.values),
+            "a clone prepared a second copy"
         );
-        let wa = a.conv_weight(v, Some(g)).dense();
-        let wb = b.conv_weight(v, Some(g)).dense();
-        assert!(std::ptr::eq(wa, wb), "a clone folded a second copy");
         assert!(std::ptr::eq(a.value(v), b.value(v)));
-        // Without a gain there is nothing to fold: `v` is read in place.
-        let plain = a.conv_weight(p, None).dense();
-        assert!(std::ptr::eq(plain, a.value(p).as_slice()));
+        // Without a gain, a weight the kept-column kernel refuses is `v`
+        // itself, read in place.
+        let plain = a.conv_weight(p, None);
+        assert!(!plain.lane_major);
+        assert!(std::ptr::eq(plain.values, a.value(p).as_slice()));
 
-        // The written store gets tensors of its own and folds them anew;
+        // The written store gets tensors of its own and prepares them anew;
         // the other keeps what it had.
-        let before = wa.to_vec();
+        let before = wa.values.to_vec();
         b.value_mut(g).map_inplace(|x| x * 2.0);
         assert!(!std::ptr::eq(a.value(v), b.value(v)));
         assert_eq!(a.value(g).as_slice(), &[1.5; 2]);
-        assert_eq!(a.conv_weight(v, Some(g)).dense(), before.as_slice());
-        assert_ne!(b.conv_weight(v, Some(g)).dense(), before.as_slice());
-    }
-
-    #[test]
-    fn a_layout_is_the_same_whichever_is_asked_for_first() {
-        let dir = Tensor::from_vec((1..=60).map(|i| (i as f32).sin()).collect(), &[5, 4, 3]);
-        let (lanes_first, v, g) = conv_store(dir.clone(), 0.7);
-        let (dense_first, ..) = conv_store(dir, 0.7);
-        let lanes = lanes_first.conv_weight(v, Some(g)).lane_major();
-        let dense = dense_first.conv_weight(v, Some(g)).dense();
-        assert_eq!(lanes_first.conv_weight(v, Some(g)).dense(), dense);
-        assert_eq!(dense_first.conv_weight(v, Some(g)).lane_major(), lanes);
-        assert_eq!(
-            lanes,
-            crate::conv_kernels::lane_major_weight(dense, 5, 4, 3)
-        );
+        assert_eq!(a.conv_weight(v, Some(g)).values, before.as_slice());
+        assert_ne!(b.conv_weight(v, Some(g)).values, before.as_slice());
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! yields the same shape and the same bits on [`Tape`] and on [`Arena`].
 //! This file is that check — random shapes (proptest) plus the edges the
 //! serving path meets: `batch = 1`, `time = 1`, a dilation longer than the
-//! row, exact-zero weights (which switch the conv kernel's path).
+//! row, exact-zero weights (which send the conv to the tap-wise reference).
 //!
 //! A convolution's arena pass reads weights the store prepared when they
-//! were installed (the weight-norm fold, the kernel-path scan, the
-//! lane-major copy the kept-column kernel reads), so the
-//! last test writes weights through every `&mut` route the store has and
-//! requires the next arena pass to be the tape's bits for the new ones.
+//! were installed (the weight-norm fold, laid out for the kernel its scan
+//! picks), so the last test writes weights through every `&mut` route the
+//! store has and requires the next arena pass to be the tape's bits for
+//! the new ones.
 //!
-//! It is also the suite the Miri CI job interprets: the arena `conv` and
-//! `subsample_time` primitives sit on the unsafe conv kernel (its
-//! `cfg(miri)` raw-pointer twin) and on strided row copies.
+//! It is also a suite the Miri CI job interprets: the arena `conv` runs
+//! the kept-column kernel's portable body there (the AVX-compiled wrapper
+//! is compiled out), and `subsample_time` runs strided row copies.
 
 use autograd::layers::CausalConv1d;
 use autograd::optim::{Adam, Optimizer};

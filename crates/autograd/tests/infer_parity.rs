@@ -1,14 +1,14 @@
-//! Bitwise parity of the fused conv fast paths against an independent
+//! Bitwise parity of the forward conv kernel against an independent
 //! tap-wise reference, plus the in-place inference kernels against their
 //! taped `tensor` counterparts.
 //!
-//! This is the suite the Miri CI job interprets: under Miri the AVX kernel
-//! is replaced by a raw-pointer scalar twin with the same padded-scratch
-//! layout (`cfg(miri)` in `conv_kernels.rs`), so Miri checks the bounds and
-//! aliasing reasoning of the fast path while these assertions pin its
-//! numerics to the reference bit for bit. Shapes are kept small enough for
-//! an interpreter but large enough to cover the remainder (non-multiple-
-//! of-4 output channels, non-multiple-of-8 time) lanes.
+//! This is one of the suites the Miri CI job interprets: under Miri the
+//! kept-column kernel runs its portable body (the AVX-compiled wrapper
+//! around the same safe body is compiled out), so Miri checks it while
+//! these assertions pin its numerics to the reference bit for bit. Shapes
+//! are kept small enough for an interpreter but large enough to cover the
+//! remainder (a part-filled out-channel lane block, a row that is not a
+//! whole number of column blocks).
 
 use autograd::conv1d_forward;
 use autograd::infer::{
@@ -47,7 +47,7 @@ fn conv_reference(x: &Tensor, w: &Tensor, dilation: usize) -> Vec<f32> {
     out
 }
 
-/// Weights with no exact zeros, so the fused fast path engages.
+/// Weights with no exact zeros, so the kept-column kernel takes them.
 fn nonzero_weights(shape: &[usize], rng: &mut Rng) -> Tensor {
     let mut w = Tensor::rand_normal(shape, 0.0, 0.5, rng);
     for v in w.as_mut_slice() {
@@ -59,10 +59,10 @@ fn nonzero_weights(shape: &[usize], rng: &mut Rng) -> Tensor {
 }
 
 #[test]
-fn fused_conv_matches_reference_bitwise_across_dilations() {
+fn forward_conv_matches_reference_bitwise_across_dilations() {
     let mut rng = Rng::seed_from(33);
-    // 6 output channels exercise the 4-wide main loop plus remainder rows;
-    // time=19 exercises the partial final vector lane.
+    // 6 output channels part-fill a lane block; time=19 leaves a last
+    // column block that overlaps the one before it.
     let (ic, oc, time) = (4, 6, 19);
     for &d in &[1usize, 2, 4] {
         let x = Tensor::rand_normal(&[2, ic, time], 0.0, 1.0, &mut rng);
@@ -122,7 +122,7 @@ fn subsample_op_matches_between_tape_and_arena_bitwise() {
 /// The identity the last-step backbone rests on: on the residue class of
 /// the final step, a dilation-`d` causal convolution is the dilation-1
 /// convolution of the subsampled row — whichever kernel path either side
-/// takes (fused/AVX needs `2·dilation < time`, an exact zero falls back).
+/// takes (an exact zero falls back to the reference).
 #[test]
 fn dilated_conv_on_the_last_steps_residue_class_is_a_dilation_1_conv_bitwise() {
     let mut rng = Rng::seed_from(38);

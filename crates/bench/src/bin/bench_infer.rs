@@ -232,8 +232,8 @@ fn macs_per_forecast() -> [(&'static str, usize); 3] {
 ///
 /// Also returns `(p50, p99, convolutions)` of preparing every
 /// convolution's weights (weight-norm fold, kernel-path scan, and the
-/// layout its kernel reads — lane-major for those the forecast runs on
-/// kept or short rows): paid once per weight install, so not a row of the
+/// layout its kernel reads — lane-major wherever the scan finds the
+/// weights uniform): paid once per weight install, so not a row of the
 /// forecast.
 fn forward_pass_kernels(
     iters: usize,
@@ -280,10 +280,7 @@ fn forward_pass_kernels(
 
     let mut store = ParamStore::new();
     let mut ctx = InferenceContext::new();
-    // Each layer with whether the forecast reads its weight lane-major
-    // (kept rows, or full rows of at most 8 columns — the arena's
-    // `kept_kernel_takes` rule) rather than dense.
-    let mut layers: Vec<(CausalConv1d, bool)> = Vec::new();
+    let mut layers: Vec<CausalConv1d> = Vec::new();
     let mut len = WINDOW;
     for level in 0..cfg.levels {
         let in_ch = if level == 0 { FEATURES } else { ch };
@@ -307,7 +304,8 @@ fn forward_pass_kernels(
             );
             // Timed as the arena's `conv` primitive, which reads the
             // weights the store prepared: the public `conv1d_into` scans
-            // its weights on every call, which a forecast no longer does.
+            // and lays out its weights on every call, which a forecast
+            // does not.
             let x = Tensor::rand_normal(&[1, conv_in, len], 0.0, 1.0, rng);
             let x = Arena::new(&mut ctx, &store)
                 .input(x.shape(), |buf| buf.copy_from_slice(x.as_slice()));
@@ -327,7 +325,7 @@ fn forward_pass_kernels(
                 },
             );
             Arena::new(&mut ctx, &store).release(x);
-            layers.push((layer, conv_keep > 1 || len <= 8));
+            layers.push(layer);
         }
         if in_ch == ch {
             let src = Tensor::rand_normal(&[ch, len], 0.0, 1.0, rng);
@@ -416,16 +414,13 @@ fn forward_pass_kernels(
         },
     );
 
-    let any_weight = layers[0].0.param_ids()[0];
+    let any_weight = layers[0].param_ids()[0];
     let hist = registry.latency_histogram("weight_install_ns");
     let (p50, p99) = time_loop(iters, &hist, || {
         // Any write drops what the store had prepared.
         black_box(store.value_mut(any_weight));
-        for (layer, lane_major) in &layers {
-            black_box(match lane_major {
-                true => layer.lane_major_weight(&store),
-                false => layer.folded_weight(&store),
-            });
+        for layer in &layers {
+            black_box(layer.prepared_weight(&store));
         }
     });
     (rows, clock_read, (p50, p99, layers.len()))

@@ -138,7 +138,7 @@ impl StreamConv {
             }
             StreamWeights::Lanes(lanes)
         } else {
-            StreamWeights::Rows(rows.to_vec())
+            StreamWeights::Rows(rows)
         };
         Self {
             w,

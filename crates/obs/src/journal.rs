@@ -32,8 +32,6 @@ pub enum EventKind {
     RefitTimedOut,
     /// A swapped-in refit regressed and was rolled back.
     RefitRollback,
-    /// A batched forecast call completed.
-    BatchForecast,
     /// An ingest was rejected because the shard's queue was full.
     QueueRejected,
     /// A fleet checkpoint was written or restored.
@@ -82,7 +80,6 @@ impl EventKind {
             EventKind::RefitFailed => "refit_failed",
             EventKind::RefitTimedOut => "refit_timed_out",
             EventKind::RefitRollback => "refit_rollback",
-            EventKind::BatchForecast => "batch_forecast",
             EventKind::QueueRejected => "queue_rejected",
             EventKind::Checkpoint => "checkpoint",
             EventKind::NodeUp => "node_up",
@@ -282,7 +279,7 @@ mod tests {
     fn overwrites_oldest_when_full() {
         let j = Journal::new(3);
         for at in 0..5 {
-            j.record(ev(at, EventKind::BatchForecast, at as usize, "vm-1"));
+            j.record(ev(at, EventKind::Repaired, at as usize, "vm-1"));
         }
         assert_eq!(j.len(), 3);
         assert_eq!(j.overwritten(), 2);

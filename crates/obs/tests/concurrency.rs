@@ -62,13 +62,7 @@ fn concurrent_journal_recording_loses_nothing_unexpectedly() {
             let journal = Arc::clone(&journal);
             thread::spawn(move || {
                 for i in 0..EVENTS_PER_THREAD {
-                    journal.emit(
-                        i as u64,
-                        EventKind::BatchForecast,
-                        Some(t),
-                        None,
-                        String::new(),
-                    );
+                    journal.emit(i as u64, EventKind::Repaired, Some(t), None, String::new());
                 }
             })
         })

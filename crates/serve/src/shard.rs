@@ -21,8 +21,9 @@
 //! Every timing decision goes through the injected [`obs::Clock`] (span
 //! durations, refit backoff and deadlines, injected stalls), and every
 //! fault-path transition — quarantine, repair, degradation, refit
-//! outcome, batch forecast — is recorded in the service's
-//! [`obs::Journal`] with shard and entity attribution.
+//! outcome — is recorded in the service's [`obs::Journal`] with shard and
+//! entity attribution. Stacked forecast calls are counted
+//! (`batch_calls`), not journaled.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -595,8 +596,8 @@ fn forecast_many(
     }
     let mut replies: Vec<Option<Result<Vec<f32>, ServeError>>> =
         (0..ids.len()).map(|_| None).collect();
-    // Keyed by shared group id; ordered, so batch calls and their journal
-    // events come out in the same order on every run.
+    // Keyed by shared group id; ordered, so batch calls come out in the
+    // same order on every run.
     let mut groups: BTreeMap<u64, Batch> = BTreeMap::new();
 
     for (idx, id) in ids.iter().enumerate() {
@@ -670,11 +671,6 @@ fn forecast_many(
         };
         ctx.stats.batch_calls.inc();
         let per_entity_nanos = ctx.clock.now_nanos().saturating_sub(batch_started) / rows as u64;
-        ctx.note(
-            EventKind::BatchForecast,
-            None,
-            format!("{rows} entities answered by one engine call"),
-        );
         let horizon = pred.shape()[1];
         for (row, idx) in members.iter().enumerate() {
             let id = &ids[*idx];

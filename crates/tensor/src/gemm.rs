@@ -66,7 +66,7 @@ impl Tier {
 ///
 /// Under Miri this reports [`Tier::Fma`] so the dispatch plumbing, panel
 /// packing, and the raw-pointer scalar twins all execute under the
-/// interpreter — mirroring `conv_kernels::avx_available`.
+/// interpreter.
 pub fn active_tier() -> Tier {
     #[cfg(miri)]
     {
