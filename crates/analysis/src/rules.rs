@@ -87,7 +87,7 @@ impl Rule {
                 "unsafe block/fn/impl must be preceded by a `// SAFETY:` comment"
             }
             Rule::NoPanicPaths => {
-                "no unwrap()/expect()/panic!/todo! in non-test library code (serve, net, core, models, obs, analysis + unsafe kernel files)"
+                "no unwrap()/expect()/panic!/todo! in non-test library code (serve, net, core, models, obs, analysis + kernel files)"
             }
             Rule::HotPathAlloc => {
                 "no Instant::now()/allocations inside functions marked `// hot-path`"
@@ -154,14 +154,14 @@ impl Severity {
     }
 }
 
-/// The files that hold the repo's `unsafe` compute kernels. They sit on
-/// the serving hot path and double as determinism-critical scope: their
-/// outputs are under a bitwise parity contract.
+/// The files that hold the repo's compute kernels. They sit on the serving
+/// hot path and double as determinism-critical scope: their outputs are
+/// under a bitwise parity contract.
 const KERNEL_FILES: [&str; 2] = ["tensor/src/gemm.rs", "autograd/src/conv_kernels.rs"];
 
 /// Severity of a rule for a given file, by repo policy: everything is
 /// deny except R7, which denies only in its determinism-critical core
-/// (`net/src/sim*`, the SimClock seam file, the unsafe kernel files) and
+/// (`net/src/sim*`, the SimClock seam file, the kernel files) and
 /// warns elsewhere so the hash-iteration lint can roll out through the
 /// baseline instead of blocking.
 pub fn severity(rule: Rule, file: &Path) -> Severity {
@@ -220,12 +220,12 @@ fn is_root_file(p: &str) -> bool {
 
 /// Which rules apply to a workspace file, by repo policy:
 /// R1, R3 and R9 everywhere; R2 in `serve`/`net`/`core`/`models`/`obs`/
-/// `analysis` plus the `unsafe` kernel files (GEMM, conv); R4 and R6 in `serve` and `net`; R5 in `serve`, `net`,
+/// `analysis` plus the kernel files (GEMM, conv); R4 and R6 in `serve` and `net`; R5 in `serve`, `net`,
 /// `core`, `obs` and `analysis`; R7 in `serve`/`net`/`obs` plus the
 /// kernel files and the `core/src/decide` module (deny inside the
 /// determinism core — which includes `decide`, whose reservation replays
 /// must be reproducible — warn elsewhere; see [`severity`]); R8 on the
-/// kernel files under the parity contract; R10 on every library file of
+/// conv kernel file, home of the one `#[target_feature]` fn; R10 on every library file of
 /// every crate (`crates/*/src` minus the roots it walks from).
 pub fn rules_for(path: &Path) -> Vec<Rule> {
     let p = path.to_string_lossy().replace('\\', "/");
@@ -267,7 +267,7 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     {
         rules.push(Rule::DeterminismScope);
     }
-    if p.ends_with("tensor/src/gemm.rs") || p.ends_with("autograd/src/conv_kernels.rs") {
+    if p.ends_with("autograd/src/conv_kernels.rs") {
         rules.push(Rule::TwinCoverage);
     }
     if p.contains("crates/") && p.contains("/src/") && !is_root_file(&p) {
@@ -1065,7 +1065,7 @@ pub fn check_lock_order(files: &[&FileContext], out: &mut Vec<Diagnostic>) {
 // ---- R8 (cross-file) ------------------------------------------------------
 
 /// R8 over a file set: every `#[target_feature]` or intrinsic-calling fn
-/// in the kernel files must have a scalar twin (a second same-name
+/// in the conv kernel file must have a scalar twin (a second same-name
 /// definition — the cfg pair — or a `*_scalar` sibling) and be
 /// transitively reachable from a `*parity*` test file or module. When no
 /// file in the set is a policy kernel file (fixture mode), every given

@@ -193,8 +193,8 @@ fn bias_broadcasts_match_taped_adds_bitwise() {
 // ---------------------------------------------------------------------------
 // GEMM rerouting + stacked-batch parity.
 //
-// After routing every matmul through the runtime-dispatched GEMM microkernel
-// (`tensor::gemm`), two invariants must keep holding bitwise:
+// After routing every matmul through the GEMM microkernel (`tensor::gemm`),
+// two invariants must keep holding bitwise:
 //
 //  1. the taped forward pass and the tape-free `infer` path agree (both call
 //     the same kernel), and

@@ -2,8 +2,8 @@
 //! forecast latency at the paper configuration (RPTCN channels 16, levels
 //! 4, kernel 3; lookback 30), steady-state scratch-arena allocations per
 //! forecast, streaming-push latency across lookback lengths (flat ⇒
-//! O(1) in window length), the runtime-dispatched GEMM microkernel vs its
-//! scalar twin on representative layer shapes, a per-layer breakdown
+//! O(1) in window length), the GEMM microkernel vs its scalar reference on
+//! representative layer shapes, a per-layer breakdown
 //! (every kernel of one real forward pass, at the shapes the last-step
 //! backbone runs them), one training step in the last-step form against
 //! the full sequence followed by `select_time`, window-preparation
@@ -34,7 +34,7 @@ use models::{
 };
 use obs::{Histogram, Registry};
 use rptcn::{PipelineConfig, ResourcePredictor, Scenario};
-use tensor::gemm::{self, Tier};
+use tensor::gemm;
 use tensor::{Rng, Tensor};
 
 const FEATURES: usize = 8;
@@ -571,12 +571,9 @@ fn main() {
         streaming.push((lookback, push_p50, push_p99, batch_p50));
     }
 
-    // GEMM microkernel vs its scalar twin on forward-pass shapes. The
-    // dispatched path picks the best runtime tier (FMA/AVX/scalar); the
-    // baseline forces the scalar tier, i.e. the exact code a non-x86 or
-    // Miri build runs. Same inputs, bitwise-identical outputs — only the
+    // GEMM microkernel vs the reference chains it reproduces, on
+    // forward-pass shapes. Same inputs, bitwise-identical outputs — only the
     // clock differs.
-    let gemm_tier = gemm::active_tier();
     let mut gemm_rows = Vec::new();
     for &(label, m, k, n) in &GEMM_SHAPES {
         let a = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
@@ -584,25 +581,16 @@ fn main() {
         let mut out = vec![0.0f32; m * n];
         let scalar_hist = registry.latency_histogram(&format!("gemm.scalar.{label}"));
         let (scalar_p50, _) = time_loop(iters, &scalar_hist, || {
-            gemm::gemm_with_tier(
-                Tier::Scalar,
-                a.as_slice(),
-                b.as_slice(),
-                &mut out,
-                m,
-                k,
-                n,
-                false,
-            );
+            gemm::gemm_scalar(a.as_slice(), b.as_slice(), &mut out, m, k, n, false);
             black_box(&out);
         });
-        let dispatch_hist = registry.latency_histogram(&format!("gemm.dispatch.{label}"));
-        let (dispatch_p50, _) = time_loop(iters, &dispatch_hist, || {
+        let kernel_hist = registry.latency_histogram(&format!("gemm.kernel.{label}"));
+        let (kernel_p50, _) = time_loop(iters, &kernel_hist, || {
             gemm::gemm_into(a.as_slice(), b.as_slice(), &mut out, m, k, n, false);
             black_box(&out);
         });
-        let speedup = scalar_p50 as f64 / dispatch_p50.max(1) as f64;
-        gemm_rows.push((label, m, k, n, scalar_p50, dispatch_p50, speedup));
+        let speedup = scalar_p50 as f64 / kernel_p50.max(1) as f64;
+        gemm_rows.push((label, m, k, n, scalar_p50, kernel_p50, speedup));
     }
     let gemm_speedup_p50 = {
         let mut s: Vec<f64> = gemm_rows.iter().map(|r| r.6).collect();
@@ -737,13 +725,12 @@ fn main() {
     }
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"gemm\": {{").unwrap();
-    writeln!(json, "    \"tier\": \"{}\",", gemm_tier.name()).unwrap();
     writeln!(json, "    \"shapes\": [").unwrap();
-    for (i, (label, m, k, n, scalar, dispatch, speedup)) in gemm_rows.iter().enumerate() {
+    for (i, (label, m, k, n, scalar, kernel, speedup)) in gemm_rows.iter().enumerate() {
         let sep = if i + 1 == gemm_rows.len() { "" } else { "," };
         writeln!(
             json,
-            "      {{\"label\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"scalar_p50_ns\": {scalar}, \"dispatch_p50_ns\": {dispatch}, \"speedup\": {speedup:.2}}}{sep}"
+            "      {{\"label\": \"{label}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"scalar_p50_ns\": {scalar}, \"kernel_p50_ns\": {kernel}, \"speedup\": {speedup:.2}}}{sep}"
         )
         .unwrap();
     }
@@ -877,7 +864,6 @@ fn main() {
         );
     }
     eprintln!(
-        "gemm [{}]: median {gemm_speedup_p50:.1}x over scalar; stacked batch: {row_ns:.0} ns a row of {BATCH_ROWS}",
-        gemm_tier.name(),
+        "gemm: median {gemm_speedup_p50:.1}x over the scalar reference; stacked batch: {row_ns:.0} ns a row of {BATCH_ROWS}",
     );
 }

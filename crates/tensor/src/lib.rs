@@ -4,8 +4,8 @@
 //!
 //! * [`Tensor`] — an owned, contiguous, row-major `f32` n-d array.
 //! * [`ops`] — elementwise arithmetic with NumPy-style broadcasting.
-//! * [`gemm`] — runtime-dispatched SIMD GEMM microkernel (AVX2+FMA → AVX →
-//!   scalar) with bitwise-pinned scalar twins.
+//! * [`gemm`] — the GEMM microkernel: safe Rust, multiply and add
+//!   separate, bitwise equal to its scalar reference on every host.
 //! * [`matmul`] — matrix products routed through [`gemm`] (plus
 //!   fused-transpose variants used by the autodiff backward passes).
 //! * [`reduce`] — full and per-axis reductions, stable softmax.
@@ -17,9 +17,7 @@
 //! primitives, so this crate carries the densest test coverage, including
 //! property-based tests in `tests/`.
 
-// The gemm microkernels are the only unsafe code here; the deny forces every
-// operation inside an `unsafe fn` into an explicit, justified unsafe block.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod gemm;
 pub mod linalg;

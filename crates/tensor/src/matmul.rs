@@ -1,10 +1,9 @@
 //! Matrix multiplication and transposition kernels.
 //!
-//! Every product here routes through the runtime-dispatched SIMD GEMM in
-//! [`crate::gemm`] (AVX2+FMA → AVX → scalar, picked per host), so the taped
-//! training path, the tape-free inference engine, and the backward-pass
-//! transpose variants all share one microkernel and produce bit-identical
-//! rows on a given machine.
+//! Every product here routes through the GEMM in [`crate::gemm`] (one safe
+//! microkernel, multiply and add separate), so the taped training path, the
+//! tape-free inference engine, and the backward-pass transpose variants all
+//! share one kernel and produce bit-identical rows on every host.
 
 use crate::gemm;
 use crate::tensor::Tensor;
@@ -103,7 +102,7 @@ pub fn transpose(a: &Tensor) -> Tensor {
 /// `C = Aᵀ · B`: the transpose is staged into scratch so the product runs
 /// through the packed GEMM panels — bitwise identical to
 /// `matmul(&transpose(a), b)`. Used by the backward pass, so the taped
-/// training path hits the SIMD kernel too.
+/// training path runs the packed kernel too.
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2);
     assert_eq!(b.rank(), 2);

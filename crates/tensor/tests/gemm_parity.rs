@@ -1,35 +1,27 @@
-//! Property-based parity suite for the runtime-dispatched GEMM.
+//! Property-based parity suite for the GEMM microkernel.
 //!
-//! Every dispatch tier must be **bitwise** identical to its scalar twin on
-//! arbitrary shapes — including degenerate 0/1 dims, shapes that are not a
-//! multiple of the 4×16 microtile, and both merge modes (overwrite vs
-//! accumulate). The twins are the semantics; the SIMD kernels are only an
+//! `gemm_into` must be **bitwise** identical to the `gemm_scalar` reference
+//! on arbitrary shapes — including degenerate 0/1 dims, shapes that are not
+//! a multiple of the 4×8 tile or the 16-column row block, both the direct
+//! (`m < 4`) and the packed path, and both merge modes (overwrite vs
+//! accumulate). The reference is the semantics; the tiling is only an
 //! implementation detail, and these tests are what let the rest of the
-//! workspace (taped training, tape-free inference, chunked batches,
-//! shard batching) assume row-partitioning never changes results.
+//! workspace (taped training, tape-free inference, chunked batches, shard
+//! batching) assume row-partitioning never changes results.
 
 use proptest::prelude::*;
-use tensor::gemm::{self, Tier};
+use tensor::gemm;
 use tensor::{matmul, Rng, Tensor};
 
 /// Strategy: a GEMM problem with dims crossing the direct (`m < 4`) and
-/// packed (`m >= 4`) paths, partial tiles (`n % 16 != 0`), and degenerate
-/// 0-sized axes.
+/// packed (`m >= 4`) paths, partial blocks (`n % 8 != 0`, `n % 16 != 0`),
+/// and degenerate 0-sized axes.
 fn gemm_problem() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (0usize..10, 0usize..40, 0usize..40, 0u64..10_000)
 }
 
 fn rand_vec(len: usize, rng: &mut Rng) -> Vec<f32> {
     (0..len).map(|_| rng.normal(0.0, 1.0)).collect()
-}
-
-type GemmFn = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, bool);
-
-fn twin_for(tier: Tier) -> GemmFn {
-    match tier {
-        Tier::Fma => gemm::gemm_scalar_fma,
-        Tier::Avx | Tier::Scalar => gemm::gemm_scalar,
-    }
 }
 
 fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
@@ -43,27 +35,26 @@ fn assert_bits_eq(got: &[f32], want: &[f32], ctx: &str) {
 }
 
 proptest! {
-    /// Core parity property: each tier equals its twin bitwise for random
-    /// shapes, in both overwrite and accumulate mode (accumulate starts
-    /// from a random, non-zero output so the terminal `+=` is exercised).
+    /// Core parity property: the kernel equals the reference bitwise for
+    /// random shapes, in both overwrite and accumulate mode (accumulate
+    /// starts from a random, non-zero output so the terminal `+=` is
+    /// exercised).
     #[test]
-    fn tier_matches_twin_bitwise((m, k, n, seed) in gemm_problem()) {
+    fn kernel_matches_reference_bitwise((m, k, n, seed) in gemm_problem()) {
         let mut rng = Rng::seed_from(seed);
         let a = rand_vec(m * k, &mut rng);
         let b = rand_vec(k * n, &mut rng);
         let seed_out = rand_vec(m * n, &mut rng);
-        for tier in [Tier::Fma, Tier::Avx, Tier::Scalar] {
-            for accumulate in [false, true] {
-                let mut got = seed_out.clone();
-                let mut want = seed_out.clone();
-                gemm::gemm_with_tier(tier, &a, &b, &mut got, m, k, n, accumulate);
-                twin_for(tier)(&a, &b, &mut want, m, k, n, accumulate);
-                assert_bits_eq(&got, &want, &format!("{tier:?} ({m},{k},{n}) acc={accumulate}"));
-            }
+        for accumulate in [false, true] {
+            let mut got = seed_out.clone();
+            let mut want = seed_out.clone();
+            gemm::gemm_into(&a, &b, &mut got, m, k, n, accumulate);
+            gemm::gemm_scalar(&a, &b, &mut want, m, k, n, accumulate);
+            assert_bits_eq(&got, &want, &format!("({m},{k},{n}) acc={accumulate}"));
         }
     }
 
-    /// `matmul_into` (overwrite) must agree with the twin's chains too —
+    /// `matmul_into` (overwrite) must agree with the reference chains too —
     /// the public slice entry point shares the kernel and its
     /// terminal-store rule.
     #[test]
@@ -74,8 +65,8 @@ proptest! {
         let mut over = vec![0.0f32; m * n];
         matmul::matmul_into(&a, &b, &mut over, m, k, n);
         let mut want = vec![0.0f32; m * n];
-        twin_for(gemm::active_tier())(&a, &b, &mut want, m, k, n, false);
-        assert_bits_eq(&over, &want, "matmul_into vs twin");
+        gemm::gemm_scalar(&a, &b, &mut want, m, k, n, false);
+        assert_bits_eq(&over, &want, "matmul_into vs reference");
     }
 
     /// Any row partition of the batch is bitwise neutral: computing a
@@ -130,13 +121,13 @@ proptest! {
     }
 }
 
-/// Deterministic spot-check of the exact microtile boundaries (the proptest
-/// ranges above cover them probabilistically; these shapes pin the edges:
-/// one full tile, one-past, one-short, and the pure-tail column counts).
+/// Deterministic spot-check of the exact tile and row-block boundaries (the
+/// proptest ranges above cover them probabilistically; these shapes pin the
+/// edges: one full block, one-past, one-short, and the pure-tail column
+/// counts).
 #[test]
-fn tile_boundary_shapes_match_twins() {
+fn tile_boundary_shapes_match_reference() {
     let mut rng = Rng::seed_from(99);
-    let tier = gemm::active_tier();
     for &(m, k, n) in &[
         (4, 8, 16),
         (5, 8, 17),
@@ -153,7 +144,7 @@ fn tile_boundary_shapes_match_twins() {
         let mut got = vec![0.0f32; m * n];
         gemm::gemm_into(&a, &b, &mut got, m, k, n, false);
         let mut want = vec![0.0f32; m * n];
-        twin_for(tier)(&a, &b, &mut want, m, k, n, false);
+        gemm::gemm_scalar(&a, &b, &mut want, m, k, n, false);
         assert_bits_eq(&got, &want, &format!("boundary ({m},{k},{n})"));
     }
 }

@@ -12,7 +12,9 @@
 //! its own forecast (run outside the service, on a twin rebuilt from its
 //! snapshot). And because the arena reads convolution weights prepared
 //! when they were installed, an entity whose model is replaced must answer
-//! with the replacement's bits at once.
+//! with the replacement's bits at once. Last, a fixed-seed fit is pinned
+//! to constants, so every host that runs this file checks that it trains
+//! and forecasts the bits every other host does.
 
 use std::collections::BTreeMap;
 
@@ -305,5 +307,48 @@ fn a_replaced_model_answers_the_next_forecast() {
         bits(&sibling.forecast_normalized().expect("forecast")),
         bits(&kept),
         "refitting the source moved its clone"
+    );
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The kernels fix every bit of a fit and a forecast: the GEMM and the
+/// convolutions multiply and add separately, in one order, on every host.
+/// A tiny RPTCN fitted for three epochs from a fixed seed must write the
+/// checkpoint and forecast the bits pinned here (as FNV-1a hashes) —
+/// wherever this test runs, whatever vector unit it has. The one input
+/// outside the kernels is the platform libm's f32 `exp`/`ln`/`sin`/`cos`
+/// (trace, weight init, attention softmax); DESIGN §8 says which libms
+/// are known to agree.
+#[test]
+fn a_fixed_seed_fit_writes_and_forecasts_the_pinned_bits() {
+    let model = RptcnForecaster::new(RptcnConfig {
+        spec: NeuralTrainSpec {
+            epochs: 3,
+            ..spec()
+        },
+        ..*tiny_rptcn().config()
+    });
+    let (predictor, _) =
+        ResourcePredictor::fit(Box::new(model), &bootstrap(), pipeline()).expect("fit");
+    let mut checkpoint = Vec::new();
+    models::checkpoint::write_model_file(&mut checkpoint, &predictor.model_state().expect("state"))
+        .expect("encode");
+    let forecast: Vec<u8> = predictor
+        .forecast_normalized()
+        .expect("forecast")
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    assert_eq!(
+        (fnv1a(&checkpoint), fnv1a(&forecast)),
+        (0x3c5e_9cdb_d7a8_e093, 0xe8b0_3c8f_3209_5829),
+        "the fit or the forecast moved off the pinned bits: a kernel changed its \
+         arithmetic, or this host's libm rounds differently (DESIGN §8)"
     );
 }
