@@ -8,6 +8,8 @@
 
 use tensor::Tensor;
 
+use crate::infer::{add_channel_bias, subsample_time_into, subsampled_len};
+
 /// Accumulate one `(oc, ic)` filter row tap-by-tap: for each tap `kk`, an
 /// axpy over the valid region of the row. The reference accumulation
 /// order — [`conv1d_kept_into`] reproduces it bitwise wherever it runs.
@@ -75,8 +77,9 @@ pub(crate) fn fold_weight_norm(v: &[f32], gain: &[f32]) -> Vec<f32> {
     out
 }
 
-/// `out = causal_conv1d(x, w)` over raw row-major slices — the tape's
-/// forward (`conv1d_forward`) calls it. `out` is fully overwritten.
+/// `out = causal_conv1d(x, w)` over raw row-major slices — behind
+/// [`conv1d_forward`], the whole-row convolution the tape's node falls back
+/// to. `out` is fully overwritten.
 ///
 /// Weights [`kept_kernel_takes`] run on [`conv1d_kept_into`] with every
 /// column kept, laid out lane-major for this call and with a zero bias:
@@ -413,6 +416,188 @@ pub fn conv1d_forward(x: &Tensor, w: &Tensor, dilation: usize) -> Tensor {
     Tensor::from_vec(out, &[batch, out_ch, time])
 }
 
+/// The value of the tape's convolution node: `causal_conv1d(x, w) + bias`
+/// on every `keep`-th column counted back from the last,
+/// `[batch, out_ch, ⌈time/keep⌉]` — bitwise [`conv1d_forward`], the
+/// channel-bias broadcast and `subsample_time` in turn. Weights
+/// [`kept_kernel_takes`] run on [`conv1d_kept_into`] with the real bias on
+/// the kept columns only: its chains end in `acc + b`, and `acc + 0.0` is
+/// `acc`. Any other weight takes the tap-wise reference on the whole row,
+/// then the bias, then the kept columns.
+pub(crate) fn conv1d_kept_forward(
+    x: &Tensor,
+    w: &Tensor,
+    bias: &[f32],
+    dilation: usize,
+    keep: usize,
+) -> Tensor {
+    assert_eq!(x.rank(), 3, "conv input must be [batch, in_ch, time]");
+    assert_eq!(w.rank(), 3, "conv weight must be [out_ch, in_ch, k]");
+    let (batch, in_ch, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let (out_ch, in_ch_w, k) = (w.shape()[0], w.shape()[1], w.shape()[2]);
+    assert_eq!(
+        in_ch, in_ch_w,
+        "channel mismatch: input {in_ch}, weight {in_ch_w}"
+    );
+    let kept = subsampled_len(time, keep);
+    if kept_kernel_takes(w.as_slice()) {
+        let lanes = lane_major_weight(w.as_slice(), out_ch, in_ch, k);
+        let mut out = vec![0.0f32; batch * out_ch * kept];
+        conv1d_kept_into(
+            x.as_slice(),
+            &lanes,
+            bias,
+            &mut out,
+            batch,
+            in_ch,
+            out_ch,
+            time,
+            k,
+            dilation,
+            keep,
+        );
+        return Tensor::from_vec(out, &[batch, out_ch, kept]);
+    }
+    let mut full = conv1d_forward(x, w, dilation).into_vec();
+    add_channel_bias(&mut full, bias, batch, out_ch, time);
+    if keep == 1 {
+        return Tensor::from_vec(full, &[batch, out_ch, time]);
+    }
+    let mut out = vec![0.0f32; batch * out_ch * kept];
+    subsample_time_into(&full, &mut out, batch * out_ch, time, keep);
+    Tensor::from_vec(out, &[batch, out_ch, kept])
+}
+
+/// The gradients of the tape's convolution node; `x` is `None` when the
+/// input is a data leaf.
+pub(crate) struct ConvGrads {
+    pub x: Option<Tensor>,
+    pub w: Tensor,
+    /// `[out_ch]`, for the caller to shape like its bias.
+    pub b: Vec<f32>,
+}
+
+/// Backward of [`conv1d_kept_forward`] from `grad_out: [batch, out_ch,
+/// ⌈time/keep⌉]`, bitwise the three nodes it replaces: `subsample_time`
+/// scatters the kept columns into a zeroed row, the bias broadcast reduces
+/// it, the convolution's kernels run on it.
+///
+/// The kernels skip what that row adds nothing with. A dropped column's
+/// term is `0 · v = ±0.0`, and adding a signed zero never changes a chain
+/// that started at `+0.0`, so the weight-gradient chains walk only the kept
+/// steps, and the input gradient runs only the taps that land on kept
+/// columns. That needs every `v` finite: a non-finite input or a weight
+/// [`kept_kernel_takes`] refuses (whose zeros the input gradient skips tap
+/// by tap) scatters to the full row and runs the kernels there, so NaNs
+/// propagate exactly as before.
+pub(crate) fn conv1d_kept_backward(
+    grad_out: &Tensor,
+    x: &Tensor,
+    w: &Tensor,
+    dilation: usize,
+    keep: usize,
+    input_grad: bool,
+) -> ConvGrads {
+    let (batch, in_ch, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let (out_ch, k) = (w.shape()[0], w.shape()[2]);
+    let cols = KeptCols::of(time, keep);
+    assert_eq!(
+        grad_out.shape(),
+        &[batch, out_ch, cols.kept][..],
+        "conv grad_out must be [batch, out_ch, kept]"
+    );
+    let b = bias_grad(grad_out.as_slice(), out_ch, cols.kept);
+    if keep > 1 && !(kept_kernel_takes(w.as_slice()) && x.all_finite()) {
+        let mut full = vec![0.0f32; batch * out_ch * time];
+        for (dst, src) in full
+            .chunks_exact_mut(time)
+            .zip(grad_out.as_slice().chunks_exact(cols.kept))
+        {
+            cols.scatter(src, dst);
+        }
+        let full = Tensor::from_vec(full, &[batch, out_ch, time]);
+        return ConvGrads {
+            x: input_grad.then(|| conv1d_backward_input(&full, w, x.shape(), dilation)),
+            w: conv1d_backward_weight(&full, x, k, dilation),
+            b,
+        };
+    }
+    let (go, shape) = (grad_out.as_slice(), [batch, in_ch, time]);
+    let gx = input_grad.then(|| {
+        let gin = backward_input(go, cols, w.as_slice(), &shape, out_ch, k, dilation);
+        Tensor::from_vec(gin, &shape)
+    });
+    let gw = backward_weight(go, cols, x.as_slice(), &shape, out_ch, k, dilation);
+    ConvGrads {
+        x: gx,
+        w: Tensor::from_vec(gw, &[out_ch, in_ch, k]),
+        b,
+    }
+}
+
+/// The bias gradient of `[batch, out_ch, kept]` in the order the tape's
+/// broadcast reduction takes it: per `(out-channel, column)` the batch
+/// summed in f64 from `+0.0` and rounded, then per out-channel those
+/// summed over the columns in f64 and rounded. The dropped columns' sums
+/// are `+0.0` and change nothing. Contiguous per out-channel, so the
+/// column sums run along the lanes.
+fn bias_grad(go: &[f32], out_ch: usize, kept: usize) -> Vec<f32> {
+    let mut cols = vec![0.0f64; out_ch * kept];
+    for item in go.chunks_exact((out_ch * kept).max(1)) {
+        for (c, &g) in cols.iter_mut().zip(item) {
+            *c += g as f64;
+        }
+    }
+    (0..out_ch)
+        .map(|oc| {
+            let mut total = 0.0f64;
+            for &c in &cols[oc * kept..(oc + 1) * kept] {
+                total += (c as f32) as f64;
+            }
+            total as f32
+        })
+        .collect()
+}
+
+/// The steps of a `time`-step row a kept-column consumer reads: `first +
+/// j·keep` for `j < kept`, the last step's residue class modulo `keep`.
+#[derive(Clone, Copy)]
+struct KeptCols {
+    first: usize,
+    keep: usize,
+    kept: usize,
+}
+
+impl KeptCols {
+    fn of(time: usize, keep: usize) -> Self {
+        Self {
+            first: time.saturating_sub(1) % keep,
+            keep,
+            kept: subsampled_len(time, keep),
+        }
+    }
+
+    /// The step of kept column `j`.
+    #[inline(always)]
+    fn step(self, j: usize) -> usize {
+        self.first + j * self.keep
+    }
+
+    /// The first kept column at or after step `t` (`kept` if none).
+    fn at_or_after(self, t: usize) -> usize {
+        t.saturating_sub(self.first)
+            .div_ceil(self.keep)
+            .min(self.kept)
+    }
+
+    /// Kept columns `src` to their steps of the row `dst`.
+    fn scatter(self, src: &[f32], dst: &mut [f32]) {
+        for (j, &v) in src.iter().enumerate() {
+            dst[self.step(j)] = v;
+        }
+    }
+}
+
 /// Channel lanes of the gradient kernels. Both put channels on the vector
 /// axis — a row of `time` is 4 to 30 steps after the last-step cut, the
 /// channel count is a fixed 16 — and pad them up to a multiple of this, so
@@ -453,13 +638,14 @@ fn transpose_padded(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, stri
     }
 }
 
-/// Input-gradient elements of `S` neighbouring steps (from `s0`) for the
-/// `LANES` input channels at `wt_lanes`: each `(in-channel, step)` element
-/// accumulates its `(out-channel, tap)`-ordered chain
-/// `acc += w · go[oc][s + shift]` over taps `kk_min..k`, multiply and add
-/// separate — the chain of the tap-wise reference. `go` holds `out_ch` rows
-/// of stride `row`. `SKIP_ZERO` reproduces the reference's skip of an
-/// exact-zero weight, whose term would turn a non-finite `go` into NaN.
+/// Input-gradient elements of `S` steps for the `LANES` input channels at
+/// `wt_lanes`: each `(in-channel, step)` element accumulates its
+/// `(out-channel, tap)`-ordered chain `acc += w · go[oc][i0 + at + j]` over
+/// the `(tap, at)` pairs of `taps`, step `j` reading `j` columns further
+/// on, multiply and add separate — the chain of the tap-wise reference.
+/// `go` holds `out_ch` rows of stride `row`. `SKIP_ZERO` reproduces the
+/// reference's skip of an exact-zero weight, whose term would turn a
+/// non-finite `go` into NaN.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn input_chains<const S: usize, const SKIP_ZERO: bool>(
@@ -469,16 +655,15 @@ fn input_chains<const S: usize, const SKIP_ZERO: bool>(
     row: usize,
     out_ch: usize,
     k: usize,
-    dilation: usize,
-    s0: usize,
-    kk_min: usize,
+    taps: &[(usize, usize)],
+    i0: usize,
 ) -> [[f32; LANES]; S] {
     let mut acc = [[0.0f32; LANES]; S];
     for oc in 0..out_ch {
         let go_row = &go[oc * row..(oc + 1) * row];
-        for kk in kk_min..k {
+        for &(kk, at) in taps {
             let w = &wt_lanes[(oc * k + kk) * lane_stride..][..LANES];
-            let go_steps = &go_row[s0 + (k - 1 - kk) * dilation..][..S];
+            let go_steps = &go_row[i0 + at..][..S];
             for (a, &gv) in acc.iter_mut().zip(go_steps) {
                 for (slot, &wv) in a.iter_mut().zip(w) {
                     if !SKIP_ZERO || wv != 0.0 {
@@ -493,17 +678,22 @@ fn input_chains<const S: usize, const SKIP_ZERO: bool>(
 
 /// One batch item of [`conv1d_backward_input`]; `wt` is the weight
 /// transposed to `[out_ch, k, in_ch padded to LANES]`, `go_item` the item's
-/// `out_ch` rows of `grad_out` at stride `row`.
+/// `out_ch` rows of kept `grad_out` columns at stride `row`.
 ///
-/// With `uniform` the rows carry zeros past their `time` steps (see the
-/// caller), so that every step sees every tap and `STEPS` of them advance
-/// together. Otherwise each step runs alone over exactly the taps the
-/// reference gives it, skipping exact-zero weights as the reference does.
+/// With `uniform` the rows carry zeros past their kept columns (see the
+/// caller). Step `s` then reads tap `kk` at step `s + shift` of the whole
+/// row, and that is a kept column for the taps of one set per residue of
+/// `s` modulo `keep`; the others add `w · 0.0 = ±0.0` and are left out.
+/// Steps of one residue class read neighbouring kept columns, so `STEPS`
+/// of them advance together. Otherwise (every column kept) each step runs
+/// alone over exactly the taps the reference gives it, skipping exact-zero
+/// weights as the reference does.
 #[allow(clippy::too_many_arguments)]
 fn backward_input_item(
     wt: &[f32],
     go_item: &[f32],
     row: usize,
+    cols: KeptCols,
     gin_item: &mut [f32],
     in_ch: usize,
     out_ch: usize,
@@ -511,8 +701,10 @@ fn backward_input_item(
     k: usize,
     dilation: usize,
     uniform: bool,
+    taps: &mut Vec<(usize, usize)>,
 ) {
     let icp = pad_lanes(in_ch);
+    let shift = |kk: usize| (k - 1 - kk) * dilation;
     for lane0 in (0..icp).step_by(LANES) {
         let wt_lanes = &wt[lane0..];
         let lanes = LANES.min(in_ch - lane0);
@@ -522,21 +714,31 @@ fn backward_input_item(
             }
         };
         if uniform {
-            for s0 in (0..time).step_by(STEPS) {
-                let acc = input_chains::<STEPS, false>(
-                    wt_lanes, icp, go_item, row, out_ch, k, dilation, s0, 0,
-                );
-                for (j, a) in acc.iter().enumerate().take(time - s0) {
-                    store(s0 + j, a);
+            for r in 0..cols.keep.min(time) {
+                // Tap `kk` from step `r` lands on kept column
+                // `(r + shift − first) / keep` when it lands on one at all.
+                taps.clear();
+                taps.extend((0..k).filter_map(|kk| {
+                    let p = (r + shift(kk)).checked_sub(cols.first)?;
+                    (p % cols.keep == 0).then_some((kk, p / cols.keep))
+                }));
+                let steps = (time - r).div_ceil(cols.keep);
+                for i0 in (0..steps).step_by(STEPS) {
+                    let acc = input_chains::<STEPS, false>(
+                        wt_lanes, icp, go_item, row, out_ch, k, taps, i0,
+                    );
+                    for (j, a) in acc.iter().enumerate().take(steps - i0) {
+                        store(r + (i0 + j) * cols.keep, a);
+                    }
                 }
             }
         } else {
             for s in 0..time {
                 // Taps with `shift <= time-1-s` exist: `kk >= k-1-(time-1-s)/d`.
                 let kk_min = (k - 1).saturating_sub((time - 1 - s) / dilation);
-                let acc = input_chains::<1, true>(
-                    wt_lanes, icp, go_item, row, out_ch, k, dilation, s, kk_min,
-                );
+                taps.clear();
+                taps.extend((kk_min..k).map(|kk| (kk, shift(kk))));
+                let acc = input_chains::<1, true>(wt_lanes, icp, go_item, row, out_ch, k, taps, s);
                 store(s, &acc[0]);
             }
         }
@@ -563,7 +765,6 @@ pub fn conv1d_backward_input(
         "conv input must be [batch, in_ch, time]"
     );
     assert_eq!(w.rank(), 3, "conv weight must be [out_ch, in_ch, k]");
-    assert!(dilation >= 1, "dilation must be >= 1");
     let (batch, in_ch, time) = (input_shape[0], input_shape[1], input_shape[2]);
     let (out_ch, in_ch_w, k) = (w.shape()[0], w.shape()[1], w.shape()[2]);
     assert_eq!(
@@ -575,11 +776,38 @@ pub fn conv1d_backward_input(
         out_ch, out_ch_g,
         "channel mismatch: weight {out_ch}, grad_out {out_ch_g}"
     );
-    let dgo = grad_out.as_slice();
-    let dw = w.as_slice();
+    let shape = [batch, in_ch, time];
+    let cols = KeptCols::of(time, 1);
+    let gin = backward_input(
+        grad_out.as_slice(),
+        cols,
+        w.as_slice(),
+        &shape,
+        out_ch,
+        k,
+        dilation,
+    );
+    Tensor::from_vec(gin, &shape)
+}
+
+/// [`conv1d_backward_input`] from the kept columns `go: [batch, out_ch,
+/// cols.kept]` of a `[batch, out_ch, time]` gradient whose other columns
+/// are zero. Keeping fewer than every column takes weights
+/// [`kept_kernel_takes`] (see [`conv1d_kept_backward`]).
+fn backward_input(
+    go: &[f32],
+    cols: KeptCols,
+    dw: &[f32],
+    input_shape: &[usize; 3],
+    out_ch: usize,
+    k: usize,
+    dilation: usize,
+) -> Vec<f32> {
+    assert!(dilation >= 1, "dilation must be >= 1");
+    let [batch, in_ch, time] = *input_shape;
     let mut grad_in = vec![0.0f32; batch * in_ch * time];
     if grad_in.is_empty() || dw.is_empty() {
-        return Tensor::from_vec(grad_in, &[batch, in_ch, time]);
+        return grad_in;
     }
 
     let icp = pad_lanes(in_ch);
@@ -588,52 +816,60 @@ pub fn conv1d_backward_input(
         transpose_padded(w_oc, wt_oc, in_ch, k, icp);
     }
     // With every weight finite and nonzero — the rule by which the forward
-    // pass takes the kept-column kernel — `grad_out` rows are copied out
-    // with zeros past their end: the terms this adds are `w · 0.0 = ±0.0`,
-    // and adding a signed zero never changes an accumulator that started
-    // at `+0.0`.
+    // pass takes the kept-column kernel — the kept columns are copied into
+    // rows with zeros past their end, as far as a step block's last tap
+    // reads: the terms this adds are `w · 0.0 = ±0.0`, and adding a signed
+    // zero never changes an accumulator that started at `+0.0`.
     let uniform = uniform_weights(dw);
+    debug_assert!(
+        uniform || cols.keep == 1,
+        "dropped columns need uniform weights"
+    );
     let mut padded = Vec::new();
     let (go, row) = if uniform {
-        let row = time.div_ceil(STEPS) * STEPS + (k - 1) * dilation;
+        let reach = ((k - 1) * dilation).div_ceil(cols.keep);
+        let row = cols.kept.div_ceil(STEPS) * STEPS + reach;
         padded.resize(batch * out_ch * row, 0.0f32);
-        for (dst, src) in padded.chunks_exact_mut(row).zip(dgo.chunks_exact(time)) {
-            dst[..time].copy_from_slice(src);
+        for (dst, src) in padded.chunks_exact_mut(row).zip(go.chunks_exact(cols.kept)) {
+            dst[..cols.kept].copy_from_slice(src);
         }
         (padded.as_slice(), row)
     } else {
-        (dgo, time)
+        (go, time)
     };
 
+    let mut taps = Vec::with_capacity(k);
     for (gin_item, go_item) in grad_in
         .chunks_mut(in_ch * time)
         .zip(go.chunks(out_ch * row))
     {
         backward_input_item(
-            &wt, go_item, row, gin_item, in_ch, out_ch, time, k, dilation, uniform,
+            &wt, go_item, row, cols, gin_item, in_ch, out_ch, time, k, dilation, uniform, &mut taps,
         );
     }
-    Tensor::from_vec(grad_in, &[batch, in_ch, time])
+    grad_in
 }
 
 /// Weight-gradient chains of `K` neighbouring taps (from `kk0`) of one
-/// input channel, for the `LANES` output channels at `got_lanes`: each
-/// `(out-channel, tap)` slot accumulates `acc += go[t] · x[t − shift]` over
-/// `t = shift..time` in ascending `t`, the chain of the tap-wise reference.
-/// The taps advance together so their chains overlap.
+/// input channel, for the `LANES` output channels at `got_lanes` (one row
+/// of `lane_stride` per kept column): each `(out-channel, tap)` slot
+/// accumulates `acc += go[t] · x[t − shift]` over the kept steps
+/// `t >= shift` in ascending `t` — the chain of the tap-wise reference
+/// less its zero terms. The taps advance together so their chains overlap.
 #[inline(always)]
 fn weight_chains<const K: usize>(
     got_lanes: &[f32],
     lane_stride: usize,
     x_row: &[f32],
+    cols: KeptCols,
     shifts: [usize; K],
 ) -> [[f32; LANES]; K] {
-    let time = x_row.len();
     let mut acc = [[0.0f32; LANES]; K];
     // `shifts` descend; below the largest only some taps have started.
-    let all = shifts[0].min(time);
-    for t in shifts[K - 1].min(time)..all {
-        let go = &got_lanes[t * lane_stride..][..LANES];
+    let all = cols.at_or_after(shifts[0]);
+    for j in cols.at_or_after(shifts[K - 1])..all {
+        let t = cols.step(j);
+        let go = &got_lanes[j * lane_stride..][..LANES];
         for (a, &shift) in acc.iter_mut().zip(&shifts) {
             if t >= shift {
                 let xv = x_row[t - shift];
@@ -643,8 +879,9 @@ fn weight_chains<const K: usize>(
             }
         }
     }
-    for t in all..time {
-        let go = &got_lanes[t * lane_stride..][..LANES];
+    for j in all..cols.kept {
+        let t = cols.step(j);
+        let go = &got_lanes[j * lane_stride..][..LANES];
         for (a, &shift) in acc.iter_mut().zip(&shifts) {
             let xv = x_row[t - shift];
             for (slot, &gv) in a.iter_mut().zip(go) {
@@ -669,28 +906,53 @@ pub fn conv1d_backward_weight(
     dilation: usize,
 ) -> Tensor {
     assert_eq!(x.rank(), 3, "conv input must be [batch, in_ch, time]");
-    assert!(dilation >= 1, "dilation must be >= 1");
     let (batch, in_ch, time) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     let out_ch = grad_out_channels(grad_out, batch, time);
-    let dgo = grad_out.as_slice();
-    let dx = x.as_slice();
+    let shape = [batch, in_ch, time];
+    let cols = KeptCols::of(time, 1);
+    let gw = backward_weight(
+        grad_out.as_slice(),
+        cols,
+        x.as_slice(),
+        &shape,
+        out_ch,
+        kernel,
+        dilation,
+    );
+    Tensor::from_vec(gw, &[out_ch, in_ch, kernel])
+}
+
+/// [`conv1d_backward_weight`] from the kept columns `go: [batch, out_ch,
+/// cols.kept]` of a gradient whose other columns are zero, with the chains
+/// walking only the kept steps. Keeping fewer than every column takes an
+/// all-finite `x` (see [`conv1d_kept_backward`]).
+fn backward_weight(
+    go: &[f32],
+    cols: KeptCols,
+    dx: &[f32],
+    input_shape: &[usize; 3],
+    out_ch: usize,
+    kernel: usize,
+    dilation: usize,
+) -> Vec<f32> {
+    assert!(dilation >= 1, "dilation must be >= 1");
+    let [batch, in_ch, time] = *input_shape;
     let slots = out_ch * in_ch * kernel;
     if slots == 0 || batch * time == 0 {
-        return Tensor::from_vec(vec![0.0f32; slots], &[out_ch, in_ch, kernel]);
+        return vec![0.0f32; slots];
     }
 
     let ocp = pad_lanes(out_ch);
     let shift_of = |kk: usize| (kernel - 1 - kk) * dilation;
     // `[in_ch, kernel, ocp]`: a slot's lane neighbours are output channels.
     let mut total_t = vec![0.0f32; in_ch * kernel * ocp];
-    let mut got = vec![0.0f32; time * ocp];
-    for b in 0..batch {
-        let go_item = &dgo[b * out_ch * time..(b + 1) * out_ch * time];
-        transpose_padded(go_item, &mut got, out_ch, time, ocp);
-        for (ic, x_row) in dx[b * in_ch * time..(b + 1) * in_ch * time]
-            .chunks_exact(time)
-            .enumerate()
-        {
+    let mut got = vec![0.0f32; cols.kept * ocp];
+    for (go_item, x_item) in go
+        .chunks_exact(out_ch * cols.kept)
+        .zip(dx.chunks_exact(in_ch * time))
+    {
+        transpose_padded(go_item, &mut got, out_ch, cols.kept, ocp);
+        for (ic, x_row) in x_item.chunks_exact(time).enumerate() {
             for lane0 in (0..ocp).step_by(LANES) {
                 let got_lanes = &got[lane0..];
                 let mut add = |kk: usize, acc: &[f32; LANES]| {
@@ -702,14 +964,14 @@ pub fn conv1d_backward_weight(
                 let mut kk = 0;
                 while kk + 3 <= kernel {
                     let shifts = [shift_of(kk), shift_of(kk + 1), shift_of(kk + 2)];
-                    let acc = weight_chains::<3>(got_lanes, ocp, x_row, shifts);
+                    let acc = weight_chains::<3>(got_lanes, ocp, x_row, cols, shifts);
                     for (j, a) in acc.iter().enumerate() {
                         add(kk + j, a);
                     }
                     kk += 3;
                 }
                 while kk < kernel {
-                    let acc = weight_chains::<1>(got_lanes, ocp, x_row, [shift_of(kk)]);
+                    let acc = weight_chains::<1>(got_lanes, ocp, x_row, cols, [shift_of(kk)]);
                     add(kk, &acc[0]);
                     kk += 1;
                 }
@@ -723,7 +985,7 @@ pub fn conv1d_backward_weight(
             *slot = lanes[oc];
         }
     }
-    Tensor::from_vec(total, &[out_ch, in_ch, kernel])
+    total
 }
 
 #[cfg(test)]

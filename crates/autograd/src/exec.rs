@@ -53,8 +53,8 @@ pub trait Exec {
     /// `[out_ch, 1]` channel `bias`, on the columns its consumer reads:
     /// every `keep`-th step counted back from the last
     /// ([`subsample_time`](Self::subsample_time)'s rule; `keep == 1` is
-    /// every step). The tape records the whole convolution and subsamples
-    /// it; the arena computes only the kept columns.
+    /// every step). Both backends compute only the kept columns: one
+    /// [`Graph::conv`] node on the tape, whose backward runs on them too.
     #[allow(clippy::too_many_arguments)]
     fn conv(
         &mut self,
@@ -196,15 +196,8 @@ impl Exec for Tape<'_, '_> {
             }
             None => v,
         };
-        let y = g.conv1d(*x, w, dilation);
         let b = g.param(bias);
-        let y = g.add(y, b);
-        // The nodes the gradient kernels already differentiate: a dropped
-        // column's gradient is the exact zero `subsample_time` scatters.
-        match keep {
-            1 => y,
-            _ => g.subsample_time(y, keep),
-        }
+        g.conv(*x, w, b, dilation, keep)
     }
 
     fn relu(&mut self, x: Var) -> Var {
@@ -274,9 +267,8 @@ impl Exec for Tape<'_, '_> {
         };
         let shape = self.g.value(x).shape();
         assert_eq!(shape.len(), 3, "spatial dropout expects [batch, ch, time]");
-        let mask = sample_mask(rng, p, &[shape[0], shape[1], 1])
-            .broadcast_to(shape)
-            .expect("spatial dropout mask broadcast");
+        // One factor per `(item, channel)` row: the node scales whole rows.
+        let mask = sample_mask(rng, p, &[shape[0], shape[1], 1]);
         self.g.mul_mask(x, mask)
     }
 

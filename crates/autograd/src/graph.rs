@@ -50,13 +50,17 @@ enum Op {
     SumAll(Var),
     MeanAll(Var),
     SumAxisKeepdim(Var, usize),
-    /// Elementwise product with a constant mask (dropout).
+    /// Product with a constant mask (dropout): a factor per element, or
+    /// per row of the last axis.
     MulMask(Var, Tensor),
-    /// Dilated causal 1-D convolution (see [`conv_kernels`]).
-    Conv1d {
+    /// Dilated causal 1-D convolution plus channel bias on the kept columns
+    /// (see [`conv_kernels::conv1d_kept_forward`]).
+    Conv {
         x: Var,
         w: Var,
+        b: Var,
         dilation: usize,
+        keep: usize,
     },
     /// Elementwise Huber penalty applied to a difference tensor.
     HuberOnDiff(Var, f32),
@@ -305,17 +309,40 @@ impl<'s> Graph<'s> {
 
     // ---- special ops -------------------------------------------------------
 
-    /// Elementwise product with a fixed mask; the mask receives no gradient.
-    /// This is how dropout enters the tape.
+    /// Product with a fixed mask; the mask receives no gradient. This is how
+    /// dropout enters the tape. `mask` has `a`'s shape, or `a`'s shape with
+    /// the last axis 1: one factor per row, the whole row scaled by it —
+    /// spatial dropout's one draw per `(item, channel)`.
     pub fn mul_mask(&mut self, a: Var, mask: Tensor) -> Var {
-        let v = ops::mul(self.value(a), &mask);
+        let v = mask_rows(self.value(a), &mask);
         self.push(v, Op::MulMask(a, mask))
     }
 
-    /// Dilated causal convolution; see [`conv_kernels::conv1d_forward`].
-    pub fn conv1d(&mut self, x: Var, w: Var, dilation: usize) -> Var {
-        let v = conv_kernels::conv1d_forward(self.value(x), self.value(w), dilation);
-        self.push(v, Op::Conv1d { x, w, dilation })
+    /// Dilated causal convolution of `x: [batch, in_ch, time]` with `w:
+    /// [out_ch, in_ch, k]` plus the `[out_ch, 1]` channel bias `b`, on every
+    /// `keep`-th column counted back from the last ([`Graph::subsample_time`]'s
+    /// rule): `[batch, out_ch, ⌈time/keep⌉]`, one node. Forward and backward
+    /// run on the kept columns only; the value and every gradient are the
+    /// bits of a whole-row convolution, a broadcast bias add and
+    /// `subsample_time` (see [`conv_kernels::conv1d_kept_backward`]).
+    pub fn conv(&mut self, x: Var, w: Var, b: Var, dilation: usize, keep: usize) -> Var {
+        let v = conv_kernels::conv1d_kept_forward(
+            self.value(x),
+            self.value(w),
+            self.value(b).as_slice(),
+            dilation,
+            keep,
+        );
+        self.push(
+            v,
+            Op::Conv {
+                x,
+                w,
+                b,
+                dilation,
+                keep,
+            },
+        )
     }
 
     /// Elementwise Huber penalty of a difference tensor with threshold
@@ -535,28 +562,31 @@ impl<'s> Graph<'s> {
                     accumulate(&mut grads, *a, ga);
                 }
                 Op::MulMask(a, mask) => {
-                    accumulate(&mut grads, *a, ops::mul(&g, mask));
+                    accumulate(&mut grads, *a, mask_rows(&g, mask));
                 }
-                Op::Conv1d { x, w, dilation } => {
+                Op::Conv {
+                    x,
+                    w,
+                    b,
+                    dilation,
+                    keep,
+                } => {
                     // A data leaf takes no gradient (the first block's
                     // convolutions read the window itself).
-                    if !matches!(self.nodes[x.0].op, Op::Input) {
-                        let gx = conv_kernels::conv1d_backward_input(
-                            &g,
-                            &self.nodes[w.0].value,
-                            self.shape_of(*x),
-                            *dilation,
-                        );
-                        accumulate(&mut grads, *x, gx);
-                    }
-                    let kernel = self.shape_of(*w)[2];
-                    let gw = conv_kernels::conv1d_backward_weight(
+                    let cg = conv_kernels::conv1d_kept_backward(
                         &g,
                         &self.nodes[x.0].value,
-                        kernel,
+                        &self.nodes[w.0].value,
                         *dilation,
+                        *keep,
+                        !matches!(self.nodes[x.0].op, Op::Input),
                     );
-                    accumulate(&mut grads, *w, gw);
+                    if let Some(gx) = cg.x {
+                        accumulate(&mut grads, *x, gx);
+                    }
+                    accumulate(&mut grads, *w, cg.w);
+                    let gb = Tensor::from_vec(cg.b, self.shape_of(*b));
+                    accumulate(&mut grads, *b, gb);
                 }
                 Op::HuberOnDiff(a, delta) => {
                     let d = &self.nodes[a.0].value;
@@ -578,6 +608,25 @@ fn accumulate(grads: &mut [Option<Tensor>], v: Var, g: Tensor) {
         Some(existing) => ops::axpy(existing, 1.0, &g),
         slot @ None => *slot = Some(g),
     }
+}
+
+/// `x · mask` with one factor per element, or per row of `x`'s last axis
+/// when `mask` has that axis 1 — the operand order of an elementwise
+/// `ops::mul(x, mask)` against the broadcast mask, so the same bits.
+fn mask_rows(x: &Tensor, mask: &Tensor) -> Tensor {
+    let (xs, ms) = (x.shape(), mask.shape());
+    let row = match xs.split_last() {
+        _ if ms == xs => 1,
+        Some((&len, lead)) if ms.split_last() == Some((&1, lead)) => len,
+        _ => panic!("mask {ms:?} is neither {xs:?} nor one factor per row of it"),
+    };
+    let mut out = x.as_slice().to_vec();
+    for (r, &m) in out.chunks_mut(row.max(1)).zip(mask.as_slice()) {
+        for v in r {
+            *v *= m;
+        }
+    }
+    Tensor::from_vec(out, xs)
 }
 
 /// Collapse a gradient back to the (possibly broadcast) shape of its source:
@@ -855,6 +904,60 @@ mod tests {
         g.backward(w);
     }
 
+    /// A kept convolution is one node on the tape, holding only the kept
+    /// columns: no whole-row value, bias add or subsample beside it.
+    #[test]
+    fn a_kept_conv_records_one_node_of_the_kept_columns() {
+        use crate::exec::{Exec, Tape};
+        let mut rng = Rng::seed_from(1);
+        let (store, ids) = store_with(&[
+            ("v", Tensor::rand_normal(&[5, 3, 3], 0.0, 1.0, &mut rng)),
+            ("g", Tensor::ones(&[5, 1])),
+            ("b", Tensor::rand_normal(&[5, 1], 0.0, 1.0, &mut rng)),
+        ]);
+        for (time, keep) in [(30, 1), (30, 2), (7, 3), (8, 8)] {
+            for gain in [None, Some(ids[1])] {
+                let mut g = Graph::new(&store);
+                let x = g.input(Tensor::rand_normal(&[2, 3, time], 0.0, 1.0, &mut rng));
+                let before = g.len();
+                let y = Tape::eval(&mut g).conv(&x, ids[0], gain, ids[2], 2, keep);
+                let recorded = &g.nodes[before..];
+                let convs = recorded.iter().filter(|n| matches!(n.op, Op::Conv { .. }));
+                assert_eq!(convs.count(), 1, "t{time} keep{keep}");
+                assert!(
+                    !recorded
+                        .iter()
+                        .any(|n| matches!(n.op, Op::Add(..) | Op::SubsampleTime(..))),
+                    "t{time} keep{keep}: a bias add or subsample was recorded"
+                );
+                assert!(matches!(g.nodes[y.0].op, Op::Conv { keep: k, .. } if k == keep));
+                assert_eq!(g.value(y).shape(), &[2, 5, time.div_ceil(keep)]);
+            }
+        }
+    }
+
+    /// Spatial dropout is one node scaling whole `(item, channel)` rows:
+    /// its mask holds one factor per row.
+    #[test]
+    fn spatial_dropout_records_one_row_scaled_node() {
+        use crate::exec::{Exec, Tape};
+        let store = ParamStore::new();
+        let mut rng = Rng::seed_from(2);
+        let mut g = Graph::new(&store);
+        let x = g.input(Tensor::ones(&[3, 4, 6]));
+        let before = g.len();
+        let y = Tape::new(&mut g, true, &mut rng).dropout_spatial(x, 0.5);
+        assert_eq!(g.len() - before, 1);
+        assert_eq!(g.value(y).shape(), &[3, 4, 6]);
+        match &g.nodes[y.0].op {
+            Op::MulMask(a, mask) => {
+                assert_eq!(*a, x);
+                assert_eq!(mask.shape(), &[3, 4, 1]);
+            }
+            _ => panic!("spatial dropout is not a mask node"),
+        }
+    }
+
     /// Finite-difference validation of a realistic composite expression that
     /// exercises matmul, conv, softmax, attention-style mul and reductions.
     #[test]
@@ -870,7 +973,8 @@ mod tests {
             let mut g = Graph::new(store);
             let x = g.input(x_data.clone());
             let cw = g.param(ids[0]);
-            let conv = g.conv1d(x, cw, 2);
+            let zero_bias = g.input(Tensor::zeros(&[2, 1]));
+            let conv = g.conv(x, cw, zero_bias, 2, 1);
             let act = g.relu(conv);
             let last = g.select_time(act, 4);
             let fw = g.param(ids[1]);

@@ -176,7 +176,8 @@ pub fn add_row_bias(out: &mut [f32], bias: &[f32], rows: usize, cols: usize) {
 
 // hot-path: per-push inference kernel, must stay allocation-free
 /// `out[b][c][t] += bias[c]` — the `[batch, ch, time] + [ch, 1]` broadcast
-/// the conv layer's tape performs.
+/// of a convolution's bias on the tap-wise reference path, on both
+/// backends.
 pub fn add_channel_bias(out: &mut [f32], bias: &[f32], batch: usize, ch: usize, time: usize) {
     assert_eq!(out.len(), batch * ch * time, "add_channel_bias shape");
     assert_eq!(bias.len(), ch, "add_channel_bias bias length");

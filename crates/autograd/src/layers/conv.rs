@@ -171,9 +171,8 @@ mod tests {
         // Raw conv with the same v and bias.
         let x2 = g.input(xdata);
         let v = g.param(conv.v);
-        let raw = g.conv1d(x2, v, 1);
         let b = g.param(conv.bias);
-        let y_raw = g.add(raw, b);
+        let y_raw = g.conv(x2, v, b, 1, 1);
         assert!(g.value(y_norm).allclose(g.value(y_raw), 1e-4));
     }
 

@@ -5,7 +5,7 @@ use tensor::{Rng, Tensor};
 
 use crate::exec::{Exec, Tape};
 use crate::graph::{Graph, Var};
-use crate::infer::{Arena, InferenceContext};
+use crate::infer::{self, Arena, InferenceContext};
 use crate::loss::LossKind;
 use crate::optim::Optimizer;
 use crate::params::ParamStore;
@@ -138,6 +138,8 @@ pub fn fit<M: SequenceModel>(
     let mut rng = Rng::seed_from(cfg.seed);
     let mut order: Vec<usize> = (0..n).collect();
 
+    // Scratch for the validation passes, dropped with the fit.
+    let mut ctx = InferenceContext::new();
     let mut history = TrainHistory::default();
     let mut best_valid = f64::INFINITY;
     let mut best_snapshot: Option<Vec<Tensor>> = None;
@@ -200,8 +202,7 @@ pub fn fit<M: SequenceModel>(
         }
 
         if let Some((xv, yv)) = valid {
-            let pv = predict(model, xv, cfg.batch_size, &mut rng);
-            let vl = cfg.loss.eval(&pv, yv);
+            let vl = validation_loss(model, xv, yv, cfg.batch_size, cfg.loss, &mut ctx);
             history.valid_loss.push(vl);
             if vl < best_valid {
                 best_valid = vl;
@@ -226,6 +227,22 @@ pub fn fit<M: SequenceModel>(
             .expect("early-stopping snapshot was taken from this very store");
     }
     history
+}
+
+/// `loss` of `model`'s predictions on `(x, y)`: a tape-free pass in
+/// batches of `batch` on `ctx` ([`infer::predict`]). It is the bits a taped
+/// evaluation pass gives (`tests/exec_parity.rs` holds the two backends
+/// together per primitive), so early stopping and the restored best
+/// weights are those of a taped validation.
+pub fn validation_loss<M: SequenceModel>(
+    model: &M,
+    x: &Tensor,
+    y: &Tensor,
+    batch: usize,
+    loss: LossKind,
+    ctx: &mut InferenceContext,
+) -> f64 {
+    loss.eval(&infer::predict(model, x, batch, ctx), y)
 }
 
 /// Run inference over `x` in batches (dropout disabled), returning

@@ -1,8 +1,17 @@
 //! Property-based finite-difference gradient checks: for randomly sampled
 //! parameters, the tape's analytic gradient must match a central-difference
 //! estimate on every tested operation.
+//!
+//! Two nodes also have a bitwise oracle: the node sequences they replaced,
+//! rebuilt here. The convolution node against `conv1d_forward`, a broadcast
+//! bias add and `subsample_time` with the gradient kernels run on the full
+//! row; the spatial-dropout node against its mask broadcast over time. The
+//! Miri CI job interprets these with fewer cases.
 
-use autograd::{Graph, ParamStore, Var};
+use autograd::{
+    conv1d_backward_input, conv1d_backward_weight, conv1d_forward, Exec, Graph, ParamStore, Tape,
+    Var,
+};
 use proptest::prelude::*;
 use tensor::{Rng, Tensor};
 
@@ -54,7 +63,7 @@ fn weight(seed: u64, shape: &[usize]) -> Tensor {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 24 }))]
 
     #[test]
     fn grad_tanh_chain(seed in 0u64..10_000) {
@@ -109,12 +118,33 @@ proptest! {
     }
 
     #[test]
-    fn grad_conv1d(seed in 0u64..10_000) {
+    fn grad_conv(seed in 0u64..10_000) {
+        // The weight, with a zero bias on every column.
         let w = weight(seed, &[2, 2, 3]);
         check_op(&w, &|g, w| {
             let mut rng = Rng::seed_from(99);
             let x = g.input(Tensor::rand_uniform(&[2, 2, 7], -1.0, 1.0, &mut rng));
-            let y = g.conv1d(x, w, 2);
+            let b = g.input(Tensor::zeros(&[2, 1]));
+            let y = g.conv(x, w, b, 2, 1);
+            let sq = g.square(y);
+            g.mean_all(sq)
+        })?;
+        // The input and the weight on every third column, with a bias.
+        let x = weight(seed, &[2, 3, 8]);
+        check_op(&x, &|g, x| {
+            let mut rng = Rng::seed_from(98);
+            let w = g.input(Tensor::rand_uniform(&[4, 3, 3], -1.0, 1.0, &mut rng));
+            let b = g.input(Tensor::rand_uniform(&[4, 1], -1.0, 1.0, &mut rng));
+            let y = g.conv(x, w, b, 1, 3);
+            let sq = g.square(y);
+            g.mean_all(sq)
+        })?;
+        let w = weight(seed, &[4, 3, 3]);
+        check_op(&w, &|g, w| {
+            let mut rng = Rng::seed_from(97);
+            let x = g.input(Tensor::rand_uniform(&[2, 3, 8], -1.0, 1.0, &mut rng));
+            let b = g.input(Tensor::rand_uniform(&[4, 1], -1.0, 1.0, &mut rng));
+            let y = g.conv(x, w, b, 1, 3);
             let sq = g.square(y);
             g.mean_all(sq)
         })?;
@@ -199,5 +229,241 @@ proptest! {
             let sq = g.square(y);
             g.sum_all(sq)
         })?;
+    }
+}
+
+/// Bitwise equality, any NaN matching any NaN (which payload survives
+/// `NaN + NaN` is the instruction's operand order, not arithmetic).
+fn assert_same_bits(node: &Tensor, oracle: &Tensor, what: &str) {
+    assert_eq!(node.shape(), oracle.shape(), "{what}: shape");
+    for (i, (a, b)) in node.as_slice().iter().zip(oracle.as_slice()).enumerate() {
+        assert!(
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+            "{what} idx {i}: node {a} ({:#x}) vs oracle {b} ({:#x})",
+            a.to_bits(),
+            b.to_bits()
+        );
+    }
+}
+
+/// What a convolution oracle case plants in otherwise finite, nonzero
+/// weights and finite inputs.
+#[derive(Debug, Clone, Copy)]
+enum Planted {
+    Nothing,
+    /// An exact `0.0` and a `-0.0` among the weights: the tap-wise
+    /// reference forward, the full-row backward.
+    ZeroWeight,
+    /// A NaN among the inputs: the full-row weight gradient.
+    NanInput,
+}
+
+/// One convolution case: `Graph::conv`'s value and its gradients for the
+/// input, the weight and the bias against the old node sequence's.
+#[allow(clippy::too_many_arguments)]
+fn check_conv_oracle(
+    batch: usize,
+    in_ch: usize,
+    out_ch: usize,
+    time: usize,
+    k: usize,
+    dilation: usize,
+    keep: usize,
+    planted: Planted,
+    seed: u64,
+) {
+    let mut rng = Rng::seed_from(seed);
+    let mut x = Tensor::rand_normal(&[batch, in_ch, time], 0.0, 1.0, &mut rng);
+    let mut w = Tensor::rand_normal(&[out_ch, in_ch, k], 0.0, 0.5, &mut rng);
+    for v in w.as_mut_slice() {
+        if *v == 0.0 {
+            *v = 0.25;
+        }
+    }
+    let b = Tensor::rand_normal(&[out_ch, 1], 0.0, 1.0, &mut rng);
+    match planted {
+        Planted::Nothing => {}
+        Planted::ZeroWeight => {
+            let n = w.len();
+            w.as_mut_slice()[rng.below(n)] = 0.0;
+            w.as_mut_slice()[rng.below(n)] = -0.0;
+        }
+        Planted::NanInput => {
+            let n = x.len();
+            x.as_mut_slice()[rng.below(n)] = f32::NAN;
+        }
+    }
+    let kept = time.div_ceil(keep);
+    // What the loss reads of each kept column: `grad_out` of the node.
+    let readout = Tensor::rand_normal(&[batch, out_ch, kept], 0.0, 1.0, &mut rng);
+    let what =
+        format!("b{batch} ic{in_ch} oc{out_ch} t{time} k{k} d{dilation} keep{keep} {planted:?}");
+
+    let mut store = ParamStore::new();
+    let ids = [("x", &x), ("w", &w), ("b", &b)].map(|(n, t)| store.register(n, t.clone()));
+    let mut g = Graph::new(&store);
+    let [xv, wv, bv] = ids.map(|id| g.param(id));
+    let y = g.conv(xv, wv, bv, dilation, keep);
+    let value = g.value(y).clone();
+    let r = g.input(readout.clone());
+    let read = g.mul(y, r);
+    let loss = g.sum_all(read);
+    let grads = g.backward(loss);
+    let [gx, gw, gb] = ids.map(|id| {
+        grads
+            .get(id)
+            .expect("every operand gets a gradient")
+            .clone()
+    });
+
+    // The old sequence: the whole-row convolution as a leaf, the broadcast
+    // bias, the kept columns; its gradient on the full row then goes
+    // through the convolution's kernels.
+    let mut old_store = ParamStore::new();
+    let yid = old_store.register("y", conv1d_forward(&x, &w, dilation));
+    let bid = old_store.register("b", b.clone());
+    let mut og = Graph::new(&old_store);
+    let (yv, obv) = (og.param(yid), og.param(bid));
+    let biased = og.add(yv, obv);
+    let kept_cols = match keep {
+        1 => biased,
+        _ => og.subsample_time(biased, keep),
+    };
+    let old_value = og.value(kept_cols).clone();
+    let r = og.input(readout);
+    let read = og.mul(kept_cols, r);
+    let loss = og.sum_all(read);
+    let old_grads = og.backward(loss);
+    let full = old_grads.get(yid).expect("row gradient");
+
+    assert_same_bits(&value, &old_value, &format!("value, {what}"));
+    assert_same_bits(
+        &gx,
+        &conv1d_backward_input(full, &w, x.shape(), dilation),
+        &format!("input grad, {what}"),
+    );
+    assert_same_bits(
+        &gw,
+        &conv1d_backward_weight(full, &x, k, dilation),
+        &format!("weight grad, {what}"),
+    );
+    assert_same_bits(
+        &gb,
+        old_grads.get(bid).expect("bias gradient"),
+        &format!("bias grad, {what}"),
+    );
+}
+
+/// The edges the backbone and the serving shapes meet, each at every kept
+/// stride: batch 1, a one-step row, taps that reach before the row, the
+/// paper's 16 channels over a 30-step window.
+#[test]
+fn conv_node_is_the_old_sequence_bitwise_at_the_edges() {
+    let mut seed = 0;
+    for (batch, in_ch, out_ch, time, k, dilation) in [
+        (1, 8, 16, 30, 3, 1),
+        (1, 1, 1, 1, 3, 4),
+        (2, 3, 5, 4, 3, 8),
+        (3, 16, 16, 30, 3, 2),
+        (1, 16, 16, 15, 1, 1),
+        (2, 5, 18, 7, 2, 40),
+    ] {
+        for keep in [1, 2, 3, time] {
+            for planted in [Planted::Nothing, Planted::ZeroWeight, Planted::NanInput] {
+                seed += 1;
+                // Every fourth case under Miri.
+                if cfg!(miri) && seed % 4 != 0 {
+                    continue;
+                }
+                check_conv_oracle(batch, in_ch, out_ch, time, k, dilation, keep, planted, seed);
+            }
+        }
+    }
+}
+
+/// One spatial-dropout case: the row-scaled node against the old mask
+/// broadcast over time and applied elementwise, same RNG draws.
+fn check_spatial_dropout_oracle(batch: usize, ch: usize, time: usize, p: f32, seed: u64) {
+    let mut rng = Rng::seed_from(seed);
+    let x = Tensor::rand_normal(&[batch, ch, time], 0.0, 1.0, &mut rng);
+    let readout = Tensor::rand_normal(&[batch, ch, time], 0.0, 1.0, &mut rng);
+    let what = format!("b{batch} ch{ch} t{time} p{p}");
+
+    let mut store = ParamStore::new();
+    let xid = store.register("x", x.clone());
+    let mut g = Graph::new(&store);
+    let xv = g.param(xid);
+    let mut draws = Rng::seed_from(seed ^ 0xD0);
+    let y = Tape::new(&mut g, true, &mut draws).dropout_spatial(xv, p);
+    let value = g.value(y).clone();
+    let r = g.input(readout.clone());
+    let read = g.mul(y, r);
+    let loss = g.sum_all(read);
+    let grads = g.backward(loss);
+
+    // The old node: one draw per (item, channel), broadcast to every step.
+    let mut draws = Rng::seed_from(seed ^ 0xD0);
+    let keep = 1.0 - p;
+    let factors: Vec<f32> = (0..batch * ch)
+        .map(|_| {
+            if draws.chance(keep as f64) {
+                1.0 / keep
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let mask = Tensor::from_vec(factors, &[batch, ch, 1])
+        .broadcast_to(&[batch, ch, time])
+        .expect("mask broadcast");
+    let mut og = Graph::new(&store);
+    let oxv = og.param(xid);
+    let oy = og.mul_mask(oxv, mask);
+    let old_value = og.value(oy).clone();
+    let r = og.input(readout);
+    let read = og.mul(oy, r);
+    let loss = og.sum_all(read);
+    let old_grads = og.backward(loss);
+
+    assert_same_bits(&value, &old_value, &format!("value, {what}"));
+    assert_same_bits(
+        grads.get(xid).expect("input gradient"),
+        old_grads.get(xid).expect("old input gradient"),
+        &format!("input grad, {what}"),
+    );
+}
+
+fn oracle_cases() -> ProptestConfig {
+    ProptestConfig::with_cases(if cfg!(miri) { 3 } else { 64 })
+}
+
+proptest! {
+    #![proptest_config(oracle_cases())]
+
+    /// Arbitrary shapes, widths and dilations (taps past a short row
+    /// included), every kept stride from all columns to the last alone.
+    #[test]
+    fn conv_node_is_the_old_sequence_bitwise(
+        dims in (1usize..4, 1usize..18, 1usize..18, 1usize..40),
+        (k, dilation) in (1usize..4, 1usize..10),
+        keep in 0usize..4,
+        planted in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (batch, in_ch, out_ch, time) = dims;
+        let keep = [1, 2, 3, time][keep];
+        let planted = [Planted::Nothing, Planted::ZeroWeight, Planted::NanInput][planted];
+        check_conv_oracle(batch, in_ch, out_ch, time, k, dilation, keep, planted, seed);
+    }
+
+    #[test]
+    fn spatial_dropout_node_is_the_broadcast_mask_bitwise(
+        dims in (1usize..5, 1usize..18, 1usize..31),
+        p in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (batch, ch, time) = dims;
+        let p = [0.1f32, 0.3, 0.5][p];
+        check_spatial_dropout_oracle(batch, ch, time, p, seed);
     }
 }

@@ -6,7 +6,8 @@
 //! representative layer shapes, a per-layer breakdown
 //! (every kernel of one real forward pass, at the shapes the last-step
 //! backbone runs them), one training step in the last-step form against
-//! the full sequence followed by `select_time`, window-preparation
+//! the full sequence followed by `select_time` and the validation pass
+//! `fit` runs once an epoch, per window, window-preparation
 //! latency across history lengths (flat ⇒ a forecast does not
 //! re-preprocess the entity's history), and what a row of a stacked batch
 //! costs on the calling thread. Emits `BENCH_infer.json` for the CI
@@ -26,7 +27,8 @@ use autograd::infer::{
 };
 use autograd::layers::{CausalConv1d, Dropout, FeatureAttention, Linear};
 use autograd::optim::{Adam, Optimizer};
-use autograd::{Arena, Exec, Graph, InferenceContext, LossKind, ParamStore, Tape};
+use autograd::train::validation_loss;
+use autograd::{Arena, Exec, Graph, InferenceContext, LossKind, ParamStore, SequenceModel};
 use bench_harness::ExperimentArgs;
 use cloudtrace::{ContainerConfig, WorkloadClass};
 use models::{
@@ -430,6 +432,7 @@ fn forward_pass_kernels(
 /// step can be timed with the backbone in either form: the shipped
 /// last-step one, or the full sequence followed by `select_time` it
 /// replaced (bitwise the same step, `models/tests/last_step_parity.rs`).
+/// A [`SequenceModel`], so that `fit`'s validation pass runs on it too.
 struct TrainStepNet {
     store: ParamStore,
     backbone: TcnBackbone,
@@ -471,23 +474,10 @@ impl TrainStepNet {
     }
 
     /// Forward, loss, backward, clip, Adam — what `autograd::fit` does per
-    /// batch. `x` is already channel-major, `[batch, features, time]`.
+    /// batch, on `x: [batch, time, features]`.
     fn step(&mut self, opt: &mut Adam, x: &Tensor, y: &Tensor, rng: &mut Rng) {
-        let time = x.shape()[2];
         let mut g = Graph::new(&self.store);
-        let ct = g.input(x.clone());
-        let ex = &mut Tape::new(&mut g, true, rng);
-        let last = if self.full_sequence {
-            let seq = self.backbone.forward(ex, ct);
-            ex.select_time(&seq, time - 1)
-        } else {
-            self.backbone.forward_last(ex, ct)
-        };
-        let h = self.fc.forward(ex, &last);
-        let h = ex.relu(h);
-        let h = self.dropout.apply(ex, h);
-        let h = self.attention.forward(ex, &h, &h);
-        let pred = self.head.forward(ex, &h);
+        let pred = self.forward(&mut g, x, true, rng);
         let loss = LossKind::Mse.build(&mut g, pred, y);
         let mut grads = g.backward(loss);
         grads.clip_global_norm(RptcnConfig::default().spec.clip_norm);
@@ -495,11 +485,58 @@ impl TrainStepNet {
     }
 }
 
+impl SequenceModel for TrainStepNet {
+    fn run<E: Exec>(&self, ex: &mut E, x: &Tensor) -> E::V {
+        let (batch, time, features) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let ct = ex.input(&[batch, features, time], |out| {
+            for (item, window) in out
+                .chunks_mut(features * time)
+                .zip(x.as_slice().chunks(time * features))
+            {
+                for (t, row) in window.chunks(features).enumerate() {
+                    for (f, &v) in row.iter().enumerate() {
+                        item[f * time + t] = v;
+                    }
+                }
+            }
+        });
+        let last = if self.full_sequence {
+            let seq = self.backbone.forward(ex, ct);
+            let last = ex.select_time(&seq, time - 1);
+            ex.release(seq);
+            last
+        } else {
+            self.backbone.forward_last(ex, ct)
+        };
+        let h = self.fc.forward(ex, &last);
+        ex.release(last);
+        let h = ex.relu(h);
+        let h = self.dropout.apply(ex, h);
+        let gated = self.attention.forward(ex, &h, &h);
+        ex.release(h);
+        let pred = self.head.forward(ex, &gated);
+        ex.release(gated);
+        pred
+    }
+
+    fn params(&self) -> &ParamStore {
+        &self.store
+    }
+
+    fn params_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn horizon(&self) -> usize {
+        1
+    }
+}
+
 /// Median milliseconds of one batch-`TRAIN_BATCH` training step.
 fn train_step_ms(full_sequence: bool, steps: usize, seed: u64, registry: &Registry) -> f64 {
     let mut net = TrainStepNet::new(full_sequence, seed);
     let mut rng = Rng::seed_from(seed ^ 0x57E9);
-    let x = Tensor::rand_normal(&[TRAIN_BATCH, FEATURES, WINDOW], 0.5, 0.2, &mut rng);
+    let x = Tensor::rand_normal(&[TRAIN_BATCH, WINDOW, FEATURES], 0.5, 0.2, &mut rng);
     let y = Tensor::rand_normal(&[TRAIN_BATCH, 1], 0.5, 0.2, &mut rng);
     let mut opt = Adam::new(RptcnConfig::default().spec.learning_rate);
     for _ in 0..steps / 10 + 1 {
@@ -513,6 +550,37 @@ fn train_step_ms(full_sequence: bool, steps: usize, seed: u64, registry: &Regist
     let hist = registry.latency_histogram(&format!("train_step_ns.{form}"));
     let (p50, _) = time_loop(steps, &hist, || net.step(&mut opt, &x, &y, &mut rng));
     p50 as f64 / 1e6
+}
+
+/// Median nanoseconds a window of `autograd::fit`'s per-epoch validation
+/// costs: [`validation_loss`] over the stacked batch's `BATCH_ROWS`
+/// windows in batches of `TRAIN_BATCH`, on a context of its own as `fit`
+/// holds one.
+fn validation_window_ns(iters: usize, seed: u64, registry: &Registry) -> f64 {
+    let net = TrainStepNet::new(false, seed);
+    let mut rng = Rng::seed_from(seed ^ 0x7A11);
+    let x = Tensor::rand_normal(&[BATCH_ROWS, WINDOW, FEATURES], 0.5, 0.2, &mut rng);
+    let y = Tensor::rand_normal(&[BATCH_ROWS, 1], 0.5, 0.2, &mut rng);
+    let mut ctx = InferenceContext::new();
+    let mut validate = || {
+        black_box(validation_loss(
+            &net,
+            &x,
+            &y,
+            TRAIN_BATCH,
+            LossKind::Mse,
+            &mut ctx,
+        ));
+    };
+    for _ in 0..3 {
+        validate();
+    }
+    let (p50, _) = time_loop(
+        iters,
+        &registry.latency_histogram("validation_ns"),
+        validate,
+    );
+    p50 as f64 / BATCH_ROWS as f64
 }
 
 fn main() {
@@ -635,6 +703,8 @@ fn main() {
         v[1]
     };
     let (train_last_ms, train_full_ms) = (median3(&mut last_ms), median3(&mut full_ms));
+    let validation_ns =
+        validation_window_ns(if args.quick { 10 } else { 60 }, args.seed, &registry);
 
     // Window preparation: turning an entity's raw history into the model
     // input reads `window + copies - 1` clean rows, so its cost must not
@@ -791,10 +861,11 @@ fn main() {
     .unwrap();
     writeln!(
         json,
-        "    \"last_step_over_full_sequence\": {:.2}",
+        "    \"last_step_over_full_sequence\": {:.2},",
         train_last_ms / train_full_ms
     )
     .unwrap();
+    writeln!(json, "    \"validation_window_ns\": {validation_ns:.0}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"window_prep_ns\": [").unwrap();
     for (i, (scenario, features, rows, growth)) in window_prep.iter().enumerate() {
@@ -850,7 +921,7 @@ fn main() {
         taped_p50 as f64 / 1_000.0,
     );
     eprintln!(
-        "forward-pass kernels: {:.1}us of the {:.1}us forecast; train step (batch {TRAIN_BATCH}): last-step {train_last_ms:.2}ms vs full-sequence {train_full_ms:.2}ms",
+        "forward-pass kernels: {:.1}us of the {:.1}us forecast; train step (batch {TRAIN_BATCH}): last-step {train_last_ms:.2}ms vs full-sequence {train_full_ms:.2}ms; validation {validation_ns:.0} ns a window",
         layers_sum as f64 / 1_000.0,
         free_p50 as f64 / 1_000.0,
     );
