@@ -185,9 +185,9 @@ pub fn lex(src: &str) -> Lexed {
                     } else if ident == "r" {
                         // Raw identifier `r#ident`. The payload keeps the
                         // `r#` prefix: `r#type` is *not* the `type` keyword
-                        // and must never satisfy a keyword match (R5), nor
-                        // can `r#unwrap` be confused with a method the rules
-                        // pattern on.
+                        // and must never satisfy a keyword match, nor can
+                        // `r#fn` be confused with the `fn` the item tree
+                        // patterns on.
                         i += 1; // consume '#'
                         let id_start = i;
                         while i < bytes.len()
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn raw_identifiers_keep_their_prefix() {
         // `r#type` must not satisfy a `type` keyword match, and `r#unwrap`
-        // must not look like the `unwrap` method R2 patterns on.
+        // must not look like a bare `unwrap` identifier.
         let l = lex("pub r#type: u32, let r#fn = x.r#unwrap();");
         assert!(idents("let r#fn = 1;").contains(&"r#fn".to_string()));
         assert!(!l

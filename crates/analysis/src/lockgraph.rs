@@ -1,9 +1,9 @@
 //! Lock-acquisition order graph for static deadlock detection (R6).
 //!
 //! Every acquisition in `serve`/`net` goes through the poison-safe
-//! primitives (`lock_recover`, `read_recover`, `write_recover` — R4
-//! enforces this), which makes acquisitions syntactically recognizable.
-//! A linear scan of each function body tracks which locks are held at
+//! primitives (`lock_recover`, `read_recover`, `write_recover` — R4,
+//! `clippy::disallowed_methods`, enforces this), which makes acquisitions
+//! syntactically recognizable. A linear scan of each function body tracks which locks are held at
 //! each point:
 //!
 //! * a lock's identity is the last identifier of the argument path
@@ -137,26 +137,10 @@ impl LockGraph {
                     i = close;
                     continue;
                 }
-                TokKind::Ident(s)
-                    if punct(toks, i + 1) == Some('(')
-                        && !active.is_empty()
-                        && punct_before(toks, i) != Some('.') =>
-                {
-                    // Plain call while locks are held: candidate for the
-                    // one-level inlining pass.
-                    self.calls.push(CallEvent {
-                        held: active.iter().map(|a| a.name.clone()).collect(),
-                        callee: s.clone(),
-                        file: file.to_string(),
-                        line: toks[i].line,
-                    });
-                }
-                TokKind::Ident(s)
-                    if punct(toks, i + 1) == Some('(')
-                        && !active.is_empty()
-                        && punct_before(toks, i) == Some('.') =>
-                {
-                    // Method call: same treatment, matched by bare name.
+                TokKind::Ident(s) if punct(toks, i + 1) == Some('(') && !active.is_empty() => {
+                    // Call while locks are held (plain, or a method matched
+                    // by bare name): candidate for the one-level inlining
+                    // pass.
                     self.calls.push(CallEvent {
                         held: active.iter().map(|a| a.name.clone()).collect(),
                         callee: s.clone(),
@@ -251,14 +235,6 @@ fn punct(toks: &[Token], i: usize) -> Option<char> {
     match toks.get(i).map(|t| &t.kind) {
         Some(TokKind::Punct(c)) => Some(*c),
         _ => None,
-    }
-}
-
-fn punct_before(toks: &[Token], i: usize) -> Option<char> {
-    if i == 0 {
-        None
-    } else {
-        punct(toks, i - 1)
     }
 }
 

@@ -1,25 +1,23 @@
-//! CLI driver: `rptcn-analysis check [--root DIR] [--format text|json|sarif]
-//! [--out FILE] [--baseline FILE] [--update-baseline]` walks the
-//! workspace, prints `file:line: [Rn] message` diagnostics and exits
-//! non-zero when any deny-level invariant is violated or the warn
-//! baseline drifts — wired into CI as the `analysis` job (which uploads
-//! the SARIF report). `rptcn-analysis rules` prints the rule catalogue.
+//! CLI driver: `rptcn-analysis check [--root DIR]` walks the workspace,
+//! prints `file:line: [Rn] message` diagnostics and exits non-zero when
+//! any rule fires — wired into CI as the `analysis` job.
+//! `rptcn-analysis rules` prints the rule catalogue.
 
-use std::path::{Path, PathBuf};
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R5: documented public API.
+#![warn(missing_docs)]
+
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use analysis::export;
-use analysis::{check_workspace, severity, Rule, Severity};
-
-/// Default baseline file name, resolved relative to `--root`.
-const BASELINE_FILE: &str = "analysis-baseline.json";
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use analysis::{check_workspace, Rule};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -27,10 +25,6 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "check" => {
             let mut root = PathBuf::from(".");
-            let mut format = Format::Text;
-            let mut out_file: Option<PathBuf> = None;
-            let mut baseline: Option<PathBuf> = None;
-            let mut update_baseline = false;
             while let Some(arg) = args.next() {
                 match arg.as_str() {
                     "--root" => {
@@ -40,42 +34,32 @@ fn main() -> ExitCode {
                         };
                         root = PathBuf::from(dir);
                     }
-                    "--format" => {
-                        format = match args.next().as_deref() {
-                            Some("text") => Format::Text,
-                            Some("json") => Format::Json,
-                            Some("sarif") => Format::Sarif,
-                            other => {
-                                eprintln!(
-                                    "--format needs text|json|sarif (got {:?})",
-                                    other.unwrap_or("nothing")
-                                );
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--out" => {
-                        let Some(f) = args.next() else {
-                            eprintln!("--out needs a file argument");
-                            return ExitCode::from(2);
-                        };
-                        out_file = Some(PathBuf::from(f));
-                    }
-                    "--baseline" => {
-                        let Some(f) = args.next() else {
-                            eprintln!("--baseline needs a file argument");
-                            return ExitCode::from(2);
-                        };
-                        baseline = Some(PathBuf::from(f));
-                    }
-                    "--update-baseline" => update_baseline = true,
                     other => {
                         eprintln!("unknown argument `{other}`");
                         return usage();
                     }
                 }
             }
-            run_check(&root, format, out_file, baseline, update_baseline)
+            let diags = match check_workspace(&root) {
+                Ok(d) => d,
+                Err(e) => {
+                    eprintln!(
+                        "rptcn-analysis: cannot walk workspace at `{}`: {e}",
+                        root.display()
+                    );
+                    return ExitCode::from(2);
+                }
+            };
+            for d in &diags {
+                println!("{d}");
+            }
+            if diags.is_empty() {
+                eprintln!("rptcn-analysis: workspace clean");
+                ExitCode::SUCCESS
+            } else {
+                eprintln!("rptcn-analysis: {} finding(s)", diags.len());
+                ExitCode::FAILURE
+            }
         }
         "rules" => {
             for rule in Rule::all() {
@@ -87,114 +71,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_check(
-    root: &Path,
-    format: Format,
-    out_file: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
-) -> ExitCode {
-    let diags = match check_workspace(root) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!(
-                "rptcn-analysis: cannot walk workspace at `{}`: {e}",
-                root.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-
-    // Machine-readable report, to --out or (replacing text) stdout.
-    let rendered = match format {
-        Format::Text => None,
-        Format::Json => Some(export::to_json(&diags)),
-        Format::Sarif => Some(export::to_sarif(&diags)),
-    };
-    if let Some(report) = &rendered {
-        match &out_file {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, report) {
-                    eprintln!("rptcn-analysis: cannot write `{}`: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-            None => print!("{report}"),
-        }
-    }
-    // Human-readable findings on stdout unless it carries the report.
-    if rendered.is_none() || out_file.is_some() {
-        for d in &diags {
-            println!("{d}");
-        }
-    }
-
-    // Severity split + baseline gating for warn findings.
-    let deny: Vec<_> = diags
-        .iter()
-        .filter(|d| severity(d.rule, &d.file) == Severity::Deny)
-        .collect();
-    let warn_keys: Vec<String> = diags
-        .iter()
-        .filter(|d| severity(d.rule, &d.file) == Severity::Warn)
-        .map(export::baseline_key)
-        .collect();
-
-    let baseline_path = baseline.unwrap_or_else(|| root.join(BASELINE_FILE));
-    if update_baseline {
-        let mut keys = warn_keys.clone();
-        keys.sort();
-        if let Err(e) = std::fs::write(&baseline_path, export::render_baseline(&keys)) {
-            eprintln!(
-                "rptcn-analysis: cannot write baseline `{}`: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "rptcn-analysis: baseline updated ({} accepted warn finding(s))",
-            keys.len()
-        );
-    }
-    // No baseline file = warn findings are informational; with one, the
-    // match must be exact both ways (new warns and stale entries fail).
-    let mut drift = Vec::new();
-    if !update_baseline {
-        if let Ok(text) = std::fs::read_to_string(&baseline_path) {
-            let accepted = export::parse_baseline(&text).unwrap_or_default();
-            for k in &warn_keys {
-                if !accepted.contains(k) {
-                    drift.push(format!("new warn finding not in baseline: {k}"));
-                }
-            }
-            for k in &accepted {
-                if !warn_keys.contains(k) {
-                    drift.push(format!("stale baseline entry (finding is gone): {k}"));
-                }
-            }
-        }
-    }
-    for d in &drift {
-        println!("baseline drift: {d}");
-    }
-
-    let warn_count = warn_keys.len();
-    if deny.is_empty() && drift.is_empty() {
-        eprintln!("rptcn-analysis: workspace clean ({warn_count} baselined warn finding(s))");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "rptcn-analysis: {} deny finding(s), {} baseline drift(s), {warn_count} warn finding(s)",
-            deny.len(),
-            drift.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rptcn-analysis <check [--root DIR] [--format text|json|sarif] [--out FILE] [--baseline FILE] [--update-baseline] | rules>"
-    );
+    eprintln!("usage: rptcn-analysis <check [--root DIR] | rules>");
     ExitCode::from(2)
 }

@@ -1,10 +1,11 @@
-//! The rule engine: repo invariants enforced as CI-failing diagnostics.
+//! The rule engine: the repo invariants the compiler cannot state,
+//! enforced as CI-failing diagnostics.
 //!
 //! Every rule works on the token stream of [`crate::lex`], plus a few
 //! derived views: attribute token ranges, `#[cfg(test)] mod` line regions
 //! and `// hot-path`-marked function bodies. Findings carry `file:line`
 //! and can be silenced per line with a trailing `// lint: allow(<rule>)`
-//! marker (e.g. `// lint: allow(r2)`).
+//! marker (e.g. `// lint: allow(r10)`).
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -16,36 +17,18 @@ use crate::item_tree::ItemTree;
 use crate::lex::{lex, Lexed, TokKind, Token};
 use crate::lockgraph::LockGraph;
 
-/// The rule catalogue. Ids (`R1`…`R10`) are stable: CI logs, allowlist
-/// markers and DESIGN.md all refer to them.
+/// The rule catalogue. Ids are stable: CI logs, allowlist markers and
+/// DESIGN.md all refer to them. R1, R2, R4, R5 and R7 are compiler lints
+/// now (DESIGN.md §9), and R8 is gone; their ids are not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: every `unsafe` block / fn / impl is immediately preceded by a
-    /// `// SAFETY:` comment (a doc `# Safety` section also counts).
-    SafetyComment,
-    /// R2: no `unwrap()` / `expect()` / `panic!` / `todo!` in non-test
-    /// library code.
-    NoPanicPaths,
     /// R3: no timing or allocation calls inside functions marked with a
     /// `// hot-path` comment.
     HotPathAlloc,
-    /// R4: no bare `Mutex`/`RwLock` acquisition (`.lock()` / `.read()` /
-    /// `.write()`); use the poison-safe `lock_recover` helper.
-    LockRecover,
-    /// R5: every public item (`pub fn` / `struct` / `enum` / `trait` /
-    /// `type` / `const` / `static`) carries a doc comment.
-    MissingDocs,
     /// R6: the partial order of `*_recover` lock acquisitions held
     /// simultaneously must be acyclic (static deadlock detection, one
     /// level of call inlining).
     LockOrder,
-    /// R7: no nondeterminism sources (`Instant::now`, `SystemTime`,
-    /// hash-map iteration, entropy-seeded RNGs, bare
-    /// `available_parallelism`) in determinism-critical scopes.
-    DeterminismScope,
-    /// R8: every `#[target_feature]` / intrinsic-calling kernel fn has a
-    /// scalar twin and is reachable from a `*parity*` test.
-    TwinCoverage,
     /// R9: every `// lint: allow(rN)` marker must actually silence a
     /// finding; dead markers are findings themselves.
     AllowHygiene,
@@ -57,23 +40,17 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable short id (`R1`…`R10`).
+    /// Stable short id.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::SafetyComment => "R1",
-            Rule::NoPanicPaths => "R2",
             Rule::HotPathAlloc => "R3",
-            Rule::LockRecover => "R4",
-            Rule::MissingDocs => "R5",
             Rule::LockOrder => "R6",
-            Rule::DeterminismScope => "R7",
-            Rule::TwinCoverage => "R8",
             Rule::AllowHygiene => "R9",
             Rule::UnreachedPub => "R10",
         }
     }
 
-    /// The rule with the given lower-case id (`"r1"`…`"r10"`), if any.
+    /// The rule with the given lower-case id (`"r3"`, `"r10"`…), if any.
     pub fn from_marker_id(id: &str) -> Option<Rule> {
         Rule::all()
             .into_iter()
@@ -83,29 +60,11 @@ impl Rule {
     /// One-line description, shown by `rptcn-analysis rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::SafetyComment => {
-                "unsafe block/fn/impl must be preceded by a `// SAFETY:` comment"
-            }
-            Rule::NoPanicPaths => {
-                "no unwrap()/expect()/panic!/todo! in non-test library code (serve, net, core, models, obs, analysis + kernel files)"
-            }
             Rule::HotPathAlloc => {
                 "no Instant::now()/allocations inside functions marked `// hot-path`"
             }
-            Rule::LockRecover => {
-                "Mutex/RwLock acquisitions in serve and net must go through `lock_recover`"
-            }
-            Rule::MissingDocs => {
-                "public items in serve, net, core, obs and analysis must have doc comments"
-            }
             Rule::LockOrder => {
                 "lock acquisition order across serve/net must be acyclic (static deadlock check)"
-            }
-            Rule::DeterminismScope => {
-                "no wall clocks, hash-map iteration, entropy RNGs or bare available_parallelism in determinism-critical scopes"
-            }
-            Rule::TwinCoverage => {
-                "every #[target_feature]/intrinsic kernel fn needs a scalar twin and a *parity* test reference"
             }
             Rule::AllowHygiene => {
                 "a `// lint: allow(rN)` marker that silences nothing is itself a finding"
@@ -117,68 +76,13 @@ impl Rule {
     }
 
     /// Every rule, in id order.
-    pub fn all() -> [Rule; 10] {
+    pub fn all() -> [Rule; 4] {
         [
-            Rule::SafetyComment,
-            Rule::NoPanicPaths,
             Rule::HotPathAlloc,
-            Rule::LockRecover,
-            Rule::MissingDocs,
             Rule::LockOrder,
-            Rule::DeterminismScope,
-            Rule::TwinCoverage,
             Rule::AllowHygiene,
             Rule::UnreachedPub,
         ]
-    }
-}
-
-/// How a finding gates CI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Severity {
-    /// Fails the check unconditionally; must be fixed or explicitly
-    /// allow-marked with a justification.
-    Deny,
-    /// Reported, and gated through `analysis-baseline.json`: accepted
-    /// findings live there, anything new (or any stale entry) fails.
-    Warn,
-}
-
-impl Severity {
-    /// Lower-case label used in JSON output and summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// The files that hold the repo's compute kernels. They sit on the serving
-/// hot path and double as determinism-critical scope: their outputs are
-/// under a bitwise parity contract.
-const KERNEL_FILES: [&str; 2] = ["tensor/src/gemm.rs", "autograd/src/conv_kernels.rs"];
-
-/// Severity of a rule for a given file, by repo policy: everything is
-/// deny except R7, which denies only in its determinism-critical core
-/// (`net/src/sim*`, the SimClock seam file, the kernel files) and
-/// warns elsewhere so the hash-iteration lint can roll out through the
-/// baseline instead of blocking.
-pub fn severity(rule: Rule, file: &Path) -> Severity {
-    match rule {
-        Rule::DeterminismScope => {
-            let p = file.to_string_lossy().replace('\\', "/");
-            let deny = p.contains("net/src/sim")
-                || p.ends_with("obs/src/clock.rs")
-                || p.contains("core/src/decide")
-                || KERNEL_FILES.iter().any(|f| p.ends_with(f));
-            if deny {
-                Severity::Deny
-            } else {
-                Severity::Warn
-            }
-        }
-        _ => Severity::Deny,
     }
 }
 
@@ -218,57 +122,15 @@ fn is_root_file(p: &str) -> bool {
         || p.starts_with("src/")
 }
 
-/// Which rules apply to a workspace file, by repo policy:
-/// R1, R3 and R9 everywhere; R2 in `serve`/`net`/`core`/`models`/`obs`/
-/// `analysis` plus the kernel files (GEMM, conv); R4 and R6 in `serve` and `net`; R5 in `serve`, `net`,
-/// `core`, `obs` and `analysis`; R7 in `serve`/`net`/`obs` plus the
-/// kernel files and the `core/src/decide` module (deny inside the
-/// determinism core — which includes `decide`, whose reservation replays
-/// must be reproducible — warn elsewhere; see [`severity`]); R8 on the
-/// conv kernel file, home of the one `#[target_feature]` fn; R10 on every library file of
+/// Which rules apply to a workspace file, by repo policy: R3 and R9
+/// everywhere; R6 in `serve` and `net`; R10 on every library file of
 /// every crate (`crates/*/src` minus the roots it walks from).
 pub fn rules_for(path: &Path) -> Vec<Rule> {
     let p = path.to_string_lossy().replace('\\', "/");
     let in_crate = |c: &str| p.contains(&format!("crates/{c}/src/"));
-    // The kernel files sit on the serving hot path: a stray panic there
-    // aborts a forecast mid-batch, so they carry R2 even though their
-    // crates as a whole do not. The deliberate sites (row counts a guard
-    // already checked) carry r2 allow markers with their justification
-    // inline.
-    let kernel_file = KERNEL_FILES.iter().any(|f| p.ends_with(f));
-    let mut rules = vec![Rule::SafetyComment, Rule::HotPathAlloc];
-    if in_crate("serve")
-        || in_crate("net")
-        || in_crate("core")
-        || in_crate("models")
-        || in_crate("obs")
-        || in_crate("analysis")
-        || kernel_file
-    {
-        rules.push(Rule::NoPanicPaths);
-    }
+    let mut rules = vec![Rule::HotPathAlloc];
     if in_crate("serve") || in_crate("net") {
-        rules.push(Rule::LockRecover);
         rules.push(Rule::LockOrder);
-    }
-    if in_crate("serve")
-        || in_crate("net")
-        || in_crate("core")
-        || in_crate("obs")
-        || in_crate("analysis")
-    {
-        rules.push(Rule::MissingDocs);
-    }
-    if in_crate("serve")
-        || in_crate("net")
-        || in_crate("obs")
-        || p.contains("core/src/decide")
-        || kernel_file
-    {
-        rules.push(Rule::DeterminismScope);
-    }
-    if p.ends_with("autograd/src/conv_kernels.rs") {
-        rules.push(Rule::TwinCoverage);
     }
     if p.contains("crates/") && p.contains("/src/") && !is_root_file(&p) {
         rules.push(Rule::UnreachedPub);
@@ -277,11 +139,11 @@ pub fn rules_for(path: &Path) -> Vec<Rule> {
     rules
 }
 
-/// Run `rules` over one file's source text. R6, R8 and R10 run in their
+/// Run `rules` over one file's source text. R6 and R10 run in their
 /// single-file form (lock graph / fn index restricted to this file);
 /// R9 always runs last so every other rule's marker usage is recorded
 /// first.
-// lint: allow(r10) test entry: lint_engine.rs and export_golden.rs run one fixture under chosen rules
+// lint: allow(r10) test entry: lint_engine.rs runs one fixture under chosen rules
 pub fn check_source(path: &Path, src: &str, rules: &[Rule]) -> Vec<Diagnostic> {
     let ctx = FileContext::new(path, src);
     let mut out = Vec::new();
@@ -296,12 +158,12 @@ pub fn check_source(path: &Path, src: &str, rules: &[Rule]) -> Vec<Diagnostic> {
 }
 
 /// Lexed file plus the derived views the rules share. Public so the
-/// workspace walk can run the cross-file rules (R6/R8) over many files
+/// workspace walk can run the cross-file rules (R6/R10) over many files
 /// while sharing the marker-usage state R9 audits.
 pub struct FileContext {
     path: PathBuf,
     lexed: Lexed,
-    /// Structural view (fns, macros, invocations) for R6/R8.
+    /// Structural view (fns and modules) for R6/R10.
     tree: ItemTree,
     /// `in_attr[i]` — token `i` is inside a `#[...]` / `#![...]` attribute.
     in_attr: Vec<bool>,
@@ -343,28 +205,12 @@ impl FileContext {
         &self.path
     }
 
-    /// The lexed token stream.
-    pub fn lexed(&self) -> &Lexed {
-        &self.lexed
-    }
-
-    /// The structural item tree.
-    pub fn tree(&self) -> &ItemTree {
-        &self.tree
-    }
-
     /// Dispatch one rule in its single-file form (R9 excluded: it must
     /// run after every other rule, via [`FileContext::check_allow_hygiene`]).
     pub fn run_rule(&self, rule: Rule, out: &mut Vec<Diagnostic>) {
         match rule {
-            Rule::SafetyComment => self.check_safety(out),
-            Rule::NoPanicPaths => self.check_no_panic(out),
             Rule::HotPathAlloc => self.check_hot_path(out),
-            Rule::LockRecover => self.check_lock_recover(out),
-            Rule::MissingDocs => self.check_missing_docs(out),
             Rule::LockOrder => check_lock_order(&[self], out),
-            Rule::DeterminismScope => self.check_determinism(out),
-            Rule::TwinCoverage => check_twin_coverage(&[self], out),
             Rule::AllowHygiene => {}
             Rule::UnreachedPub => check_unreached_pub(&[self], out),
         }
@@ -446,23 +292,6 @@ impl FileContext {
         });
     }
 
-    /// The contiguous run of comment-only / attribute-only lines directly
-    /// above `line`, concatenated (nearest line first).
-    fn comment_run_above(&self, line: usize) -> String {
-        let mut text = String::new();
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            if self.lexed.is_comment_only(l) || self.attr_only_lines.binary_search(&l).is_ok() {
-                text.push_str(self.lexed.comment_on(l));
-                text.push('\n');
-            } else {
-                break;
-            }
-        }
-        text
-    }
-
     /// A `// hot-path` marker in the comment run directly above `line`?
     /// The marker must be a plain line comment whose text *starts* with
     /// `hot-path` (after the slashes) — a doc comment merely mentioning
@@ -475,14 +304,6 @@ impl FileContext {
                 && c.trim_start_matches('/')
                     .trim_start()
                     .starts_with("hot-path")
-        })
-    }
-
-    /// Does the comment run above `line` contain a `///` doc comment?
-    fn has_doc_above(&self, line: usize) -> bool {
-        self.comment_lines_above(line).any(|l| {
-            let t = self.lexed.comment_on(l).trim_start();
-            t.starts_with("///") || t.starts_with("/**")
         })
     }
 
@@ -541,132 +362,15 @@ impl FileContext {
         }
     }
 
-    /// Token index of the `{` opening the body of the fn whose `fn`
-    /// keyword is at `fn_idx`, or `None` for a bodyless declaration.
-    fn fn_body_open(&self, fn_idx: usize) -> Option<usize> {
-        let toks = self.tokens();
-        let mut paren = 0i32;
-        let mut bracket = 0i32;
-        for (off, t) in toks.iter().enumerate().skip(fn_idx + 1) {
-            match t.kind {
-                TokKind::Punct('(') => paren += 1,
-                TokKind::Punct(')') => paren -= 1,
-                TokKind::Punct('[') => bracket += 1,
-                TokKind::Punct(']') => bracket -= 1,
-                TokKind::Punct('{') if paren == 0 && bracket == 0 => return Some(off),
-                TokKind::Punct(';') if paren == 0 && bracket == 0 => return None,
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Index one past the `}` matching the `{` at `open`.
-    fn matching_close(&self, open: usize) -> usize {
-        let toks = self.tokens();
-        let mut depth = 0i32;
-        for (off, t) in toks.iter().enumerate().skip(open) {
-            match t.kind {
-                TokKind::Punct('{') => depth += 1,
-                TokKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return off + 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        toks.len()
-    }
-
     /// Body spans of functions whose leading comment run contains a
     /// `hot-path` marker.
     fn find_hot_fn_spans(&self) -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        for i in 0..self.tokens().len() {
-            if self.ident_at(i) != Some("fn") || self.in_attr[i] {
-                continue;
-            }
-            let start = self.item_start(i);
-            if !self.has_hot_path_marker_above(self.line_of(start)) {
-                continue;
-            }
-            if let Some(open) = self.fn_body_open(i) {
-                spans.push((open, self.matching_close(open)));
-            }
-        }
-        spans
-    }
-
-    // ---- R1 ---------------------------------------------------------------
-
-    fn check_safety(&self, out: &mut Vec<Diagnostic>) {
-        for i in 0..self.tokens().len() {
-            if self.ident_at(i) != Some("unsafe") || self.in_attr[i] {
-                continue;
-            }
-            // `unsafe` in a type position (`unsafe fn` pointer types,
-            // `unsafe extern` blocks) is rare here; treat every keyword
-            // use as a site needing justification.
-            let start = self.item_start(i);
-            let line = self.line_of(start);
-            let same_line = self.lexed.comment_on(self.line_of(i));
-            let above = self.comment_run_above(line);
-            let ok = same_line.contains("SAFETY:")
-                || above.contains("SAFETY:")
-                || above.contains("# Safety");
-            if !ok {
-                let what = match self.ident_at(i + 1) {
-                    Some("fn") => "unsafe fn",
-                    Some("impl") => "unsafe impl",
-                    _ => "unsafe block",
-                };
-                self.emit(
-                    out,
-                    self.line_of(i),
-                    Rule::SafetyComment,
-                    format!("{what} without an immediately-preceding `// SAFETY:` comment"),
-                );
-            }
-        }
-    }
-
-    // ---- R2 ---------------------------------------------------------------
-
-    fn check_no_panic(&self, out: &mut Vec<Diagnostic>) {
-        for i in 0..self.tokens().len() {
-            let Some(name) = self.ident_at(i) else {
-                continue;
-            };
-            if self.in_attr[i] {
-                continue;
-            }
-            match name {
-                "unwrap" | "expect" => {
-                    let method = i > 0
-                        && self.punct_at(i - 1) == Some('.')
-                        && self.punct_at(i + 1) == Some('(');
-                    if method {
-                        self.emit(
-                            out,
-                            self.line_of(i),
-                            Rule::NoPanicPaths,
-                            format!("`.{name}()` in library code; return a typed error instead"),
-                        );
-                    }
-                }
-                "panic" | "todo" | "unimplemented" if self.punct_at(i + 1) == Some('!') => {
-                    self.emit(
-                        out,
-                        self.line_of(i),
-                        Rule::NoPanicPaths,
-                        format!("`{name}!` in library code; return a typed error instead"),
-                    );
-                }
-                _ => {}
-            }
-        }
+        self.tree
+            .fns
+            .iter()
+            .filter(|f| self.has_hot_path_marker_above(self.line_of(self.item_start(f.fn_idx))))
+            .filter_map(|f| f.body)
+            .collect()
     }
 
     // ---- R3 ---------------------------------------------------------------
@@ -714,247 +418,6 @@ impl FileContext {
             && self.punct_at(i - 1) == Some(':')
             && self.punct_at(i - 2) == Some(':')
             && self.ident_at(i - 3) == Some(prefix)
-    }
-
-    // ---- R4 ---------------------------------------------------------------
-
-    fn check_lock_recover(&self, out: &mut Vec<Diagnostic>) {
-        for i in 0..self.tokens().len() {
-            let Some(name) = self.ident_at(i) else {
-                continue;
-            };
-            if !matches!(name, "lock" | "read" | "write") || self.in_attr[i] {
-                continue;
-            }
-            // `.lock()` / `.read()` / `.write()` with an empty argument
-            // list — the Mutex/RwLock acquisition shape. IO calls such as
-            // `write_all(buf)` have arguments and stay untouched.
-            let bare_acquire = i > 0
-                && self.punct_at(i - 1) == Some('.')
-                && self.punct_at(i + 1) == Some('(')
-                && self.punct_at(i + 2) == Some(')');
-            if bare_acquire {
-                self.emit(
-                    out,
-                    self.line_of(i),
-                    Rule::LockRecover,
-                    format!(
-                        "bare `.{name}()` acquisition; use the poison-safe `lock_recover` helper"
-                    ),
-                );
-            }
-        }
-    }
-
-    // ---- R5 ---------------------------------------------------------------
-
-    fn check_missing_docs(&self, out: &mut Vec<Diagnostic>) {
-        const ITEM_KEYWORDS: [&str; 7] =
-            ["fn", "struct", "enum", "trait", "type", "const", "static"];
-        for i in 0..self.tokens().len() {
-            if self.ident_at(i) != Some("pub") || self.in_attr[i] {
-                continue;
-            }
-            // `pub(crate)` / `pub(super)` are not public API.
-            if self.punct_at(i + 1) == Some('(') {
-                continue;
-            }
-            // Item position: previous non-attribute token opens/closes a
-            // block or ends a statement. Tuple-struct fields (`(pub f32)`)
-            // and similar positions are skipped.
-            let mut p = i;
-            while p > 0 && self.in_attr[p - 1] {
-                p -= 1;
-            }
-            if p > 0 && !matches!(self.punct_at(p - 1), Some('{') | Some('}') | Some(';')) {
-                continue;
-            }
-            // Reach the item keyword through modifiers.
-            let mut j = i + 1;
-            while matches!(
-                self.ident_at(j),
-                Some("unsafe") | Some("async") | Some("extern") | Some("default")
-            ) || matches!(self.tokens().get(j).map(|t| &t.kind), Some(TokKind::Str))
-            {
-                j += 1;
-            }
-            // `pub const fn` is a fn; bare `pub const NAME` is a const.
-            if self.ident_at(j) == Some("const") && self.ident_at(j + 1) == Some("fn") {
-                j += 1;
-            }
-            let Some(kw) = self.ident_at(j) else { continue };
-            if !ITEM_KEYWORDS.contains(&kw) {
-                continue;
-            }
-            let item_name = self.ident_at(j + 1).unwrap_or("?").to_string();
-            let start = self.item_start(j);
-            if !self.has_doc_above(self.line_of(start)) {
-                self.emit(
-                    out,
-                    self.line_of(i),
-                    Rule::MissingDocs,
-                    format!("public {kw} `{item_name}` has no doc comment"),
-                );
-            }
-        }
-    }
-
-    // ---- R7 ---------------------------------------------------------------
-
-    /// Identifiers declared with a std hash-container type in this file:
-    /// `name: [&][mut] HashMap<…>` fields/params/annotations and
-    /// `let name = HashMap::new()`-style bindings.
-    fn hash_typed_names(&self) -> BTreeSet<String> {
-        let mut names = BTreeSet::new();
-        for i in 0..self.tokens().len() {
-            let Some(ty) = self.ident_at(i) else { continue };
-            if !(ty == "HashMap" || ty == "HashSet") || self.in_attr[i] {
-                continue;
-            }
-            let mut j = i;
-            while j > 0
-                && (self.punct_at(j - 1) == Some('&') || self.ident_at(j - 1) == Some("mut"))
-            {
-                j -= 1;
-            }
-            if j < 2 {
-                continue;
-            }
-            // `a :: HashMap` is a use/path position, not a declaration.
-            let decl = (self.punct_at(j - 1) == Some(':') && self.punct_at(j - 2) != Some(':'))
-                || self.punct_at(j - 1) == Some('=');
-            if decl {
-                if let Some(v) = self.ident_at(j - 2) {
-                    names.insert(v.to_string());
-                }
-            }
-        }
-        names
-    }
-
-    /// The iteration at token `i` feeds a `let [mut] v = ….collect();`
-    /// binding that is sorted in the immediately following statement —
-    /// the blessed "sorted drain" shape.
-    fn sorted_after(&self, i: usize) -> bool {
-        // Find the binding variable: walk back to the statement start and
-        // expect `let [mut] v =`.
-        let mut j = i;
-        while j > 0 {
-            match self.punct_at(j - 1) {
-                Some(';') | Some('{') | Some('}') => break,
-                _ => j -= 1,
-            }
-        }
-        let var = match (self.ident_at(j), self.ident_at(j + 1), self.ident_at(j + 2)) {
-            (Some("let"), Some("mut"), Some(v)) => v.to_string(),
-            (Some("let"), Some(v), _) => v.to_string(),
-            _ => return false,
-        };
-        // Find the `;` ending this statement, then require `v.sort…(` next.
-        let mut k = i;
-        while k < self.tokens().len() && self.punct_at(k) != Some(';') {
-            k += 1;
-        }
-        self.ident_at(k + 1) == Some(var.as_str())
-            && self.punct_at(k + 2) == Some('.')
-            && self.ident_at(k + 3).is_some_and(|m| m.starts_with("sort"))
-            && self.punct_at(k + 4) == Some('(')
-    }
-
-    fn check_determinism(&self, out: &mut Vec<Diagnostic>) {
-        const ITER_METHODS: [&str; 10] = [
-            "iter",
-            "iter_mut",
-            "keys",
-            "values",
-            "values_mut",
-            "drain",
-            "into_iter",
-            "into_keys",
-            "into_values",
-            "retain",
-        ];
-        let hash_vars = self.hash_typed_names();
-        let toks = self.tokens();
-        for i in 0..toks.len() {
-            let Some(name) = self.ident_at(i) else {
-                continue;
-            };
-            if self.in_attr[i] {
-                continue;
-            }
-            match name {
-                "now"
-                    if self.path_prefix_is(i, "Instant")
-                        || self.path_prefix_is(i, "SystemTime") =>
-                {
-                    self.emit(
-                        out,
-                        self.line_of(i),
-                        Rule::DeterminismScope,
-                        "wall-clock `::now()` in a determinism-critical scope; take time from the injected `Clock`".to_string(),
-                    );
-                }
-                "thread_rng" | "OsRng" | "from_entropy" | "getrandom" => {
-                    self.emit(
-                        out,
-                        self.line_of(i),
-                        Rule::DeterminismScope,
-                        format!("entropy-seeded RNG (`{name}`); derive randomness from the run seed (splitmix64)"),
-                    );
-                }
-                "available_parallelism" => {
-                    self.emit(
-                        out,
-                        self.line_of(i),
-                        Rule::DeterminismScope,
-                        "bare `available_parallelism`; thread counts must come from configuration"
-                            .to_string(),
-                    );
-                }
-                "in" => {
-                    // `for x in [&][mut] path.to.hash { … }` — direct
-                    // iteration of a hash container.
-                    let mut j = i + 1;
-                    while self.punct_at(j) == Some('&') || self.ident_at(j) == Some("mut") {
-                        j += 1;
-                    }
-                    if self.ident_at(j).is_none() {
-                        continue;
-                    }
-                    while self.punct_at(j + 1) == Some('.') && self.ident_at(j + 2).is_some() {
-                        j += 2;
-                    }
-                    let last = self.ident_at(j).unwrap_or_default();
-                    if self.punct_at(j + 1) == Some('{') && hash_vars.contains(last) {
-                        self.emit(
-                            out,
-                            self.line_of(j),
-                            Rule::DeterminismScope,
-                            format!("iteration over std hash container `{last}` is order-nondeterministic; use BTreeMap/BTreeSet or sort after collecting"),
-                        );
-                    }
-                }
-                m if ITER_METHODS.contains(&m)
-                    && i >= 2
-                    && self.punct_at(i - 1) == Some('.')
-                    && self.punct_at(i + 1) == Some('(') =>
-                {
-                    let Some(recv) = self.ident_at(i - 2) else {
-                        continue;
-                    };
-                    if hash_vars.contains(recv) && !self.sorted_after(i) {
-                        self.emit(
-                            out,
-                            self.line_of(i),
-                            Rule::DeterminismScope,
-                            format!("`.{m}()` on std hash container `{recv}` is order-nondeterministic; use BTreeMap/BTreeSet or a sorted drain"),
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     // ---- R9 ---------------------------------------------------------------
@@ -1062,115 +525,13 @@ pub fn check_lock_order(files: &[&FileContext], out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---- R8 (cross-file) ------------------------------------------------------
-
-/// R8 over a file set: every `#[target_feature]` or intrinsic-calling fn
-/// in the conv kernel file must have a scalar twin (a second same-name
-/// definition — the cfg pair — or a `*_scalar` sibling) and be
-/// transitively reachable from a `*parity*` test file or module. When no
-/// file in the set is a policy kernel file (fixture mode), every given
-/// file is treated as one.
-pub fn check_twin_coverage(files: &[&FileContext], out: &mut Vec<Diagnostic>) {
-    let mut idx = FnIndex::default();
-    for f in files {
-        let disp = f.path.to_string_lossy().replace('\\', "/");
-        idx.add_file(&disp, &f.lexed, &f.tree, &|_| false);
-    }
-    // Seeds: every identifier in *parity* files, plus identifiers inside
-    // modules whose name contains "parity" (single-file fixtures).
-    let mut seeds: BTreeSet<String> = BTreeSet::new();
-    for f in files {
-        let stem_parity = f
-            .path
-            .file_stem()
-            .map(|s| s.to_string_lossy().contains("parity"))
-            .unwrap_or(false);
-        if stem_parity {
-            for t in &f.lexed.tokens {
-                if let TokKind::Ident(s) = &t.kind {
-                    seeds.insert(s.clone());
-                }
-            }
-        } else {
-            for m in &f.tree.modules {
-                if !m.name.contains("parity") {
-                    continue;
-                }
-                for t in &f.lexed.tokens[m.body.0..m.body.1] {
-                    if let TokKind::Ident(s) = &t.kind {
-                        seeds.insert(s.clone());
-                    }
-                }
-            }
-        }
-    }
-    let covered = idx.reachable(&seeds);
-
-    let policy_kernels: Vec<&FileContext> = files
-        .iter()
-        .copied()
-        .filter(|f| rules_for(&f.path).contains(&Rule::TwinCoverage))
-        .collect();
-    let kernel_files: Vec<&FileContext> = if policy_kernels.is_empty() {
-        files.to_vec()
-    } else {
-        policy_kernels
-    };
-    for f in kernel_files {
-        let disp = f.path.to_string_lossy().replace('\\', "/");
-        let mut reported: BTreeSet<&str> = BTreeSet::new();
-        let nodes: Vec<_> = idx
-            .by_name
-            .values()
-            .flatten()
-            .filter(|n| n.file == disp && (n.target_feature || n.intrinsics))
-            .collect();
-        for node in nodes {
-            if f.in_test_region(node.line) || !reported.insert(node.name.as_str()) {
-                continue;
-            }
-            let defs = idx.defs(&node.name);
-            let base = node
-                .name
-                .rsplit_once('_')
-                .map(|(b, _)| b)
-                .unwrap_or(&node.name);
-            let twin = defs.len() >= 2
-                || idx.by_name.contains_key(&format!("{}_scalar", node.name))
-                || idx.by_name.contains_key(&format!("{base}_scalar"));
-            if !twin {
-                f.emit(
-                    out,
-                    node.line,
-                    Rule::TwinCoverage,
-                    format!(
-                        "kernel fn `{}` has no scalar twin (no cfg-paired second definition or `*_scalar` sibling)",
-                        node.name
-                    ),
-                );
-            }
-            if !covered.contains(&node.name) {
-                f.emit(
-                    out,
-                    node.line,
-                    Rule::TwinCoverage,
-                    format!(
-                        "kernel fn `{}` is not reachable from any *parity* test, so the bitwise twin contract is untested",
-                        node.name
-                    ),
-                );
-            }
-        }
-    }
-}
-
 // ---- R10 (cross-file) -----------------------------------------------------
 
 /// R10 over a file set: index every fn outside `#[cfg(test)]` modules,
 /// walk the name-level reference edges from the fns the root files
 /// define, and report each unrestricted `pub fn` of a library file the
-/// walk never names. The index is R8's — identifiers, not resolved paths
-/// — so a same-named fn or field anywhere on a live path keeps an item
+/// walk never names. The index holds identifiers, not resolved paths, so
+/// a same-named fn or field anywhere on a live path keeps an item
 /// alive: the rule under-reports and never flags a called fn. A marker
 /// on an unreached item (its own line, or a plain comment between its
 /// docs and its first line) silences it and makes it a seed of a second
@@ -1181,7 +542,7 @@ pub fn check_unreached_pub(files: &[&FileContext], out: &mut Vec<Diagnostic>) {
     let mut seeds: BTreeSet<String> = BTreeSet::new();
     for f in files {
         let disp = f.path.to_string_lossy().replace('\\', "/");
-        idx.add_file(&disp, &f.lexed, &f.tree, &|line| f.in_test_region(line));
+        idx.add_file(&f.lexed, &f.tree, &|line| f.in_test_region(line));
         if is_root_file(&disp) {
             let live = f.tree.fns.iter().filter(|i| !f.in_test_region(i.line));
             seeds.extend(live.map(|i| i.name.clone()));

@@ -1,52 +1,36 @@
-//! Clean fixture: every rule satisfied at once — SAFETY-commented unsafe,
-//! typed errors, allocation-free hot path, recovered locks, documented
-//! public items, plus one justified allowlist entry and a test module
-//! (exempt from R2/R4).
+//! Clean fixture: every rule satisfied at once — allocation-free hot
+//! paths, locks taken in one order, one live allowlist entry and a test
+//! module (exempt from every rule).
 
 use std::sync::{Mutex, MutexGuard};
 
-/// Upper bound on retained samples.
-pub const CAPACITY: usize = 64;
-
-/// A documented public container.
-pub struct Window {
-    values: Vec<f32>,
+/// Two independently locked fields.
+pub struct Pair {
+    left: Mutex<Vec<f32>>,
+    right: Mutex<Vec<f32>>,
 }
 
-impl Window {
-    /// Documented constructor.
-    pub fn new() -> Self {
-        Self { values: Vec::with_capacity(CAPACITY) }
+impl Pair {
+    /// Takes `left` then `right`, the only order in this file.
+    pub fn both(&self) -> usize {
+        let l = lock_recover(&self.left);
+        let r = lock_recover(&self.right);
+        l.len() + r.len()
     }
 
-    /// First element without bounds checking.
-    pub fn first_unchecked(&self) -> f32 {
-        debug_assert!(!self.values.is_empty());
-        // SAFETY: the caller guarantees at least one element is present;
-        // the debug assertion above checks it in debug builds.
-        unsafe { *self.values.as_ptr() }
-    }
-
-    /// First element, `None` when empty — the typed-error path R2 wants.
-    pub fn first(&self) -> Option<f32> {
-        self.values.first().copied()
-    }
-}
-
-impl Default for Window {
-    /// Delegates to [`Window::new`].
-    fn default() -> Self {
-        Self::new()
+    /// Takes `right` alone.
+    pub fn right(&self) -> usize {
+        lock_recover(&self.right).len()
     }
 }
 
 /// Poison-recovering lock helper, mirroring `serve::stats::lock_recover`.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner()) // lint: allow(r4) — the one blessed acquisition
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 // hot-path: per-sample scoring, must not allocate
-/// Sum of the window (documented and allocation-free).
+/// Sum of the window.
 pub fn score(xs: &[f32]) -> f32 {
     let mut acc = 0.0;
     for &x in xs {
@@ -55,15 +39,19 @@ pub fn score(xs: &[f32]) -> f32 {
     acc
 }
 
+// hot-path: one copy per call is this fn's contract
+/// A copy of the window; the allowlist entry below is live.
+pub fn snapshot(xs: &[f32]) -> Vec<f32> {
+    xs.to_vec() // lint: allow(r3) — the copy is the result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn unwraps_are_fine_in_tests() {
-        let w = Window::new();
-        assert!(w.first().is_none());
-        let m = Mutex::new(1u32);
-        assert_eq!(*m.lock().unwrap(), 1);
+    fn test_modules_are_exempt() {
+        let v = vec![1.0f32];
+        assert_eq!(score(&v), 1.0);
     }
 }

@@ -6,6 +6,17 @@
 //! inputs `x_{t - (K-1-kk)·d}` for tap `kk`, i.e. only the past. Negative
 //! time indices contribute zero (implicit left padding of `(K-1)·d`).
 
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R4 and R7: poison-safe locks and deterministic replay (clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use tensor::Tensor;
 
 use crate::infer::{add_channel_bias, subsample_time_into, subsampled_len};

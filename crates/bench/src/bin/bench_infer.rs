@@ -68,7 +68,12 @@ fn quantiles(mut ns: Vec<u64>) -> (u64, u64) {
 /// the exact sorted samples. Each sample is also recorded into `hist`, so
 /// the emitted report can show the bucketed distribution next to the
 /// exact quantiles.
-fn time_loop(iters: usize, hist: &Histogram, mut f: impl FnMut()) -> (u64, u64) {
+fn time_loop(iters: usize, hist: &Histogram, f: impl FnMut()) -> (u64, u64) {
+    quantiles(time_samples(iters, hist, f))
+}
+
+/// The nanoseconds of `iters` calls of `f`, each also recorded into `hist`.
+fn time_samples(iters: usize, hist: &Histogram, mut f: impl FnMut()) -> Vec<u64> {
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
         let t = Instant::now();
@@ -77,7 +82,7 @@ fn time_loop(iters: usize, hist: &Histogram, mut f: impl FnMut()) -> (u64, u64) 
         hist.record(ns);
         samples.push(ns);
     }
-    quantiles(samples)
+    samples
 }
 
 /// One kernel of the forward pass in the per-layer breakdown.
@@ -748,19 +753,28 @@ fn main() {
     }
 
     // A stacked batch, the shape of `forecast_many`'s one engine call for a
-    // cold shared group, run on the calling thread like every kernel.
+    // cold shared group, run on the calling thread like every kernel. Each
+    // round times the batch once and then lone forecasts, so a row and the
+    // forecast it is held against see the same host.
     let x_batch = Tensor::rand_normal(&[BATCH_ROWS, WINDOW, FEATURES], 0.5, 0.2, &mut rng);
     let batch_iters = if args.quick { 10 } else { 60 };
     for _ in 0..3 {
         black_box(model.predict(&x_batch));
     }
-    let (batch_p50, _) = time_loop(
-        batch_iters,
-        &registry.latency_histogram("stacked_batch_ns"),
-        || {
-            black_box(model.predict(&x_batch));
-        },
+    let (batch_hist, alone_hist) = (
+        registry.latency_histogram("stacked_batch_ns"),
+        registry.latency_histogram("stacked_alone_ns"),
     );
+    let (mut batch_ns, mut alone_ns) = (Vec::new(), Vec::new());
+    for _ in 0..batch_iters {
+        batch_ns.extend(time_samples(1, &batch_hist, || {
+            black_box(model.predict(&x_batch));
+        }));
+        alone_ns.extend(time_samples(8, &alone_hist, || {
+            black_box(model.predict(&x));
+        }));
+    }
+    let ((batch_p50, _), (alone_p50, _)) = (quantiles(batch_ns), quantiles(alone_ns));
     let row_ns = batch_p50 as f64 / BATCH_ROWS as f64;
 
     let mut json = String::new();
@@ -884,7 +898,7 @@ fn main() {
     writeln!(json, "  ],").unwrap();
     writeln!(
         json,
-        "  \"stacked_batch\": {{\"rows\": {BATCH_ROWS}, \"batch_p50_ns\": {batch_p50}, \"row_ns\": {row_ns:.0}}},"
+        "  \"stacked_batch\": {{\"rows\": {BATCH_ROWS}, \"batch_p50_ns\": {batch_p50}, \"row_ns\": {row_ns:.0}, \"alone_p50_ns\": {alone_p50}}},"
     )
     .unwrap();
     // Bucketed distribution summaries from the obs histograms that every
@@ -935,6 +949,6 @@ fn main() {
         );
     }
     eprintln!(
-        "gemm: median {gemm_speedup_p50:.1}x over the scalar reference; stacked batch: {row_ns:.0} ns a row of {BATCH_ROWS}",
+        "gemm: median {gemm_speedup_p50:.1}x over the scalar reference; stacked batch: {row_ns:.0} ns a row of {BATCH_ROWS}, {alone_p50} ns a lone forecast beside it",
     );
 }

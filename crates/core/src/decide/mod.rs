@@ -15,6 +15,9 @@
 //!   paid twice per oscillation.
 //! * [`DecisionPlanner`] bundles the three with outcome accounting.
 
+// R4 and R7: poison-safe locks and deterministic replay (clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 pub mod conformal;
 
 pub use conformal::{Calibration, ConformalState, MIN_CALIBRATION_SAMPLES};

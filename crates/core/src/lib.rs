@@ -34,6 +34,17 @@
 //! assert!(run.test_metrics.mse.is_finite());
 //! ```
 
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R5: documented public API.
+#![warn(missing_docs)]
+
 pub mod decide;
 pub mod observe;
 pub mod pipeline;

@@ -15,11 +15,17 @@ use crate::scenario::Scenario;
 /// 6:2:2 chronological split, three-way horizontal expansion.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
+    /// Indicator to forecast (paper: CPU utilisation).
     pub target: String,
+    /// Which indicators feed the model and how they are expanded.
     pub scenario: Scenario,
+    /// Input window length in samples (paper: 30).
     pub window: usize,
+    /// Steps ahead of the window's last sample to forecast.
     pub horizon: usize,
+    /// Chronological train/validation/test split (paper: 6:2:2).
     pub ratios: SplitRatios,
+    /// How missing or non-finite values are repaired before windowing.
     pub repair: RepairPolicy,
     /// Lag copies per indicator in the Mul-Exp scenario (paper: 3).
     pub expansion_copies: usize,
@@ -56,8 +62,11 @@ impl Default for PipelineConfig {
 /// The fully prepared, model-ready data for one entity.
 #[derive(Debug, Clone)]
 pub struct PreparedData {
+    /// Training windows.
     pub train: WindowedDataset,
+    /// Validation windows (early stopping).
     pub valid: WindowedDataset,
+    /// Held-out test windows.
     pub test: WindowedDataset,
     /// Scaler fitted on the training rows only (leak-free; the paper
     /// normalises globally, which we tighten here).
@@ -92,8 +101,11 @@ impl PreparedData {
 /// cheap to clone and small enough to checkpoint.
 #[derive(Debug, Clone)]
 pub struct FittedPreprocess {
+    /// Min-max scaler fitted on the training rows.
     pub scaler: MinMaxScaler,
+    /// Indicators that survived correlation screening.
     pub selected: Vec<String>,
+    /// Name of the target column after expansion.
     pub expanded_target: String,
 }
 
@@ -162,12 +174,16 @@ pub fn prepare(frame: &TimeSeriesFrame, cfg: &PipelineConfig) -> Result<Prepared
 /// Result of fitting and evaluating one model on prepared data.
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
+    /// Name of the model that was fitted.
     pub model_name: String,
+    /// Per-epoch losses, fit time and whether early stopping fired.
     pub fit: FitReport,
     /// Test-set metrics in normalised units (multiply MSE/MAE by 10² to
     /// compare with Table II's `×10⁻²` convention).
     pub test_metrics: metrics::MetricReport,
+    /// Test-set targets in normalised units.
     pub truth: Vec<f32>,
+    /// Test-set forecasts in normalised units, aligned with `truth`.
     pub predictions: Vec<f32>,
 }
 

@@ -104,16 +104,23 @@ impl WindowPlan {
 /// forecasts are bit-identical to the one snapshotted.
 #[derive(Debug, Clone)]
 pub struct PredictorState {
+    /// The fitted model's weights and meta.
     pub model: ModelState,
+    /// The pipeline configuration the predictor was built with.
     pub cfg: PipelineConfig,
+    /// Original indicator names, in history column order.
     pub names: Vec<String>,
+    /// Raw history, one column per entry of `names`.
     pub history: Vec<Vec<f32>>,
     /// Scaler parameters as `(column, min, max)` triples.
     pub scaler_columns: Vec<(String, f32, f32)>,
     /// Indicators that survived correlation screening at the last fit.
     pub selected: Vec<String>,
+    /// Name of the target column after expansion.
     pub expanded_target: String,
+    /// Samples observed since the last (re)fit.
     pub samples_since_fit: usize,
+    /// Refit after this many new samples (0 disables periodic refits).
     pub refit_every: usize,
 }
 

@@ -11,7 +11,7 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use autograd::RestoreError;
 use tensor::Tensor;
@@ -103,6 +103,18 @@ impl ModelState {
 
     pub fn require_f32(&self, key: &str) -> Result<f32, CheckpointError> {
         Ok(self.require(key)? as f32)
+    }
+
+    /// A dropout rate: in `[0, 1)`, checked here so a bad checkpoint is an
+    /// error before any layer is built, not a panic in `Dropout::new`.
+    pub fn require_dropout(&self, key: &str) -> Result<f32, CheckpointError> {
+        let p = self.require_f32(key)?;
+        if !(0.0..1.0).contains(&p) {
+            return Err(CheckpointError(format!(
+                "meta key `{key}` = {p} is not a dropout rate in [0, 1)"
+            )));
+        }
+        Ok(p)
     }
 
     /// Total scalar weight count — handy for stats and sanity checks.
@@ -318,12 +330,41 @@ pub fn read_model_file<R: Read>(r: &mut R) -> Result<ModelState, CheckpointError
     read_model_state(r)
 }
 
-/// Save a model checkpoint to `path`.
+/// Save a model checkpoint to `path`, atomically ([`write_atomically`]).
 // lint: allow(r10) test: checkpoint_roundtrip.rs writes model files through `Forecaster::save`
 pub fn save_model(path: &Path, state: &ModelState) -> Result<(), CheckpointError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_model_file(&mut w, state)?;
-    w.flush()?;
+    write_atomically(path, |w| write_model_file(w, state))
+}
+
+/// Replace `path` atomically: `write` fills `path.tmp`, which is flushed,
+/// synced and renamed over `path`, and then the directory is synced. A
+/// save that fails or crashes part-way leaves the previous file whole; a
+/// failed one also removes `path.tmp`.
+pub fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let replaced = (|| -> Result<(), CheckpointError> {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        write(&mut w)?;
+        let file = w.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    })();
+    if replaced.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return replaced;
+    }
+    // The rename is durable once the directory entry is.
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 

@@ -145,7 +145,7 @@ impl CnnLstmForecaster {
             kernel: state.require_usize("kernel")?,
             lstm_hidden: state.require_usize("lstm_hidden")?,
             lstm_layers: state.require_usize("lstm_layers")?,
-            dropout: state.require_f32("dropout")?,
+            dropout: state.require_dropout("dropout")?,
             spec: neural::spec_from_meta(state)?,
         })
     }
@@ -160,7 +160,11 @@ impl CnnLstmForecaster {
     /// Taped-graph inference — the parity/benchmark reference for
     /// [`Forecaster::predict`]'s tape-free path.
     pub fn predict_taped(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         neural::predict_network_taped(net, x, self.config.spec.batch_size)
     }
 }
@@ -178,7 +182,11 @@ impl Forecaster for CnnLstmForecaster {
     }
 
     fn predict(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         neural::predict_network(net, x, self.config.spec.batch_size)
     }
 

@@ -15,6 +15,15 @@
 //! Deep models share [`neural::NeuralTrainSpec`] (Adam + MSE +
 //! early stopping), mirroring the paper's Keras setup.
 
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod arima;
 pub mod checkpoint;
 pub mod cnn_lstm;

@@ -120,7 +120,7 @@ impl LstmForecaster {
         Ok(LstmConfig {
             hidden: state.require_usize("hidden")?,
             layers: state.require_usize("layers")?,
-            dropout: state.require_f32("dropout")?,
+            dropout: state.require_dropout("dropout")?,
             spec: neural::spec_from_meta(state)?,
         })
     }
@@ -140,7 +140,11 @@ impl LstmForecaster {
     /// Taped-graph inference — the parity/benchmark reference for
     /// [`Forecaster::predict`]'s tape-free path.
     pub fn predict_taped(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         neural::predict_network_taped(net, x, self.config.spec.batch_size)
     }
 }
@@ -158,7 +162,11 @@ impl Forecaster for LstmForecaster {
     }
 
     fn predict(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         neural::predict_network(net, x, self.config.spec.batch_size)
     }
 

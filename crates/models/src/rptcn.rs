@@ -236,11 +236,17 @@ impl RptcnForecaster {
                 state.arch
             )));
         }
+        let levels = state.require_usize("levels")?;
+        if levels == 0 {
+            return Err(CheckpointError(
+                "meta key `levels` = 0: a TCN backbone needs at least one level".into(),
+            ));
+        }
         Ok(RptcnConfig {
             channels: state.require_usize("channels")?,
-            levels: state.require_usize("levels")?,
+            levels,
             kernel: state.require_usize("kernel")?,
-            dropout: state.require_f32("dropout")?,
+            dropout: state.require_dropout("dropout")?,
             weight_norm: state.require_bool("weight_norm")?,
             fc_dim: state.require_usize("fc_dim")?,
             use_fc: state.require_bool("use_fc")?,
@@ -296,16 +302,21 @@ impl RptcnForecaster {
                 (name, t)
             })
             .collect();
+        #[expect(clippy::expect_used, reason = "a same-store round trip")]
         net.store
             .import_named(&perturbed)
-            .expect("perturbed tensors keep their names and shapes"); // lint: allow(r2) — same-store round trip
+            .expect("perturbed tensors keep their names and shapes");
         self.network = Some(net);
     }
 
     /// Taped-graph inference — the parity/benchmark reference for
     /// [`Forecaster::predict`]'s tape-free path.
     pub fn predict_taped(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         self.point_block(neural::predict_network_taped(
             net,
             x,
@@ -319,7 +330,11 @@ impl RptcnForecaster {
     // lint: allow(r10) test: the pinball-loss oracle — `quantile_heads_learn_an_ordered_interval` is the only reader of the q_lo/q_hi heads that still train
     pub fn predict_quantiles(&self, x: &Tensor) -> Option<Tensor> {
         self.config.quantiles?;
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         Some(neural::predict_network(net, x, self.config.spec.batch_size))
     }
 
@@ -358,7 +373,11 @@ impl Forecaster for RptcnForecaster {
     }
 
     fn predict(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         self.point_block(neural::predict_network(net, x, self.config.spec.batch_size))
     }
 

@@ -336,7 +336,11 @@ impl Forecaster for TcnForecaster {
     }
 
     fn predict(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         neural::predict_network(net, x, self.config.spec.batch_size)
     }
 }
@@ -345,7 +349,11 @@ impl TcnForecaster {
     /// Taped-graph inference — the parity/benchmark reference for
     /// [`Forecaster::predict`]'s tape-free path.
     pub fn predict_taped(&self, x: &Tensor) -> Tensor {
-        let net = self.network.as_ref().expect("predict before fit"); // lint: allow(r2) — Forecaster::predict contract
+        #[expect(
+            clippy::expect_used,
+            reason = "Forecaster::predict contract: predict before fit panics"
+        )]
+        let net = self.network.as_ref().expect("predict before fit");
         neural::predict_network_taped(net, x, self.config.spec.batch_size)
     }
 }

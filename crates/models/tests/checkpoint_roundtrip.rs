@@ -1,14 +1,17 @@
 //! Checkpoint round-trip guarantees for the neural forecasters: a model
 //! saved to disk and loaded into a fresh process state must predict
-//! bit-identically, and corrupted or truncated files must be rejected
-//! with an error — never a panic or a silently wrong model.
+//! bit-identically, corrupted or truncated files must be rejected with an
+//! error — never a panic or a silently wrong model — and a save that
+//! fails part-way must leave the previous file whole.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use models::checkpoint::{write_atomically, write_model_file};
 use models::{
-    load_model, Forecaster, LstmConfig, LstmForecaster, NeuralTrainSpec, RptcnConfig,
-    RptcnForecaster,
+    load_model, save_model, Forecaster, LstmConfig, LstmForecaster, ModelState, NeuralTrainSpec,
+    RptcnConfig, RptcnForecaster,
 };
 use proptest::prelude::*;
 use timeseries::{make_windows, TimeSeriesFrame, WindowedDataset};
@@ -168,6 +171,86 @@ fn truncated_file_is_rejected_at_every_cut() {
         std::fs::remove_file(&path).ok();
         assert!(result.is_err(), "truncation at {cut} bytes was accepted");
     }
+}
+
+/// `state` with meta `key` set to `value`.
+fn with_meta(state: &ModelState, key: &str, value: f64) -> ModelState {
+    let mut state = state.clone();
+    let slot = state.meta.iter_mut().find(|(k, _)| k == key);
+    slot.expect("the meta key exists").1 = value;
+    state
+}
+
+#[test]
+fn rptcn_state_with_zero_levels_is_a_typed_error() {
+    let state = trained_rptcn(&dataset()).state().unwrap();
+    let Err(err) = RptcnForecaster::from_state(&with_meta(&state, "levels", 0.0)) else {
+        panic!("zero levels loaded");
+    };
+    assert!(err.0.contains("levels"), "{}", err.0);
+}
+
+#[test]
+fn rptcn_state_with_dropout_out_of_range_is_a_typed_error() {
+    let state = trained_rptcn(&dataset()).state().unwrap();
+    for p in [1.0, 1.5, -0.1, f64::NAN] {
+        let Err(err) = RptcnForecaster::from_state(&with_meta(&state, "dropout", p)) else {
+            panic!("dropout {p} loaded");
+        };
+        assert!(err.0.contains("dropout"), "{p}: {}", err.0);
+    }
+}
+
+/// A writer that takes `left` bytes, then fails every write: a disk that
+/// fills, or a process killed, mid-save.
+struct FailAfter<W> {
+    inner: W,
+    left: usize,
+}
+
+impl<W: Write> Write for FailAfter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.left == 0 {
+            return Err(io::Error::other("no space left"));
+        }
+        let n = self.inner.write(&buf[..buf.len().min(self.left)])?;
+        self.left -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+#[test]
+fn a_save_that_fails_part_way_leaves_the_previous_file_whole() {
+    let ds = dataset();
+    let a = trained_lstm(&ds).state().unwrap();
+    let b = trained_rptcn(&ds).state().unwrap();
+    let path = scratch_path("atomic");
+    save_model(&path, &a).unwrap();
+    let a_bytes = std::fs::read(&path).unwrap();
+    let mut b_bytes = Vec::new();
+    write_model_file(&mut b_bytes, &b).unwrap();
+
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
+    for n in 0..b_bytes.len() {
+        let result = write_atomically(&path, |w| {
+            write_model_file(&mut FailAfter { inner: w, left: n }, &b)
+        });
+        assert!(result.is_err(), "a save cut at byte {n} reported success");
+        assert_eq!(std::fs::read(&path).unwrap(), a_bytes, "cut at byte {n}");
+        assert!(
+            !PathBuf::from(&tmp).exists(),
+            "cut at byte {n} left the temporary file"
+        );
+    }
+    assert_eq!(load_model(&path).unwrap(), a);
+    save_model(&path, &b).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), b_bytes);
+    std::fs::remove_file(&path).ok();
 }
 
 proptest! {

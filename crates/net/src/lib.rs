@@ -22,6 +22,19 @@
 //!   join/drain — all journaled through `rptcn-obs` on an injectable
 //!   clock.
 
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R4 and R7: poison-safe locks and deterministic replay (clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+// R5: documented public API.
+#![warn(missing_docs)]
+
 pub mod client;
 pub mod error;
 pub mod frame;

@@ -32,13 +32,15 @@ pub fn wait_timeout_recover<'a, T>(
 /// Acquire a read guard, recovering from poisoning (a panicked writer
 /// leaves the data in whatever consistent state it last reached; counters
 /// and entity maps tolerate that).
+#[expect(clippy::disallowed_methods, reason = "the blessed read path")]
 pub fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|p| p.into_inner()) // lint: allow(r4) — the blessed read path
+    l.read().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Acquire a write guard, recovering from poisoning.
+#[expect(clippy::disallowed_methods, reason = "the blessed write path")]
 pub fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|p| p.into_inner()) // lint: allow(r4) — the blessed write path
+    l.write().unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]
@@ -47,6 +49,7 @@ mod tests {
     use std::sync::RwLock;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "poisons the lock on purpose")]
     fn recovers_after_writer_panic() {
         let lock = std::sync::Arc::new(RwLock::new(7u32));
         let l2 = lock.clone();

@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use models::{Forecaster, RptcnConfig, RptcnForecaster};
 use net::{FleetRouter, Message, NodeClient, NodeConfig, NodeServer, NodeStatus, RouterConfig};
 use obs::EventKind;
 use serve::{PredictionService, ServiceConfig};
@@ -172,10 +173,23 @@ fn restore_of_malformed_state_is_a_typed_error() {
     scaler_mismatch.scaler_columns[0].0 = "fitted_elsewhere".into();
     let mut target_dropped = good.clone();
     target_dropped.cfg.target = "never_selected".into();
+    // An RPTCN whose meta asks for a backbone of no levels: the layer
+    // constructors would assert, so the meta must be refused first.
+    let mut no_levels = good.clone();
+    let mut rptcn = RptcnForecaster::new(RptcnConfig {
+        channels: 4,
+        levels: 1,
+        ..Default::default()
+    });
+    rptcn.init_untrained(good.model.features, good.model.horizon);
+    no_levels.model = rptcn.state().expect("an initialised model has a state");
+    let levels = no_levels.model.meta.iter_mut().find(|(k, _)| k == "levels");
+    levels.expect("RPTCN meta names its levels").1 = 0.0;
     let reply = client
         .request(&Message::Restore {
             entities: vec![
                 ("bad-column".into(), unknown_column),
+                ("bad-levels".into(), no_levels),
                 ("bad-scaler".into(), scaler_mismatch),
                 ("bad-target".into(), target_dropped),
                 ("good-copy".into(), good),
@@ -187,10 +201,14 @@ fn restore_of_malformed_state_is_a_typed_error() {
     };
     assert_eq!(installed, 1, "only the intact state installs: {errors:?}");
     let rejected: Vec<&str> = errors.iter().map(|(id, _)| id.as_str()).collect();
-    assert_eq!(rejected, ["bad-column", "bad-scaler", "bad-target"]);
+    assert_eq!(
+        rejected,
+        ["bad-column", "bad-levels", "bad-scaler", "bad-target"]
+    );
     assert!(errors[0].1.contains("unknown column"), "{errors:?}");
-    assert!(errors[1].1.contains("scaler"), "{errors:?}");
-    assert!(errors[2].1.contains("target"), "{errors:?}");
+    assert!(errors[1].1.contains("levels"), "{errors:?}");
+    assert!(errors[2].1.contains("scaler"), "{errors:?}");
+    assert!(errors[3].1.contains("target"), "{errors:?}");
 
     // Every shard is still serving, the intact copy included.
     assert_forecasts_match(&mut router, &ids, &last);

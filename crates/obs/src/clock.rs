@@ -39,9 +39,13 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A clock whose epoch is the moment of construction.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one real-time read; everything downstream goes through the Clock trait"
+    )]
     pub fn new() -> Self {
         Self {
-            epoch: Instant::now(), // lint: allow(r7) — the one real-time read; everything downstream goes through the Clock trait
+            epoch: Instant::now(),
         }
     }
 
@@ -137,6 +141,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "holds virtual sleep against wall time"
+    )]
     fn sim_clock_sleep_is_instant_and_visible() {
         let c = SimClock::new();
         let start = Instant::now();

@@ -152,6 +152,10 @@ impl Journal {
 
     /// Lock the ring, recovering from poisoning: the ring is plain data
     /// and stays consistent after an unwind mid-push.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the poison-recovering acquisition"
+    )]
     fn ring(&self) -> MutexGuard<'_, Ring> {
         self.ring
             .lock()

@@ -20,8 +20,20 @@
 //!   [`MonotonicClock`] and a manually-advanced [`SimClock`] that turns
 //!   every timing-dependent test deterministic and instant.
 //! * **Exporters** ([`export`]): text and JSON snapshot renderers with a
-//!   deterministic field order, plus a minimal JSON parser so snapshots
-//!   can be round-trip-checked without external crates.
+//!   deterministic field order.
+
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R4 and R7: poison-safe locks and deterministic replay (clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+// R5: documented public API.
+#![warn(missing_docs)]
 
 pub mod clock;
 pub mod export;
@@ -30,7 +42,7 @@ pub mod metrics;
 pub mod span;
 
 pub use clock::{Clock, MonotonicClock, SharedClock, SimClock};
-pub use export::{from_json, journal_text, parse_json, to_json, to_text, JsonValue};
+pub use export::{journal_text, to_json, to_text};
 pub use journal::{Event, EventKind, Journal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::Span;

@@ -272,6 +272,10 @@ impl Registry {
 
     /// Lock the name tables, recovering from poisoning: the tables are
     /// only ever maps of handles and stay usable after an unwind.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the poison-recovering acquisition"
+    )]
     fn tables(&self) -> MutexGuard<'_, Tables> {
         self.tables
             .lock()

@@ -4,10 +4,12 @@
 //! as the single-model format in `models::checkpoint`.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
-use models::checkpoint::{read_model_state, wire, write_model_state, CheckpointError};
+use models::checkpoint::{
+    read_model_state, wire, write_atomically, write_model_state, CheckpointError,
+};
 use rptcn::{PipelineConfig, PredictorState, ScalerScope, Scenario};
 use tensor::Tensor;
 use timeseries::{RepairPolicy, SplitRatios};
@@ -226,15 +228,13 @@ pub fn read_fleet<R: Read>(r: &mut R) -> Result<Vec<(String, PredictorState)>, C
     Ok(entities)
 }
 
-/// Save a fleet checkpoint to `path`.
+/// Save a fleet checkpoint to `path`, atomically
+/// ([`models::checkpoint::write_atomically`]).
 pub fn save_fleet(
     path: &Path,
     entities: &[(String, PredictorState)],
 ) -> Result<(), CheckpointError> {
-    let mut w = BufWriter::new(File::create(path).map_err(CheckpointError::from)?);
-    write_fleet(&mut w, entities)?;
-    w.flush().map_err(CheckpointError::from)?;
-    Ok(())
+    write_atomically(path, |w| write_fleet(w, entities))
 }
 
 /// Load a fleet checkpoint from `path`.

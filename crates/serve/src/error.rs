@@ -15,7 +15,12 @@ pub enum ServeError {
     DuplicateEntity(String),
     /// The shard's ingest queue is full and the backpressure policy is
     /// [`Reject`](crate::service::Backpressure::Reject).
-    QueueFull { shard: usize, entity: String },
+    QueueFull {
+        /// The shard whose queue is full.
+        shard: usize,
+        /// The entity whose sample was refused.
+        entity: String,
+    },
     /// The shard worker thread is gone (service shutting down or panicked).
     ShardDown(usize),
     /// The entity's serving state is unusable: its model crashed or went
@@ -24,7 +29,10 @@ pub enum ServeError {
     /// A background refit for this entity exceeded the configured deadline
     /// and was abandoned; the entity keeps serving from its previous model
     /// (or the fallback if it is degraded).
-    RefitTimeout { entity: String },
+    RefitTimeout {
+        /// The entity whose refit was abandoned.
+        entity: String,
+    },
     /// Preprocessing / pipeline failure (bad sample width, short history…).
     Frame(String),
     /// Checkpoint serialisation or restore failure.

@@ -158,8 +158,12 @@ impl FaultPlan {
     /// panic lives here — not on the serving path — so `shard.rs` stays
     /// free of panicking macros; the supervisor catches the unwind and
     /// degrades the entity exactly like a real model crash.
+    #[expect(
+        clippy::panic,
+        reason = "the injected fault itself; unwinding is this fn's contract"
+    )]
     pub(crate) fn forecast_panic_now(entity: &str) -> ! {
-        panic!("fault injection: model panic while forecasting `{entity}`") // lint: allow(r2) — the injected fault itself; unwinding is this fn's contract
+        panic!("fault injection: model panic while forecasting `{entity}`")
     }
 
     /// Hook: the planned fault for a refit of `entity`, if any.

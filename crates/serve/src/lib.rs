@@ -46,6 +46,19 @@
 //!   `obs::Journal` of operational events and an injectable `obs::Clock`
 //!   so every timing-dependent test can run on virtual time.
 
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R4 and R7: poison-safe locks and deterministic replay (clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+// R5: documented public API.
+#![warn(missing_docs)]
+
 pub mod checkpoint;
 pub mod dedup;
 pub mod error;

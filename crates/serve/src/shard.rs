@@ -308,6 +308,7 @@ pub(crate) fn shard_loop(
                 let _ = reply.send(removed);
             }
             ShardMsg::Health { reply } => {
+                #[expect(clippy::disallowed_methods, reason = "a sorted drain")]
                 let mut out: Vec<(String, EntityHealthReport)> = slots
                     .iter()
                     .map(|(id, slot)| {
@@ -1091,6 +1092,7 @@ pub(crate) fn dispatch_refit(ctx: &ShardContext, id: &str, slot: &mut EntitySlot
 fn snapshot_all(
     slots: &HashMap<String, EntitySlot>,
 ) -> Result<Vec<(String, PredictorState)>, ServeError> {
+    #[expect(clippy::disallowed_methods, reason = "a sorted drain")]
     let mut ids: Vec<&String> = slots.keys().collect();
     ids.sort();
     snapshot_sorted(slots, ids)

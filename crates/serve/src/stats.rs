@@ -34,16 +34,20 @@ pub enum EntityHealth {
 /// counter accumulator and stays usable after an unwind. Public so the
 /// distributed tier (`rptcn-net`) shares the same blessed acquisition
 /// path instead of minting its own bare `.lock()` calls.
+#[expect(clippy::disallowed_methods, reason = "the one blessed bare lock")]
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) // lint: allow(r4) — the one blessed bare lock
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Rolling online-accuracy accumulator: forecasts scored against the
 /// ground truth that arrives one interval later.
 #[derive(Debug, Default)]
 pub struct ScoreAccum {
+    /// Sum of absolute errors over the scored forecasts.
     pub abs_err_sum: f64,
+    /// Sum of squared errors over the scored forecasts.
     pub sq_err_sum: f64,
+    /// How many forecasts have been scored.
     pub scored: u64,
 }
 
@@ -81,10 +85,15 @@ impl ScoreAccum {
 /// [`ShardStats`] and through an exported `obs` snapshot.
 #[derive(Debug)]
 pub struct ShardStatsCore {
+    /// Entities this shard currently serves.
     pub entities: Arc<Gauge>,
+    /// Samples applied to an entity.
     pub ingested: Arc<Counter>,
+    /// Forecast reads answered, memo hits included.
     pub forecasts: Arc<Counter>,
+    /// Background refits dispatched.
     pub refits_started: Arc<Counter>,
+    /// Background refits whose model was installed.
     pub refits_completed: Arc<Counter>,
     /// Samples not applied because the queue was full under `Reject`.
     pub rejected: Arc<Counter>,
@@ -146,6 +155,7 @@ pub struct ShardStatsCore {
     /// Supervisor restart handling latency (nanoseconds): culprit
     /// quarantine, predictor rebuild and recovery-refit dispatch.
     pub restart_ns: Arc<Histogram>,
+    /// Rolling online accuracy of this shard's scored forecasts.
     pub score: Mutex<ScoreAccum>,
 }
 
@@ -236,17 +246,29 @@ impl ShardStatsCore {
 /// Point-in-time view of one shard.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStats {
+    /// Index of the shard.
     pub shard: usize,
+    /// Entities the shard serves.
     pub entities: usize,
+    /// Samples applied to an entity.
     pub ingested: u64,
+    /// Forecast reads answered, memo hits included.
     pub forecasts: u64,
+    /// Background refits dispatched.
     pub refits_started: u64,
+    /// Background refits whose model was installed.
     pub refits_completed: u64,
+    /// Samples not applied because the queue was full under `Reject`.
     pub rejected: u64,
+    /// Ingests addressed to an entity the shard has never installed.
     pub unknown_entity_ingests: u64,
+    /// Messages queued for the shard when the snapshot was taken.
     pub queue_depth: usize,
+    /// Times the supervisor restarted the shard's worker loop.
     pub restarts: u64,
+    /// Entities in degraded (fallback-serving) mode.
     pub degraded: usize,
+    /// Forecasts answered by the naive fallback instead of the model.
     pub fallback_forecasts: u64,
     /// Forecasts answered through a batched (multi-entity) engine call.
     pub batched_forecasts: u64,
@@ -255,11 +277,17 @@ pub struct ShardStats {
     /// Forecast reads answered from an entity's memo without a model run
     /// (hit ratio = `memo_hits / forecasts`).
     pub memo_hits: u64,
+    /// Samples whose non-finite values were forward-filled.
     pub repaired_samples: u64,
+    /// Samples dropped at the shard boundary.
     pub quarantined_samples: u64,
+    /// Missing samples detected through sequence-number gaps.
     pub gap_samples: u64,
+    /// Background refits that failed every attempt.
     pub refit_failures: u64,
+    /// Background refits abandoned at the configured deadline.
     pub refit_timeouts: u64,
+    /// Refit replacements rejected for a non-finite forecast.
     pub refits_rejected: u64,
     /// Interval forecasts answered with live conformal offsets.
     pub interval_forecasts: u64,
@@ -280,6 +308,7 @@ pub struct ShardStats {
     pub forecast_p99_us: Option<f64>,
     /// Rolling MAE of forecasts scored against later-arriving truth.
     pub rolling_mae: f64,
+    /// Rolling MSE of forecasts scored against later-arriving truth.
     pub rolling_mse: f64,
     /// How many forecasts have been scored.
     pub scored: u64,
@@ -288,6 +317,7 @@ pub struct ShardStats {
 /// Fleet-wide view: one entry per shard plus aggregate helpers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
+    /// One view per shard, in shard order.
     pub shards: Vec<ShardStats>,
 }
 
@@ -428,6 +458,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "poisons the lock on purpose")]
     fn lock_recover_survives_poisoning() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let m = Mutex::new(ScoreAccum::default());

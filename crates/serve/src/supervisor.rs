@@ -35,6 +35,7 @@ use crate::stats::EntityHealth;
 /// [`PredictionService::entity_health`](crate::PredictionService::entity_health).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityHealthReport {
+    /// Whether the entity serves from its model or its fallback.
     pub health: EntityHealth,
     /// Times this entity's model crashed the shard worker.
     pub crashes: u32,

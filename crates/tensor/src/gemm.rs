@@ -26,6 +26,17 @@
 //!   stacked batch of rows equals the same rows computed one at a time;
 //! * splitting a batch into row chunks does not change results.
 
+// R2: no panics outside tests.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// R4 and R7: poison-safe locks and deterministic replay (clippy.toml).
+#![warn(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use std::cell::RefCell;
 
 /// Rows per packed tile: one broadcast of A feeds `MR` accumulator rows.
